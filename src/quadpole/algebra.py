@@ -11,9 +11,8 @@ throughout, and exactness is always checked by residuals, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from functools import lru_cache, wraps
+from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -82,20 +81,6 @@ class HomogPoly:
     def zero(cls, degree: int) -> "HomogPoly":
         return cls(degree)
 
-    @classmethod
-    def from_terms(cls, degree: int, terms: Dict[Monomial, complex]) -> "HomogPoly":
-        p = cls(degree)
-        idx = monomial_index(degree)
-        for exp, c in terms.items():
-            p.coeffs[idx[tuple(exp)]] += c
-        return p
-
-    @classmethod
-    def variable(cls, axis: int) -> "HomogPoly":
-        coeffs = np.zeros(3, dtype=complex)
-        coeffs[axis] = 1.0
-        return cls(1, coeffs)
-
     def term(self, exp: Monomial) -> complex:
         return complex(self.coeffs[monomial_index(self.degree)[tuple(exp)]])
 
@@ -147,40 +132,14 @@ class HomogPoly:
     def deriv(self, axis: int) -> "HomogPoly":
         if self.degree == 0:
             return HomogPoly.zero(0)
+        target, factor = deriv_map(self.degree, axis)
+        keep = factor > 0
         out = HomogPoly.zero(self.degree - 1)
-        idx = monomial_index(self.degree - 1)
-        for m, c in zip(monomials(self.degree), self.coeffs):
-            if c != 0 and m[axis] > 0:
-                lowered = list(m)
-                lowered[axis] -= 1
-                out.coeffs[idx[tuple(lowered)]] += m[axis] * c
+        out.coeffs[target[keep]] = factor[keep] * self.coeffs[keep]
         return out
 
     def conjugate(self) -> "HomogPoly":
         return HomogPoly(self.degree, np.conj(self.coeffs))
-
-    def compose_linear(self, U) -> "HomogPoly":
-        """Polynomial v -> P(v @ U) for a 3x3 matrix U."""
-        U = np.asarray(U, dtype=complex)
-        if self.degree == 0:
-            return self.copy()
-        lins = [HomogPoly(1, U[:, k]) for k in range(3)]
-        pows = []
-        for lin in lins:
-            chain = [HomogPoly(0, [1.0])]
-            for _ in range(self.degree):
-                chain.append(poly_mul(chain[-1], lin))
-            pows.append(chain)
-        out = HomogPoly.zero(self.degree)
-        for (a, b, c), coeff in zip(monomials(self.degree), self.coeffs):
-            if coeff == 0:
-                continue
-            term = poly_mul(poly_mul(pows[0][a], pows[1][b]), pows[2][c])
-            out = out + coeff * term
-        return out
-
-    def as_poly(self) -> "Poly":
-        return Poly.from_homog(self)
 
     def __repr__(self) -> str:
         parts = []
@@ -202,6 +161,36 @@ def _mul_table(d1: int, d2: int) -> np.ndarray:
     return table
 
 
+def _mul_matrix(f: HomogPoly, degree: int) -> np.ndarray:
+    """Dense matrix of multiplication by f from grade `degree` upward."""
+    n = grade_dim(degree)
+    m = np.zeros((grade_dim(f.degree + degree), n), dtype=complex)
+    # distinct monomials of f move one input monomial to distinct outputs,
+    # so no entry is written twice
+    m[_mul_table(f.degree, degree), np.tile(np.arange(n), grade_dim(f.degree))] \
+        = np.repeat(f.coeffs, n)
+    return m
+
+
+@lru_cache(maxsize=None)
+def deriv_map(degree: int, axis: int) -> Tuple[np.ndarray, np.ndarray]:
+    """d/dx_axis on grade `degree` as (target, factor) per monomial.
+
+    Monomial i maps to monomial target[i] of grade degree - 1 with the
+    integer factor[i]; factor[i] is 0 where the monomial lacks the axis.
+    """
+    idx = monomial_index(degree - 1)
+    target = np.zeros(grade_dim(degree), dtype=np.intp)
+    factor = np.zeros(grade_dim(degree), dtype=np.intp)
+    for i, m in enumerate(monomials(degree)):
+        if m[axis]:
+            low = list(m)
+            low[axis] -= 1
+            target[i] = idx[tuple(low)]
+            factor[i] = m[axis]
+    return target, factor
+
+
 def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
     """Product of homogeneous polynomials; degrees add."""
     table = _mul_table(p.degree, q.degree)
@@ -210,11 +199,6 @@ def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
     out = (np.bincount(table, weights=prods.real, minlength=dim)
            + 1j * np.bincount(table, weights=prods.imag, minlength=dim))
     return HomogPoly(p.degree + q.degree, out)
-
-
-def poly_eval(p, v) -> complex:
-    """Value of a HomogPoly or Poly at one point of C^3."""
-    return p(v)
 
 
 class Poly:
@@ -313,6 +297,30 @@ def grade_split(p: Poly) -> Tuple[Poly, Poly]:
     return Poly(even), Poly(odd)
 
 
+_OPERATORS: Dict[tuple, object] = {}
+
+
+def form_operator(build: Callable) -> Callable:
+    """Cache build(Q, *args) under (its name, Q.key, *args), for every form.
+
+    The key is the value of B, not the QuadForm object: forms built afresh
+    from equal matrices (the CLI builds one per call) share their operators.
+    The arguments after Q are positional and hashable; entries are never
+    evicted.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def cached(Q: "QuadForm", *args):
+        key = (name, Q.key) + args
+        op = _OPERATORS.get(key)
+        if op is None:
+            op = _OPERATORS[key] = build(Q, *args)
+        return op
+
+    return cached
+
+
 class QuadForm:
     """Nondegenerate complex symmetric quadratic form Q(v) = v B v^T on C^3."""
 
@@ -332,7 +340,6 @@ class QuadForm:
             self.signature = None
         self._poly = None
         self._b_inv = None
-        self._reduction = None
         self._a_inv = None
 
     @classmethod
@@ -374,15 +381,11 @@ class QuadForm:
         v = np.asarray(v, dtype=complex)
         return complex(u @ self.B @ v)
 
-    def reduction(self, tol_det: float = TOL_DET) -> np.ndarray:
-        if self._reduction is None:
-            self._reduction = quad_reduce(self, tol_det=tol_det)
-        return self._reduction
-
     @property
     def a_inv(self) -> np.ndarray:
+        """Inverse of the reduction matrix A of quad_reduce (A @ A.T = B)."""
         if self._a_inv is None:
-            self._a_inv = np.linalg.inv(self.reduction())
+            self._a_inv = np.linalg.inv(quad_reduce(self))
         return self._a_inv
 
     def __repr__(self) -> str:
@@ -448,23 +451,10 @@ def quad_reduce(Q: QuadForm, tol_det: float = TOL_DET) -> np.ndarray:
     return np.column_stack(cols)
 
 
-_MULQ_CACHE: Dict[Tuple[bytes, int], np.ndarray] = {}
-
-
+@form_operator
 def mul_q_matrix(Q: QuadForm, degree_r: int) -> np.ndarray:
     """Dense matrix of multiplication by Q from grade degree_r to degree_r + 2."""
-    key = (Q.key, degree_r)
-    m = _MULQ_CACHE.get(key)
-    if m is None:
-        qp = Q.poly()
-        idx_out = monomial_index(degree_r + 2)
-        m = np.zeros((grade_dim(degree_r + 2), grade_dim(degree_r)), dtype=complex)
-        for jcol, mr in enumerate(monomials(degree_r)):
-            for qm, qc in zip(monomials(2), qp.coeffs):
-                if qc != 0:
-                    m[idx_out[(mr[0] + qm[0], mr[1] + qm[1], mr[2] + qm[2])], jcol] += qc
-        _MULQ_CACHE[key] = m
-    return m
+    return _mul_matrix(Q.poly(), degree_r)
 
 
 def divide_by_quadric(p: HomogPoly, Q: QuadForm, tol_div: float = TOL_DIV) -> HomogPoly:

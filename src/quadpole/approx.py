@@ -22,6 +22,7 @@ from .algebra import (
     QuadForm,
     QuadratureRule,
     TOL_DIV,
+    form_operator,
     grade_dim,
 )
 from .conic import EPS_CLUSTER
@@ -32,27 +33,21 @@ from .errors import (
     SolveFailure,
 )
 from .harmonic import delta_matrix
-from .maxwell import maxwell_poly
-from .sylvester import (
-    Multipole,
-    TOL_FACT,
-    _FactorContext,
-    canonical_parcelling,
-    real_factor,
-)
+from .maxwell import maxwell_fit, maxwell_poly
+from .sylvester import Multipole, TOL_FACT, factor
 
 TOL_ZERO_BAND = 1e-12
-
-_BASIS_CACHE: Dict[Tuple[bytes, int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _surface_nodes(Q: QuadForm, rule: QuadratureRule) -> np.ndarray:
     return rule.sphere_points() @ Q.a_inv
 
 
-def _band_basis(Q: QuadForm, k: int, rule: QuadratureRule
+@form_operator
+def _band_basis(Q: QuadForm, k: int, exact_degree: int
                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the degree-k harmonic space at the rule's nodes.
+    """Orthonormal basis of the degree-k harmonic space at the nodes of
+    QuadratureRule(exact_degree).
 
     Returns (C, V): C holds coefficient columns, V the matching node-value
     columns, orthonormal in the weighted discrete inner product.  The kernel
@@ -60,10 +55,7 @@ def _band_basis(Q: QuadForm, k: int, rule: QuadratureRule
     weighted value columns; each column's phase is fixed so its largest
     coefficient entry is positive real, making the basis deterministic.
     """
-    key = (Q.key, k, rule.exact_degree)
-    cached = _BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    rule = QuadratureRule(exact_degree)
     dm = delta_matrix(Q, k)
     if dm.shape[0] == 0:
         kernel = np.eye(grade_dim(k), dtype=complex)
@@ -87,7 +79,6 @@ def _band_basis(Q: QuadForm, k: int, rule: QuadratureRule
         phase = coeffs[idx, j] / abs(coeffs[idx, j])
         coeffs[:, j] /= phase
         values[:, j] /= phase
-    _BASIS_CACHE[key] = (coeffs, values)
     return coeffs, values
 
 
@@ -142,7 +133,7 @@ def l2_project(f: Callable[[np.ndarray], np.ndarray], Q: QuadForm, d_max: int,
     norms: List[float] = []
     acc = np.zeros_like(fvals)
     for k in range(d_max + 1):
-        coeffs, values = _band_basis(Q, k, rule)
+        coeffs, values = _band_basis(Q, k, rule.exact_degree)
         comp = values.conj().T @ (w * fvals)
         bands.append(HomogPoly(k, coeffs @ comp))
         norms.append(float(np.linalg.norm(comp)))
@@ -215,8 +206,8 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     scale_ref = max(decomp.f_norm, 1.0)
     imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
                     for b in decomp.bands), default=0.0)
-    real_route = (imag_max <= 1e-12 * scale_ref and Q.is_real
-                  and Q.signature in (-3, 3))
+    strategy = ("real_unique" if imag_max <= 1e-12 * scale_ref and Q.is_real
+                and Q.signature in (-3, 3) else "canonical")
     lam = complex(decomp.bands[0].coeffs[0])
     terms: Dict[int, Multipole] = {}
     scales: Dict[int, complex] = {}
@@ -240,23 +231,10 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         eps = eps_cluster
         while eps <= 0.2:
             try:
-                if real_route:
-                    fact = real_factor(fk, Q, eps_cluster=eps,
-                                       tol_div=band_tol_div,
-                                       tol_fact=tol_fact)
-                else:
-                    ctx = _FactorContext(fk, Q, eps_cluster=eps,
-                                         tol_div=band_tol_div)
-                    fact = ctx.factor(
-                        canonical_parcelling(ctx.multiplicities),
-                        tol_fact=tol_fact)
-                cand = fact.multipole()
-                vectors = [np.asarray(line, dtype=complex) @ Q.b_inv
-                           for line in cand.lines]
-                model = maxwell_poly(Q, vectors)
-                cc = complex(np.vdot(model.coeffs, fk.coeffs)
-                             / np.vdot(model.coeffs, model.coeffs))
-                defect = (fk - model * cc).norm()
+                cand = factor(fk, Q, strategy, eps_cluster=eps,
+                              tol_div=band_tol_div,
+                              tol_fact=tol_fact).multipole()
+                _, cc, defect = maxwell_fit(fk, Q, cand.lines)
                 if defect < best:
                     w, c, best = cand, cc, defect
                 if defect <= 1e-12 * fk.norm():

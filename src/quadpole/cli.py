@@ -26,12 +26,10 @@ from .planar import PencilCenter, fiber_enumerate
 from .sylvester import (
     TOL_FACT,
     all_factorizations,
-    canonical_parcelling,
     count_parcellings,
-    factor_on_quadric,
+    factor,
     in_discriminant,
     intersection_clusters,
-    real_factor,
 )
 from .approx import l2_project, multipole_series, parseval_gap
 
@@ -82,17 +80,9 @@ def _cmd_decompose(args, Q: QuadForm) -> Any:
             return {"count": len(facts),
                     "factorizations": [qio.factorization_to_json(f)
                                        for f in facts]}
-        if strategy == "real_unique":
-            fact = real_factor(P, Q, eps_cluster=args.eps_cluster,
-                               tol_div=args.tol_div, tol_fact=args.tol_fact)
-        else:
-            clusters = intersection_clusters(P, Q,
-                                             eps_cluster=args.eps_cluster)
-            par = canonical_parcelling([c.multiplicity for c in clusters])
-            fact = factor_on_quadric(P, Q, par, eps_cluster=args.eps_cluster,
-                                     tol_div=args.tol_div,
-                                     tol_fact=args.tol_fact)
-        return qio.factorization_to_json(fact)
+        return qio.factorization_to_json(factor(
+            P, Q, strategy, eps_cluster=args.eps_cluster,
+            tol_div=args.tol_div, tol_fact=args.tol_fact))
     P = qio.poly_from_json(data)
     result = full_decompose(P, Q, strategy=strategy,
                             eps_cluster=args.eps_cluster,
@@ -219,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="tol_harm")
         p.add_argument("--eps-cluster", type=float, default=EPS_CLUSTER,
                        dest="eps_cluster")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any randomized diagnostics")
         p.add_argument("--output", default=None,
                        help="write JSON here instead of stdout")
 

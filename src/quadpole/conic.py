@@ -11,7 +11,7 @@ factorization machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -69,11 +69,6 @@ class ProjPoint2:
 
     def __repr__(self) -> str:
         return "ProjPoint2[%s : %s : %s]" % tuple(self.coords)
-
-
-def conj_point(p):
-    """Coordinate-wise complex conjugate, renormalized."""
-    return p.conj()
 
 
 def chordal(p, q) -> float:
@@ -150,8 +145,6 @@ class ConicParam:
     """Degree-2 parameterization u -> alpha(u) of the conic {Q = 0}."""
 
     alphas: Tuple[BinaryForm, BinaryForm, BinaryForm]
-    matrix: np.ndarray
-    quad: QuadForm
 
     def point(self, u: ProjPoint1) -> ProjPoint2:
         vals = [a.eval_point(u) for a in self.alphas]
@@ -185,7 +178,7 @@ def conic_param(Q: QuadForm) -> ConicParam:
     scale = max(float(np.max(np.abs(B))), 1.0)
     if np.max(np.abs(quartic)) > 1e-10 * scale:
         raise Degenerate("parameterization does not satisfy Q(alpha(u)) = 0")
-    return ConicParam(tuple(alphas), Q.reduction(), Q)
+    return ConicParam(tuple(alphas))
 
 
 def restrict_to_conic(p: HomogPoly, param: ConicParam) -> BinaryForm:

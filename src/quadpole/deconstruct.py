@@ -36,9 +36,8 @@ from .sylvester import (
     Multipole,
     TOL_FACT,
     _FactorContext,
-    canonical_parcelling,
     enumerate_parcellings,
-    real_factor,
+    factor,
 )
 
 ENUMERATION_CAP = 10 ** 6
@@ -114,14 +113,8 @@ def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
         if cur.degree == 0:
             lam += complex(cur.coeffs[0])
             break
-        if strategy == "real_unique":
-            fact = real_factor(cur, Q, eps_cluster=eps_cluster,
-                               tol_div=tol_div, tol_fact=tol_fact)
-        else:
-            ctx = _FactorContext(cur, Q, eps_cluster=eps_cluster,
-                                 tol_div=tol_div)
-            fact = ctx.factor(canonical_parcelling(ctx.multiplicities),
-                              tol_fact=tol_fact)
+        fact = factor(cur, Q, strategy, eps_cluster=eps_cluster,
+                      tol_div=tol_div, tol_fact=tol_fact)
         terms[cur.degree] = Multipole.from_parts(fact.lam, fact.lines)
         cur = fact.remainder
     return lam, terms

@@ -18,11 +18,11 @@ from .algebra import (
     HomogPoly,
     Poly,
     QuadForm,
+    deriv_map,
+    form_operator,
     grade_dim,
     grade_split,
     homogenize_on_quadric,
-    monomial_index,
-    monomials,
     mul_q_matrix,
     poly_mul,
     surface_samples,
@@ -31,37 +31,26 @@ from .errors import SolveFailure
 
 TOL_HARM = 1e-9
 
-_DELTA_CACHE: Dict[Tuple[bytes, int], np.ndarray] = {}
-
-
+@form_operator
 def delta_matrix(Q: QuadForm, degree: int) -> np.ndarray:
-    """Dense matrix of delta_Q from grade `degree` down to `degree - 2`."""
-    key = (Q.key, degree)
-    m = _DELTA_CACHE.get(key)
-    if m is None:
-        binv = Q.b_inv
-        dim_in = grade_dim(degree)
-        dim_out = grade_dim(degree - 2) if degree >= 2 else 0
-        m = np.zeros((dim_out, dim_in), dtype=complex)
-        if degree >= 2:
-            idx_out = monomial_index(degree - 2)
-            for col, mono in enumerate(monomials(degree)):
-                for j in range(3):
-                    for k in range(3):
-                        c = binv[j, k]
-                        if c == 0:
-                            continue
-                        e = list(mono)
-                        if e[j] == 0:
-                            continue
-                        f1 = e[j]
-                        e[j] -= 1
-                        if e[k] == 0:
-                            continue
-                        f2 = e[k]
-                        e[k] -= 1
-                        m[idx_out[tuple(e)], col] += c * f1 * f2
-        _DELTA_CACHE[key] = m
+    """Dense matrix of delta_Q from grade `degree` down to `degree - 2`.
+
+    Built from the sparse first-derivative maps: the entry for d_j d_k of
+    monomial i is (b_inv[j, k] * f_j) * f_k at the twice-lowered monomial.
+    """
+    if degree < 2:
+        return np.zeros((0, grade_dim(degree)), dtype=complex)
+    m = np.zeros((grade_dim(degree - 2), grade_dim(degree)), dtype=complex)
+    cols = np.arange(grade_dim(degree))
+    for j in range(3):
+        t_j, f_j = deriv_map(degree, j)
+        for k in range(3):
+            c = Q.b_inv[j, k]
+            if c == 0:
+                continue
+            t_k, f_k = (a[t_j] for a in deriv_map(degree - 1, k))
+            hit = (f_j > 0) & (f_k > 0)
+            m[t_k[hit], cols[hit]] += c * f_j[hit] * f_k[hit]
     return m
 
 
@@ -80,17 +69,10 @@ def is_harmonic(p: HomogPoly, Q: QuadForm, tol: float = TOL_HARM) -> bool:
     return res <= tol * scale * max(p.norm(), 1e-300)
 
 
-_TMAT_CACHE: Dict[Tuple[bytes, int], np.ndarray] = {}
-
-
+@form_operator
 def _t_matrix(Q: QuadForm, degree: int) -> np.ndarray:
     """Square matrix of R -> delta_Q(Q * R) on grade `degree - 2`."""
-    key = (Q.key, degree)
-    m = _TMAT_CACHE.get(key)
-    if m is None:
-        m = delta_matrix(Q, degree) @ mul_q_matrix(Q, degree - 2)
-        _TMAT_CACHE[key] = m
-    return m
+    return delta_matrix(Q, degree) @ mul_q_matrix(Q, degree - 2)
 
 
 def harmonic_project(p: HomogPoly, Q: QuadForm,

@@ -19,12 +19,7 @@ from .algebra import HomogPoly, QuadForm, poly_mul, TOL_DIV
 from .conic import EPS_CLUSTER
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
-from .sylvester import (
-    TOL_FACT,
-    _FactorContext,
-    enumerate_parcellings,
-    real_factor,
-)
+from .sylvester import TOL_FACT, factor
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,17 @@ def maxwell_poly(Q: QuadForm, vectors: Sequence[Sequence[complex]]) -> HomogPoly
     return term.numerator
 
 
+def maxwell_fit(P: HomogPoly, Q: QuadForm, lines: Sequence[Sequence[complex]]
+                ) -> Tuple[List[np.ndarray], complex, float]:
+    """Directions u = w.B^{-1} of cone lines w, the least-squares scale c of
+    P against maxwell_poly(Q, directions), and the defect ||P - c * model||."""
+    vectors = [np.asarray(w, dtype=complex) @ Q.b_inv for w in lines]
+    model = maxwell_poly(Q, vectors)
+    scale = complex(np.vdot(model.coeffs, P.coeffs) / np.vdot(model.coeffs,
+                                                              model.coeffs))
+    return vectors, scale, (P - model * scale).norm()
+
+
 def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
                       eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV,
                       tol_fact: float = TOL_FACT
@@ -90,8 +96,8 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     """Direction vectors and scale c with P = c * maxwell_poly(Q, vectors).
 
     Real P over a definite real Q goes through the unique real factorization,
-    so the vectors come out real; otherwise the first enumerated parcelling is
-    used (any parcelling gives a proportional result: the construction is
+    so the vectors come out real; otherwise the canonical parcelling is used
+    (any parcelling gives a proportional result: the construction is
     harmonic with the same cone divisor as P, and harmonics embed injectively
     into binary forms on the cone).
     """
@@ -102,18 +108,11 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     if P.degree == 0:
         return [], complex(P.coeffs[0])
     real_input = (float(np.max(np.abs(P.coeffs.imag))) <= 1e-12 * P.norm())
-    if real_input and Q.is_real and Q.signature in (-3, 3):
-        fact = real_factor(P, Q, eps_cluster=eps_cluster, tol_div=tol_div,
-                           tol_fact=tol_fact)
-    else:
-        ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-        first = enumerate_parcellings(ctx.multiplicities)[0]
-        fact = ctx.factor(first, tol_fact=tol_fact)
-    vectors = [np.asarray(L.coeffs, dtype=complex) @ Q.b_inv for L in fact.lines]
-    model = maxwell_poly(Q, vectors)
-    scale = complex(np.vdot(model.coeffs, P.coeffs) / np.vdot(model.coeffs,
-                                                              model.coeffs))
-    defect = (P - model * scale).norm()
+    strategy = ("real_unique" if real_input and Q.is_real
+                and Q.signature in (-3, 3) else "canonical")
+    fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div,
+                  tol_fact=tol_fact)
+    vectors, scale, defect = maxwell_fit(P, Q, [L.coeffs for L in fact.lines])
     if defect > 1e-7 * P.norm():
         raise SolveFailure("reconstruction deviates by %.3e relative" %
                            (defect / P.norm()))

@@ -126,7 +126,6 @@ class PencilFrame:
 
     def __init__(self, p: PencilCenter, Q: QuadForm):
         self.center = p
-        self.quad = Q
         self.param = conic_param(Q)
         pc = p.point.coords
         anchors = [ProjPoint1([1.0, 0.0]), ProjPoint1([0.0, 1.0]),

@@ -12,8 +12,8 @@ stable under conjugation, which yields the distinguished real factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -435,6 +435,25 @@ def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     parcelling = GeneralizedParcelling(tuple(sorted(pieces)))
     fact = ctx.factor(parcelling, tol_fact=tol_fact)
     return _realified(fact, P, Q, tol_fact)
+
+
+def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
+           eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV,
+           tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+    """One factorization of P on the cone of Q, chosen by strategy.
+
+    canonical takes canonical_parcelling of the root clusters; real_unique
+    is real_factor, the conjugation-stable one for real P over a definite
+    real form.
+    """
+    if strategy == "real_unique":
+        return real_factor(P, Q, eps_cluster=eps_cluster, tol_div=tol_div,
+                           tol_fact=tol_fact)
+    if strategy != "canonical":
+        raise ValueError("unknown factoring strategy %r" % (strategy,))
+    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    return ctx.factor(canonical_parcelling(ctx.multiplicities),
+                      tol_fact=tol_fact)
 
 
 def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,

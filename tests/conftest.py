@@ -17,6 +17,14 @@ def hyperboloid():
     return QuadForm(np.diag([1.0, 1.0, -1.0]))
 
 
+@pytest.fixture(scope="session")
+def dense_complex():
+    """Complex symmetric form with no zero entry in B or in its inverse."""
+    return QuadForm([[2.0, 0.5 + 0.3j, -0.4j],
+                     [0.5 + 0.3j, 1.5 - 0.2j, 0.3],
+                     [-0.4j, 0.3, 1.0 + 0.5j]])
+
+
 def random_homog(d, rng, real=False):
     """Random homogeneous polynomial with standard-normal coefficients."""
     n = grade_dim(d)

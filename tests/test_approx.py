@@ -125,7 +125,7 @@ class TestL2Project:
         base_vals = dec.evaluate(pts)
         e0 = l2_err(base_vals)
         for k in (0, 1, 3, 6):
-            _, V = _band_basis(sphere, k, rule)
+            _, V = _band_basis(sphere, k, rule.exact_degree)
             g = rng.standard_normal(V.shape[1]) \
                 + 1j * rng.standard_normal(V.shape[1])
             pert = V @ g

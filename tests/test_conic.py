@@ -13,11 +13,10 @@ from quadpole import (
     chordal,
     conic_param,
     line_through,
-    poly_eval,
     restrict_to_conic,
     roots_projective,
 )
-from quadpole.conic import binary_discriminant, conj_point
+from quadpole.conic import binary_discriminant
 
 from conftest import random_homog
 
@@ -52,10 +51,10 @@ class TestProjPoints:
             assert np.allclose(p.conj().conj().coords, p.coords)
 
     def test_conj_point_examples(self):
-        p = conj_point(ProjPoint2([1j, 0, 1]))
+        p = ProjPoint2([1j, 0, 1]).conj()
         assert np.allclose(p.coords, ProjPoint2([-1j, 0, 1]).coords)
         real = ProjPoint2([1, 2, 3])
-        assert np.allclose(conj_point(real).coords, real.coords)
+        assert np.allclose(real.conj().coords, real.coords)
 
     def test_chordal_metric(self):
         a = ProjPoint1([1, 0])
@@ -133,7 +132,7 @@ class TestRestrictToConic:
                 lhs = b.eval_uv(u[0], u[1])
                 pt = np.array([param.alphas[i].eval_uv(u[0], u[1])
                                for i in range(3)])
-                assert lhs == pytest.approx(poly_eval(p, pt), rel=1e-9)
+                assert lhs == pytest.approx(p(pt), rel=1e-9)
 
     def test_q_restricts_to_zero(self, hyperboloid):
         b = restrict_to_conic(hyperboloid.poly(), conic_param(hyperboloid))
@@ -274,8 +273,8 @@ class TestLineThrough:
                             + 1j * rng.standard_normal(2))
             pa, pb = param.point(ua), param.point(ub)
             L = line_through(pa, pb, hyperboloid)
-            assert abs(poly_eval(L, pa.coords)) < 1e-9
-            assert abs(poly_eval(L, pb.coords)) < 1e-9
+            assert abs(L(pa.coords)) < 1e-9
+            assert abs(L(pb.coords)) < 1e-9
 
     def test_secant_roots_match_parameters(self, sphere):
         rng = np.random.default_rng(8)

@@ -16,11 +16,10 @@ from quadpole import (
     harmonic_project,
     inner_product,
     is_harmonic,
-    poly_eval,
     poly_mul,
     surface_samples,
 )
-from quadpole.algebra import grade_dim, monomial_index, monomials
+from quadpole.algebra import grade_dim, monomial_index, monomials, mul_q_matrix
 
 from conftest import compose_linear, q_orthogonal, random_homog, random_poly
 
@@ -71,10 +70,11 @@ class TestApplyDeltaQ:
         assert apply_delta_q(hp(1, {(1, 0, 0): 1}), sphere).is_zero()
         assert apply_delta_q(HomogPoly(0, [3.0]), sphere).is_zero()
 
-    def test_against_sympy(self, sphere, hyperboloid):
+    def test_against_sympy(self, sphere, hyperboloid, dense_complex):
+        # the dense form checks the off-diagonal entries of B^-1
         rng = np.random.default_rng(10)
         x, y, z = sympy.symbols("x y z")
-        for Q in (sphere, hyperboloid):
+        for Q in (sphere, hyperboloid, dense_complex):
             p = random_homog(4, rng)
             got = apply_delta_q(p, Q)
             want = sympy_delta_q(p, Q)
@@ -88,6 +88,15 @@ class TestApplyDeltaQ:
         direct = apply_delta_q(p, hyperboloid).coeffs
         via_matrix = delta_matrix(hyperboloid, 5) @ p.coeffs
         assert np.allclose(direct, via_matrix)
+
+    def test_operators_shared_by_equal_forms(self, dense_complex):
+        # operators are cached by the value of B, so a form built afresh
+        # (as every CLI call does) reuses them instead of rebuilding
+        a, b = QuadForm(dense_complex.B), QuadForm(dense_complex.B.copy())
+        assert a is not b
+        assert delta_matrix(a, 6) is delta_matrix(b, 6)
+        assert mul_q_matrix(a, 4) is mul_q_matrix(b, 4)
+        assert delta_matrix(a, 6) is not delta_matrix(QuadForm(2 * a.B), 6)
 
 
 class TestHarmonicProject:

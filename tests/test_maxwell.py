@@ -12,6 +12,7 @@ from quadpole import (
     apply_delta_q,
     directional_derivative_potential,
     harmonic_project,
+    intersection_clusters,
     is_harmonic,
     maxwell_decompose,
     maxwell_poly,
@@ -177,6 +178,15 @@ class TestDecompose:
             vecs, scale = maxwell_decompose(h, hyperboloid)
             recon = maxwell_poly(hyperboloid, vecs) * scale
             assert np.linalg.norm(recon.coeffs - h.coeffs) < 1e-7 * h.norm()
+        # a repeated direction doubles cone points: the parcelling must
+        # handle clusters of multiplicity two
+        u, v = np.array([1.0, 0.3, 0.2]), np.array([0.1, 1.0, -0.4])
+        h = maxwell_poly(hyperboloid, [u, u, v])
+        mults = [c.multiplicity for c in intersection_clusters(h, hyperboloid)]
+        assert sorted(mults) == [1, 1, 2, 2]
+        vecs, scale = maxwell_decompose(h, hyperboloid)
+        recon = maxwell_poly(hyperboloid, vecs) * scale
+        assert np.linalg.norm(recon.coeffs - h.coeffs) < 1e-7 * h.norm()
 
     def test_non_harmonic_rejected(self, sphere):
         with pytest.raises(NotHarmonic):

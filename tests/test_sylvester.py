@@ -20,6 +20,7 @@ from quadpole import (
     conic_param,
     count_parcellings,
     enumerate_parcellings,
+    factor,
     factor_on_quadric,
     in_discriminant,
     intersection_clusters,
@@ -297,6 +298,38 @@ class TestRealFactor:
                                              for c in clusters])
                       if _piecewise_stable(par, sigma)]
             assert len(stable) == 1
+
+
+class TestFactorEntryPoint:
+    def _inputs(self, rng):
+        # generic inputs, and one with a double cone point (a squared line)
+        yield random_homog(3, rng)
+        yield poly_mul(poly_mul(X + 2 * Y, X + 2 * Y), Z - 0.5 * X)
+
+    def _same(self, f, g):
+        assert f.lam == g.lam and f.parcelling == g.parcelling
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in zip(f.lines, g.lines))
+        assert np.array_equal(f.remainder.coeffs, g.remainder.coeffs)
+
+    def test_canonical_is_default(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(26)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for p in self._inputs(rng):
+                mults = [c.multiplicity for c in intersection_clusters(p, Q)]
+                self._same(factor(p, Q),
+                           factor_on_quadric(p, Q, canonical_parcelling(mults)))
+
+    def test_real_unique_is_real_factor(self, sphere):
+        rng = np.random.default_rng(27)
+        for d in (2, 3, 4):
+            p = random_homog(d, rng, real=True)
+            self._same(factor(p, sphere, "real_unique"), real_factor(p, sphere))
+
+    def test_unknown_strategy(self, sphere):
+        for strategy in ("enumerate", "first", ""):
+            with pytest.raises(ValueError):
+                factor(poly_mul(X, Y), sphere, strategy)
 
 
 class TestRealFactorizations:
