@@ -32,7 +32,11 @@ def _normalize(coords, size: int) -> np.ndarray:
     j = int(np.argmax(mags))
     if mags[j] == 0.0:
         raise ValueError("zero vector does not define a projective point")
-    return v / v[j]
+    out = v / v[j]
+    # v[j] / v[j] can miss 1 + 0j in the last bit; the canonical cluster
+    # order compares these coordinates, so the pivot is set exactly
+    out[j] = 1.0
+    return out
 
 
 class ProjPoint1:

@@ -38,6 +38,20 @@ class TestProjPoints:
         idx = int(np.argmax(np.abs(p.coords)))
         assert p.coords[idx] == pytest.approx(1)
 
+    def test_pivot_is_exactly_one(self):
+        # the canonical cluster order compares normalized coordinates, so a
+        # pivot that misses 1 + 0j in the last bit could reorder clusters
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            p = ProjPoint1(v * 10.0 ** rng.uniform(-3, 3))
+            j = int(np.argmax(np.abs(p.coords)))
+            assert p.coords[j] == 1 + 0j
+            assert p.coords[j].imag == 0.0
+            w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            q = ProjPoint2(w)
+            assert q.coords[int(np.argmax(np.abs(q.coords)))] == 1 + 0j
+
     def test_normalization_idempotent(self):
         p = ProjPoint2([3, -2j, 1 + 1j])
         q = ProjPoint2(p.coords)

@@ -22,7 +22,7 @@ from quadpole import (
 )
 from quadpole.algebra import grade_dim, monomial_index
 
-from conftest import random_poly
+from conftest import random_homog, random_poly
 
 
 def hp(degree, entries):
@@ -107,6 +107,20 @@ class TestCanonical:
     def test_unknown_strategy(self, sphere):
         with pytest.raises(ValueError):
             full_decompose(Poly.constant(1.0), sphere, strategy="fancy")
+
+    def test_stable_under_last_bit_change(self, sphere):
+        # a 1-ulp change of one coefficient must not pick a different
+        # canonical parcelling at any level of a complex degree-9 input
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            P = random_homog(9, rng)
+            c = P.coeffs.copy()
+            c[0] = complex(np.nextafter(c[0].real, np.inf), c[0].imag)
+            a = full_decompose(P, sphere)
+            b = full_decompose(HomogPoly(9, c), sphere)
+            assert sorted(a.terms) == sorted(b.terms)
+            for k in a.terms:
+                assert a.terms[k].isclose(b.terms[k], tol=1e-10)
 
 
 class TestEnumerate:
