@@ -149,7 +149,13 @@ def canonical_parcelling(multiplicities: Sequence[int]) -> GeneralizedParcelling
 
 
 def _line_key(coeffs) -> Tuple[float, ...]:
-    return tuple(float(v) for c in coeffs for v in (c.real, c.imag))
+    """Sort key of a normalized line: its coefficients rounded, then exact.
+
+    Conjugate lines of a real input have equal real parts in exact
+    arithmetic; compared exactly, round-off would decide their order.
+    """
+    parts = [float(v) for c in coeffs for v in (c.real, c.imag)]
+    return tuple(round(v, 9) for v in parts) + tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,9 @@ class Multipole:
             w = np.asarray(L.coeffs, dtype=complex)
             j = int(np.argmax(np.abs(w)))
             scale *= w[j]
-            vecs.append(tuple(complex(v) for v in w / w[j]))
+            v = w / w[j]
+            v[j] = 1.0
+            vecs.append(tuple(complex(x) for x in v))
         vecs.sort(key=_line_key)
         return cls(scale, tuple(vecs))
 

@@ -108,12 +108,14 @@ class TestCanonical:
         with pytest.raises(ValueError):
             full_decompose(Poly.constant(1.0), sphere, strategy="fancy")
 
-    def test_stable_under_last_bit_change(self, sphere):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_stable_under_last_bit_change(self, sphere, real):
         # a 1-ulp change of one coefficient must not pick a different
-        # canonical parcelling at any level of a complex degree-9 input
+        # canonical parcelling at any level of a degree-9 input, nor reorder
+        # the conjugate lines of a real one
         rng = np.random.default_rng(0)
         for _ in range(3):
-            P = random_homog(9, rng)
+            P = random_homog(9, rng, real=real)
             c = P.coeffs.copy()
             c[0] = complex(np.nextafter(c[0].real, np.inf), c[0].imag)
             a = full_decompose(P, sphere)
