@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, wraps
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -457,6 +457,16 @@ def mul_q_matrix(Q: QuadForm, degree_r: int) -> np.ndarray:
     return _mul_matrix(Q.poly(), degree_r)
 
 
+def _checked_quotient(M: np.ndarray, r: np.ndarray, p: HomogPoly, tol_div: float,
+                      ref_norm: Optional[float]) -> HomogPoly:
+    """R from its coefficients r, once ||M r - p|| <= tol_div * ref_norm (default ||p||)."""
+    residual = float(np.linalg.norm(M @ r - p.coeffs))
+    ref = p.norm() if ref_norm is None else ref_norm
+    if residual > tol_div * max(ref, 1e-300):
+        raise NotDivisible("division residual %.3e exceeds tolerance" % residual)
+    return HomogPoly(p.degree - 2, r)
+
+
 def divide_by_quadric(p: HomogPoly, Q: QuadForm, tol_div: float = TOL_DIV) -> HomogPoly:
     """The R with p = Q * R, found by least squares on the dense grades.
 
@@ -466,10 +476,31 @@ def divide_by_quadric(p: HomogPoly, Q: QuadForm, tol_div: float = TOL_DIV) -> Ho
         raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")
     M = mul_q_matrix(Q, p.degree - 2)
     r, *_ = np.linalg.lstsq(M, p.coeffs, rcond=None)
-    residual = float(np.linalg.norm(M @ r - p.coeffs))
-    if residual > tol_div * max(p.norm(), 1e-300):
-        raise NotDivisible("division residual %.3e exceeds tolerance" % residual)
-    return HomogPoly(p.degree - 2, r)
+    return _checked_quotient(M, r, p, tol_div, None)
+
+
+class QuadricDivider:
+    """Division by Q on one grade, with the pseudo-inverse of M = mul_q_matrix
+    computed once, for callers that divide many polynomials of that degree.
+
+    M has full column rank, so M^+ p is the least-squares quotient that
+    divide_by_quadric finds.  The pseudo-inverse is not put in the operator
+    cache: it lives as long as its owner, and a cache entry per form would
+    grow with every fresh form.
+    """
+
+    def __init__(self, Q: QuadForm, degree: int):
+        if degree < 2:
+            raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")
+        self.M = mul_q_matrix(Q, degree - 2)
+        self.M_pinv = np.linalg.pinv(self.M)
+
+    def divide(self, p: HomogPoly, tol_div: float = TOL_DIV,
+               ref_norm: Optional[float] = None) -> HomogPoly:
+        """The R with p = Q * R; NotDivisible when ||M R - p|| exceeds
+        tol_div * ref_norm, where ref_norm defaults to ||p||."""
+        return _checked_quotient(self.M, self.M_pinv @ p.coeffs, p, tol_div,
+                                 ref_norm)
 
 
 def homogenize_on_quadric(p: Poly, Q: QuadForm) -> HomogPoly:

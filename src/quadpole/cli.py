@@ -25,11 +25,11 @@ from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
 from .sylvester import (
     TOL_FACT,
+    _FactorContext,
     all_factorizations,
     count_parcellings,
     factor,
     in_discriminant,
-    intersection_clusters,
 )
 from .approx import l2_project, multipole_series, parseval_gap
 
@@ -128,10 +128,12 @@ def _cmd_maxwell(args, Q: QuadForm) -> Any:
 
 def _cmd_fibers(args, Q: QuadForm) -> Any:
     P = qio.homog_from_json(_load_json(args.poly))
-    clusters = intersection_clusters(P, Q, eps_cluster=args.eps_cluster)
-    facts = all_factorizations(P, Q, eps_cluster=args.eps_cluster,
-                               tol_div=args.tol_div, tol_fact=args.tol_fact)
-    return {"clusters": [qio.cluster_to_json(c) for c in clusters],
+    # one context gives both the clusters and the factorizations, so the
+    # restriction and the roots are computed once
+    ctx = _FactorContext(P, Q, eps_cluster=args.eps_cluster,
+                         tol_div=args.tol_div)
+    facts = ctx.factor_all(tol_fact=args.tol_fact)
+    return {"clusters": [qio.cluster_to_json(c) for c in ctx.clusters],
             "count": len(facts),
             "factorizations": [qio.factorization_to_json(f) for f in facts]}
 

@@ -10,6 +10,7 @@ factorization machinery consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -75,14 +76,27 @@ class ProjPoint2:
         return "ProjPoint2[%s : %s : %s]" % tuple(self.coords)
 
 
+def _cross(u, v) -> Tuple[complex, complex, complex]:
+    """Cross product of two 3-sequences, component by component."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _norm(u) -> float:
+    return math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in u))
+
+
 def chordal(p, q) -> float:
     """Scale-invariant distance between projective points of the same dimension."""
-    u, v = p.coords, q.coords
-    if u.size == 2:
+    # Python complex arithmetic: this runs for every cluster pair, and
+    # np.cross / np.linalg.norm cost more in call overhead than in work
+    u, v = p.coords.tolist(), q.coords.tolist()
+    if len(u) == 2:
         num = abs(u[0] * v[1] - u[1] * v[0])
     else:
-        num = float(np.linalg.norm(np.cross(u, v)))
-    return num / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+        num = _norm(_cross(u, v))
+    return num / (_norm(u) * _norm(v))
 
 
 class BinaryForm:
@@ -295,7 +309,7 @@ def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm,
     if chordal(pa, pb) < 1e-9:
         w = Q.B @ pa.coords
     else:
-        w = np.cross(pa.coords, pb.coords)
+        w = _cross(pa.coords.tolist(), pb.coords.tolist())
     return HomogPoly(1, w)
 
 

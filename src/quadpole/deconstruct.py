@@ -11,7 +11,7 @@ inputs over a positive definite form have exactly one with all pieces real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .algebra import (
     HomogPoly,
     Poly,
     QuadForm,
-    divide_by_quadric,
     double_factorial,
     grade_split,
     homogenize_on_quadric,
@@ -27,9 +26,9 @@ from .algebra import (
 )
 from .conic import EPS_CLUSTER
 from .errors import (
+    DivisibleByQ,
     EnumerationLimit,
     InvalidPartition,
-    NotDivisible,
     StrategyMismatch,
 )
 from .sylvester import (
@@ -81,16 +80,23 @@ def representation_bound(d: int) -> RepresentationCount:
     return RepresentationCount(d, bound)
 
 
-def _strip_q_powers(h: HomogPoly, Q: QuadForm,
-                    tol_div: float) -> Tuple[HomogPoly, int]:
-    power = 0
-    while h.degree >= 2 and not h.is_zero():
+def _strip_q_powers(h: HomogPoly, build: Callable[[HomogPoly], Any]
+                    ) -> Tuple[HomogPoly, Any]:
+    """The first h / Q^k that build accepts, with what build returned.
+
+    build runs the factor context's divisibility test, and a multiple of Q
+    comes back as DivisibleByQ carrying the quotient, so each level is
+    tested once.  At a zero or constant h, build is not called and None is
+    given.
+    """
+    while h.degree > 0 and not h.is_zero():
         try:
-            h = divide_by_quadric(h, Q, tol_div=tol_div)
-        except NotDivisible:
-            break
-        power += 1
-    return h, power
+            return h, build(h)
+        except DivisibleByQ as exc:
+            if exc.quotient is None:
+                raise
+            h = exc.quotient
+    return h, None
 
 
 def _parity_input(P: Poly, Q: QuadForm, parity: int) -> Optional[HomogPoly]:
@@ -103,32 +109,26 @@ def _parity_input(P: Poly, Q: QuadForm, parity: int) -> Optional[HomogPoly]:
 def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
                 tol_div: float, tol_fact: float
                 ) -> Tuple[complex, Dict[int, Multipole]]:
-    lam = 0j
     terms: Dict[int, Multipole] = {}
     cur = h
-    while not cur.is_zero():
-        cur, _ = _strip_q_powers(cur, Q, tol_div)
-        if cur.is_zero():
-            break
-        if cur.degree == 0:
-            lam += complex(cur.coeffs[0])
-            break
-        fact = factor(cur, Q, strategy, eps_cluster=eps_cluster,
-                      tol_div=tol_div, tol_fact=tol_fact)
+    while True:
+        cur, fact = _strip_q_powers(cur, lambda p: factor(
+            p, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div,
+            tol_fact=tol_fact))
+        if fact is None:
+            lam = complex(cur.coeffs[0]) if cur.degree == 0 else 0j
+            return lam, terms
         terms[cur.degree] = Multipole.from_parts(fact.lam, fact.lines)
         cur = fact.remainder
-    return lam, terms
 
 
 def _chain_all(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float,
                tol_fact: float, budget: List[int]
                ) -> List[Tuple[complex, Dict[int, Multipole]]]:
-    cur, _ = _strip_q_powers(h, Q, tol_div)
-    if cur.is_zero():
-        return [(0j, {})]
-    if cur.degree == 0:
-        return [(complex(cur.coeffs[0]), {})]
-    ctx = _FactorContext(cur, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    cur, ctx = _strip_q_powers(h, lambda p: _FactorContext(
+        p, Q, eps_cluster=eps_cluster, tol_div=tol_div))
+    if ctx is None:
+        return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
     for par in enumerate_parcellings(ctx.multiplicities):
         fact = ctx.factor(par, tol_fact=tol_fact)

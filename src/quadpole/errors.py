@@ -14,7 +14,14 @@ class NotDivisible(QuadpoleError):
 
 
 class DivisibleByQ(QuadpoleError):
-    """Polynomial is a multiple of the quadratic form where that is not allowed."""
+    """Polynomial is a multiple of the quadratic form where that is not allowed.
+
+    quotient is P / Q when the divisibility test computed it, else None.
+    """
+
+    def __init__(self, message: str = "", quotient=None):
+        super().__init__(message)
+        self.quotient = quotient
 
 
 class Degenerate(QuadpoleError):

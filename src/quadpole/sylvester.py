@@ -11,15 +11,18 @@ stable under conjugation, which yields the distinguished real factorization.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (
     HomogPoly,
     QuadForm,
+    QuadricDivider,
     divide_by_quadric,
     double_factorial,
     poly_mul,
@@ -205,6 +208,17 @@ class Multipole:
         return True
 
 
+def _scaled(lam: complex, p: HomogPoly) -> HomogPoly:
+    return HomogPoly(p.degree, lam * p.coeffs)
+
+
+def _plus_q_times(prod: HomogPoly, Q: QuadForm, remainder: HomogPoly) -> HomogPoly:
+    """prod + Q * remainder; a zero remainder or one of the wrong degree adds nothing."""
+    if remainder.degree == prod.degree - 2 and not remainder.is_zero():
+        return prod + poly_mul(Q.poly(), remainder)
+    return prod
+
+
 @dataclass
 class MultipoleFactorization:
     """One parcelling's factorization P = lambda * prod(lines) + Q * remainder."""
@@ -220,16 +234,12 @@ class MultipoleFactorization:
         return len(self.lines)
 
     def product(self) -> HomogPoly:
-        out = HomogPoly(0, [self.lam])
-        for L in self.lines:
-            out = poly_mul(out, L)
-        return out
+        if not self.lines:
+            return HomogPoly(0, [self.lam])
+        return _scaled(self.lam, functools.reduce(poly_mul, self.lines))
 
     def reconstruct(self, Q: QuadForm) -> HomogPoly:
-        out = self.product()
-        if self.remainder.degree == self.degree - 2 and not self.remainder.is_zero():
-            out = out + poly_mul(Q.poly(), self.remainder)
-        return out
+        return _plus_q_times(self.product(), Q, self.remainder)
 
     def multipole(self) -> Multipole:
         return Multipole.from_parts(self.lam, self.lines)
@@ -242,8 +252,29 @@ class MultipoleFactorization:
         return max(vals) <= tol * scale
 
 
+def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float) -> None:
+    """Raise DivisibleByQ, carrying the quotient P / Q, when P is a multiple of Q."""
+    if P.degree < 2:
+        return
+    try:
+        quotient = divide_by_quadric(P, Q, tol_div=tol_div)
+    except NotDivisible:
+        return
+    raise DivisibleByQ("input is a multiple of the quadratic form", quotient)
+
+
 class _FactorContext:
-    """Shared data for factoring one P on one quadric: restriction, roots, lines."""
+    """One P on one quadric: the work every parcelling shares, done once.
+
+    The divisibility test, the restriction and the roots are computed once.
+    The division operator (the pseudo-inverse of multiplication by Q on P's
+    grade), the point q where lambda is fixed, P(q), and each cluster pair's
+    line with its value at q are computed at first use and kept.  So are the
+    line products of the last parcelling: a parcelling that shares its first
+    pieces with the previous one (siblings in enumeration order do)
+    multiplies only the lines after them.  That state is checked piece by
+    piece, so results do not depend on the order of the calls.
+    """
 
     def __init__(self, P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
                  tol_div: float = TOL_DIV):
@@ -255,27 +286,24 @@ class _FactorContext:
         self.Q = Q
         self.eps_cluster = eps_cluster
         self.tol_div = tol_div
-        if P.degree >= 2:
-            try:
-                divide_by_quadric(P, Q, tol_div=tol_div)
-            except NotDivisible:
-                pass
-            else:
-                raise DivisibleByQ("input is a multiple of the quadratic form")
+        self.pnorm = P.norm()
+        _reject_multiple_of_q(P, Q, tol_div)
+        self._divider: Optional[QuadricDivider] = None
         self.param: ConicParam = conic_param(Q)
         self.b: BinaryForm = restrict_to_conic(P, self.param)
         self.clusters: List[RootCluster] = roots_projective(self.b, eps_cluster=eps_cluster)
+        self.multiplicities: List[int] = [c.multiplicity for c in self.clusters]
         self.points: List[ProjPoint2] = [self.param.point(c.point) for c in self.clusters]
-        self.ill_conditioned = False
-        for i in range(len(self.clusters)):
-            for j in range(i + 1, len(self.clusters)):
-                if chordal(self.clusters[i].point, self.clusters[j].point) < 10 * eps_cluster:
-                    self.ill_conditioned = True
+        self.ill_conditioned = any(
+            chordal(a.point, b.point) < 10 * eps_cluster
+            for a, b in itertools.combinations(self.clusters, 2))
         self._eval_u: Optional[ProjPoint1] = None
-
-    @property
-    def multiplicities(self) -> List[int]:
-        return [c.multiplicity for c in self.clusters]
+        self._q: Optional[np.ndarray] = None
+        self._p_at_q = 0j
+        # piece -> (its normalized line, the line's value at q)
+        self._lines: Dict[Tuple[int, int], Tuple[HomogPoly, complex]] = {}
+        # (piece, product of the lines up to and including it), last parcelling
+        self._prefix: List[Tuple[Tuple[int, int], HomogPoly]] = []
 
     def evaluation_point(self) -> ProjPoint1:
         """First golden-ratio trial point clear of the divisor with |b| not small."""
@@ -295,41 +323,63 @@ class _FactorContext:
             return u
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
-    def lines_for(self, parcelling: GeneralizedParcelling) -> List[HomogPoly]:
-        use = parcelling.multiplicity_use(len(self.clusters))
-        if use != self.multiplicities:
-            raise ValueError("parcelling does not match the root multiplicities")
-        lines = []
-        for i, j in parcelling.pieces:
-            raw = line_through(self.points[i], self.points[j], self.Q)
-            w = raw.coeffs
-            w = w / w[int(np.argmax(np.abs(w)))]
-            lines.append(HomogPoly(1, w))
-        return lines
+    def _line(self, piece: Tuple[int, int]) -> Tuple[HomogPoly, complex]:
+        """The piece's line, scaled so its max-modulus coefficient is 1, and its value at q."""
+        hit = self._lines.get(piece)
+        if hit is None:
+            if self._q is None:
+                self._q = self.param.point(self.evaluation_point()).coords
+                self._p_at_q = self.P(self._q)
+            i, j = piece
+            w = line_through(self.points[i], self.points[j], self.Q).coeffs
+            L = HomogPoly(1, w / w[int(np.argmax(np.abs(w)))])
+            hit = self._lines[piece] = (L, L(self._q))
+        return hit
+
+    def _line_product(self, pieces: Sequence[Tuple[int, int]],
+                      lines: Sequence[HomogPoly]) -> HomogPoly:
+        """prod(lines), reusing the last parcelling's products over the common prefix."""
+        prefix = self._prefix
+        k = 0
+        while k < min(len(prefix), len(pieces)) and prefix[k][0] == pieces[k]:
+            k += 1
+        del prefix[k:]
+        for piece, L in zip(pieces[k:], lines[k:]):
+            prefix.append((piece, poly_mul(prefix[-1][1], L) if prefix else L))
+        return prefix[-1][1]
 
     def factor(self, parcelling: GeneralizedParcelling,
                tol_fact: float = TOL_FACT) -> MultipoleFactorization:
-        lines = self.lines_for(parcelling)
-        u = self.evaluation_point()
-        q = self.param.point(u).coords
+        if parcelling.multiplicity_use(len(self.clusters)) != self.multiplicities:
+            raise ValueError("parcelling does not match the root multiplicities")
+        lines = []
         denom = 1.0 + 0.0j
-        for L in lines:
-            denom *= L(q)
+        for piece in parcelling.pieces:
+            L, value = self._line(piece)
+            lines.append(L)
+            denom *= value
         if denom == 0:
             raise NoEvaluationPoint("evaluation point lies on a factor line")
-        lam = self.P(q) / denom
-        prod = HomogPoly(0, [lam])
-        for L in lines:
-            prod = poly_mul(prod, L)
+        lam = self._p_at_q / denom
+        prod = _scaled(lam, self._line_product(parcelling.pieces, lines))
         diff = self.P - prod
-        pnorm = self.P.norm()
+        pnorm = self.pnorm
         if self.P.degree >= 2:
             if diff.norm() <= self.tol_div * pnorm:
                 remainder = HomogPoly.zero(self.P.degree - 2)
             else:
-                div_tol = self.tol_div if not self.ill_conditioned else 1e-4
+                # the gate below measures against ||P||, and so does the
+                # division: ||diff|| has lost digits to cancellation when
+                # lambda * prod(L) nearly equals P.  Close clusters get the
+                # loose test relative to ||diff|| and no gate.
+                if self._divider is None:
+                    self._divider = QuadricDivider(self.Q, self.P.degree)
                 try:
-                    remainder = divide_by_quadric(diff, self.Q, tol_div=div_tol)
+                    if self.ill_conditioned:
+                        remainder = self._divider.divide(diff, tol_div=1e-4)
+                    else:
+                        remainder = self._divider.divide(diff, tol_div=self.tol_div,
+                                                         ref_norm=pnorm)
                 except NotDivisible as exc:
                     raise SolveFailure("factorization defect is not a multiple of Q: %s"
                                        % exc) from None
@@ -340,11 +390,18 @@ class _FactorContext:
         fact = MultipoleFactorization(lam, lines, remainder, parcelling,
                                       ill_conditioned=self.ill_conditioned)
         if not self.ill_conditioned:
-            res = (fact.reconstruct(self.Q) - self.P).norm()
+            # fact.reconstruct(Q), from the product already built: product()
+            # makes the same poly_mul calls in the same order
+            res = (_plus_q_times(prod, self.Q, remainder) - self.P).norm()
             if res > tol_fact * pnorm:
                 raise SolveFailure("factorization residual %.3e exceeds %.3e"
                                    % (res, tol_fact * pnorm))
         return fact
+
+    def factor_all(self, tol_fact: float = TOL_FACT) -> List[MultipoleFactorization]:
+        """Factorizations for every parcelling, in enumeration order."""
+        return [self.factor(par, tol_fact=tol_fact)
+                for par in enumerate_parcellings(self.multiplicities)]
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -418,8 +475,7 @@ def all_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUST
                        tol_fact: float = TOL_FACT) -> List[MultipoleFactorization]:
     """Factorizations for every parcelling, in enumeration order."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return [ctx.factor(par, tol_fact=tol_fact)
-            for par in enumerate_parcellings(ctx.multiplicities)]
+    return ctx.factor_all(tol_fact=tol_fact)
 
 
 def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -510,13 +566,7 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, tol_disc: float = TOL_DISC,
     it at moderate degree but its scale collapses as the degree grows, so a
     disagreement is resolved in favor of the clusters.
     """
-    if P.degree >= 2:
-        try:
-            divide_by_quadric(P, Q, tol_div=tol_div)
-        except NotDivisible:
-            pass
-        else:
-            raise DivisibleByQ("discriminant test needs P not divisible by Q")
+    _reject_multiple_of_q(P, Q, tol_div)
     b = restrict_to_conic(P, conic_param(Q))
     max_c = float(np.max(np.abs(b.coeffs)))
     if max_c == 0.0:

@@ -173,6 +173,21 @@ class TestOtherCommands:
         for f in obj["factorizations"]:
             qio.factorization_from_json(f)
 
+    def test_fibers_restricts_and_roots_once(self, run, files, monkeypatch):
+        from quadpole import sylvester
+        calls = []
+        for name in ("restrict_to_conic", "roots_projective"):
+            original = getattr(sylvester, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sylvester, name, counted)
+        obj = parsed(run, ["fibers", files["xy"]])
+        assert obj["count"] == 3
+        assert sorted(calls) == ["restrict_to_conic", "roots_projective"]
+
     def test_planar_fiber(self, run, files, sphere):
         obj = parsed(run, ["planar-fiber", files["div2"],
                            "--center", "[0,0,2]"])

@@ -125,6 +125,37 @@ class TestCanonical:
                 assert a.terms[k].isclose(b.terms[k], tol=1e-10)
 
 
+class TestSolveCount:
+    def test_two_solves_per_level(self, sphere, monkeypatch):
+        # each level runs one divisibility solve (lstsq) and builds one
+        # division operator for its remainder (pinv)
+        calls = []
+        for name in ("lstsq", "pinv"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        P = random_homog(6, np.random.default_rng(70))
+        seq = full_decompose(P, sphere)
+        assert sorted(seq.terms) == [2, 4, 6]
+        assert calls == ["lstsq", "pinv"] * 3
+
+    def test_multiple_of_q_is_stripped(self, sphere):
+        # a level that is a multiple of Q is divided, not factored
+        rng = np.random.default_rng(71)
+        P = random_homog(3, rng)
+        q2 = poly_mul(sphere.poly(), sphere.poly())
+        seq = full_decompose(poly_mul(q2, P), sphere)
+        want = full_decompose(P, sphere)
+        assert sorted(seq.terms) == sorted(want.terms) == [1, 3]
+        for k in want.terms:
+            assert seq.terms[k].isclose(want.terms[k], tol=1e-9)
+        surface_match(poly_mul(q2, P), seq, sphere, rng)
+
+
 class TestEnumerate:
     def test_generic_degree_three_count(self, sphere):
         rng = np.random.default_rng(65)

@@ -29,7 +29,10 @@ from quadpole import (
     real_factor,
     real_factorizations,
 )
+from quadpole import sylvester
 from quadpole.algebra import grade_dim, monomial_index
+from quadpole.errors import SolveFailure
+from quadpole.sylvester import _FactorContext
 
 from conftest import compose_linear, q_orthogonal, random_homog
 
@@ -330,6 +333,159 @@ class TestFactorEntryPoint:
         for strategy in ("enumerate", "first", ""):
             with pytest.raises(ValueError):
                 factor(poly_mul(X, Y), sphere, strategy)
+
+
+def _five_doubles(rng, Q):
+    """prod of five secants closing a chain through five conic points, plus
+    Q * R, with Gaussian-integer coefficients throughout.
+
+    On the sphere and the hyperboloid the conic point at parameter
+    (a + bi) / c is Gaussian-integer for small integers a, b, c, so every
+    point stays exactly double in the rounded input.
+    """
+    cands = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (1, 2)
+             if c == 1 or a % 2 or b % 2]
+    pts = []
+    for k in rng.choice(len(cands), size=5, replace=False):
+        a, b, c = cands[k]
+        u0, u1 = complex(c), complex(a, b)
+        s = np.array([1j * (u0 * u0 - u1 * u1), 2j * u0 * u1, u0 * u0 + u1 * u1])
+        pts.append(s @ Q.a_inv)
+    P = HomogPoly(0, [1.0])
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)):
+        P = poly_mul(P, HomogPoly(1, np.cross(pts[i], pts[j])))
+    R = (rng.integers(-1, 2, size=grade_dim(3))
+         + 1j * rng.integers(-1, 2, size=grade_dim(3)))
+    P = P + poly_mul(Q.poly(), HomogPoly(3, R))
+    assert np.array_equal(P.coeffs, np.round(P.coeffs.real) + 1j * np.round(P.coeffs.imag))
+    return P
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+def _engine_inputs(rng):
+    yield random_homog(3, rng)
+    yield random_homog(4, rng)
+    # a double cone point (a squared line)
+    yield poly_mul(poly_mul(X + 2 * Y, X + 2 * Y), Z - 0.5 * X + 0.3j * Y)
+
+
+class TestEnumerationEngine:
+    """all_factorizations shares lines, line products and the division
+    operator across parcellings; none of that may change a result."""
+
+    def test_matches_fresh_factorization(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(40)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for p in _engine_inputs(rng):
+                facts = all_factorizations(p, Q)
+                for f in facts:
+                    g = factor_on_quadric(p, Q, f.parcelling)
+                    assert _rel(f.lam, g.lam) <= 1e-12
+                    for a, b in zip(f.lines, g.lines):
+                        assert _rel(a.coeffs, b.coeffs) <= 1e-12
+                    if g.remainder.norm() > 1e-9 * p.norm():
+                        assert _rel(f.remainder.coeffs, g.remainder.coeffs) <= 1e-12
+                    else:
+                        assert f.remainder.norm() <= 1e-9 * p.norm()
+
+    def test_call_order_does_not_matter(self, sphere, dense_complex):
+        rng = np.random.default_rng(41)
+        for Q in (sphere, dense_complex):
+            p = random_homog(4, rng)
+            ctx = _FactorContext(p, Q)
+            pars = enumerate_parcellings(ctx.multiplicities)
+            want = {par: ctx.factor(par) for par in pars}
+            shuffled = _FactorContext(p, Q)
+            for k in rng.permutation(len(pars)):
+                got = shuffled.factor(pars[k])
+                ref = want[pars[k]]
+                assert got.lam == ref.lam
+                assert np.array_equal(got.remainder.coeffs, ref.remainder.coeffs)
+                assert all(np.array_equal(a.coeffs, b.coeffs)
+                           for a, b in zip(got.lines, ref.lines))
+
+    def test_one_line_per_pair(self, hyperboloid, monkeypatch):
+        calls = []
+        original = sylvester.line_through
+
+        def counted(pa, pb, Q):
+            calls.append(frozenset((pa.coords.tobytes(), pb.coords.tobytes())))
+            return original(pa, pb, Q)
+
+        monkeypatch.setattr(sylvester, "line_through", counted)
+        p = random_homog(4, np.random.default_rng(42))
+        facts = all_factorizations(p, hyperboloid)
+        pieces = {piece for f in facts for piece in f.parcelling.pieces}
+        assert len(facts) == 105
+        assert len(calls) == len(set(calls)) == len(pieces) == 28
+
+    def test_counts_unchanged(self, hyperboloid, sphere):
+        # real_factorizations: 2d real conic points leave every parcelling
+        # conjugation-stable, (2d - 1)!! of them
+        rng = np.random.default_rng(43)
+        for d in (2, 3):
+            t = np.sort(rng.uniform(0, 2 * np.pi, size=2 * d))
+            pts = [np.array([np.cos(a), np.sin(a), 1.0]) for a in t]
+            p = HomogPoly(0, [1.0])
+            for k in range(d):
+                p = poly_mul(p, HomogPoly(1, np.cross(pts[2 * k], pts[2 * k + 1])))
+            facts = real_factorizations(p, hyperboloid)
+            assert len(facts) == len(labeled_matchings(list(range(2 * d))))
+            assert all(f.is_real() for f in facts)
+        # full_decompose(enumerate) of a generic cubic: 3 sequences for the
+        # even part times 15 * 1 for the odd part
+        from quadpole import full_decompose
+        from conftest import random_poly
+        seqs = full_decompose(random_poly(3, rng), sphere, strategy="enumerate")
+        assert len(seqs) == 3 * 15
+
+
+class TestDivisionScale:
+    """The remainder division inside factor is measured against ||P||, the
+    reference of the reconstruction gate, not against the cancelled ||diff||."""
+
+    def test_exact_double_points(self, sphere, hyperboloid):
+        want = len(parcelling_oracle([2, 2, 2, 2, 2]))
+        rng = np.random.default_rng(44)
+        for _ in range(6):
+            for Q in (sphere, hyperboloid):
+                p = _five_doubles(rng, Q)
+                facts = all_factorizations(p, Q)
+                assert [f.parcelling for f in facts] \
+                    == enumerate_parcellings([2, 2, 2, 2, 2])
+                assert len(facts) == want
+                for f in facts:
+                    assert (f.reconstruct(Q) - p).norm() <= 1e-8 * p.norm()
+
+    @pytest.mark.parametrize("size", [1e-5, 1e-7])
+    def test_perturbed_line_refused(self, sphere, hyperboloid, dense_complex,
+                                    monkeypatch, size):
+        rng = np.random.default_rng(45)
+        original = sylvester.line_through
+        first = []
+
+        def perturbed(pa, pb, Q):
+            line = original(pa, pb, Q)
+            if not first:
+                first.append(True)
+                e = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                line = HomogPoly(1, line.coeffs + size * np.linalg.norm(line.coeffs)
+                                 * e / np.linalg.norm(e))
+            return line
+
+        monkeypatch.setattr(sylvester, "line_through", perturbed)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for p in _engine_inputs(rng):
+                pars = enumerate_parcellings(
+                    [c.multiplicity for c in intersection_clusters(p, Q)])
+                for k in rng.choice(len(pars), size=4, replace=False):
+                    first.clear()
+                    with pytest.raises(SolveFailure):
+                        factor_on_quadric(p, Q, pars[k])
 
 
 class TestRealFactorizations:
