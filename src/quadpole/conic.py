@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .algebra import HomogPoly, QuadForm, monomials
+from .algebra import HomogPoly, QuadForm, form_operator, monomials
 from .errors import Degenerate, NotOnConic, ZeroForm
 
 EPS_CLUSTER = 1e-6
@@ -89,8 +89,8 @@ def _norm(u) -> float:
 
 def chordal(p, q) -> float:
     """Scale-invariant distance between projective points of the same dimension."""
-    # Python complex arithmetic: this runs for every cluster pair, and
-    # np.cross / np.linalg.norm cost more in call overhead than in work
+    # Python complex arithmetic: on one pair, np.cross / np.linalg.norm
+    # cost more in call overhead than in work
     u, v = p.coords.tolist(), q.coords.tolist()
     if len(u) == 2:
         num = abs(u[0] * v[1] - u[1] * v[0])
@@ -176,17 +176,21 @@ _SPHERE_ALPHAS = (
 )
 
 
+@form_operator
 def conic_param(Q: QuadForm) -> ConicParam:
     """Sphere-conic parameterization pushed through the reduction of Q.
 
     The component forms alpha_j satisfy Q(alpha(u)) = 0 identically; the
-    constructor verifies all five quartic coefficients vanish.
+    constructor verifies all five quartic coefficients vanish.  Built once
+    per form and shared, so the coefficient arrays are made read-only.
     """
     a_inv = Q.a_inv
     alphas = []
     for j in range(3):
         coeffs = sum(_SPHERE_ALPHAS[i] * a_inv[i, j] for i in range(3))
-        alphas.append(BinaryForm(2, coeffs))
+        alpha = BinaryForm(2, coeffs)
+        alpha.coeffs.flags.writeable = False
+        alphas.append(alpha)
     quartic = np.zeros(5, dtype=complex)
     B = Q.B
     for i in range(3):
@@ -217,29 +221,40 @@ def restrict_to_conic(p: HomogPoly, param: ConicParam) -> BinaryForm:
     return BinaryForm(2 * d, out)
 
 
-def _newton_polish(coeffs_desc: np.ndarray, root: complex, multiplicity: int) -> complex:
-    """Newton refinement of one root of known multiplicity.
+def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
+                   multiplicity: int) -> np.ndarray:
+    """Newton refinement of roots that share one known multiplicity.
 
     A root of multiplicity m is a simple root of the (m-1)st derivative, so
-    polishing there restores quadratic convergence; steps are kept only while
-    the residual improves.
+    polishing there restores quadratic convergence.  Each root keeps its
+    best-residual iterate and stops on its own step test, exactly as if it
+    were polished alone; the roots only share the polynomial evaluations.
     """
     poly = coeffs_desc
     for _ in range(multiplicity - 1):
         poly = np.polyder(poly)
     deriv = np.polyder(poly)
-    best = cur = complex(root)
-    best_val = abs(np.polyval(poly, cur))
+    cur = np.array(roots, dtype=complex)
+    best = cur.copy()
+    val = np.polyval(poly, cur)
+    best_val = np.abs(val)
+    live = np.arange(cur.size)
     for _ in range(12):
         dv = np.polyval(deriv, cur)
-        if dv == 0:
+        moving = dv != 0
+        live, cur, val, dv = live[moving], cur[moving], val[moving], dv[moving]
+        if live.size == 0:
             break
-        step = np.polyval(poly, cur) / dv
+        step = val / dv
         cur = cur - step
-        val = abs(np.polyval(poly, cur))
-        if val < best_val:
-            best, best_val = cur, val
-        if abs(step) < 1e-14 * (1 + abs(cur)):
+        val = np.polyval(poly, cur)
+        mag = np.abs(val)
+        better = mag < best_val[live]
+        best[live[better]] = cur[better]
+        best_val[live[better]] = mag[better]
+        moving = np.abs(step) >= 1e-14 * (1 + np.abs(cur))
+        live, cur, val = live[moving], cur[moving], val[moving]
+        if live.size == 0:
             break
     return best
 
@@ -248,10 +263,10 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
     """Projective roots of p with multiplicities from cluster merging.
 
     Roots at [1:0] are detected by counting vanishing leading coefficients;
-    affine roots come from the companion matrix, get a Newton polish, and are
-    merged when within eps_cluster * (1 + |root|) of each other.  Clusters are
-    returned sorted by the canonical key of their normalized parameter, so the
-    ordering is reproducible and shared by every caller.
+    affine roots come from the companion matrix, are merged when within
+    eps_cluster * (1 + |root|) of each other, and get a Newton polish.
+    Clusters are returned sorted by the canonical key of their normalized
+    parameter, so the ordering is reproducible and shared by every caller.
     """
     c = p.coeffs
     scale = float(np.max(np.abs(c)))
@@ -269,6 +284,9 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
         desc = trimmed[::-1]
         roots = np.roots(desc)
         k = roots.size
+        mags = np.abs(roots)
+        close = (np.abs(roots[:, None] - roots[None, :])
+                 <= eps_cluster * (1.0 + np.maximum.outer(mags, mags)))
         parent = list(range(k))
 
         def find(i):
@@ -277,19 +295,24 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
                 i = parent[i]
             return i
 
-        for i in range(k):
-            for j in range(i + 1, k):
-                tol = eps_cluster * (1.0 + max(abs(roots[i]), abs(roots[j])))
-                if abs(roots[i] - roots[j]) <= tol:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
+        for i, j in zip(*np.nonzero(np.triu(close, 1))):
+            ri, rj = find(int(i)), find(int(j))
+            if ri != rj:
+                parent[rj] = ri
         groups = {}
         for i in range(k):
             groups.setdefault(find(i), []).append(roots[i])
-        for members in groups.values():
-            rep = _newton_polish(desc, complex(np.mean(members)), len(members))
-            clusters.append(RootCluster(ProjPoint1([rep, 1.0]), len(members)))
+        members = list(groups.values())
+        mults = np.array([len(m) for m in members])
+        # np.mean of one root adds +0.0 to it (-0.0 becomes 0.0); so does
+        # the shortcut, which skips np.mean's overhead on simple roots
+        reps = np.array([np.mean(m) if len(m) > 1 else m[0] + 0j for m in members],
+                        dtype=complex)
+        for mult in np.unique(mults):
+            same = mults == mult
+            reps[same] = _newton_polish(desc, reps[same], int(mult))
+        for rep, mult in zip(reps, mults):
+            clusters.append(RootCluster(ProjPoint1([rep, 1.0]), int(mult)))
     clusters.sort(key=lambda cl: cl.point.key())
     return clusters
 

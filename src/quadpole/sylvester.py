@@ -252,6 +252,18 @@ class MultipoleFactorization:
         return max(vals) <= tol * scale
 
 
+def _pairwise_chordal(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """chordal(a[i], b[j]) for all rows of two coordinate arrays (b defaults to a).
+
+    The numerator |a ^ b| is summed over the 2x2 minors, as outer products.
+    """
+    b = a if b is None else b
+    num = 0.0
+    for s, t in itertools.combinations(range(a.shape[1]), 2):
+        num = num + np.abs(a[:, s, None] * b[:, t] - a[:, t, None] * b[:, s]) ** 2
+    return np.sqrt(num) / (np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1))
+
+
 def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float) -> None:
     """Raise DivisibleByQ, carrying the quotient P / Q, when P is a multiple of Q."""
     if P.degree < 2:
@@ -294,9 +306,9 @@ class _FactorContext:
         self.clusters: List[RootCluster] = roots_projective(self.b, eps_cluster=eps_cluster)
         self.multiplicities: List[int] = [c.multiplicity for c in self.clusters]
         self.points: List[ProjPoint2] = [self.param.point(c.point) for c in self.clusters]
-        self.ill_conditioned = any(
-            chordal(a.point, b.point) < 10 * eps_cluster
-            for a, b in itertools.combinations(self.clusters, 2))
+        near = _pairwise_chordal(np.array([c.point.coords for c in self.clusters]))
+        np.fill_diagonal(near, np.inf)
+        self.ill_conditioned = bool(near.min() < 10 * eps_cluster)
         self._eval_u: Optional[ProjPoint1] = None
         self._q: Optional[np.ndarray] = None
         self._p_at_q = 0j
@@ -411,12 +423,12 @@ class _FactorContext:
         to the componentwise conjugate.
         """
         tol = 10 * self.eps_cluster
+        pts = np.array([pt.coords for pt in self.points])
+        dists = _pairwise_chordal(pts.conj(), pts)
         sigma: List[int] = []
         for i, cl in enumerate(self.clusters):
-            target = self.points[i].conj()
-            dists = [chordal(target, pt) for pt in self.points]
-            j = int(np.argmin(dists))
-            if dists[j] > tol:
+            j = int(np.argmin(dists[i]))
+            if dists[i, j] > tol:
                 raise ConjugationPairingFailure(
                     "cluster %d has no conjugate partner within tolerance" % i)
             if self.clusters[j].multiplicity != cl.multiplicity:

@@ -112,6 +112,17 @@ class TestConicParam:
             assert abs(Q(pt.coords)) < 1e-9 * np.linalg.norm(b)
 
 
+    def test_one_param_per_form(self):
+        # equal forms built apart share one parameterization, which no
+        # caller can change in place
+        a = conic_param(QuadForm(np.diag([1.0, 2.0, 3.0])))
+        b = conic_param(QuadForm(np.diag([1.0, 2.0, 3.0])))
+        assert a is b
+        assert conic_param(QuadForm(np.diag([1.0, 2.0, 4.0]))) is not a
+        with pytest.raises(ValueError):
+            a.alphas[0].coeffs[0] = 0.0
+
+
 class TestRestrictToConic:
     def test_x_restricts_to_difference_of_squares(self, sphere):
         param = conic_param(sphere)
@@ -229,6 +240,100 @@ class TestRootsProjective:
     def test_zero_form_rejected(self):
         with pytest.raises(ZeroForm):
             roots_projective(BinaryForm(3, [0, 0, 0, 0]))
+
+
+def _scalar_newton_polish(coeffs_desc, root, multiplicity):
+    """Reference: one root at a time, with scalar np.polyval calls."""
+    poly = coeffs_desc
+    for _ in range(multiplicity - 1):
+        poly = np.polyder(poly)
+    deriv = np.polyder(poly)
+    best = cur = complex(root)
+    best_val = abs(np.polyval(poly, cur))
+    for _ in range(12):
+        dv = np.polyval(deriv, cur)
+        if dv == 0:
+            break
+        step = np.polyval(poly, cur) / dv
+        cur = cur - step
+        val = abs(np.polyval(poly, cur))
+        if val < best_val:
+            best, best_val = cur, val
+        if abs(step) < 1e-14 * (1 + abs(cur)):
+            break
+    return best
+
+
+def _reference_roots(p, eps_cluster=1e-6):
+    """(multiplicity, coords) of roots_projective's clusters, computed pair by
+    pair and root by root with the scalar polish."""
+    c = p.coeffs
+    scale = float(np.max(np.abs(c)))
+    n = p.degree
+    m_inf = 0
+    while m_inf < n and abs(c[n - m_inf]) <= 1e-10 * scale:
+        m_inf += 1
+    out = [(m_inf, ProjPoint1([1.0, 0.0]))] if m_inf else []
+    desc = c[: n - m_inf + 1][::-1]
+    if desc.size > 1:
+        roots = np.roots(desc)
+        group = list(range(roots.size))
+        for i in range(roots.size):
+            for j in range(i + 1, roots.size):
+                tol = eps_cluster * (1.0 + max(abs(roots[i]), abs(roots[j])))
+                if abs(roots[i] - roots[j]) <= tol:
+                    gi, gj = group[i], group[j]
+                    group = [gi if g == gj else g for g in group]
+        for g in sorted(set(group), key=group.index):
+            members = [roots[i] for i in range(roots.size) if group[i] == g]
+            rep = _scalar_newton_polish(desc, complex(np.mean(members)), len(members))
+            out.append((len(members), ProjPoint1([rep, 1.0])))
+    out.sort(key=lambda mp: mp[1].key())
+    return [(m, pt.coords) for m, pt in out]
+
+
+def _assert_same_as_reference(f, eps_cluster=1e-6):
+    got = roots_projective(f, eps_cluster=eps_cluster)
+    want = _reference_roots(f, eps_cluster)
+    assert [c.multiplicity for c in got] == [m for m, _ in want]
+    for c, (_, coords) in zip(got, want):
+        assert np.array_equal(c.point.coords, coords)
+
+
+class TestPolishAgainstScalarReference:
+    """The batched polish and closeness test give exactly the clusters of
+    the one-root-at-a-time reference."""
+
+    @pytest.mark.parametrize("degree", range(2, 29))
+    def test_random_complex_forms(self, degree):
+        rng = np.random.default_rng(60 + degree)
+        for _ in range(4):
+            _assert_same_as_reference(BinaryForm(
+                degree, rng.standard_normal(degree + 1)
+                + 1j * rng.standard_normal(degree + 1)))
+
+    def test_double_and_triple_roots(self):
+        rng = np.random.default_rng(61)
+        grid = [complex(a, b) / 2 for a in range(-3, 4) for b in range(-3, 4)]
+        seen = set()
+        for _ in range(40):
+            vals = rng.choice(grid, size=4, replace=False)
+            mults = rng.integers(1, 4, size=4)
+            f = form_from_roots([((v, 1), int(m)) for v, m in zip(vals, mults)])
+            eps = 1e-5 if max(mults) == 3 else 1e-6
+            seen.update(c.multiplicity for c in roots_projective(f, eps_cluster=eps))
+            _assert_same_as_reference(f, eps)
+        assert {2, 3} <= seen
+
+    def test_root_at_infinity(self):
+        rng = np.random.default_rng(62)
+        for m_inf in (1, 2):
+            vals = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            f = form_from_roots([((1, 0), m_inf), ((vals[0], 1), 2)]
+                                + [((v, 1), 1) for v in vals[1:]])
+            assert any(c.multiplicity == m_inf and c.point.coords[1] == 0
+                       for c in roots_projective(f))
+            _assert_same_as_reference(f)
 
 
 class TestBinaryForm:

@@ -14,6 +14,7 @@ from quadpole import (
     NotReal,
     OddTotal,
     ProjPoint1,
+    QuadForm,
     all_factorizations,
     canonical_parcelling,
     chordal,
@@ -541,6 +542,60 @@ def _piecewise_stable(par, sigma):
         if tuple(sorted((sigma[i], sigma[j]))) != (i, j):
             return False
     return True
+
+
+def _near_double(rng, Q, gap):
+    """Product of four secants through eight conic points, two of them at
+    parameters gap * (1 + |u|^2) apart, plus Q * R."""
+    param = conic_param(Q)
+    r = rng.uniform(0.4, 2.5, size=8)
+    u = list(r * np.exp(1j * rng.uniform(0, 2 * np.pi, size=8)))
+    u[1] = u[0] + gap * (1 + abs(u[0]) ** 2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    pts = [param.point(ProjPoint1([v, 1.0])) for v in u]
+    P = HomogPoly(0, [1.0])
+    for i, j in ((0, 2), (1, 3), (4, 5), (6, 7)):
+        P = poly_mul(P, line_through(pts[i], pts[j], Q))
+    P = P * (1.0 / P.norm())
+    return P + poly_mul(Q.poly(), random_homog(2, rng)) * 0.1
+
+
+def _dense_ellipsoid(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    A = q * rng.uniform(0.6, 1.6, size=3)
+    return QuadForm(A @ A.T)
+
+
+class TestPairScans:
+    """ill_conditioned and conjugation against scalar chordal distances."""
+
+    @staticmethod
+    def _brute_ill(ctx):
+        return any(chordal(a.point, b.point) < 10 * ctx.eps_cluster
+                   for a, b in itertools.combinations(ctx.clusters, 2))
+
+    def test_near_double_is_ill_conditioned(self, sphere, hyperboloid):
+        rng = np.random.default_rng(46)
+        for Q in (sphere, hyperboloid):
+            for _ in range(5):
+                ctx = _FactorContext(_near_double(rng, Q, 4e-6), Q)
+                assert len(ctx.clusters) == 8
+                assert ctx.ill_conditioned and self._brute_ill(ctx)
+
+    def test_generic_is_not(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(47)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for d in (1, 2, 4, 8):
+                ctx = _FactorContext(random_homog(d, rng), Q)
+                assert not ctx.ill_conditioned and not self._brute_ill(ctx)
+
+    def test_conjugation_matches_brute_force(self, sphere):
+        rng = np.random.default_rng(48)
+        for Q in (sphere, _dense_ellipsoid(rng)):
+            for d in range(1, 13):
+                ctx = _FactorContext(random_homog(d, rng, real=True), Q)
+                sigma = ctx.conjugation(require_free=True)
+                assert sigma == _conjugation_permutation(ctx.points)
+                assert all(i != j for i, j in enumerate(sigma))
 
 
 class TestDiscriminant:
