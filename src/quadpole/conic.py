@@ -303,16 +303,16 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
         for i in range(k):
             groups.setdefault(find(i), []).append(roots[i])
         members = list(groups.values())
-        mults = np.array([len(m) for m in members])
+        sizes = [len(m) for m in members]
         # np.mean of one root adds +0.0 to it (-0.0 becomes 0.0); so does
         # the shortcut, which skips np.mean's overhead on simple roots
         reps = np.array([np.mean(m) if len(m) > 1 else m[0] + 0j for m in members],
                         dtype=complex)
-        for mult in np.unique(mults):
-            same = mults == mult
-            reps[same] = _newton_polish(desc, reps[same], int(mult))
-        for rep, mult in zip(reps, mults):
-            clusters.append(RootCluster(ProjPoint1([rep, 1.0]), int(mult)))
+        for mult in set(sizes):
+            same = np.equal(sizes, mult)
+            reps[same] = _newton_polish(desc, reps[same], mult)
+        for rep, mult in zip(reps, sizes):
+            clusters.append(RootCluster(ProjPoint1([rep, 1.0]), mult))
     clusters.sort(key=lambda cl: cl.point.key())
     return clusters
 
