@@ -233,8 +233,8 @@ class Poly:
     @classmethod
     def from_grades(cls, grades: Dict[int, HomogPoly]) -> "Poly":
         top = max(grades) if grades else 0
-        parts = [grades.get(k, HomogPoly.zero(k)).copy() if k in grades
-                 else HomogPoly.zero(k) for k in range(top + 1)]
+        parts = [grades[k].copy() if k in grades else HomogPoly.zero(k)
+                 for k in range(top + 1)]
         return cls(parts)
 
     @property

@@ -65,7 +65,7 @@ class NotHarmonic(QuadpoleError):
 
 
 class SolveFailure(QuadpoleError):
-    """A dense solve did not reach the required residual."""
+    """A computed result did not reach the required residual."""
 
 
 class StrategyMismatch(QuadpoleError):

@@ -2,9 +2,9 @@
 
 The operator is delta_Q = sum_jk (B^-1)_jk d_j d_k; its kernel on each grade
 splits the grade as Ker(delta_Q) + Q*V(d-2), which iterates into the full
-decomposition P = sum_k Q^k H_k with every H_k annihilated by delta_Q.  All
-solves are dense: the matrix R -> delta_Q(Q*R) on a grade is square and
-invertible, so projections reduce to one linear solve per grade.
+decomposition P = sum_k Q^k H_k with every H_k annihilated by delta_Q.  The
+split of a grade has a closed form in powers of Q and delta_Q (see
+harmonic_project), so no linear system is solved for it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .algebra import (
     grade_dim,
     grade_split,
     homogenize_on_quadric,
-    mul_q_matrix,
     poly_mul,
     surface_samples,
 )
@@ -69,34 +68,36 @@ def is_harmonic(p: HomogPoly, Q: QuadForm, tol: float = TOL_HARM) -> bool:
     return res <= tol * scale * max(p.norm(), 1e-300)
 
 
-@form_operator
-def _t_matrix(Q: QuadForm, degree: int) -> np.ndarray:
-    """Square matrix of R -> delta_Q(Q * R) on grade `degree - 2`."""
-    return delta_matrix(Q, degree) @ mul_q_matrix(Q, degree - 2)
+def _closed_split(p: HomogPoly, Q: QuadForm) -> Tuple[HomogPoly, HomogPoly]:
+    """One pass of the formula of harmonic_project, R by Horner in Q."""
+    terms, c, lap, m = [], 1.0, apply_delta_q(p, Q), p.degree
+    for j in range(1, m // 2 + 1):
+        c = -c / (2 * j * (2 * m - 2 * j + 1))
+        terms.append(lap * -c)
+        lap = apply_delta_q(lap, Q)
+    R = terms.pop()
+    for term in reversed(terms):
+        R = term + poly_mul(Q.poly(), R)
+    return p - poly_mul(Q.poly(), R), R
 
 
 def harmonic_project(p: HomogPoly, Q: QuadForm,
                      tol_harm: float = TOL_HARM) -> Tuple[HomogPoly, HomogPoly]:
     """Split p = H + Q*R with delta_Q(H) = 0; returns (H, R).
 
-    Solves delta_Q(Q*R) = delta_Q(p) for R on the lower grade; the system
-    matrix is invertible because the kernel of delta_Q meets Q*V(d-2) only
-    in zero.
+    For p of degree m, H = sum_j c_j Q^j delta_Q^j p and R = (p - H) / Q with
+    c_0 = 1, c_j = -c_(j-1) / (2j(2m - 2j + 1)): Axler, Bourdon & Ramey,
+    Harmonic Function Theory, ch. 5, valid for Q as delta_Q Q = 6.  A second
+    pass on H lowers its round-off in delta_Q(H), which must stay small.
     """
     if p.degree < 2:
         return p.copy(), HomogPoly.zero(0)
-    rhs = delta_matrix(Q, p.degree) @ p.coeffs
-    tmat = _t_matrix(Q, p.degree)
-    try:
-        r = np.linalg.solve(tmat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure("projection solve failed: %s" % exc) from None
-    residual = float(np.linalg.norm(tmat @ r - rhs))
-    if residual > max(tol_harm, 1e-12) * max(float(np.linalg.norm(rhs)), p.norm(), 1e-300):
+    H, R = _closed_split(p, Q)
+    H, R2 = _closed_split(H, Q)
+    residual = apply_delta_q(H, Q).norm()
+    if residual > max(tol_harm, 1e-12) * max(apply_delta_q(p, Q).norm(), p.norm(), 1e-300):
         raise SolveFailure("projection residual %.3e too large" % residual)
-    R = HomogPoly(p.degree - 2, r)
-    H = p - poly_mul(Q.poly(), R)
-    return H, R
+    return H, R + R2
 
 
 @dataclass
@@ -160,8 +161,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
         residual = float(np.linalg.norm(dmat @ sol - part.coeffs))
         if residual > max(tol_harm, 1e-12) * max(part.norm(), 1e-300):
             raise SolveFailure("no grade-%d preimage under delta_Q" % (k + 2))
-        prev = t_grades.get(k + 2)
-        t_grades[k + 2] = HomogPoly(k + 2, sol) if prev is None else prev + HomogPoly(k + 2, sol)
+        t_grades[k + 2] = HomogPoly(k + 2, sol)
     T = Poly.from_grades(t_grades) if t_grades else Poly.zero()
     W = n - T
     G = Poly.zero()

@@ -9,6 +9,7 @@ from quadpole import (
     Poly,
     QuadForm,
     QuadratureRule,
+    SolveFailure,
     apply_delta_q,
     delta_matrix,
     dirichlet_solve,
@@ -219,6 +220,73 @@ class TestHarmonicDecompose:
                         continue
                     val = abs(inner_product(terms[i], terms[j], Q, rule))
                     assert val < 1e-8 * ni * nj
+
+
+def _dense_solve_project(p, Q):
+    """Reference: solve delta_Q(Q*R) = delta_Q(p) for R with a dense square
+    system, the projection used before the closed form."""
+    rhs = delta_matrix(Q, p.degree) @ p.coeffs
+    tmat = delta_matrix(Q, p.degree) @ mul_q_matrix(Q, p.degree - 2)
+    R = HomogPoly(p.degree - 2, np.linalg.solve(tmat, rhs))
+    return p - poly_mul(Q.poly(), R), R
+
+
+def _rotated(diagonal, rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    A = (q * np.sign(np.diag(r))) * np.sqrt(np.abs(diagonal))
+    return QuadForm(A @ np.diag(np.sign(diagonal)) @ A.T)
+
+
+def _unit_homog(d, rng):
+    n = grade_dim(d)
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return HomogPoly(d, c / np.linalg.norm(c))
+
+
+class TestProjectAgainstDenseSolve:
+    """The closed-form split gives the components of the dense solve."""
+
+    @pytest.mark.parametrize("form", ["sphere", "hyperboloid", "dense_complex",
+                                      "dense_indef", "ellipsoid"])
+    def test_components_agree(self, form, request):
+        rng = np.random.default_rng(70)
+        if form == "dense_indef":
+            Q = _rotated([1.0, -2.0, 0.7], rng)
+        elif form == "ellipsoid":
+            Q = _rotated(rng.uniform(0.4, 2.5, size=3), rng)
+        else:
+            Q = request.getfixturevalue(form)
+        for d in range(2, 25):
+            p = random_homog(d, rng)
+            got = harmonic_decompose(p, Q).components
+            want, cur = [], p
+            while cur.degree >= 2:
+                H, cur = _dense_solve_project(cur, Q)
+                want.append(H)
+            want.append(cur)
+            scale = max(h.norm() for h in want)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.linalg.norm(g.coeffs - w.coeffs) < 1e-12 * scale
+
+    def test_refinement_pass_needed(self):
+        # a single pass of the formula leaves delta_Q(H) above the gate here
+        rng = np.random.default_rng(14)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = (q * np.sign(np.diag(r))) * rng.uniform(0.6, 1.6, size=3)
+        Q = QuadForm(A @ A.T)
+        dec = harmonic_decompose(_unit_homog(32, rng), Q)
+        assert all(is_harmonic(h, Q) for h in dec.components)
+
+    def test_ill_conditioned_split_refused(self):
+        # on this complex form the split of a d = 24 input has components
+        # ~1e7 times the input; the dense solve refused it too
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        Q = QuadForm(G + G.T)
+        p = _unit_homog(24, rng)
+        with pytest.raises(SolveFailure):
+            harmonic_decompose(p, Q)
 
 
 class TestDirichletSolve:
