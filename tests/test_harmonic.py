@@ -280,7 +280,7 @@ class TestProjectAgainstDenseSolve:
 
     def test_ill_conditioned_split_refused(self):
         # on this complex form the split of a d = 24 input has components
-        # ~1e7 times the input; the dense solve refused it too
+        # about 4e7 times the input; the dense solve refused it too
         rng = np.random.default_rng(3)
         G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         Q = QuadForm(G + G.T)
