@@ -22,7 +22,6 @@ import numpy as np
 from .algebra import (
     HomogPoly,
     QuadForm,
-    QuadricDivider,
     divide_by_quadric,
     double_factorial,
     poly_mul,
@@ -279,13 +278,16 @@ class _FactorContext:
     """One P on one quadric: the work every parcelling shares, done once.
 
     The divisibility test, the restriction and the roots are computed once.
-    The division operator (the pseudo-inverse of multiplication by Q on P's
-    grade), the point q where lambda is fixed, P(q), and each cluster pair's
-    line with its value at q are computed at first use and kept.  So are the
+    The point q where lambda is fixed, P(q), and each cluster pair's line
+    with its value at q are computed at first use and kept.  So are the
     line products of the last parcelling: a parcelling that shares its first
     pieces with the previous one (siblings in enumeration order do)
     multiplies only the lines after them.  That state is checked piece by
     piece, so results do not depend on the order of the calls.
+
+    Every division by Q, the divisibility test and each parcelling's defect,
+    goes through divide_by_quadric, which applies one operator cached per
+    (Q, degree); the context holds no operator of its own.
     """
 
     def __init__(self, P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -300,7 +302,6 @@ class _FactorContext:
         self.tol_div = tol_div
         self.pnorm = P.norm()
         _reject_multiple_of_q(P, Q, tol_div)
-        self._divider: Optional[QuadricDivider] = None
         self.param: ConicParam = conic_param(Q)
         self.b: BinaryForm = restrict_to_conic(P, self.param)
         self.clusters: List[RootCluster] = roots_projective(self.b, eps_cluster=eps_cluster)
@@ -384,14 +385,11 @@ class _FactorContext:
                 # division: ||diff|| has lost digits to cancellation when
                 # lambda * prod(L) nearly equals P.  Close clusters get the
                 # loose test relative to ||diff|| and no gate.
-                if self._divider is None:
-                    self._divider = QuadricDivider(self.Q, self.P.degree)
+                tol, ref = (1e-4, None) if self.ill_conditioned \
+                    else (self.tol_div, pnorm)
                 try:
-                    if self.ill_conditioned:
-                        remainder = self._divider.divide(diff, tol_div=1e-4)
-                    else:
-                        remainder = self._divider.divide(diff, tol_div=self.tol_div,
-                                                         ref_norm=pnorm)
+                    remainder = divide_by_quadric(diff, self.Q, tol_div=tol,
+                                                  ref_norm=ref)
                 except NotDivisible as exc:
                     raise SolveFailure("factorization defect is not a multiple of Q: %s"
                                        % exc) from None

@@ -158,6 +158,15 @@ class TestDivideByQuadric:
         with pytest.raises(NotDivisible):
             divide_by_quadric(poly_mul(poly_mul(X, X), X), sphere)
 
+    def test_ref_norm(self, sphere):
+        # Q*X + 1e-6 x^3 misses Q's multiples by about 1e-6 * ||x^3||: above
+        # tol * ||p|| (about 2e-9), below tol * ref_norm (1e-5)
+        p = poly_mul(sphere.poly(), X) + 1e-6 * poly_mul(poly_mul(X, X), X)
+        with pytest.raises(NotDivisible):
+            divide_by_quadric(p, sphere, tol_div=1e-9)
+        r = divide_by_quadric(p, sphere, tol_div=1e-9, ref_norm=1e4)
+        assert np.linalg.norm(r.coeffs - X.coeffs) < 1e-5
+
     def test_round_trip_random(self, sphere, hyperboloid, dense_complex):
         rng = np.random.default_rng(5)
         for Q in (sphere, hyperboloid, dense_complex):

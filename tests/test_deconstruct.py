@@ -12,6 +12,7 @@ from quadpole import (
     InvalidPartition,
     Multipole,
     Poly,
+    QuadForm,
     StrategyMismatch,
     full_decompose,
     lemma9_gap,
@@ -126,9 +127,11 @@ class TestCanonical:
 
 
 class TestSolveCount:
-    def test_two_solves_per_level(self, sphere, monkeypatch):
-        # each level runs one divisibility solve (lstsq) and builds one
-        # division operator for its remainder (pinv)
+    def test_one_solve_per_form_and_degree(self, monkeypatch):
+        # every division by Q on a grade applies one operator, cached per
+        # (Q, degree): the first input builds one per level, and a second
+        # input on the same form builds none.  No other test uses this form.
+        Q = QuadForm(np.diag([1.0, 2.0, 3.5]))
         calls = []
         for name in ("lstsq", "pinv"):
             original = getattr(np.linalg, name)
@@ -138,10 +141,14 @@ class TestSolveCount:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        P = random_homog(6, np.random.default_rng(70))
-        seq = full_decompose(P, sphere)
+        rng = np.random.default_rng(70)
+        seq = full_decompose(random_homog(6, rng), Q)
         assert sorted(seq.terms) == [2, 4, 6]
-        assert calls == ["lstsq", "pinv"] * 3
+        assert calls == ["lstsq"] * 3
+        calls.clear()
+        seq = full_decompose(random_homog(6, rng), Q)
+        assert sorted(seq.terms) == [2, 4, 6]
+        assert calls == []
 
     def test_multiple_of_q_is_stripped(self, sphere):
         # a level that is a multiple of Q is divided, not factored

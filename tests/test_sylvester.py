@@ -462,6 +462,23 @@ class TestDivisionScale:
                 for f in facts:
                     assert (f.reconstruct(Q) - p).norm() <= 1e-8 * p.norm()
 
+    def test_every_division_goes_through_divide_by_quadric(self, sphere,
+                                                            monkeypatch):
+        # one divisibility test, then one division per parcelling of a
+        # generic quartic: 1 + 7!! = 106 calls
+        original = sylvester.divide_by_quadric
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].degree)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sylvester, "divide_by_quadric", counted)
+        P = random_homog(4, np.random.default_rng(46))
+        facts = all_factorizations(P, sphere)
+        assert len(facts) == count_parcellings(4) == 105
+        assert calls == [4] * 106
+
     @pytest.mark.parametrize("size", [1e-5, 1e-7])
     def test_perturbed_line_refused(self, sphere, hyperboloid, dense_complex,
                                     monkeypatch, size):
