@@ -200,17 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
                     " surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    tolerances = {"tol_div": TOL_DIV, "tol_fact": TOL_FACT,
+                  "tol_harm": TOL_HARM, "eps_cluster": EPS_CLUSTER}
+    factoring = ("tol_div", "tol_fact", "eps_cluster")
+
+    def common(p, *read):
+        """--quadric, --output, and the tolerance flags the handler reads."""
         p.add_argument("--quadric", default="sphere",
                        help="sphere, hyperboloid, or a quadric JSON file")
-        p.add_argument("--tol-div", type=float, default=TOL_DIV,
-                       dest="tol_div")
-        p.add_argument("--tol-fact", type=float, default=TOL_FACT,
-                       dest="tol_fact")
-        p.add_argument("--tol-harm", type=float, default=TOL_HARM,
-                       dest="tol_harm")
-        p.add_argument("--eps-cluster", type=float, default=EPS_CLUSTER,
-                       dest="eps_cluster")
+        for dest in read:
+            p.add_argument("--" + dest.replace("_", "-"), type=float,
+                           default=tolerances[dest], dest=dest)
         p.add_argument("--output", default=None,
                        help="write JSON here instead of stdout")
 
@@ -226,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("canonical", "enumerate", "real_unique"))
     p.add_argument("--all", action="store_true",
                    help="shorthand for --strategy enumerate")
-    common(p)
+    common(p, *factoring)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("harmonic", help="split a homogeneous polynomial into"
                                         " harmonic components")
     p.add_argument("poly")
-    common(p)
+    common(p, "tol_harm")
     p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser("maxwell", help="potential-derivative polynomial from"
@@ -242,19 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
                         " \"[0,0,1],[0,0,1]\"")
     p.add_argument("--invert", default=None, metavar="POLY",
                    help="harmonic polynomial JSON to decompose into vectors")
-    common(p)
+    common(p, "tol_harm", *factoring)
     p.set_defaults(func=_cmd_maxwell)
 
     p = sub.add_parser("fibers", help="all cone factorizations of a"
                                       " homogeneous polynomial")
     p.add_argument("poly")
-    common(p)
+    common(p, *factoring)
     p.set_defaults(func=_cmd_fibers)
 
     p = sub.add_parser("discriminant", help="test for a degenerate"
                                             " intersection divisor")
     p.add_argument("poly")
-    common(p)
+    common(p, "tol_div", "eps_cluster")
     p.set_defaults(func=_cmd_discriminant)
 
     p = sub.add_parser("planar-fiber", help="conic divisors over a pencil"
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("divisor", help="pencil divisor JSON file")
     p.add_argument("--center", required=True,
                    help="pencil center coordinates, e.g. \"[0,0,1]\"")
-    common(p)
+    common(p, "eps_cluster")
     p.set_defaults(func=_cmd_planar_fiber)
 
     p = sub.add_parser("approx", help="harmonic band approximation of a"
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-degree", type=int, default=None,
                    dest="exact_degree",
                    help="quadrature exactness (default 2 * d_max)")
-    common(p)
+    common(p, *factoring)
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("counts", help="parcelling count and representation"

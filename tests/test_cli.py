@@ -257,6 +257,17 @@ class TestExitCodes:
             code, _ = run(argv)
             assert code == 2, argv
 
+    def test_unread_tolerance_flags_rejected(self, files, capsys):
+        # a subcommand takes only the tolerance flags its handler reads
+        for argv in (["harmonic", files["xsq"], "--tol-div", "1e-9"],
+                     ["counts", "--d", "3", "--eps-cluster", "1e-6"],
+                     ["planar-fiber", files["div2"], "--center", "[0,0,2]",
+                      "--tol-fact", "1e-6"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_divisible_by_q(self, run, files):
         for argv in [["decompose", files["qq"], "--cone"],
                      ["discriminant", files["qq"]],
