@@ -191,13 +191,20 @@ def deriv_map(degree: int, axis: int) -> Tuple[np.ndarray, np.ndarray]:
     return target, factor
 
 
+@lru_cache(maxsize=None)
+def _mul_table_re_im(d1: int, d2: int) -> np.ndarray:
+    """_mul_table for the products read as (re, im) float pairs."""
+    table = 2 * _mul_table(d1, d2)
+    return np.stack([table, table + 1], axis=1).ravel()
+
+
 def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
     """Product of homogeneous polynomials; degrees add."""
-    table = _mul_table(p.degree, q.degree)
-    prods = np.outer(p.coeffs, q.coeffs).ravel()
+    # one bincount sums the real and the imaginary parts, in product order
+    prods = np.outer(p.coeffs, q.coeffs).ravel().view(np.float64)
     dim = grade_dim(p.degree + q.degree)
-    out = (np.bincount(table, weights=prods.real, minlength=dim)
-           + 1j * np.bincount(table, weights=prods.imag, minlength=dim))
+    out = np.bincount(_mul_table_re_im(p.degree, q.degree), weights=prods,
+                      minlength=2 * dim).view(complex)
     return HomogPoly(p.degree + q.degree, out)
 
 
