@@ -469,8 +469,8 @@ def _quotient_matrix(Q: QuadForm, degree_r: int) -> np.ndarray:
     """M^+ for M, the multiplication by Q from grade degree_r to degree_r + 2.
 
     M has full column rank, so the least-squares solution of M X = I is its
-    pseudo-inverse.  M itself is built here and dropped: the cache holds the
-    quotient operator instead of M, not beside it.
+    pseudo-inverse.  M is built here and dropped, so the cache holds this
+    operator in place of M rather than both, which would double its size.
     """
     M = _mul_matrix(Q.poly(), degree_r)
     return np.linalg.lstsq(M, np.eye(M.shape[0]), rcond=None)[0]
