@@ -34,7 +34,7 @@ from .errors import (
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, TOL_FACT, factor
+from .sylvester import Multipole, TOL_FACT, _strategy_context
 
 TOL_ZERO_BAND = 1e-12
 
@@ -202,7 +202,16 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     Bands below tol_zero * f_norm relative norm become the zero multipole.
     Each nonzero multipole is checked to reproduce its band through the
     potential-derivative construction before being returned.
+
+    A band that does not reproduce within 1e-12 relative is factored again
+    with its roots merged at 10x the scale, from eps_cluster while the scale
+    is at most 0.2; so eps_cluster must lie in (0, 0.2].  A scale whose
+    attempt would repeat an earlier one exactly is skipped: the same
+    clusters, parcelling, evaluation point and ill_conditioned flag, or the
+    same failure among them, give the same result or the same error.
     """
+    if not 0.0 < eps_cluster <= 0.2:
+        raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
     scale_ref = max(decomp.f_norm, 1.0)
     imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
                     for b in decomp.bands), default=0.0)
@@ -223,17 +232,31 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         # precision relative to f_norm, so neither the cone division nor the
         # root clustering can be certified below that floor; an m-fold cone
         # root splits into a bunch of radius floor**(1/m), so the clustering
-        # scale is escalated until the reproduction gate passes
+        # scale is escalated until the reproduction gate passes.  The band
+        # is restricted and its roots found once; each scale re-merges them
         floor = np.finfo(float).eps * scale_ref / decomp.band_norms[k]
         band_tol_div = max(tol_div, 1e3 * floor)
         w, c, best = None, 0j, np.inf
         last_err = None
+        tried = {}  # attempt key -> the error the attempt raised, or None
+        ctx = None
         eps = eps_cluster
         while eps <= 0.2:
+            ctx = (_strategy_context(fk, Q, strategy, eps_cluster=eps,
+                                     tol_div=band_tol_div)
+                   if ctx is None else ctx.at_scale(eps))
+            eps *= 10.0
+            key = ctx.attempt_key(strategy)
+            if key in tried:
+                # a repeated success cannot lower best or pass the gate
+                # that would have stopped the loop; a repeated failure
+                # raises what it raised before
+                if tried[key] is not None:
+                    last_err = tried[key]
+                continue
+            tried[key] = None
             try:
-                cand = factor(fk, Q, strategy, eps_cluster=eps,
-                              tol_div=band_tol_div,
-                              tol_fact=tol_fact).multipole()
+                cand = ctx.factor_with(strategy, tol_fact=tol_fact).multipole()
                 _, cc, defect = maxwell_fit(fk, Q, cand.lines)
                 if defect < best:
                     w, c, best = cand, cc, defect
@@ -241,8 +264,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                     break
             except (SolveFailure, ConjugationPairingFailure,
                     NoEvaluationPoint) as exc:
-                last_err = exc
-            eps *= 10.0
+                last_err = tried[key] = exc
         if w is None:
             raise last_err
         if best > 1e-7 * fk.norm():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -259,14 +259,12 @@ def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
     return best
 
 
-def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[RootCluster]:
-    """Projective roots of p with multiplicities from cluster merging.
+def _raw_roots(p: BinaryForm) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The step of roots_projective that no clustering scale changes.
 
-    Roots at [1:0] are detected by counting vanishing leading coefficients;
-    affine roots come from the companion matrix, are merged when within
-    eps_cluster * (1 + |root|) of each other, and get a Newton polish.
-    Clusters are returned sorted by the canonical key of their normalized
-    parameter, so the ordering is reproducible and shared by every caller.
+    Returns the multiplicity of the root at [1:0] (the count of vanishing
+    leading coefficients), the descending coefficients of the rest, and
+    their roots from the companion matrix, unmerged.
     """
     c = p.coeffs
     scale = float(np.max(np.abs(c)))
@@ -276,38 +274,53 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
     m_inf = 0
     while m_inf < n and abs(c[n - m_inf]) <= INF_COEFF_TOL * scale:
         m_inf += 1
+    desc = c[: n - m_inf + 1][::-1]
+    roots = np.roots(desc) if desc.size > 1 else np.empty(0, dtype=complex)
+    return m_inf, desc, roots
+
+
+def _merge_groups(roots: np.ndarray, eps_cluster: float) -> Tuple[Tuple[int, ...], ...]:
+    """Indices of the roots that merge at eps_cluster, one tuple per cluster.
+
+    Roots within eps_cluster * (1 + |root|) of each other merge, and so do
+    chains of them.  Groups come in the order of their first index, with
+    ascending members, so equal partitions give equal tuples.
+    """
+    k = roots.size
+    mags = np.abs(roots)
+    close = (np.abs(roots[:, None] - roots[None, :])
+             <= eps_cluster * (1.0 + np.maximum.outer(mags, mags)))
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[rj] = ri
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def _clusters_of(m_inf: int, desc: np.ndarray, roots: np.ndarray,
+                 groups: Sequence[Sequence[int]]) -> List[RootCluster]:
+    """One cluster per group at the mean of its roots, Newton-polished at
+    its multiplicity, plus the root at [1:0]; in canonical order."""
     clusters: List[RootCluster] = []
     if m_inf > 0:
         clusters.append(RootCluster(ProjPoint1([1.0, 0.0]), m_inf))
-    trimmed = c[: n - m_inf + 1]
-    if trimmed.size > 1:
-        desc = trimmed[::-1]
-        roots = np.roots(desc)
-        k = roots.size
-        mags = np.abs(roots)
-        close = (np.abs(roots[:, None] - roots[None, :])
-                 <= eps_cluster * (1.0 + np.maximum.outer(mags, mags)))
-        parent = list(range(k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in zip(*np.nonzero(np.triu(close, 1))):
-            ri, rj = find(int(i)), find(int(j))
-            if ri != rj:
-                parent[rj] = ri
-        groups = {}
-        for i in range(k):
-            groups.setdefault(find(i), []).append(roots[i])
-        members = list(groups.values())
-        sizes = [len(m) for m in members]
+    if groups:
+        sizes = [len(g) for g in groups]
         # np.mean of one root adds +0.0 to it (-0.0 becomes 0.0); so does
         # the shortcut, which skips np.mean's overhead on simple roots
-        reps = np.array([np.mean(m) if len(m) > 1 else m[0] + 0j for m in members],
-                        dtype=complex)
+        reps = np.array([np.mean(roots[list(g)]) if len(g) > 1 else roots[g[0]] + 0j
+                         for g in groups], dtype=complex)
         for mult in set(sizes):
             same = np.equal(sizes, mult)
             reps[same] = _newton_polish(desc, reps[same], mult)
@@ -315,6 +328,21 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
             clusters.append(RootCluster(ProjPoint1([rep, 1.0]), mult))
     clusters.sort(key=lambda cl: cl.point.key())
     return clusters
+
+
+def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[RootCluster]:
+    """Projective roots of p with multiplicities from cluster merging.
+
+    Roots at [1:0] are detected by counting vanishing leading coefficients;
+    affine roots come from the companion matrix, are merged when within
+    eps_cluster * (1 + |root|) of each other, and get a Newton polish.
+    Clusters are returned sorted by the canonical key of their normalized
+    parameter, so the ordering is reproducible and shared by every caller.
+    Only the merge and what follows it depend on eps_cluster, so a caller
+    that tries several scales runs _raw_roots once and the rest per scale.
+    """
+    m_inf, desc, roots = _raw_roots(p)
+    return _clusters_of(m_inf, desc, roots, _merge_groups(roots, eps_cluster))
 
 
 def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm,

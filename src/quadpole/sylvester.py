@@ -11,6 +11,7 @@ stable under conjugation, which yields the distinguished real factorization.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -34,6 +35,9 @@ from .conic import (
     ProjPoint1,
     ProjPoint2,
     RootCluster,
+    _clusters_of,
+    _merge_groups,
+    _raw_roots,
     binary_discriminant,
     chordal,
     conic_param,
@@ -288,6 +292,9 @@ class _FactorContext:
     Every division by Q, the divisibility test and each parcelling's defect,
     goes through divide_by_quadric, which applies one operator cached per
     (Q, degree); the context holds no operator of its own.
+
+    at_scale gives the same P clustered at another eps_cluster, sharing all
+    of the above that the scale does not change.
     """
 
     def __init__(self, P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -298,19 +305,34 @@ class _FactorContext:
             raise ValueError("cannot factor the zero polynomial")
         self.P = P
         self.Q = Q
-        self.eps_cluster = eps_cluster
         self.tol_div = tol_div
         self.pnorm = P.norm()
         _reject_multiple_of_q(P, Q, tol_div)
         self.param: ConicParam = conic_param(Q)
         self.b: BinaryForm = restrict_to_conic(P, self.param)
-        self.clusters: List[RootCluster] = roots_projective(self.b, eps_cluster=eps_cluster)
-        self.multiplicities: List[int] = [c.multiplicity for c in self.clusters]
-        self.points: List[ProjPoint2] = [self.param.point(c.point) for c in self.clusters]
-        near = _pairwise_chordal(np.array([c.point.coords for c in self.clusters]))
+        # conic._raw_roots of b and the merge groups at this scale, for
+        # at_scale; the first scale is clustered by roots_projective, as in
+        # every context, so they are computed by the first at_scale
+        self._raw: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._groups: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._take_clusters(roots_projective(self.b, eps_cluster=eps_cluster))
+        self._set_scale(eps_cluster)
+
+    def _take_clusters(self, clusters: List[RootCluster]) -> None:
+        """Take the clusters, their multiplicities, conic points and least separation."""
+        self.clusters: List[RootCluster] = clusters
+        self.multiplicities: List[int] = [c.multiplicity for c in clusters]
+        self.points: List[ProjPoint2] = [self.param.point(c.point) for c in clusters]
+        near = _pairwise_chordal(np.array([c.point.coords for c in clusters]))
         np.fill_diagonal(near, np.inf)
-        self.ill_conditioned = bool(near.min() < 10 * eps_cluster)
-        self._eval_u: Optional[ProjPoint1] = None
+        self._min_separation = float(near.min())
+
+    def _set_scale(self, eps_cluster: float) -> None:
+        """Set eps_cluster and what it decides, and empty the caches that follow from it."""
+        self.eps_cluster = eps_cluster
+        self.ill_conditioned = bool(self._min_separation < 10 * eps_cluster)
+        # None until evaluation_point searches; False if no point cleared
+        self._eval_u = None
         self._q: Optional[np.ndarray] = None
         self._p_at_q = 0j
         # piece -> (its normalized line, the line's value at q)
@@ -318,23 +340,48 @@ class _FactorContext:
         # (piece, product of the lines up to and including it), last parcelling
         self._prefix: List[Tuple[Tuple[int, int], HomogPoly]] = []
 
+    def at_scale(self, eps_cluster: float) -> "_FactorContext":
+        """This P with its roots merged at eps_cluster instead.
+
+        Shares P, its norm, the divisibility test, the restriction and the
+        raw roots; when the roots merge into the same groups as here, also
+        the clusters and their conic points.  The evaluation point, the
+        lines and the products start afresh.
+        """
+        if self._raw is None:
+            self._raw = _raw_roots(self.b)
+            self._groups = _merge_groups(self._raw[2], self.eps_cluster)
+        ctx = copy.copy(self)
+        ctx._groups = _merge_groups(self._raw[2], eps_cluster)
+        if ctx._groups != self._groups:
+            ctx._take_clusters(_clusters_of(*self._raw, ctx._groups))
+        ctx._set_scale(eps_cluster)
+        return ctx
+
     def evaluation_point(self) -> ProjPoint1:
-        """First golden-ratio trial point clear of the divisor with |b| not small."""
-        if self._eval_u is not None:
-            return self._eval_u
-        max_c = float(np.max(np.abs(self.b.coeffs)))
-        power = 1.0
-        for _ in range(64):
-            u = ProjPoint1([1.0, power])
-            power *= _GOLDEN
-            if min((chordal(u, c.point) for c in self.clusters), default=1.0) \
-                    <= 10 * self.eps_cluster:
-                continue
-            if abs(self.b.eval_point(u)) <= 1e-4 * max_c:
-                continue
-            self._eval_u = u
-            return u
-        raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
+        """First golden-ratio trial point clear of the divisor with |b| not small.
+
+        The search runs once per context; a failed search is kept too.
+        """
+        if self._eval_u is None:
+            self._eval_u = False
+            max_c = float(np.max(np.abs(self.b.coeffs)))
+            power = 1.0
+            for _ in range(64):
+                u = ProjPoint1([1.0, power])
+                power *= _GOLDEN
+                # the scan stops at the first cluster within the clearance
+                # (there is always one cluster at least)
+                if any(chordal(u, c.point) <= 10 * self.eps_cluster
+                       for c in self.clusters):
+                    continue
+                if abs(self.b.eval_point(u)) <= 1e-4 * max_c:
+                    continue
+                self._eval_u = u
+                break
+        if self._eval_u is False:
+            raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
+        return self._eval_u
 
     def _line(self, piece: Tuple[int, int]) -> Tuple[HomogPoly, complex]:
         """The piece's line, scaled so its max-modulus coefficient is 1, and its value at q."""
@@ -407,6 +454,49 @@ class _FactorContext:
                 raise SolveFailure("factorization residual %.3e exceeds %.3e"
                                    % (res, tol_fact * pnorm))
         return fact
+
+    def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
+        """The parcelling a strategy picks.
+
+        canonical takes canonical_parcelling of the multiplicities;
+        real_unique pairs each cluster with its conjugate's, the only
+        conjugation-stable parcelling when conjugation acts freely.
+        """
+        if strategy == "canonical":
+            return canonical_parcelling(self.multiplicities)
+        sigma = self.conjugation(require_free=True)
+        pieces: List[Tuple[int, int]] = []
+        for i, j in enumerate(sigma):
+            if i < j:
+                pieces.extend([(i, j)] * self.clusters[i].multiplicity)
+        return GeneralizedParcelling(tuple(sorted(pieces)))
+
+    def factor_with(self, strategy: str,
+                    tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+        """P factored over the strategy's parcelling; real_unique's is made real."""
+        fact = self.factor(self.parcelling_for(strategy), tol_fact=tol_fact)
+        if strategy == "real_unique":
+            fact = _realified(fact, self.P, self.Q, tol_fact)
+        return fact
+
+    def attempt_key(self, strategy: str) -> tuple:
+        """What factor_with(strategy) reads that the clustering scale changes.
+
+        That is the clusters, the parcelling, the evaluation point and
+        ill_conditioned, in the order factor_with reads them; a failure
+        stands for itself by its type and message, and ends the key, as it
+        ends the attempt.  Two contexts of one P with equal keys and equal
+        tol_fact return equal factorizations or raise the same error.
+        """
+        key: list = [tuple((c.point.key(), c.multiplicity) for c in self.clusters)]
+        try:
+            key.append(self.parcelling_for(strategy).pieces)
+            key.append(self.evaluation_point().key())
+        except (NoEvaluationPoint, ConjugationPairingFailure) as exc:
+            key.append((type(exc), str(exc)))
+        else:
+            key.append(self.ill_conditioned)
+        return tuple(key)
 
     def factor_all(self, tol_fact: float = TOL_FACT) -> List[MultipoleFactorization]:
         """Factorizations for every parcelling, in enumeration order."""
@@ -497,18 +587,20 @@ def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     freely on the intersection divisor and pairing every cluster with its
     conjugate is the only conjugation-stable parcelling.
     """
-    _check_real_input(P)
-    if not Q.is_real or Q.signature not in (-3, 3):
-        raise NotDefinite("real factorization needs a definite real form")
-    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    sigma = ctx.conjugation(require_free=True)
-    pieces: List[Tuple[int, int]] = []
-    for i, j in enumerate(sigma):
-        if i < j:
-            pieces.extend([(i, j)] * ctx.clusters[i].multiplicity)
-    parcelling = GeneralizedParcelling(tuple(sorted(pieces)))
-    fact = ctx.factor(parcelling, tol_fact=tol_fact)
-    return _realified(fact, P, Q, tol_fact)
+    return factor(P, Q, "real_unique", eps_cluster=eps_cluster, tol_div=tol_div,
+                  tol_fact=tol_fact)
+
+
+def _strategy_context(P: HomogPoly, Q: QuadForm, strategy: str,
+                      eps_cluster: float, tol_div: float) -> _FactorContext:
+    """P's factor context, after the checks the strategy makes on its input."""
+    if strategy == "real_unique":
+        _check_real_input(P)
+        if not Q.is_real or Q.signature not in (-3, 3):
+            raise NotDefinite("real factorization needs a definite real form")
+    elif strategy != "canonical":
+        raise ValueError("unknown factoring strategy %r" % (strategy,))
+    return _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
 
 
 def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
@@ -520,14 +612,9 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
     is real_factor, the conjugation-stable one for real P over a definite
     real form.
     """
-    if strategy == "real_unique":
-        return real_factor(P, Q, eps_cluster=eps_cluster, tol_div=tol_div,
-                           tol_fact=tol_fact)
-    if strategy != "canonical":
-        raise ValueError("unknown factoring strategy %r" % (strategy,))
-    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return ctx.factor(canonical_parcelling(ctx.multiplicities),
-                      tol_fact=tol_fact)
+    ctx = _strategy_context(P, Q, strategy, eps_cluster=eps_cluster,
+                            tol_div=tol_div)
+    return ctx.factor_with(strategy, tol_fact=tol_fact)
 
 
 def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,

@@ -225,3 +225,150 @@ class TestMultipoleSeries:
             bound = max(1e-7 * dec.band_norms[k], 1e-12 * dec.f_norm)
             assert (s.band_poly(k, hyperboloid) - dec.bands[k]).norm() \
                 < bound
+
+
+def _reference_series(decomp, Q, tol_zero=1e-12, eps_cluster=1e-6,
+                      tol_div=1e-9, tol_fact=1e-8):
+    """multipole_series as it was before attempts shared one context: the
+    public factor afresh at each scale, and no scale skipped."""
+    from quadpole import Multipole, factor
+    from quadpole.approx import SeriesMultipoles
+    from quadpole.maxwell import maxwell_fit
+    from quadpole.errors import (ConjugationPairingFailure,
+                                 NoEvaluationPoint, SolveFailure)
+    scale_ref = max(decomp.f_norm, 1.0)
+    imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
+                    for b in decomp.bands), default=0.0)
+    strategy = ("real_unique" if imag_max <= 1e-12 * scale_ref and Q.is_real
+                and Q.signature in (-3, 3) else "canonical")
+    lam = complex(decomp.bands[0].coeffs[0])
+    terms, scales, norms = {}, {}, {0: abs(lam)}
+    for k in range(1, decomp.d_max + 1):
+        fk = decomp.bands[k]
+        if decomp.band_norms[k] <= tol_zero * scale_ref:
+            terms[k], scales[k], norms[k] = Multipole(0j, ()), 0j, 0.0
+            continue
+        floor = np.finfo(float).eps * scale_ref / decomp.band_norms[k]
+        band_tol_div = max(tol_div, 1e3 * floor)
+        w, c, best = None, 0j, np.inf
+        last_err = None
+        eps = eps_cluster
+        while eps <= 0.2:
+            try:
+                cand = factor(fk, Q, strategy, eps_cluster=eps,
+                              tol_div=band_tol_div,
+                              tol_fact=tol_fact).multipole()
+                _, cc, defect = maxwell_fit(fk, Q, cand.lines)
+                if defect < best:
+                    w, c, best = cand, cc, defect
+                if defect <= 1e-12 * fk.norm():
+                    break
+            except (SolveFailure, ConjugationPairingFailure,
+                    NoEvaluationPoint) as exc:
+                last_err = exc
+            eps *= 10.0
+        if w is None:
+            raise last_err
+        if best > 1e-7 * fk.norm():
+            raise SolveFailure("band %d multipole deviates by %.3e relative"
+                               % (k, best / fk.norm()))
+        terms[k], scales[k] = w, c
+        norms[k] = float(w.product_poly().norm())
+    return SeriesMultipoles(lam, terms, scales, norms)
+
+
+def f_gauss(pts):
+    return np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2))
+
+
+def _rotated_ellipsoid():
+    from quadpole import QuadForm
+    rng = np.random.default_rng(91)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    A = q * np.array([0.7, 1.1, 1.5])
+    return QuadForm(A @ A.T)
+
+
+class TestScaleSchedule:
+    """The retry over clustering scales: one context per band, scales that
+    would repeat an earlier attempt skipped, and the same series as a fresh
+    factor at every scale."""
+
+    def _cases(self, sphere, hyperboloid):
+        rng = np.random.default_rng(90)
+        v, w = rng.standard_normal(3), rng.standard_normal(3)
+        Pc = Poly.from_grades({
+            k: HomogPoly(k, rng.standard_normal(grade_dim(k))
+                         + 1j * rng.standard_normal(grade_dim(k)))
+            for k in range(4)})
+        return [
+            (f_exp, sphere, 12),
+            (f_gauss, sphere, 6),
+            (lambda pts: np.exp(pts @ v) * np.cos(pts @ w),
+             _rotated_ellipsoid(), 8),
+            (poly_eval(Pc), hyperboloid, 4),
+        ]
+
+    def test_same_series_as_fresh_factor_per_scale(self, sphere, hyperboloid):
+        for f, Q, d_max in self._cases(sphere, hyperboloid):
+            dec = l2_project(f, Q, d_max, QuadratureRule(2 * d_max))
+            got = multipole_series(dec, Q)
+            want = _reference_series(dec, Q)
+            assert got.lam == want.lam
+            assert got.terms == want.terms
+            assert got.scales == want.scales
+            assert got.norms == want.norms
+
+    def test_complex_band_takes_canonical_path(self, hyperboloid, monkeypatch):
+        from quadpole.sylvester import _FactorContext
+
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("conjugation pairing tried")
+
+        monkeypatch.setattr(_FactorContext, "conjugation", no_pairing)
+        f, Q, d_max = self._cases(hyperboloid, hyperboloid)[3]
+        dec = l2_project(f, Q, d_max, QuadratureRule(2 * d_max))
+        assert multipole_series(dec, Q).terms[3].degree == 3
+
+    def test_same_failure_as_fresh_factor_per_scale(self, sphere):
+        dec = l2_project(f_gauss, sphere, 8, QuadratureRule(16))
+        with pytest.raises(Exception) as want:
+            _reference_series(dec, sphere)
+        with pytest.raises(Exception) as got:
+            multipole_series(dec, sphere)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_repeated_scales_not_refit(self, sphere, monkeypatch):
+        # a fresh factor at every scale fits 30 candidates here
+        from quadpole import approx
+        calls = []
+        original = approx.maxwell_fit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "maxwell_fit", counted)
+        dec = l2_project(f_exp, sphere, 12, QuadratureRule(24))
+        multipole_series(dec, sphere)
+        assert len(calls) == 19 < 30
+
+
+class TestEpsClusterRange:
+    @pytest.mark.parametrize("eps", [0.5, float("nan"), -1.0])
+    def test_out_of_range_rejected(self, sphere, eps):
+        dec = l2_project(f_exp, sphere, 4, QuadratureRule(8))
+        with pytest.raises(ValueError):
+            multipole_series(dec, sphere, eps_cluster=eps)
+
+    def test_cli_zero_exits_2(self):
+        # before the range check this loop never ended
+        import subprocess
+        import sys
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadpole.cli", "approx", "--function",
+             "exp_x", "--d-max", "4", "--eps-cluster", "0"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "eps_cluster" in proc.stderr

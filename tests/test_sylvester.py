@@ -32,7 +32,8 @@ from quadpole import (
 )
 from quadpole import sylvester
 from quadpole.algebra import grade_dim, monomial_index
-from quadpole.errors import SolveFailure
+from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
+                             SolveFailure)
 from quadpole.sylvester import _FactorContext
 
 from conftest import compose_linear, q_orthogonal, random_homog
@@ -613,6 +614,51 @@ class TestPairScans:
                 sigma = ctx.conjugation(require_free=True)
                 assert sigma == _conjugation_permutation(ctx.points)
                 assert all(i != j for i, j in enumerate(sigma))
+
+
+def _outcome(fn):
+    try:
+        fact = fn()
+    except (SolveFailure, NoEvaluationPoint, ConjugationPairingFailure) as exc:
+        return type(exc), str(exc)
+    return fact.lam, [L.coeffs.tolist() for L in fact.lines]
+
+
+class TestAtScale:
+    """A context re-clustered at another scale against a fresh one there."""
+
+    SCALES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1)
+
+    def _check(self, P, Q, strategy):
+        base = _FactorContext(P, Q)
+        for eps in self.SCALES:
+            got = base.at_scale(eps)
+            want = _FactorContext(P, Q, eps_cluster=eps)
+            assert got.multiplicities == want.multiplicities
+            for a, b in zip(got.clusters, want.clusters):
+                assert np.array_equal(a.point.coords, b.point.coords)
+            assert got.ill_conditioned == want.ill_conditioned
+            assert got.attempt_key(strategy) == want.attempt_key(strategy)
+            assert _outcome(lambda: got.factor_with(strategy)) \
+                == _outcome(lambda: want.factor_with(strategy))
+
+    def test_near_double(self, sphere, hyperboloid):
+        rng = np.random.default_rng(49)
+        for Q in (sphere, hyperboloid):
+            for gap in (4e-6, 4e-4):
+                self._check(_near_double(rng, Q, gap), Q, "canonical")
+
+    def test_real_pairing(self, sphere):
+        rng = np.random.default_rng(50)
+        for d in (2, 5, 8):
+            self._check(random_homog(d, rng, real=True), sphere, "real_unique")
+
+    def test_unchanged_groups_share_clusters(self, sphere):
+        rng = np.random.default_rng(51)
+        base = _FactorContext(random_homog(4, rng), sphere)
+        same = base.at_scale(1e-5)
+        assert same.clusters is base.clusters and same.points is base.points
+        assert same.at_scale(1e-3).clusters is base.clusters
 
 
 class TestDiscriminant:
