@@ -370,8 +370,6 @@ class _FactorContext:
             for _ in range(64):
                 u = ProjPoint1([1.0, power])
                 power *= _GOLDEN
-                # the scan stops at the first cluster within the clearance
-                # (there is always one cluster at least)
                 if any(chordal(u, c.point) <= 10 * self.eps_cluster
                        for c in self.clusters):
                     continue

@@ -229,8 +229,8 @@ class TestMultipoleSeries:
 
 def _reference_series(decomp, Q, tol_zero=1e-12, eps_cluster=1e-6,
                       tol_div=1e-9, tol_fact=1e-8):
-    """multipole_series as it was before attempts shared one context: the
-    public factor afresh at each scale, and no scale skipped."""
+    """Reference for multipole_series: the public factor afresh at each
+    scale of the schedule, and no scale skipped."""
     from quadpole import Multipole, factor
     from quadpole.approx import SeriesMultipoles
     from quadpole.maxwell import maxwell_fit
