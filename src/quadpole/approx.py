@@ -34,7 +34,7 @@ from .errors import (
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, TOL_FACT, _strategy_context
+from .sylvester import Multipole, _strategy_context
 
 TOL_ZERO_BAND = 1e-12
 
@@ -193,8 +193,7 @@ class SeriesMultipoles:
 def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                      tol_zero: float = TOL_ZERO_BAND,
                      eps_cluster: float = EPS_CLUSTER,
-                     tol_div: float = TOL_DIV,
-                     tol_fact: float = TOL_FACT) -> SeriesMultipoles:
+                     tol_div: float = TOL_DIV) -> SeriesMultipoles:
     """Factor every band of a decomposition into one multipole.
 
     Real bands over a definite real form go through the unique real
@@ -256,7 +255,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                 continue
             tried[key] = None
             try:
-                cand = ctx.factor_with(strategy, tol_fact=tol_fact).multipole()
+                cand = ctx.factor_with(strategy).multipole()
                 _, cc, defect = maxwell_fit(fk, Q, cand.lines)
                 if defect < best:
                     w, c, best = cand, cc, defect

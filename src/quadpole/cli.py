@@ -24,7 +24,6 @@ from .harmonic import TOL_HARM, harmonic_decompose
 from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
 from .sylvester import (
-    TOL_FACT,
     _FactorContext,
     all_factorizations,
     count_parcellings,
@@ -75,18 +74,17 @@ def _cmd_decompose(args, Q: QuadForm) -> Any:
         P = qio.homog_from_json(data)
         if strategy == "enumerate":
             facts = all_factorizations(P, Q, eps_cluster=args.eps_cluster,
-                                       tol_div=args.tol_div,
-                                       tol_fact=args.tol_fact)
+                                       tol_div=args.tol_div)
             return {"count": len(facts),
                     "factorizations": [qio.factorization_to_json(f)
                                        for f in facts]}
         return qio.factorization_to_json(factor(
             P, Q, strategy, eps_cluster=args.eps_cluster,
-            tol_div=args.tol_div, tol_fact=args.tol_fact))
+            tol_div=args.tol_div))
     P = qio.poly_from_json(data)
     result = full_decompose(P, Q, strategy=strategy,
                             eps_cluster=args.eps_cluster,
-                            tol_div=args.tol_div, tol_fact=args.tol_fact)
+                            tol_div=args.tol_div)
     if strategy == "enumerate":
         return {"count": len(result),
                 "sequences": [qio.sequence_to_json(s) for s in result]}
@@ -117,8 +115,7 @@ def _cmd_maxwell(args, Q: QuadForm) -> Any:
         P = qio.homog_from_json(_load_json(args.invert))
         vectors, scale = maxwell_decompose(P, Q, tol_harm=args.tol_harm,
                                            eps_cluster=args.eps_cluster,
-                                           tol_div=args.tol_div,
-                                           tol_fact=args.tol_fact)
+                                           tol_div=args.tol_div)
         return {"vectors": [[qio._cnum(x) for x in v] for v in vectors],
                 "scale": qio._cnum(scale)}
     if args.vectors is None:
@@ -132,7 +129,7 @@ def _cmd_fibers(args, Q: QuadForm) -> Any:
     # restriction and the roots are computed once
     ctx = _FactorContext(P, Q, eps_cluster=args.eps_cluster,
                          tol_div=args.tol_div)
-    facts = ctx.factor_all(tol_fact=args.tol_fact)
+    facts = ctx.factor_all()
     return {"clusters": [qio.cluster_to_json(c) for c in ctx.clusters],
             "count": len(facts),
             "factorizations": [qio.factorization_to_json(f) for f in facts]}
@@ -173,7 +170,7 @@ def _cmd_approx(args, Q: QuadForm) -> Any:
     rule = QuadratureRule(exact)
     dec = l2_project(f, Q, args.d_max, rule)
     series = multipole_series(dec, Q, eps_cluster=args.eps_cluster,
-                              tol_div=args.tol_div, tol_fact=args.tol_fact)
+                              tol_div=args.tol_div)
     gap = parseval_gap(f, dec)
     bands: Dict[str, Any] = {}
     for k in range(1, dec.d_max + 1):
@@ -200,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                     " surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tolerances = {"tol_div": TOL_DIV, "tol_fact": TOL_FACT,
-                  "tol_harm": TOL_HARM, "eps_cluster": EPS_CLUSTER}
-    factoring = ("tol_div", "tol_fact", "eps_cluster")
+    tolerances = {"tol_div": TOL_DIV, "tol_harm": TOL_HARM,
+                  "eps_cluster": EPS_CLUSTER}
+    factoring = ("tol_div", "eps_cluster")
 
     def common(p, *read):
         """--quadric, --output, and the tolerance flags the handler reads."""

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .sylvester import (
     Multipole,
-    TOL_FACT,
     _FactorContext,
     enumerate_parcellings,
     factor,
@@ -107,14 +106,12 @@ def _parity_input(P: Poly, Q: QuadForm, parity: int) -> Optional[HomogPoly]:
 
 
 def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
-                tol_div: float, tol_fact: float
-                ) -> Tuple[complex, Dict[int, Multipole]]:
+                tol_div: float) -> Tuple[complex, Dict[int, Multipole]]:
     terms: Dict[int, Multipole] = {}
     cur = h
     while True:
         cur, fact = _strip_q_powers(cur, lambda p: factor(
-            p, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div,
-            tol_fact=tol_fact))
+            p, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div))
         if fact is None:
             lam = complex(cur.coeffs[0]) if cur.degree == 0 else 0j
             return lam, terms
@@ -123,7 +120,7 @@ def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
 
 
 def _chain_all(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float,
-               tol_fact: float, budget: List[int]
+               budget: List[int]
                ) -> List[Tuple[complex, Dict[int, Multipole]]]:
     cur, ctx = _strip_q_powers(h, lambda p: _FactorContext(
         p, Q, eps_cluster=eps_cluster, tol_div=tol_div))
@@ -131,10 +128,10 @@ def _chain_all(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float,
         return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
     for par in enumerate_parcellings(ctx.multiplicities):
-        fact = ctx.factor(par, tol_fact=tol_fact)
+        fact = ctx.factor(par)
         mp = Multipole.from_parts(fact.lam, fact.lines)
         for lam, terms in _chain_all(fact.remainder, Q, eps_cluster, tol_div,
-                                     tol_fact, budget):
+                                     budget):
             out.append((lam, {cur.degree: mp, **terms}))
             budget[0] -= 1
             if budget[0] < 0:
@@ -145,8 +142,7 @@ def _chain_all(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float,
 
 def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
                    strategy: str = "canonical",
-                   eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV,
-                   tol_fact: float = TOL_FACT
+                   eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV
                    ) -> Union[MultipoleSequence, List[MultipoleSequence]]:
     """Decompose a polynomial function on {Q = 1} into multipole terms.
 
@@ -175,8 +171,7 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
         for h in parts:
             if h is None:
                 continue
-            lam_h, terms_h = _chain_once(h, Q, strategy, eps_cluster, tol_div,
-                                         tol_fact)
+            lam_h, terms_h = _chain_once(h, Q, strategy, eps_cluster, tol_div)
             lam += lam_h
             terms.update(terms_h)
         return MultipoleSequence(lam, terms)
@@ -186,8 +181,7 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
         if h is None:
             chains.append([(0j, {})])
         else:
-            chains.append(_chain_all(h, Q, eps_cluster, tol_div, tol_fact,
-                                     budget))
+            chains.append(_chain_all(h, Q, eps_cluster, tol_div, budget))
     if len(chains[0]) * len(chains[1]) > ENUMERATION_CAP:
         raise EnumerationLimit("more than %d sequences" % ENUMERATION_CAP)
     out = []

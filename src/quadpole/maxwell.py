@@ -19,7 +19,7 @@ from .algebra import HomogPoly, QuadForm, poly_mul, TOL_DIV
 from .conic import EPS_CLUSTER
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
-from .sylvester import TOL_FACT, factor
+from .sylvester import factor
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def maxwell_fit(P: HomogPoly, Q: QuadForm, lines: Sequence[Sequence[complex]]
 
 
 def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
-                      eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV,
-                      tol_fact: float = TOL_FACT
+                      eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV
                       ) -> Tuple[List[np.ndarray], complex]:
     """Direction vectors and scale c with P = c * maxwell_poly(Q, vectors).
 
@@ -110,8 +109,7 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     real_input = (float(np.max(np.abs(P.coeffs.imag))) <= 1e-12 * P.norm())
     strategy = ("real_unique" if real_input and Q.is_real
                 and Q.signature in (-3, 3) else "canonical")
-    fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div,
-                  tol_fact=tol_fact)
+    fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div)
     vectors, scale, defect = maxwell_fit(P, Q, [L.coeffs for L in fact.lines])
     if defect > 1e-7 * P.norm():
         raise SolveFailure("reconstruction deviates by %.3e relative" %

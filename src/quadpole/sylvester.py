@@ -215,13 +215,6 @@ def _scaled(lam: complex, p: HomogPoly) -> HomogPoly:
     return HomogPoly(p.degree, lam * p.coeffs)
 
 
-def _plus_q_times(prod: HomogPoly, Q: QuadForm, remainder: HomogPoly) -> HomogPoly:
-    """prod + Q * remainder; a zero remainder or one of the wrong degree adds nothing."""
-    if remainder.degree == prod.degree - 2 and not remainder.is_zero():
-        return prod + poly_mul(Q.poly(), remainder)
-    return prod
-
-
 @dataclass
 class MultipoleFactorization:
     """One parcelling's factorization P = lambda * prod(lines) + Q * remainder."""
@@ -242,7 +235,10 @@ class MultipoleFactorization:
         return _scaled(self.lam, functools.reduce(poly_mul, self.lines))
 
     def reconstruct(self, Q: QuadForm) -> HomogPoly:
-        return _plus_q_times(self.product(), Q, self.remainder)
+        """lam * prod(lines) + Q * remainder; a zero remainder adds nothing."""
+        if self.remainder.is_zero():
+            return self.product()
+        return self.product() + poly_mul(Q.poly(), self.remainder)
 
     def multipole(self) -> Multipole:
         return Multipole.from_parts(self.lam, self.lines)
@@ -406,8 +402,19 @@ class _FactorContext:
             prefix.append((piece, poly_mul(prefix[-1][1], L) if prefix else L))
         return prefix[-1][1]
 
-    def factor(self, parcelling: GeneralizedParcelling,
-               tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+    def factor(self, parcelling: GeneralizedParcelling) -> MultipoleFactorization:
+        """P = lam * prod(L) + Q * R over the parcelling, certified once.
+
+        The one check is on the defect diff = P - lam * prod(L).  In a
+        well-conditioned context R is zero when ||diff|| is at most
+        min(tol_div, TOL_FACT) * ||P||, and otherwise the division of diff
+        by Q must leave a residual ||Q * R - diff|| within that same bound.
+        The bound is relative to ||P|| because ||diff|| has lost digits to
+        cancellation when lambda * prod(L) nearly equals P.  Close clusters
+        (ill_conditioned) take R = 0 at tol_div * ||P|| and otherwise allow
+        a division residual of 1e-4 * ||diff||.  A linear P has no R: it
+        must lie within TOL_FACT * ||P|| of lam * L.
+        """
         if parcelling.multiplicity_use(len(self.clusters)) != self.multiplicities:
             raise ValueError("parcelling does not match the root multiplicities")
         lines = []
@@ -419,39 +426,25 @@ class _FactorContext:
         if denom == 0:
             raise NoEvaluationPoint("evaluation point lies on a factor line")
         lam = self._p_at_q / denom
-        prod = _scaled(lam, self._line_product(parcelling.pieces, lines))
-        diff = self.P - prod
-        pnorm = self.pnorm
-        if self.P.degree >= 2:
-            if diff.norm() <= self.tol_div * pnorm:
+        diff = self.P - _scaled(lam, self._line_product(parcelling.pieces, lines))
+        if self.P.degree < 2:
+            if diff.norm() > TOL_FACT * self.pnorm:
+                raise SolveFailure("linear input is not proportional to its line")
+            remainder = HomogPoly.zero(0)
+        else:
+            tol = self.tol_div if self.ill_conditioned else min(self.tol_div, TOL_FACT)
+            if diff.norm() <= tol * self.pnorm:
                 remainder = HomogPoly.zero(self.P.degree - 2)
             else:
-                # the gate below measures against ||P||, and so does the
-                # division: ||diff|| has lost digits to cancellation when
-                # lambda * prod(L) nearly equals P.  Close clusters get the
-                # loose test relative to ||diff|| and no gate.
-                tol, ref = (1e-4, None) if self.ill_conditioned \
-                    else (self.tol_div, pnorm)
+                tol, ref = (1e-4, None) if self.ill_conditioned else (tol, self.pnorm)
                 try:
                     remainder = divide_by_quadric(diff, self.Q, tol_div=tol,
                                                   ref_norm=ref)
                 except NotDivisible as exc:
                     raise SolveFailure("factorization defect is not a multiple of Q: %s"
                                        % exc) from None
-        else:
-            remainder = HomogPoly.zero(0)
-            if diff.norm() > tol_fact * pnorm:
-                raise SolveFailure("linear input is not proportional to its line")
-        fact = MultipoleFactorization(lam, lines, remainder, parcelling,
+        return MultipoleFactorization(lam, lines, remainder, parcelling,
                                       ill_conditioned=self.ill_conditioned)
-        if not self.ill_conditioned:
-            # fact.reconstruct(Q), from the product already built: product()
-            # makes the same poly_mul calls in the same order
-            res = (_plus_q_times(prod, self.Q, remainder) - self.P).norm()
-            if res > tol_fact * pnorm:
-                raise SolveFailure("factorization residual %.3e exceeds %.3e"
-                                   % (res, tol_fact * pnorm))
-        return fact
 
     def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
         """The parcelling a strategy picks.
@@ -469,12 +462,11 @@ class _FactorContext:
                 pieces.extend([(i, j)] * self.clusters[i].multiplicity)
         return GeneralizedParcelling(tuple(sorted(pieces)))
 
-    def factor_with(self, strategy: str,
-                    tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+    def factor_with(self, strategy: str) -> MultipoleFactorization:
         """P factored over the strategy's parcelling; real_unique's is made real."""
-        fact = self.factor(self.parcelling_for(strategy), tol_fact=tol_fact)
+        fact = self.factor(self.parcelling_for(strategy))
         if strategy == "real_unique":
-            fact = _realified(fact, self.P, self.Q, tol_fact)
+            fact = _realified(fact, self.P, self.Q)
         return fact
 
     def attempt_key(self, strategy: str) -> tuple:
@@ -483,8 +475,8 @@ class _FactorContext:
         That is the clusters, the parcelling, the evaluation point and
         ill_conditioned, in the order factor_with reads them; a failure
         stands for itself by its type and message, and ends the key, as it
-        ends the attempt.  Two contexts of one P with equal keys and equal
-        tol_fact return equal factorizations or raise the same error.
+        ends the attempt.  Two contexts of one P with equal keys return equal
+        factorizations or raise the same error.
         """
         key: list = [tuple((c.point.key(), c.multiplicity) for c in self.clusters)]
         try:
@@ -496,10 +488,9 @@ class _FactorContext:
             key.append(self.ill_conditioned)
         return tuple(key)
 
-    def factor_all(self, tol_fact: float = TOL_FACT) -> List[MultipoleFactorization]:
+    def factor_all(self) -> List[MultipoleFactorization]:
         """Factorizations for every parcelling, in enumeration order."""
-        return [self.factor(par, tol_fact=tol_fact)
-                for par in enumerate_parcellings(self.multiplicities)]
+        return [self.factor(par) for par in enumerate_parcellings(self.multiplicities)]
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -535,8 +526,8 @@ def _check_real_input(P: HomogPoly, tol: float = 1e-12) -> None:
         raise NotReal("polynomial has non-real coefficients")
 
 
-def _realified(fact: MultipoleFactorization, P: HomogPoly, Q: QuadForm,
-               tol_fact: float) -> MultipoleFactorization:
+def _realified(fact: MultipoleFactorization, P: HomogPoly,
+               Q: QuadForm) -> MultipoleFactorization:
     """Drop imaginary round-off from a factorization that must be real."""
     scale = max(abs(fact.lam), 1.0)
     drift = [abs(fact.lam.imag) / scale]
@@ -555,38 +546,35 @@ def _realified(fact: MultipoleFactorization, P: HomogPoly, Q: QuadForm,
     )
     if not fact.ill_conditioned:
         res = (real_fact.reconstruct(Q) - P).norm()
-        if res > tol_fact * P.norm():
+        if res > TOL_FACT * P.norm():
             raise SolveFailure("real factorization residual %.3e too large" % res)
     return real_fact
 
 
 def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelling,
-                      eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV,
-                      tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+                      eps_cluster: float = EPS_CLUSTER,
+                      tol_div: float = TOL_DIV) -> MultipoleFactorization:
     """Factor P as lambda * prod(lines) + Q * R for one chosen parcelling."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return ctx.factor(parcelling, tol_fact=tol_fact)
+    return ctx.factor(parcelling)
 
 
 def all_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                       tol_div: float = TOL_DIV,
-                       tol_fact: float = TOL_FACT) -> List[MultipoleFactorization]:
+                       tol_div: float = TOL_DIV) -> List[MultipoleFactorization]:
     """Factorizations for every parcelling, in enumeration order."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return ctx.factor_all(tol_fact=tol_fact)
+    return ctx.factor_all()
 
 
 def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                tol_div: float = TOL_DIV,
-                tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+                tol_div: float = TOL_DIV) -> MultipoleFactorization:
     """The unique real factorization of real P over a definite real Q.
 
     The conic of a definite form has no real points, so conjugation acts
     freely on the intersection divisor and pairing every cluster with its
     conjugate is the only conjugation-stable parcelling.
     """
-    return factor(P, Q, "real_unique", eps_cluster=eps_cluster, tol_div=tol_div,
-                  tol_fact=tol_fact)
+    return factor(P, Q, "real_unique", eps_cluster=eps_cluster, tol_div=tol_div)
 
 
 def _strategy_context(P: HomogPoly, Q: QuadForm, strategy: str,
@@ -602,8 +590,8 @@ def _strategy_context(P: HomogPoly, Q: QuadForm, strategy: str,
 
 
 def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
-           eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV,
-           tol_fact: float = TOL_FACT) -> MultipoleFactorization:
+           eps_cluster: float = EPS_CLUSTER,
+           tol_div: float = TOL_DIV) -> MultipoleFactorization:
     """One factorization of P on the cone of Q, chosen by strategy.
 
     canonical takes canonical_parcelling of the root clusters; real_unique
@@ -612,12 +600,11 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
     """
     ctx = _strategy_context(P, Q, strategy, eps_cluster=eps_cluster,
                             tol_div=tol_div)
-    return ctx.factor_with(strategy, tol_fact=tol_fact)
+    return ctx.factor_with(strategy)
 
 
 def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                        tol_div: float = TOL_DIV,
-                        tol_fact: float = TOL_FACT) -> List[MultipoleFactorization]:
+                        tol_div: float = TOL_DIV) -> List[MultipoleFactorization]:
     """All factorizations with real lines: one per conjugation-stable parcelling.
 
     Conjugate cluster pairs are forced together; only the clusters at real
@@ -634,8 +621,7 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
         stable = all(tuple(sorted((sigma[i], sigma[j]))) == (i, j)
                      for i, j in par.pieces)
         if stable:
-            fact = ctx.factor(par, tol_fact=tol_fact)
-            out.append(_realified(fact, P, Q, tol_fact))
+            out.append(_realified(ctx.factor(par), P, Q))
     return out
 
 

@@ -228,7 +228,7 @@ class TestMultipoleSeries:
 
 
 def _reference_series(decomp, Q, tol_zero=1e-12, eps_cluster=1e-6,
-                      tol_div=1e-9, tol_fact=1e-8):
+                      tol_div=1e-9):
     """Reference for multipole_series: the public factor afresh at each
     scale of the schedule, and no scale skipped."""
     from quadpole import Multipole, factor
@@ -256,8 +256,7 @@ def _reference_series(decomp, Q, tol_zero=1e-12, eps_cluster=1e-6,
         while eps <= 0.2:
             try:
                 cand = factor(fk, Q, strategy, eps_cluster=eps,
-                              tol_div=band_tol_div,
-                              tol_fact=tol_fact).multipole()
+                              tol_div=band_tol_div).multipole()
                 _, cc, defect = maxwell_fit(fk, Q, cand.lines)
                 if defect < best:
                     w, c, best = cand, cc, defect

@@ -262,7 +262,13 @@ class TestExitCodes:
         for argv in (["harmonic", files["xsq"], "--tol-div", "1e-9"],
                      ["counts", "--d", "3", "--eps-cluster", "1e-6"],
                      ["planar-fiber", files["div2"], "--center", "[0,0,2]",
-                      "--tol-fact", "1e-6"]):
+                      "--tol-fact", "1e-6"],
+                     ["decompose", files["xy"], "--tol-fact", "1e-6"],
+                     ["fibers", files["xy"], "--tol-fact", "1e-6"],
+                     ["approx", "--function", "exp_x", "--d-max", "2",
+                      "--tol-fact", "1e-6"],
+                     ["maxwell", "--invert", files["xsq"], "--tol-fact",
+                      "1e-6"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv

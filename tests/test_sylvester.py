@@ -31,7 +31,7 @@ from quadpole import (
     real_factorizations,
 )
 from quadpole import sylvester
-from quadpole.algebra import grade_dim, monomial_index
+from quadpole.algebra import TOL_DIV, grade_dim, monomial_index
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
                              SolveFailure)
 from quadpole.sylvester import _FactorContext
@@ -425,6 +425,29 @@ class TestEnumerationEngine:
         assert len(facts) == 105
         assert len(calls) == len(set(calls)) == len(pieces) == 28
 
+    def test_one_product_by_q_per_parcelling(self, sphere, monkeypatch):
+        # a generic quartic's 105 parcellings: their line products, shared
+        # over common prefixes, are sylvester's only 245 poly_mul calls, and
+        # Q * R is built once per division (1 + 105), inside the division
+        from quadpole import algebra
+        counts = {"sylvester": 0, "by_q": 0}
+
+        def counted(module, key):
+            original = module.poly_mul
+
+            def wrapper(a, b):
+                if key == "sylvester" or np.array_equal(a.coeffs, sphere.poly().coeffs):
+                    counts[key] += 1
+                return original(a, b)
+
+            monkeypatch.setattr(module, "poly_mul", wrapper)
+
+        counted(sylvester, "sylvester")
+        counted(algebra, "by_q")
+        P = random_homog(4, np.random.default_rng(46))
+        assert len(all_factorizations(P, sphere)) == 105
+        assert counts == {"sylvester": 245, "by_q": 106}
+
     def test_counts_unchanged(self, hyperboloid, sphere):
         # real_factorizations: 2d real conic points leave every parcelling
         # conjugation-stable, (2d - 1)!! of them
@@ -480,9 +503,15 @@ class TestDivisionScale:
         assert len(facts) == count_parcellings(4) == 105
         assert calls == [4] * 106
 
-    @pytest.mark.parametrize("size", [1e-5, 1e-7])
+    @pytest.mark.parametrize("size, tol_div", [
+        pytest.param(1e-5, TOL_DIV, id="1e-05"),
+        pytest.param(1e-7, TOL_DIV, id="1e-07"),
+        # a division tolerance above TOL_FACT, as multipole_series passes
+        # for small bands, does not loosen the factorization's check
+        pytest.param(1e-7, 1e-6, id="1e-07-tol_div-1e-06"),
+    ])
     def test_perturbed_line_refused(self, sphere, hyperboloid, dense_complex,
-                                    monkeypatch, size):
+                                    monkeypatch, size, tol_div):
         rng = np.random.default_rng(45)
         original = sylvester.line_through
         first = []
@@ -504,7 +533,7 @@ class TestDivisionScale:
                 for k in rng.choice(len(pars), size=4, replace=False):
                     first.clear()
                     with pytest.raises(SolveFailure):
-                        factor_on_quadric(p, Q, pars[k])
+                        factor_on_quadric(p, Q, pars[k], tol_div=tol_div)
 
 
 class TestRealFactorizations:
