@@ -30,7 +30,7 @@ from quadpole import (
     real_factor,
     real_factorizations,
 )
-from quadpole import sylvester
+from quadpole import algebra, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim, monomial_index
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
                              SolveFailure)
@@ -428,25 +428,24 @@ class TestEnumerationEngine:
     def test_one_product_by_q_per_parcelling(self, sphere, monkeypatch):
         # a generic quartic's 105 parcellings: their line products, shared
         # over common prefixes, are sylvester's only 245 poly_mul calls, and
-        # Q * R is built once per division (1 + 105), inside the division
-        from quadpole import algebra
-        counts = {"sylvester": 0, "by_q": 0}
+        # algebra's are the Q * R of each division (1 + 105)
+        counts = {}
 
-        def counted(module, key):
+        def counted(module):
             original = module.poly_mul
+            counts[module.__name__] = 0
 
             def wrapper(a, b):
-                if key == "sylvester" or np.array_equal(a.coeffs, sphere.poly().coeffs):
-                    counts[key] += 1
+                counts[module.__name__] += 1
                 return original(a, b)
 
             monkeypatch.setattr(module, "poly_mul", wrapper)
 
-        counted(sylvester, "sylvester")
-        counted(algebra, "by_q")
+        counted(sylvester)
+        counted(algebra)
         P = random_homog(4, np.random.default_rng(46))
         assert len(all_factorizations(P, sphere)) == 105
-        assert counts == {"sylvester": 245, "by_q": 106}
+        assert counts == {"quadpole.sylvester": 245, "quadpole.algebra": 106}
 
     def test_counts_unchanged(self, hyperboloid, sphere):
         # real_factorizations: 2d real conic points leave every parcelling
@@ -470,8 +469,8 @@ class TestEnumerationEngine:
 
 
 class TestDivisionScale:
-    """The remainder division inside factor is measured against ||P||, the
-    reference of the reconstruction gate, not against the cancelled ||diff||."""
+    """The remainder division inside factor is measured against ||P||, not
+    against the cancelled ||diff||."""
 
     def test_exact_double_points(self, sphere, hyperboloid):
         want = len(parcelling_oracle([2, 2, 2, 2, 2]))
@@ -502,6 +501,19 @@ class TestDivisionScale:
         facts = all_factorizations(P, sphere)
         assert len(facts) == count_parcellings(4) == 105
         assert calls == [4] * 106
+
+    def test_small_multiple_of_q_divided(self, sphere):
+        # P = lam * prod(L) + Q * R with ||Q * R|| = 1e-7 ||P||: under
+        # tol_div = 1e-6 that defect is still divided, not taken for R = 0
+        # and then refused at TOL_FACT
+        rng = np.random.default_rng(47)
+        base = all_factorizations(random_homog(4, rng), sphere)[0].product()
+        QS = poly_mul(sphere.poly(), random_homog(2, rng))
+        P = base + HomogPoly(4, 1e-7 * base.norm() / QS.norm() * QS.coeffs)
+        facts = all_factorizations(P, sphere, tol_div=1e-6)
+        assert len(facts) == 105
+        for f in facts:
+            assert (f.reconstruct(sphere) - P).norm() <= 1e-8 * P.norm()
 
     @pytest.mark.parametrize("size, tol_div", [
         pytest.param(1e-5, TOL_DIV, id="1e-05"),
