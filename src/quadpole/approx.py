@@ -13,6 +13,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -22,8 +23,13 @@ from .algebra import (
     QuadForm,
     QuadratureRule,
     TOL_DIV,
+    _monomial_values,
+    _mul_matrix,
     form_operator,
     grade_dim,
+    monomial_index,
+    monomials,
+    quad_reduce,
 )
 from .conic import EPS_CLUSTER
 from .errors import (
@@ -43,6 +49,39 @@ def _surface_nodes(Q: QuadForm, rule: QuadratureRule) -> np.ndarray:
     return rule.sphere_points() @ Q.a_inv
 
 
+_SPHERE = QuadForm.sphere()
+
+
+@lru_cache(maxsize=None)
+def _sphere_rule(exact_degree: int) -> QuadratureRule:
+    return QuadratureRule(exact_degree)
+
+
+@form_operator
+def _pullback_matrix(Q: QuadForm, k: int) -> np.ndarray:
+    """T_k, the grade-k pullback p(v) -> p(vA) through A = quad_reduce(Q).
+
+    Monomial values obey M_k(vA) = M_k(v) @ T_k, so column m of T_k holds the
+    coefficients of (vA)^m.  With i the first axis m uses, (vA)^m is the
+    linear form (vA)_i times (vA)^(m - e_i), a column of T_(k-1): one product
+    per axis builds the grade from the one below.
+    """
+    if k == 0:
+        return np.ones((1, 1), dtype=complex)
+    A = quad_reduce(Q)
+    low = _pullback_matrix(Q, k - 1)
+    index = monomial_index(k - 1)
+    out = np.empty((grade_dim(k), grade_dim(k)), dtype=complex)
+    for i in range(3):
+        cols, prev = [], []
+        for j, m in enumerate(monomials(k)):
+            if m[i] and not any(m[:i]):
+                cols.append(j)
+                prev.append(index[m[:i] + (m[i] - 1,) + m[i + 1:]])
+        out[:, cols] = _mul_matrix(HomogPoly(1, A[:, i]), k - 1) @ low[:, prev]
+    return out
+
+
 @form_operator
 def _band_basis(Q: QuadForm, k: int, exact_degree: int
                 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,12 +89,21 @@ def _band_basis(Q: QuadForm, k: int, exact_degree: int
     QuadratureRule(exact_degree).
 
     Returns (C, V): C holds coefficient columns, V the matching node-value
-    columns, orthonormal in the weighted discrete inner product.  The kernel
-    of the Laplacian matrix is orthonormalized by two QR passes on the
-    weighted value columns; each column's phase is fixed so its largest
-    coefficient entry is positive real, making the basis deterministic.
+    columns, orthonormal in the weighted discrete inner product.
+
+    The basis is built on the unit sphere only.  The kernel of the Laplacian
+    matrix is orthonormalized by two QR passes on the weighted value columns;
+    each column's phase is fixed so its largest coefficient entry is positive
+    real, making the basis deterministic.  Any other form Q = A A^T pulls it
+    back through v -> vA: a Q-harmonic is a sphere harmonic of vA, and the
+    nodes of {Q = 1} map onto the sphere's nodes, so V is the sphere's array
+    itself and C is T_k @ C_sphere (see _pullback_matrix).  The phase
+    convention then holds for the sphere's columns, not for these.
     """
-    rule = QuadratureRule(exact_degree)
+    if Q.key != _SPHERE.key:
+        coeffs, values = _band_basis(_SPHERE, k, exact_degree)
+        return np.asfortranarray(_pullback_matrix(Q, k) @ coeffs), values
+    rule = _sphere_rule(exact_degree)
     dm = delta_matrix(Q, k)
     if dm.shape[0] == 0:
         kernel = np.eye(grade_dim(k), dtype=complex)
@@ -64,11 +112,11 @@ def _band_basis(Q: QuadForm, k: int, exact_degree: int
         tol = max(dm.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
         rank = int(np.sum(s > tol))
         kernel = vh[rank:].conj().T
-    pts = _surface_nodes(Q, rule)
-    vals = np.column_stack([
-        HomogPoly(k, kernel[:, j]).eval_many(pts)
-        for j in range(kernel.shape[1])
-    ])
+    mono = _monomial_values(k, _surface_nodes(Q, rule))
+    # one product per column: a single product with the whole kernel sums
+    # in another order and moves the sphere's bands in the last bits
+    vals = np.column_stack([mono @ np.ascontiguousarray(kernel[:, j])
+                            for j in range(kernel.shape[1])])
     sw = np.sqrt(rule.weights)
     q1, r1 = np.linalg.qr(vals * sw[:, None])
     q2, r2 = np.linalg.qr(q1)

@@ -146,6 +146,72 @@ class TestL2Project:
             l2_project(f_exp, sphere, 6, QuadratureRule(11))
 
 
+def _random_complex_form(seed):
+    from quadpole import QuadForm
+    rng = np.random.default_rng(seed)
+    g, g2 = rng.standard_normal((2, 3, 3))
+    return QuadForm(np.eye(3) + 0.2 * (g + g.T) + 0.2j * (g2 + g2.T))
+
+
+class TestPulledBackBasis:
+    """Every form's band basis is the sphere's, pulled back through the A of
+    quad_reduce: the same node values, coefficients mapped by v -> vA."""
+
+    def test_pullback_matrix_matches_composition(self, dense_complex):
+        from quadpole.algebra import monomials, quad_reduce
+        from quadpole.approx import _pullback_matrix
+        from conftest import compose_linear
+        A = quad_reduce(dense_complex)
+        for k in (0, 1, 4):
+            T = _pullback_matrix(dense_complex, k)
+            for j, m in enumerate(monomials(k)):
+                mono = HomogPoly(k, np.eye(grade_dim(k))[j])
+                want = compose_linear(mono, A).coeffs
+                assert np.max(np.abs(T[:, j] - want)) < 1e-12 * max(
+                    1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("form", ["ellipsoid", "complex"])
+    def test_off_sphere_bands_match_oracle(self, form):
+        # band-limited input against the homogenize-then-split oracle, as in
+        # test_polynomial_exactness, at a degree where the bands' accuracy
+        # depends on how the basis is built
+        Q = _rotated_ellipsoid() if form == "ellipsoid" \
+            else _random_complex_form(94)
+        d = 10
+        rng = np.random.default_rng(95)
+        for _ in range(3):
+            P = random_poly(d, rng)
+            dec = l2_project(poly_eval(P), Q, d, QuadratureRule(2 * d))
+            expected = {k: HomogPoly.zero(k) for k in range(d + 1)}
+            for part in grade_split(P):
+                hom = homogenize_on_quadric(part, Q)
+                for comp in harmonic_decompose(hom, Q).components:
+                    expected[comp.degree] = expected[comp.degree] + comp
+            for k in range(d + 1):
+                assert (dec.bands[k] - expected[k]).norm() \
+                    <= 1e-8 * expected[k].norm()
+
+    def test_fresh_form_does_no_basis_work(self, sphere, monkeypatch):
+        from quadpole import QuadForm, approx
+        rule = QuadratureRule(16)
+        l2_project(f_exp, sphere, 8, rule)
+        rng = np.random.default_rng(96)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A = q * np.array([0.8, 1.2, 1.7])
+        fresh = QuadForm(A @ A.T)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("basis work on a fresh form")
+
+        monkeypatch.setattr(approx, "delta_matrix", refused)
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        monkeypatch.setattr(np.linalg, "qr", refused)
+        l2_project(f_exp, fresh, 8, rule)
+        for k in range(9):
+            assert approx._band_basis(fresh, k, 16)[1] \
+                is approx._band_basis(sphere, k, 16)[1]
+
+
 class TestMultipoleSeries:
     def test_xy_band_lines(self, sphere):
         dec = l2_project(lambda pts: pts[:, 0] * pts[:, 1], sphere, 3,
