@@ -208,6 +208,25 @@ def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
     return HomogPoly(p.degree + q.degree, out)
 
 
+def poly_mul_rows(a: np.ndarray, deg_a: int, b: np.ndarray, deg_b: int) -> np.ndarray:
+    """poly_mul row by row: row i is the product of rows i of a and b.
+
+    a and b are stacks of coefficient rows of grades deg_a and deg_b; a
+    one-row stack is paired with every row of the other.  Each row is summed
+    in poly_mul's order, so it equals poly_mul of its two polynomials bit
+    for bit.
+    """
+    prods = a[:, :, None] * b[:, None, :]
+    n = prods.shape[0]
+    dim2 = 2 * grade_dim(deg_a + deg_b)
+    bins = _mul_table_re_im(deg_a, deg_b)
+    if n > 1:
+        # row i's bins are offset by i * dim2, so one bincount serves every row
+        bins = (bins + dim2 * np.arange(n)[:, None]).ravel()
+    out = np.bincount(bins, weights=prods.view(np.float64).ravel(), minlength=n * dim2)
+    return out.view(complex).reshape(n, -1)
+
+
 class Poly:
     """General polynomial stored as one homogeneous grade per degree."""
 
@@ -478,20 +497,41 @@ def _quotient_matrix(Q: QuadForm, degree_r: int) -> np.ndarray:
 
 def divide_by_quadric(p: HomogPoly, Q: QuadForm, tol_div: float = TOL_DIV,
                       ref_norm: Optional[float] = None) -> HomogPoly:
-    """The R with p = Q * R: the least-squares quotient, by one operator cached
-    per (Q, degree).  This is the package's only division by Q.
+    """The R with p = Q * R: divide_rows_by_quadric for one polynomial.
 
     Raises NotDivisible when ||Q * R - p|| exceeds tol_div * ref_norm, where
     ref_norm defaults to ||p||.
     """
     if p.degree < 2:
         raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")
-    r = HomogPoly(p.degree - 2, _quotient_matrix(Q, p.degree - 2) @ p.coeffs)
-    residual = (poly_mul(Q.poly(), r) - p).norm()
-    ref = p.norm() if ref_norm is None else ref_norm
-    if residual > tol_div * max(ref, 1e-300):
-        raise NotDivisible("division residual %.3e exceeds tolerance" % residual)
-    return r
+    return HomogPoly(p.degree - 2, divide_rows_by_quadric(
+        p.coeffs[None, :], p.degree, Q, tol_div=tol_div, ref_norm=ref_norm)[0])
+
+
+def divide_rows_by_quadric(rows: np.ndarray, degree: int, Q: QuadForm,
+                           tol_div: float = TOL_DIV, ref_norm=None) -> np.ndarray:
+    """The rows R_i with p_i = Q * R_i, for a stack of grade-`degree` rows p_i.
+
+    This is the package's only division by Q: the least-squares quotient,
+    by one product with the operator M^+ cached per (Q, degree).  A row is
+    divisible when ||Q * R_i - p_i|| is at most tol_div * ref_i, where
+    ref_norm is one number or one per row and defaults to ||p_i||.
+    Otherwise NotDivisible is raised for the first such row; its `row` is
+    that row's index and its `quotient` the quotients of the rows before it.
+    """
+    if degree < 2:
+        raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")
+    # one row gives the bits of M^+ @ p
+    quot = rows @ _quotient_matrix(Q, degree - 2).T
+    residual = np.linalg.norm(poly_mul_rows(Q.poly().coeffs[None, :], 2, quot, degree - 2)
+                              - rows, axis=1)
+    ref = np.linalg.norm(rows, axis=1) if ref_norm is None else ref_norm
+    bad = np.flatnonzero(residual > tol_div * np.maximum(ref, 1e-300))
+    if bad.size:
+        k = int(bad[0])
+        raise NotDivisible("division residual %.3e exceeds tolerance" % residual[k],
+                           row=k, quotient=quot[:k])
+    return quot
 
 
 def homogenize_on_quadric(p: Poly, Q: QuadForm) -> HomogPoly:

@@ -34,6 +34,7 @@ from .errors import (
 from .sylvester import (
     Multipole,
     _FactorContext,
+    _check_real_input,
     enumerate_parcellings,
     factor,
 )
@@ -85,10 +86,10 @@ def _strip_q_powers(h: HomogPoly, build: Callable[[HomogPoly], Any]
 
     build runs the factor context's divisibility test, and a multiple of Q
     comes back as DivisibleByQ carrying the quotient, so each level is
-    tested once.  At a zero or constant h, build is not called and None is
-    given.
+    tested once.  At a zero, constant or linear h, build is not called and
+    None is given: a linear h is its own one-line multipole (_line_term).
     """
-    while h.degree > 0 and not h.is_zero():
+    while h.degree > 1 and not h.is_zero():
         try:
             return h, build(h)
         except DivisibleByQ as exc:
@@ -105,6 +106,17 @@ def _parity_input(P: Poly, Q: QuadForm, parity: int) -> Optional[HomogPoly]:
     return homogenize_on_quadric(part, Q)
 
 
+def _line_term(h: HomogPoly) -> Optional[Multipole]:
+    """A nonzero linear level as its own one-line multipole, else None.
+
+    A line meets the conic in two points and is their secant, so the level
+    needs no factor context: scale * line = h holds exactly.
+    """
+    if h.degree != 1 or h.is_zero():
+        return None
+    return Multipole.from_parts(1.0, [h])
+
+
 def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
                 tol_div: float) -> Tuple[complex, Dict[int, Multipole]]:
     terms: Dict[int, Multipole] = {}
@@ -113,6 +125,11 @@ def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
         cur, fact = _strip_q_powers(cur, lambda p: factor(
             p, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div))
         if fact is None:
+            line = _line_term(cur)
+            if line is not None:
+                if strategy == "real_unique":
+                    _check_real_input(cur)
+                terms[1] = line
             lam = complex(cur.coeffs[0]) if cur.degree == 0 else 0j
             return lam, terms
         terms[cur.degree] = Multipole.from_parts(fact.lam, fact.lines)
@@ -124,19 +141,26 @@ def _chain_all(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float,
                ) -> List[Tuple[complex, Dict[int, Multipole]]]:
     cur, ctx = _strip_q_powers(h, lambda p: _FactorContext(
         p, Q, eps_cluster=eps_cluster, tol_div=tol_div))
-    if ctx is None:
-        return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
+    if ctx is not None:
+        # the rows before the first failing parcelling are expanded before
+        # its error is raised, as when each row is factored in turn
+        facts, err = ctx._factor_rows(enumerate_parcellings(ctx.multiplicities))
+        rows = [(Multipole.from_parts(f.lam, f.lines), f.remainder) for f in facts]
+    else:
+        line = _line_term(cur)
+        if line is None:
+            return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
+        rows, err = [(line, HomogPoly.zero(0))], None
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
-    for par in enumerate_parcellings(ctx.multiplicities):
-        fact = ctx.factor(par)
-        mp = Multipole.from_parts(fact.lam, fact.lines)
-        for lam, terms in _chain_all(fact.remainder, Q, eps_cluster, tol_div,
-                                     budget):
-            out.append((lam, {cur.degree: mp, **terms}))
+    for mp, remainder in rows:
+        for lam, terms in _chain_all(remainder, Q, eps_cluster, tol_div, budget):
+            out.append((lam, {mp.degree: mp, **terms}))
             budget[0] -= 1
             if budget[0] < 0:
                 raise EnumerationLimit("more than %d sequences" %
                                        ENUMERATION_CAP)
+    if err is not None:
+        raise err
     return out
 
 

@@ -24,9 +24,13 @@ from .algebra import (
     HomogPoly,
     QuadForm,
     divide_by_quadric,
+    divide_rows_by_quadric,
     double_factorial,
+    grade_dim,
     poly_mul,
+    poly_mul_rows,
     TOL_DIV,
+    _monomial_values,
 )
 from .conic import (
     BinaryForm,
@@ -54,6 +58,7 @@ from .errors import (
     NotDivisible,
     NotReal,
     OddTotal,
+    QuadpoleError,
     SolveFailure,
 )
 
@@ -93,13 +98,21 @@ def enumerate_parcellings(multiplicities: Sequence[int]) -> List[GeneralizedParc
 
     Pieces are generated as a nondecreasing sequence of index pairs, so every
     multiset appears exactly once.  Raises OddTotal when the multiplicities
-    sum to an odd number.
+    sum to an odd number.  The parcellings of the last 128 multiplicity
+    vectors are kept and shared (they are frozen); the list is new at every
+    call.
     """
-    mults = [int(m) for m in multiplicities]
+    mults = tuple(int(m) for m in multiplicities)
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
     if sum(mults) % 2:
         raise OddTotal("multiplicities sum to %d" % sum(mults))
+    return list(_parcellings(mults))
+
+
+@functools.lru_cache(maxsize=128)
+def _parcellings(multiplicities: Tuple[int, ...]) -> Tuple[GeneralizedParcelling, ...]:
+    mults = list(multiplicities)
     out: List[GeneralizedParcelling] = []
     pieces: List[Tuple[int, int]] = []
 
@@ -126,7 +139,7 @@ def enumerate_parcellings(multiplicities: Sequence[int]) -> List[GeneralizedParc
             mults[piece[1]] += 1
 
     rec((-1, -1))
-    return out
+    return tuple(out)
 
 
 def canonical_parcelling(multiplicities: Sequence[int]) -> GeneralizedParcelling:
@@ -154,14 +167,15 @@ def canonical_parcelling(multiplicities: Sequence[int]) -> GeneralizedParcelling
     return GeneralizedParcelling(tuple(sorted(pieces)))
 
 
-def _line_key(coeffs) -> Tuple[float, ...]:
-    """Sort key of a normalized line: its coefficients rounded, then exact.
+def _line_key(parts: List[float]) -> Tuple[float, ...]:
+    """Sort key of a normalized line, given as its real and imaginary parts
+    in turn: the parts rounded, then exact.
 
     Conjugate lines of a real input have equal real parts in exact
     arithmetic; compared exactly, round-off would decide their order.
+    Python's round, not np.round, which can break ties the other way.
     """
-    parts = [float(v) for c in coeffs for v in (c.real, c.imag)]
-    return tuple(round(v, 9) for v in parts) + tuple(parts)
+    return tuple([round(v, 9) for v in parts] + parts)
 
 
 @dataclass(frozen=True)
@@ -179,15 +193,19 @@ class Multipole:
     @classmethod
     def from_parts(cls, lam: complex, line_polys: Sequence[HomogPoly]) -> "Multipole":
         scale = complex(lam)
-        vecs = []
-        for L in line_polys:
-            w = np.asarray(L.coeffs, dtype=complex)
-            j = int(np.argmax(np.abs(w)))
-            scale *= w[j]
-            v = w / w[j]
-            v[j] = 1.0
-            vecs.append(tuple(complex(x) for x in v))
-        vecs.sort(key=_line_key)
+        if not line_polys:
+            return cls(scale, ())
+        w = np.array([L.coeffs for L in line_polys], dtype=complex)
+        at = (np.arange(len(w)), np.argmax(np.abs(w), axis=1))
+        pivots = w[at]
+        for p in pivots:
+            scale *= p
+        v = w / pivots[:, None]
+        v[at] = 1.0
+        vecs = list(map(tuple, v.tolist()))
+        if len(vecs) > 1:
+            parts = v.view(np.float64).tolist()
+            vecs = [vecs[i] for i in sorted(range(len(vecs)), key=lambda i: _line_key(parts[i]))]
         return cls(scale, tuple(vecs))
 
     @property
@@ -263,6 +281,14 @@ def _pairwise_chordal(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarr
     return np.sqrt(num) / (np.linalg.norm(a, axis=1)[:, None] * np.linalg.norm(b, axis=1))
 
 
+def _line_products(lines: np.ndarray) -> np.ndarray:
+    """prod(L) for each row of an (n, d, 3) stack of lines, left to right."""
+    prod = lines[:, 0]
+    for k in range(1, lines.shape[1]):
+        prod = poly_mul_rows(prod, k, lines[:, k], 1)
+    return prod
+
+
 def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float) -> None:
     """Raise DivisibleByQ, carrying the quotient P / Q, when P is a multiple of Q."""
     if P.degree < 2:
@@ -279,15 +305,15 @@ class _FactorContext:
 
     The divisibility test, the restriction and the roots are computed once.
     The point q where lambda is fixed, P(q), and each cluster pair's line
-    with its value at q are computed at first use and kept.  So are the
-    line products of the last parcelling: a parcelling that shares its first
-    pieces with the previous one (siblings in enumeration order do)
-    multiplies only the lines after them.  That state is checked piece by
-    piece, so results do not depend on the order of the calls.
+    with its value at q are computed at first use and kept.  factor_many
+    takes a list of parcellings as one stack of rows: the line products,
+    lambdas, defects and their norms for all rows at once, and one division
+    of the stack by Q.  Each row is computed as factor computes it alone, so
+    results do not depend on which parcellings share a call.
 
-    Every division by Q, the divisibility test and each parcelling's defect,
-    goes through divide_by_quadric, which applies one operator cached per
-    (Q, degree); the context holds no operator of its own.
+    Every division by Q, the divisibility test and the parcellings'
+    defects, goes through divide_rows_by_quadric, which applies one operator
+    cached per (Q, degree); the context holds no operator of its own.
 
     at_scale gives the same P clustered at another eps_cluster, sharing all
     of the above that the scale does not change.
@@ -333,16 +359,14 @@ class _FactorContext:
         self._p_at_q = 0j
         # piece -> (its normalized line, the line's value at q)
         self._lines: Dict[Tuple[int, int], Tuple[HomogPoly, complex]] = {}
-        # (piece, product of the lines up to and including it), last parcelling
-        self._prefix: List[Tuple[Tuple[int, int], HomogPoly]] = []
 
     def at_scale(self, eps_cluster: float) -> "_FactorContext":
         """This P with its roots merged at eps_cluster instead.
 
         Shares P, its norm, the divisibility test, the restriction and the
         raw roots; when the roots merge into the same groups as here, also
-        the clusters and their conic points.  The evaluation point, the
-        lines and the products start afresh.
+        the clusters and their conic points.  The evaluation point and the
+        lines start afresh.
         """
         if self._raw is None:
             self._raw = _raw_roots(self.b)
@@ -377,33 +401,25 @@ class _FactorContext:
             raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
         return self._eval_u
 
-    def _line(self, piece: Tuple[int, int]) -> Tuple[HomogPoly, complex]:
-        """The piece's line, scaled so its max-modulus coefficient is 1, and its value at q."""
-        hit = self._lines.get(piece)
-        if hit is None:
-            if self._q is None:
-                self._q = self.param.point(self.evaluation_point()).coords
-                self._p_at_q = self.P(self._q)
-            i, j = piece
-            w = line_through(self.points[i], self.points[j], self.Q).coeffs
-            L = HomogPoly(1, w / w[int(np.argmax(np.abs(w)))])
-            hit = self._lines[piece] = (L, L(self._q))
-        return hit
-
-    def _line_product(self, pieces: Sequence[Tuple[int, int]],
-                      lines: Sequence[HomogPoly]) -> HomogPoly:
-        """prod(lines), reusing the last parcelling's products over the common prefix."""
-        prefix = self._prefix
-        k = 0
-        while k < min(len(prefix), len(pieces)) and prefix[k][0] == pieces[k]:
-            k += 1
-        del prefix[k:]
-        for piece, L in zip(pieces[k:], lines[k:]):
-            prefix.append((piece, poly_mul(prefix[-1][1], L) if prefix else L))
-        return prefix[-1][1]
+    def _add_line(self, piece: Tuple[int, int]) -> None:
+        """Keep the piece's line, scaled so its max-modulus coefficient is 1, and its value at q."""
+        if self._q is None:
+            q = self.param.point(self.evaluation_point()).coords
+            self._p_at_q = self.P(q)
+            # the degree-1 monomials at q, as HomogPoly.__call__ takes them
+            self._q = _monomial_values(1, np.asarray(q, dtype=complex).reshape(1, 3))
+        i, j = piece
+        w = line_through(self.points[i], self.points[j], self.Q).coeffs
+        L = HomogPoly(1, w / w[int(np.argmax(np.abs(w)))])
+        self._lines[piece] = (L, complex((self._q @ L.coeffs)[0]))
 
     def factor(self, parcelling: GeneralizedParcelling) -> MultipoleFactorization:
-        """P = lam * prod(L) + Q * R over the parcelling, certified once.
+        """P = lam * prod(L) + Q * R over one parcelling: factor_many of it alone."""
+        return self.factor_many([parcelling])[0]
+
+    def factor_many(self, parcellings: Sequence[GeneralizedParcelling]
+                    ) -> List[MultipoleFactorization]:
+        """P = lam * prod(L) + Q * R over each parcelling, each certified once.
 
         The one check is on the defect diff = P - lam * prod(L).  In a
         well-conditioned context R is zero when ||diff|| is at most
@@ -414,37 +430,76 @@ class _FactorContext:
         (ill_conditioned) take R = 0 at tol_div * ||P|| and otherwise allow
         a division residual of 1e-4 * ||diff||.  A linear P has no R: it
         must lie within TOL_FACT * ||P|| of lam * L.
+
+        The error raised is that of the first parcelling that fails, as if
+        each were factored in turn.
         """
-        if parcelling.multiplicity_use(len(self.clusters)) != self.multiplicities:
-            raise ValueError("parcelling does not match the root multiplicities")
-        lines = []
-        denom = 1.0 + 0.0j
-        for piece in parcelling.pieces:
-            L, value = self._line(piece)
-            lines.append(L)
-            denom *= value
-        if denom == 0:
-            raise NoEvaluationPoint("evaluation point lies on a factor line")
-        lam = self._p_at_q / denom
-        diff = self.P - _scaled(lam, self._line_product(parcelling.pieces, lines))
+        facts, err = self._factor_rows(parcellings)
+        if err is not None:
+            raise err
+        return facts
+
+    def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
+                     ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
+        """factor_many's rows before the first failing one, and that row's error.
+
+        Each check runs on the rows before the first failure found so far,
+        in factor's order of checks, so the error kept is the one the first
+        failing parcelling raises alone; it is None when every row passes.
+        """
+        n, err = len(parcellings), None
+        nc = len(self.clusters)
+        for k, par in enumerate(parcellings):
+            if par.multiplicity_use(nc) != self.multiplicities:
+                n, err = k, ValueError("parcelling does not match the root multiplicities")
+                break
+        for k in range(n):
+            try:
+                for piece in parcellings[k].pieces:
+                    if piece not in self._lines:
+                        self._add_line(piece)
+            except QuadpoleError as exc:
+                n, err = k, exc
+                break
+        col = {piece: c for c, piece in enumerate(self._lines)}
+        table = list(self._lines.values())
+        cols = [[col[piece] for piece in par.pieces] for par in parcellings[:n]]
+        # lambda as a Python complex, the denominator multiplied in piece order
+        lams = []
+        for k, row in enumerate(cols):
+            denom = math.prod((table[c][1] for c in row), start=1.0 + 0.0j)
+            if denom == 0:
+                n, err = k, NoEvaluationPoint("evaluation point lies on a factor line")
+                break
+            lams.append(self._p_at_q / denom)
+        if n == 0:
+            return [], err
+        lines = np.array([L.coeffs for L, _ in table])[np.array(cols[:n], dtype=np.intp)]
+        diff = self.P.coeffs - np.array(lams)[:, None] * _line_products(lines)
+        norms = np.linalg.norm(diff, axis=1)
+        deg_r = max(self.P.degree - 2, 0)
+        rem = np.zeros((n, grade_dim(deg_r)), dtype=complex)
         if self.P.degree < 2:
-            if diff.norm() > TOL_FACT * self.pnorm:
-                raise SolveFailure("linear input is not proportional to its line")
-            remainder = HomogPoly.zero(0)
+            bad = np.flatnonzero(norms > TOL_FACT * self.pnorm)
+            if bad.size:
+                n, err = int(bad[0]), SolveFailure(
+                    "linear input is not proportional to its line")
         else:
             tol = self.tol_div if self.ill_conditioned else min(self.tol_div, TOL_FACT)
-            if diff.norm() <= tol * self.pnorm:
-                remainder = HomogPoly.zero(self.P.degree - 2)
-            else:
+            big = np.flatnonzero(norms > tol * self.pnorm)
+            if big.size:
                 tol, ref = (1e-4, None) if self.ill_conditioned else (tol, self.pnorm)
                 try:
-                    remainder = divide_by_quadric(diff, self.Q, tol_div=tol,
-                                                  ref_norm=ref)
+                    rem[big] = divide_rows_by_quadric(diff[big], self.P.degree, self.Q,
+                                                      tol_div=tol, ref_norm=ref)
                 except NotDivisible as exc:
-                    raise SolveFailure("factorization defect is not a multiple of Q: %s"
-                                       % exc) from None
-        return MultipoleFactorization(lam, lines, remainder, parcelling,
-                                      ill_conditioned=self.ill_conditioned)
+                    rem[big[:exc.row]] = exc.quotient
+                    n, err = int(big[exc.row]), SolveFailure(
+                        "factorization defect is not a multiple of Q: %s" % exc)
+        return [MultipoleFactorization(lams[k], [table[c][0] for c in cols[k]],
+                                       HomogPoly(deg_r, rem[k]), parcellings[k],
+                                       ill_conditioned=self.ill_conditioned)
+                for k in range(n)], err
 
     def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
         """The parcelling a strategy picks.
@@ -466,7 +521,10 @@ class _FactorContext:
         """P factored over the strategy's parcelling; real_unique's is made real."""
         fact = self.factor(self.parcelling_for(strategy))
         if strategy == "real_unique":
-            fact = _realified(fact, self.P, self.Q)
+            real, err = _realified([fact], self.P, self.Q)
+            if err is not None:
+                raise err
+            fact = real[0]
         return fact
 
     def attempt_key(self, strategy: str) -> tuple:
@@ -490,7 +548,7 @@ class _FactorContext:
 
     def factor_all(self) -> List[MultipoleFactorization]:
         """Factorizations for every parcelling, in enumeration order."""
-        return [self.factor(par) for par in enumerate_parcellings(self.multiplicities)]
+        return self.factor_many(enumerate_parcellings(self.multiplicities))
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -526,29 +584,46 @@ def _check_real_input(P: HomogPoly, tol: float = 1e-12) -> None:
         raise NotReal("polynomial has non-real coefficients")
 
 
-def _realified(fact: MultipoleFactorization, P: HomogPoly,
-               Q: QuadForm) -> MultipoleFactorization:
-    """Drop imaginary round-off from a factorization that must be real."""
-    scale = max(abs(fact.lam), 1.0)
-    drift = [abs(fact.lam.imag) / scale]
-    drift.extend(float(np.max(np.abs(L.coeffs.imag), initial=0.0)) for L in fact.lines)
-    drift.append(float(np.max(np.abs(fact.remainder.coeffs.imag), initial=0.0))
-                 / max(fact.remainder.norm(), 1.0))
-    if max(drift) > 1e-6:
-        raise ConjugationPairingFailure(
-            "factorization expected to be real has imaginary drift %.3e" % max(drift))
-    real_fact = MultipoleFactorization(
-        complex(fact.lam.real),
-        [HomogPoly(1, L.coeffs.real.astype(complex)) for L in fact.lines],
-        HomogPoly(fact.remainder.degree, fact.remainder.coeffs.real.astype(complex)),
-        fact.parcelling,
-        ill_conditioned=fact.ill_conditioned,
-    )
-    if not fact.ill_conditioned:
-        res = (real_fact.reconstruct(Q) - P).norm()
-        if res > TOL_FACT * P.norm():
-            raise SolveFailure("real factorization residual %.3e too large" % res)
-    return real_fact
+def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadForm
+               ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
+    """Drop imaginary round-off from factorizations of P that must be real.
+
+    The rows come from one context.  Each must have an imaginary drift of
+    at most 1e-6 and, unless ill-conditioned, its real parts must rebuild P
+    within TOL_FACT * ||P||.  Both gates run over all rows at once.  Gives
+    the real factorizations before the first row that fails, and that
+    row's error (None if none fails).
+    """
+    if not facts:
+        return [], None
+    lam = np.array([f.lam for f in facts])
+    lines = np.array([[L.coeffs for L in f.lines] for f in facts]).reshape(len(facts), -1, 3)
+    rem = np.array([f.remainder.coeffs for f in facts])
+    drift = np.maximum.reduce([
+        np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0),
+        np.max(np.abs(lines.imag), axis=(1, 2), initial=0.0),
+        np.max(np.abs(rem.imag), axis=1) / np.maximum(np.linalg.norm(rem, axis=1), 1.0)])
+    n, err = len(facts), None
+    bad = np.flatnonzero(drift > 1e-6)
+    if bad.size:
+        n = int(bad[0])
+        err = ConjugationPairingFailure(
+            "factorization expected to be real has imaginary drift %.3e" % drift[n])
+    lam, lines, rem = lam.real[:n], lines.real[:n].astype(complex), rem.real[:n].astype(complex)
+    if n and not facts[0].ill_conditioned:
+        recon = lam[:, None] * _line_products(lines)
+        if P.degree >= 2:
+            recon = recon + poly_mul_rows(Q.poly().coeffs[None, :], 2, rem, P.degree - 2)
+        res = np.linalg.norm(recon - P.coeffs, axis=1)
+        bad = np.flatnonzero(res > TOL_FACT * P.norm())
+        if bad.size:
+            n = int(bad[0])
+            err = SolveFailure("real factorization residual %.3e too large" % res[n])
+    return [MultipoleFactorization(complex(lam[k]), [HomogPoly(1, L) for L in lines[k]],
+                                   HomogPoly(facts[k].remainder.degree, rem[k]),
+                                   facts[k].parcelling,
+                                   ill_conditioned=facts[k].ill_conditioned)
+            for k in range(n)], err
 
 
 def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelling,
@@ -616,13 +691,14 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
         raise NotReal("quadratic form must be real")
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
     sigma = ctx.conjugation(require_free=False)
-    out = []
-    for par in enumerate_parcellings(ctx.multiplicities):
-        stable = all(tuple(sorted((sigma[i], sigma[j]))) == (i, j)
-                     for i, j in par.pieces)
-        if stable:
-            out.append(_realified(ctx.factor(par), P, Q))
-    return out
+    stable = [par for par in enumerate_parcellings(ctx.multiplicities)
+              if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
+    facts, err = ctx._factor_rows(stable)
+    real, real_err = _realified(facts, P, Q)
+    # a row that fails the real gates comes before the row factor_many refused
+    if real_err is not None or err is not None:
+        raise real_err or err
+    return real
 
 
 def intersection_clusters(P: HomogPoly, Q: QuadForm,

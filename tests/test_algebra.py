@@ -24,7 +24,8 @@ from quadpole import (
     quad_reduce,
     surface_samples,
 )
-from quadpole.algebra import grade_dim, monomial_index, monomials, mul_q_matrix
+from quadpole.algebra import (_quotient_matrix, divide_rows_by_quadric, grade_dim,
+                              monomial_index, monomials, mul_q_matrix, poly_mul_rows)
 
 from conftest import random_homog, random_poly
 
@@ -98,6 +99,21 @@ class TestPolyMul:
         bound = max(abs(complex(v)) for v in
                     sympy.Poly(got, *syms).coeffs()) if got != 0 else 0.0
         assert bound < 1e-12
+
+    def test_rows_match_poly_mul_bits(self):
+        # each row is poly_mul of its pair, bit for bit; a one-row stack
+        # pairs with every row of the other
+        rng = np.random.default_rng(6)
+        for da, db in ((0, 1), (1, 1), (3, 1), (2, 4), (5, 3)):
+            for na, nb in ((1, 1), (7, 7), (1, 7), (7, 1)):
+                a = [random_homog(da, rng) for _ in range(na)]
+                b = [random_homog(db, rng) for _ in range(nb)]
+                got = poly_mul_rows(np.array([p.coeffs for p in a]), da,
+                                    np.array([p.coeffs for p in b]), db)
+                assert got.shape == (max(na, nb), grade_dim(da + db))
+                for i, row in enumerate(got):
+                    want = poly_mul(a[i % na], b[i % nb]).coeffs
+                    assert np.array_equal(row, want)
 
 
 class TestGradeSplit:
@@ -178,6 +194,42 @@ class TestDivideByQuadric:
                 back = divide_by_quadric(qr, Q)
                 assert np.linalg.norm(back.coeffs - r.coeffs) \
                     < 1e-10 * r.norm()
+
+    def test_one_row_applies_the_cached_operator(self, sphere, dense_complex):
+        rng = np.random.default_rng(7)
+        for Q in (sphere, dense_complex):
+            for d in (2, 5, 8):
+                p = poly_mul(Q.poly(), random_homog(d - 2, rng))
+                assert np.array_equal(divide_by_quadric(p, Q).coeffs,
+                                      _quotient_matrix(Q, d - 2) @ p.coeffs)
+
+    def test_stack_matches_each_row(self, sphere, dense_complex):
+        rng = np.random.default_rng(8)
+        for Q in (sphere, dense_complex):
+            rows = [poly_mul(Q.poly(), random_homog(3, rng)) for _ in range(6)]
+            got = divide_rows_by_quadric(np.array([p.coeffs for p in rows]), 5, Q)
+            for g, p in zip(got, rows):
+                want = divide_by_quadric(p, Q).coeffs
+                assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_stack_refuses_first_failing_row(self, sphere):
+        # rows 3 and 5 are not multiples of Q; the error names row 3 and
+        # carries the quotients of rows 0-2
+        rng = np.random.default_rng(9)
+        rows = [poly_mul(sphere.poly(), random_homog(2, rng)) for _ in range(6)]
+        rows[3] = rows[3] + 1e-6 * random_homog(4, rng)
+        rows[5] = random_homog(4, rng)
+        stack = np.array([p.coeffs for p in rows])
+        with pytest.raises(NotDivisible) as info:
+            divide_rows_by_quadric(stack, 4, sphere)
+        assert info.value.row == 3
+        want = divide_rows_by_quadric(stack[:3], 4, sphere)
+        assert info.value.quotient.shape == want.shape
+        assert np.max(np.abs(info.value.quotient - want)) <= 1e-12 * np.max(np.abs(want))
+        # one reference norm for all rows: 1e4 lets row 3 pass, not row 5
+        with pytest.raises(NotDivisible) as info:
+            divide_rows_by_quadric(stack, 4, sphere, ref_norm=1e4)
+        assert info.value.row == 5
 
 
 class TestQuadReduce:

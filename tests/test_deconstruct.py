@@ -12,10 +12,19 @@ from quadpole import (
     InvalidPartition,
     Multipole,
     Poly,
+    ProjPoint1,
     QuadForm,
     StrategyMismatch,
+    all_factorizations,
+    canonical_parcelling,
+    conic_param,
+    divide_by_quadric,
+    factor,
+    factor_on_quadric,
     full_decompose,
+    intersection_clusters,
     lemma9_gap,
+    line_through,
     poly_mul,
     reconstruct,
     representation_bound,
@@ -207,6 +216,87 @@ class TestEnumerate:
         with pytest.raises(EnumerationLimit):
             full_decompose(random_poly(3, rng), sphere,
                            strategy="enumerate")
+
+
+class TestLinearLevel:
+    """A nonzero linear level is its own one-line multipole: scale * line
+    is the level's input, and it agrees with the level's cone factorization."""
+
+    @staticmethod
+    def _check(term, h, Q):
+        assert term.degree == 1
+        got = term.scale * np.asarray(term.lines[0])
+        assert np.max(np.abs(got - h.coeffs)) <= 1e-15 * np.max(np.abs(h.coeffs))
+        mults = [c.multiplicity for c in intersection_clusters(h, Q)]
+        f = factor_on_quadric(h, Q, canonical_parcelling(mults))
+        want = Multipole.from_parts(f.lam, f.lines)
+        assert abs(term.scale - want.scale) <= 1e-12 * abs(want.scale)
+        assert np.max(np.abs(np.subtract(term.lines, want.lines))) <= 1e-12
+
+    def test_linear_input(self, sphere, hyperboloid):
+        rng = np.random.default_rng(72)
+        for Q in (sphere, hyperboloid):
+            for real in (False, True):
+                h = random_homog(1, rng, real=real)
+                P = Poly.from_grades({0: random_homog(0, rng, real=real),
+                                      1: h, 2: random_homog(2, rng, real=real)})
+                self._check(full_decompose(P, Q).terms[1], h, Q)
+                for seq in full_decompose(P, Q, strategy="enumerate"):
+                    self._check(seq.terms[1], h, Q)
+                if real and Q is sphere:
+                    seq = full_decompose(P, Q, strategy="real_unique")
+                    assert seq.is_real()
+                    self._check(seq.terms[1], h, Q)
+
+    def test_linear_remainder(self, sphere, dense_complex):
+        rng = np.random.default_rng(73)
+        for Q in (sphere, dense_complex):
+            P = random_homog(3, rng)
+            self._check(full_decompose(P, Q).terms[1], factor(P, Q).remainder, Q)
+            seqs = full_decompose(P, Q, strategy="enumerate")
+            facts = all_factorizations(P, Q)
+            assert len(seqs) == len(facts) == 15
+            for seq, f in zip(seqs, facts):
+                self._check(seq.terms[1], f.remainder, Q)
+
+    def test_no_context_for_linear_levels(self, sphere, monkeypatch):
+        # Q * line strips to the line, which builds no context either
+        from quadpole import sylvester
+        degrees = []
+        original = sylvester._FactorContext.__init__
+
+        def counted(self, P, *args, **kwargs):
+            degrees.append(P.degree)
+            original(self, P, *args, **kwargs)
+
+        monkeypatch.setattr(sylvester._FactorContext, "__init__", counted)
+        rng = np.random.default_rng(75)
+        h = random_homog(1, rng)
+        P = Poly.from_grades({2: random_homog(2, rng), 3: poly_mul(sphere.poly(), h)})
+        # the linear level's input: the quotient that stripping Q leaves
+        h = divide_by_quadric(poly_mul(sphere.poly(), h), sphere)
+        for strategy in ("canonical", "enumerate"):
+            degrees.clear()
+            out = full_decompose(P, sphere, strategy=strategy)
+            assert degrees == [2, 3]
+            for seq in (out if strategy == "enumerate" else [out]):
+                assert sorted(seq.terms) == [1, 2]
+                self._check(seq.terms[1], h, sphere)
+
+    def test_zero_linear_remainder_adds_no_term(self, sphere):
+        # a product of three secants: the parcelling that pairs each line's
+        # own two points leaves R = 0, and its sequence has no linear term
+        rng = np.random.default_rng(74)
+        param = conic_param(sphere)
+        pts = [param.point(ProjPoint1([complex(*rng.standard_normal(2)), 1.0]))
+               for _ in range(6)]
+        P = HomogPoly(0, [1.0])
+        for i in range(3):
+            P = poly_mul(P, line_through(pts[2 * i], pts[2 * i + 1], sphere))
+        seqs = full_decompose(P, sphere, strategy="enumerate")
+        assert len(seqs) == 15
+        assert sum(sorted(seq.terms) == [3] for seq in seqs) == 1
+        assert all(sorted(seq.terms) in ([3], [1, 3]) for seq in seqs)
 
 
 class TestRealUnique:

@@ -112,6 +112,21 @@ class TestParcellingCombinatorics:
         with pytest.raises(OddTotal):
             enumerate_parcellings([1, 1, 1])
 
+    def test_repeated_calls_share_parcellings_not_lists(self):
+        # the same multiplicities, as a list, a tuple or numpy integers,
+        # give equal parcellings, shared; each call returns its own list
+        a = enumerate_parcellings([2, 1, 1, 2])
+        b = enumerate_parcellings((2, 1, 1, 2))
+        c = enumerate_parcellings(np.array([2, 1, 1, 2]))
+        assert a == b == c and a is not b
+        assert all(x is y for x, y in zip(a, c))
+        a.clear()
+        assert enumerate_parcellings([2, 1, 1, 2]) == b
+        with pytest.raises(OddTotal):
+            enumerate_parcellings([2, 1, 1, 1])
+        with pytest.raises(ValueError):
+            enumerate_parcellings([2, -1, 1])
+
     def test_merge_never_increases_count(self):
         # merging two clusters can only lower (or keep) the parcelling count;
         # merging two simple clusters of an all-simple pattern lowers it
@@ -376,8 +391,9 @@ def _engine_inputs(rng):
 
 
 class TestEnumerationEngine:
-    """all_factorizations shares lines, line products and the division
-    operator across parcellings; none of that may change a result."""
+    """all_factorizations shares lines and the division operator across
+    parcellings and factors them as one stack of rows; none of that may
+    change a result."""
 
     def test_matches_fresh_factorization(self, sphere, hyperboloid, dense_complex):
         rng = np.random.default_rng(40)
@@ -425,27 +441,31 @@ class TestEnumerationEngine:
         assert len(facts) == 105
         assert len(calls) == len(set(calls)) == len(pieces) == 28
 
-    def test_one_product_by_q_per_parcelling(self, sphere, monkeypatch):
-        # a generic quartic's 105 parcellings: their line products, shared
-        # over common prefixes, are sylvester's only 245 poly_mul calls, and
-        # algebra's are the Q * R of each division (1 + 105)
+    def test_no_product_per_parcelling(self, sphere, monkeypatch):
+        # a generic quartic's 105 parcellings are one stack of rows: their
+        # line products and the products by Q in the divisions are row-wise
+        # (3 and 1 + 1 calls), and no parcelling calls poly_mul
         counts = {}
 
-        def counted(module):
-            original = module.poly_mul
-            counts[module.__name__] = 0
+        def counted(module, name):
+            original = getattr(module, name)
+            counts[module.__name__, name] = 0
 
-            def wrapper(a, b):
-                counts[module.__name__] += 1
-                return original(a, b)
+            def wrapper(*args, **kwargs):
+                counts[module.__name__, name] += 1
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "poly_mul", wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        counted(sylvester)
-        counted(algebra)
+        for module in (sylvester, algebra):
+            for name in ("poly_mul", "poly_mul_rows"):
+                counted(module, name)
         P = random_homog(4, np.random.default_rng(46))
         assert len(all_factorizations(P, sphere)) == 105
-        assert counts == {"quadpole.sylvester": 245, "quadpole.algebra": 106}
+        assert counts == {("quadpole.sylvester", "poly_mul"): 0,
+                          ("quadpole.sylvester", "poly_mul_rows"): 3,
+                          ("quadpole.algebra", "poly_mul"): 0,
+                          ("quadpole.algebra", "poly_mul_rows"): 2}
 
     def test_counts_unchanged(self, hyperboloid, sphere):
         # real_factorizations: 2d real conic points leave every parcelling
@@ -485,22 +505,25 @@ class TestDivisionScale:
                 for f in facts:
                     assert (f.reconstruct(Q) - p).norm() <= 1e-8 * p.norm()
 
-    def test_every_division_goes_through_divide_by_quadric(self, sphere,
-                                                            monkeypatch):
-        # one divisibility test, then one division per parcelling of a
-        # generic quartic: 1 + 7!! = 106 calls
-        original = sylvester.divide_by_quadric
+    def test_one_stack_division_per_context(self, sphere, monkeypatch):
+        # one divisibility test, then one division of the stack of all the
+        # parcellings' defects of a generic quartic: 7!! = 105 rows
         calls = []
+        for name in ("divide_by_quadric", "divide_rows_by_quadric"):
+            original = getattr(sylvester, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].degree)
-            return original(*args, **kwargs)
+            def counted(p, *args, _name=name, _original=original, **kwargs):
+                rows = 1 if _name == "divide_by_quadric" else p.shape[0]
+                degree = p.degree if _name == "divide_by_quadric" else args[0]
+                calls.append((_name, rows, degree))
+                return _original(p, *args, **kwargs)
 
-        monkeypatch.setattr(sylvester, "divide_by_quadric", counted)
+            monkeypatch.setattr(sylvester, name, counted)
         P = random_homog(4, np.random.default_rng(46))
         facts = all_factorizations(P, sphere)
         assert len(facts) == count_parcellings(4) == 105
-        assert calls == [4] * 106
+        assert calls == [("divide_by_quadric", 1, 4),
+                         ("divide_rows_by_quadric", 105, 4)]
 
     def test_small_multiple_of_q_divided(self, sphere):
         # P = lam * prod(L) + Q * R with ||Q * R|| = 1e-7 ||P||: under
@@ -546,6 +569,153 @@ class TestDivisionScale:
                     first.clear()
                     with pytest.raises(SolveFailure):
                         factor_on_quadric(p, Q, pars[k], tol_div=tol_div)
+
+
+def _late_piece(ctx):
+    """The piece whose first parcelling comes last in enumeration order,
+    with that parcelling's index."""
+    first = {}
+    for k, par in enumerate(enumerate_parcellings(ctx.multiplicities)):
+        for piece in par.pieces:
+            first.setdefault(piece, k)
+    piece = max(first, key=first.get)
+    return piece, first[piece]
+
+
+def _real_secants(rng, Q, d):
+    """prod of d real secants through 2d real conic points of the hyperboloid."""
+    t = np.sort(rng.uniform(0, 2 * np.pi, size=2 * d))
+    pts = [np.array([np.cos(a), np.sin(a), 1.0]) for a in t]
+    p = HomogPoly(0, [1.0])
+    for k in range(d):
+        p = poly_mul(p, HomogPoly(1, np.cross(pts[2 * k], pts[2 * k + 1])))
+    return p
+
+
+class TestBatchedGates:
+    """A line perturbed by 1e-7 in a late row of the stack is refused, not
+    only one in the first row."""
+
+    def _perturb_late_line(self, monkeypatch, P, Q, rng):
+        ctx = _FactorContext(P, Q)
+        (i, j), row = _late_piece(ctx)
+        assert row >= len(enumerate_parcellings(ctx.multiplicities)) // 2
+        target = {ctx.points[i].coords.tobytes(), ctx.points[j].coords.tobytes()}
+        original = sylvester.line_through
+        hits = []
+
+        def perturbed(pa, pb, Q):
+            line = original(pa, pb, Q)
+            if {pa.coords.tobytes(), pb.coords.tobytes()} == target:
+                hits.append(True)
+                e = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                line = HomogPoly(1, line.coeffs + 1e-7 * np.linalg.norm(line.coeffs)
+                                 * e / np.linalg.norm(e))
+            return line
+
+        monkeypatch.setattr(sylvester, "line_through", perturbed)
+        return hits
+
+    def test_all_factorizations(self, sphere, hyperboloid, dense_complex,
+                                monkeypatch):
+        rng = np.random.default_rng(52)
+        for Q in (sphere, hyperboloid, dense_complex):
+            P = random_homog(4, rng)
+            hits = self._perturb_late_line(monkeypatch, P, Q, rng)
+            with pytest.raises(SolveFailure):
+                all_factorizations(P, Q)
+            assert hits == [True]
+            monkeypatch.undo()
+
+    def test_full_decompose_enumerate(self, sphere, dense_complex, monkeypatch):
+        from quadpole import full_decompose
+        rng = np.random.default_rng(53)
+        for Q in (sphere, dense_complex):
+            P = random_homog(4, rng)
+            hits = self._perturb_late_line(monkeypatch, P, Q, rng)
+            with pytest.raises(SolveFailure):
+                full_decompose(P, Q, strategy="enumerate")
+            assert hits == [True]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("late", [1, 52, 104])
+    def test_real_factorizations(self, hyperboloid, monkeypatch, late):
+        # a real perturbation of one line of one row, after the complex
+        # checks: the drift gate cannot see it, so the real-part residual
+        # gate must refuse it
+        rng = np.random.default_rng(54)
+        P = _real_secants(rng, hyperboloid, 4)
+        assert len(real_factorizations(P, hyperboloid)) == 105
+        original = _FactorContext._factor_rows
+
+        def perturbed(self, parcellings):
+            facts, err = original(self, parcellings)
+            f = facts[late]
+            e = rng.standard_normal(3)
+            L = f.lines[0]
+            f.lines = [HomogPoly(1, L.coeffs + 1e-7 * np.linalg.norm(L.coeffs)
+                                 * e / np.linalg.norm(e))] + f.lines[1:]
+            return facts, err
+
+        monkeypatch.setattr(_FactorContext, "_factor_rows", perturbed)
+        with pytest.raises(SolveFailure, match="real factorization residual"):
+            real_factorizations(P, hyperboloid)
+
+
+def _from_parts_reference(lam, line_polys):
+    """Multipole.from_parts one line at a time, as a test-local copy."""
+
+    def line_key(coeffs):
+        parts = [float(v) for c in coeffs for v in (c.real, c.imag)]
+        return tuple(round(v, 9) for v in parts) + tuple(parts)
+
+    scale = complex(lam)
+    vecs = []
+    for L in line_polys:
+        w = np.asarray(L.coeffs, dtype=complex)
+        j = int(np.argmax(np.abs(w)))
+        scale *= w[j]
+        v = w / w[j]
+        v[j] = 1.0
+        vecs.append(tuple(complex(x) for x in v))
+    vecs.sort(key=line_key)
+    return Multipole(scale, tuple(vecs))
+
+
+def _bits(mp):
+    return (type(mp.scale), np.complex128(mp.scale).tobytes(),
+            np.array(mp.lines, dtype=complex).tobytes())
+
+
+class TestMultipoleFromParts:
+    """from_parts normalizes all lines as one array, with the bits of the
+    line-by-line normalization."""
+
+    def test_random_lines(self):
+        rng = np.random.default_rng(55)
+        for d in range(7):
+            for _ in range(20):
+                lam = complex(*rng.standard_normal(2))
+                lines = [HomogPoly(1, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                         for _ in range(d)]
+                assert _bits(Multipole.from_parts(lam, lines)) \
+                    == _bits(_from_parts_reference(lam, lines))
+
+    def test_conjugate_ties(self):
+        # conjugate pairs share their rounded real parts, and coefficients
+        # of equal modulus tie for the pivot
+        rng = np.random.default_rng(56)
+        for _ in range(50):
+            lines = []
+            for _ in range(3):
+                w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                lines += [HomogPoly(1, w), HomogPoly(1, w.conj())]
+            lines.append(HomogPoly(1, [1.0, 1j, rng.standard_normal()]))
+            lines.append(HomogPoly(1, [-1j, 1.0, 0.5]))
+            order = rng.permutation(len(lines))
+            lines = [lines[k] for k in order]
+            assert _bits(Multipole.from_parts(2.5, lines)) \
+                == _bits(_from_parts_reference(2.5, lines))
 
 
 class TestRealFactorizations:
