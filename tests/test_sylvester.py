@@ -8,6 +8,7 @@ import pytest
 
 from quadpole import (
     DivisibleByQ,
+    GeneralizedParcelling,
     HomogPoly,
     Multipole,
     NotDefinite,
@@ -660,6 +661,32 @@ class TestBatchedGates:
         monkeypatch.setattr(_FactorContext, "_factor_rows", perturbed)
         with pytest.raises(SolveFailure, match="real factorization residual"):
             real_factorizations(P, hyperboloid)
+
+
+class TestFirstFailingRow:
+    """Rows that fail different checks: the error raised is the one the
+    first failing parcelling raises alone, and the rows before it are kept."""
+
+    def test_error_of_first_failing_row(self, sphere):
+        P = random_homog(4, np.random.default_rng(57))
+        ctx = _FactorContext(P, sphere)
+        pars = enumerate_parcellings(ctx.multiplicities)
+        want = ctx.factor_many(pars)
+        # the line first used latest passes through the evaluation point
+        piece, row = _late_piece(ctx)
+        ctx._lines[piece] = (ctx._lines[piece][0], 0j)
+        wrong = GeneralizedParcelling(((0, 0), (1, 2), (3, 4), (5, 6)))
+        with pytest.raises(NoEvaluationPoint):
+            ctx.factor_many(pars)
+        with pytest.raises(ValueError, match="multiplicities"):
+            ctx.factor_many(pars[:row] + [wrong] + pars[row:])
+        with pytest.raises(NoEvaluationPoint):
+            ctx.factor_many(pars[:row + 1] + [wrong])
+        facts, err = ctx._factor_rows(pars)
+        assert isinstance(err, NoEvaluationPoint) and len(facts) == row
+        for f, g in zip(facts, want):
+            assert f.parcelling == g.parcelling and _rel(f.lam, g.lam) <= 1e-12
+            assert _rel(f.remainder.coeffs, g.remainder.coeffs) <= 1e-12
 
 
 def _from_parts_reference(lam, line_polys):
