@@ -40,7 +40,7 @@ from .errors import (
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, _strategy_context
+from .sylvester import Multipole, _auto_strategy, _strategy_context
 
 TOL_ZERO_BAND = 1e-12
 
@@ -262,8 +262,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     scale_ref = max(decomp.f_norm, 1.0)
     imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
                     for b in decomp.bands), default=0.0)
-    strategy = ("real_unique" if imag_max <= 1e-12 * scale_ref and Q.is_real
-                and Q.signature in (-3, 3) else "canonical")
+    strategy = _auto_strategy(imag_max, scale_ref, Q)
     lam = complex(decomp.bands[0].coeffs[0])
     terms: Dict[int, Multipole] = {}
     scales: Dict[int, complex] = {}

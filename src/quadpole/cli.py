@@ -68,7 +68,10 @@ def _emit(obj: Any, output: Optional[str]) -> None:
 def _cmd_decompose(args, Q: QuadForm) -> Any:
     data = _load_json(args.poly)
     strategy = args.strategy
-    if args.all and strategy == "canonical":
+    if args.all:
+        if strategy == "real_unique":
+            raise InvalidInput("--all cannot be combined with"
+                               " --strategy real_unique")
         strategy = "enumerate"
     if args.cone:
         P = qio.homog_from_json(data)

@@ -11,7 +11,7 @@ inputs over a positive definite form have exactly one with all pieces real.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .errors import (
     StrategyMismatch,
 )
 from .sylvester import (
+    TOL_REAL,
     Multipole,
     _FactorContext,
     _check_real_input,
-    enumerate_parcellings,
-    factor,
+    _strategy_context,
 )
 
 ENUMERATION_CAP = 10 ** 6
@@ -80,18 +80,19 @@ def representation_bound(d: int) -> RepresentationCount:
     return RepresentationCount(d, bound)
 
 
-def _strip_q_powers(h: HomogPoly, build: Callable[[HomogPoly], Any]
-                    ) -> Tuple[HomogPoly, Any]:
-    """The first h / Q^k that build accepts, with what build returned.
+def _strip_q_powers(h: HomogPoly, Q: QuadForm, strategy: str,
+                    eps_cluster: float, tol_div: float
+                    ) -> Tuple[HomogPoly, Optional[_FactorContext]]:
+    """The first h / Q^k that is not a multiple of Q, with its factor context.
 
-    build runs the factor context's divisibility test, and a multiple of Q
+    The strategy's context runs the divisibility test, and a multiple of Q
     comes back as DivisibleByQ carrying the quotient, so each level is
-    tested once.  At a zero, constant or linear h, build is not called and
-    None is given: a linear h is its own one-line multipole (_line_term).
+    tested once.  A zero, constant or linear h builds no context and gives
+    None.
     """
     while h.degree > 1 and not h.is_zero():
         try:
-            return h, build(h)
+            return h, _strategy_context(h, Q, strategy, eps_cluster, tol_div)
         except DivisibleByQ as exc:
             if exc.quotient is None:
                 raise
@@ -99,61 +100,30 @@ def _strip_q_powers(h: HomogPoly, build: Callable[[HomogPoly], Any]
     return h, None
 
 
-def _parity_input(P: Poly, Q: QuadForm, parity: int) -> Optional[HomogPoly]:
-    part = grade_split(P)[parity]
-    if part.is_zero():
-        return None
-    return homogenize_on_quadric(part, Q)
-
-
-def _line_term(h: HomogPoly) -> Optional[Multipole]:
-    """A nonzero linear level as its own one-line multipole, else None.
-
-    A line meets the conic in two points and is their secant, so the level
-    needs no factor context: scale * line = h holds exactly.
-    """
-    if h.degree != 1 or h.is_zero():
-        return None
-    return Multipole.from_parts(1.0, [h])
-
-
-def _chain_once(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
-                tol_div: float) -> Tuple[complex, Dict[int, Multipole]]:
-    terms: Dict[int, Multipole] = {}
-    cur = h
-    while True:
-        cur, fact = _strip_q_powers(cur, lambda p: factor(
-            p, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div))
-        if fact is None:
-            line = _line_term(cur)
-            if line is not None:
-                if strategy == "real_unique":
-                    _check_real_input(cur)
-                terms[1] = line
-            lam = complex(cur.coeffs[0]) if cur.degree == 0 else 0j
-            return lam, terms
-        terms[cur.degree] = Multipole.from_parts(fact.lam, fact.lines)
-        cur = fact.remainder
-
-
-def _chain_all(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float,
-               budget: List[int]
-               ) -> List[Tuple[complex, Dict[int, Multipole]]]:
-    cur, ctx = _strip_q_powers(h, lambda p: _FactorContext(
-        p, Q, eps_cluster=eps_cluster, tol_div=tol_div))
+def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
+           tol_div: float, budget: List[int]
+           ) -> List[Tuple[complex, Dict[int, Multipole]]]:
+    """The constant and terms of every decomposition of h the strategy
+    gives: each level keeps its context's rows(strategy), and each row's
+    remainder recurses."""
+    cur, ctx = _strip_q_powers(h, Q, strategy, eps_cluster, tol_div)
     if ctx is not None:
         # the rows before the first failing parcelling are expanded before
         # its error is raised, as when each row is factored in turn
-        facts, err = ctx._factor_rows(enumerate_parcellings(ctx.multiplicities))
+        facts, err = ctx.rows(strategy)
         rows = [(Multipole.from_parts(f.lam, f.lines), f.remainder) for f in facts]
     else:
-        line = _line_term(cur)
-        if line is None:
+        if cur.degree != 1 or cur.is_zero():
             return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
-        rows, err = [(line, HomogPoly.zero(0))], None
+        if strategy == "real_unique":
+            _check_real_input(cur)
+        # a line is the secant of its two conic points, so a nonzero linear
+        # level is its own one-line multipole: scale * line = h exactly
+        rows, err = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))], None
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
     for mp, remainder in rows:
-        for lam, terms in _chain_all(remainder, Q, eps_cluster, tol_div, budget):
+        for lam, terms in _chain(remainder, Q, strategy, eps_cluster, tol_div,
+                                 budget):
             out.append((lam, {mp.degree: mp, **terms}))
             budget[0] -= 1
             if budget[0] < 0:
@@ -174,7 +144,8 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     the sorted root clusters), enumerate fans out over every parcelling at
     every level and returns the full list, and real_unique forces the
     conjugation-stable choice, which exists and is unique for real input over
-    a positive definite real form.
+    a positive definite real form.  All three run one recursion, and differ
+    only in the rows each level keeps.
     """
     if isinstance(P, HomogPoly):
         P = Poly.from_homog(P)
@@ -186,34 +157,19 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
                 "real_unique needs a positive definite real form")
         worst = max((float(np.max(np.abs(g.coeffs.imag), initial=0.0))
                      for g in P.parts), default=0.0)
-        if worst > 1e-12 * max(P.norm(), 1e-300):
+        if worst > TOL_REAL * max(P.norm(), 1e-300):
             raise StrategyMismatch("real_unique needs real coefficients")
-    parts = [_parity_input(P, Q, parity) for parity in (0, 1)]
-    if strategy in ("canonical", "real_unique"):
-        lam = 0j
-        terms: Dict[int, Multipole] = {}
-        for h in parts:
-            if h is None:
-                continue
-            lam_h, terms_h = _chain_once(h, Q, strategy, eps_cluster, tol_div)
-            lam += lam_h
-            terms.update(terms_h)
-        return MultipoleSequence(lam, terms)
+    parts = [None if g.is_zero() else homogenize_on_quadric(g, Q)
+             for g in grade_split(P)]
     budget = [ENUMERATION_CAP]
-    chains = []
-    for h in parts:
-        if h is None:
-            chains.append([(0j, {})])
-        else:
-            chains.append(_chain_all(h, Q, eps_cluster, tol_div, budget))
+    chains = [[(0j, {})] if h is None else
+              _chain(h, Q, strategy, eps_cluster, tol_div, budget)
+              for h in parts]
     if len(chains[0]) * len(chains[1]) > ENUMERATION_CAP:
         raise EnumerationLimit("more than %d sequences" % ENUMERATION_CAP)
-    out = []
-    for lam_e, terms_e in chains[0]:
-        for lam_o, terms_o in chains[1]:
-            out.append(MultipoleSequence(lam_e + lam_o,
-                                         {**terms_e, **terms_o}))
-    return out
+    out = [MultipoleSequence(lam_e + lam_o, {**terms_e, **terms_o})
+           for lam_e, terms_e in chains[0] for lam_o, terms_o in chains[1]]
+    return out if strategy == "enumerate" else out[0]
 
 
 def reconstruct(seq: MultipoleSequence, Q: QuadForm):

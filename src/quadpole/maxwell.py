@@ -19,7 +19,7 @@ from .algebra import HomogPoly, QuadForm, poly_mul, TOL_DIV
 from .conic import EPS_CLUSTER
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
-from .sylvester import factor
+from .sylvester import _auto_strategy, factor
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,7 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
         raise NotHarmonic("input is not annihilated by the quadric Laplacian")
     if P.degree == 0:
         return [], complex(P.coeffs[0])
-    real_input = (float(np.max(np.abs(P.coeffs.imag))) <= 1e-12 * P.norm())
-    strategy = ("real_unique" if real_input and Q.is_real
-                and Q.signature in (-3, 3) else "canonical")
+    strategy = _auto_strategy(float(np.max(np.abs(P.coeffs.imag))), P.norm(), Q)
     fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div)
     vectors, scale, defect = maxwell_fit(P, Q, [L.coeffs for L in fact.lines])
     if defect > 1e-7 * P.norm():

@@ -64,6 +64,8 @@ from .errors import (
 
 TOL_FACT = 1e-8
 TOL_DISC = 1e-9
+# largest imaginary part, relative to a reference norm, of input taken as real
+TOL_REAL = 1e-12
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -308,8 +310,9 @@ class _FactorContext:
     with its value at q are computed at first use and kept.  factor_many
     takes a list of parcellings as one stack of rows: the line products,
     lambdas, defects and their norms for all rows at once, and one division
-    of the stack by Q.  Each row is computed as factor computes it alone, so
-    results do not depend on which parcellings share a call.
+    of the stack by Q.  Each row is computed as factor computes it alone,
+    except that a remainder R, from one matrix product for the stack, can
+    differ in its last bits with the number of rows that share the call.
 
     Every division by Q, the divisibility test and the parcellings'
     defects, goes through divide_rows_by_quadric, which applies one operator
@@ -517,15 +520,24 @@ class _FactorContext:
                 pieces.extend([(i, j)] * self.clusters[i].multiplicity)
         return GeneralizedParcelling(tuple(sorted(pieces)))
 
-    def factor_with(self, strategy: str) -> MultipoleFactorization:
-        """P factored over the strategy's parcelling; real_unique's is made real."""
-        fact = self.factor(self.parcelling_for(strategy))
+    def rows(self, strategy: str
+             ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
+        """The strategy's rows as _factor_rows gives them: every parcelling's
+        for enumerate, else the one parcelling_for picks, made real for
+        real_unique."""
+        if strategy == "enumerate":
+            return self._factor_rows(enumerate_parcellings(self.multiplicities))
+        facts, err = self._factor_rows([self.parcelling_for(strategy)])
         if strategy == "real_unique":
-            real, err = _realified([fact], self.P, self.Q)
-            if err is not None:
-                raise err
-            fact = real[0]
-        return fact
+            return _realified(facts, self.P, self.Q, err)
+        return facts, err
+
+    def factor_with(self, strategy: str) -> MultipoleFactorization:
+        """The one row of rows(strategy), or its error raised."""
+        facts, err = self.rows(strategy)
+        if err is not None:
+            raise err
+        return facts[0]
 
     def attempt_key(self, strategy: str) -> tuple:
         """What factor_with(strategy) reads that the clustering scale changes.
@@ -579,23 +591,25 @@ class _FactorContext:
         return sigma
 
 
-def _check_real_input(P: HomogPoly, tol: float = 1e-12) -> None:
-    if float(np.max(np.abs(P.coeffs.imag), initial=0.0)) > tol * max(P.norm(), 1e-300):
+def _check_real_input(P: HomogPoly) -> None:
+    if float(np.max(np.abs(P.coeffs.imag), initial=0.0)) > TOL_REAL * max(P.norm(), 1e-300):
         raise NotReal("polynomial has non-real coefficients")
 
 
-def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadForm
+def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadForm,
+               err: Optional[Exception]
                ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
     """Drop imaginary round-off from factorizations of P that must be real.
 
-    The rows come from one context.  Each must have an imaginary drift of
-    at most 1e-6 and, unless ill-conditioned, its real parts must rebuild P
+    The rows come from one context, and err is the factoring error of the
+    row after them, if any.  Each row must have an imaginary drift of at
+    most 1e-6 and, unless ill-conditioned, its real parts must rebuild P
     within TOL_FACT * ||P||.  Both gates run over all rows at once.  Gives
-    the real factorizations before the first row that fails, and that
-    row's error (None if none fails).
+    the real factorizations before the first row that fails, and the error
+    that comes first: that row's, else err.
     """
     if not facts:
-        return [], None
+        return [], err
     lam = np.array([f.lam for f in facts])
     lines = np.array([[L.coeffs for L in f.lines] for f in facts]).reshape(len(facts), -1, 3)
     rem = np.array([f.remainder.coeffs for f in facts])
@@ -603,7 +617,7 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
         np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0),
         np.max(np.abs(lines.imag), axis=(1, 2), initial=0.0),
         np.max(np.abs(rem.imag), axis=1) / np.maximum(np.linalg.norm(rem, axis=1), 1.0)])
-    n, err = len(facts), None
+    n = len(facts)
     bad = np.flatnonzero(drift > 1e-6)
     if bad.size:
         n = int(bad[0])
@@ -652,15 +666,27 @@ def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     return factor(P, Q, "real_unique", eps_cluster=eps_cluster, tol_div=tol_div)
 
 
+def _auto_strategy(imag_max: float, ref_norm: float, Q: QuadForm) -> str:
+    """real_unique for real input over a definite real form, else canonical.
+
+    The input is real when its largest imaginary part imag_max is at most
+    TOL_REAL * ref_norm; each caller gives its own reference norm.
+    """
+    if imag_max <= TOL_REAL * ref_norm and Q.is_real and Q.signature in (-3, 3):
+        return "real_unique"
+    return "canonical"
+
+
 def _strategy_context(P: HomogPoly, Q: QuadForm, strategy: str,
                       eps_cluster: float, tol_div: float) -> _FactorContext:
-    """P's factor context, after the checks the strategy makes on its input."""
+    """P's factor context, after the checks the strategy makes on its input.
+
+    The strategy is one of canonical, enumerate and real_unique.
+    """
     if strategy == "real_unique":
         _check_real_input(P)
         if not Q.is_real or Q.signature not in (-3, 3):
             raise NotDefinite("real factorization needs a definite real form")
-    elif strategy != "canonical":
-        raise ValueError("unknown factoring strategy %r" % (strategy,))
     return _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
 
 
@@ -673,6 +699,8 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
     is real_factor, the conjugation-stable one for real P over a definite
     real form.
     """
+    if strategy not in ("canonical", "real_unique"):
+        raise ValueError("unknown factoring strategy %r" % (strategy,))
     ctx = _strategy_context(P, Q, strategy, eps_cluster=eps_cluster,
                             tol_div=tol_div)
     return ctx.factor_with(strategy)
@@ -694,10 +722,9 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
     stable = [par for par in enumerate_parcellings(ctx.multiplicities)
               if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
     facts, err = ctx._factor_rows(stable)
-    real, real_err = _realified(facts, P, Q)
-    # a row that fails the real gates comes before the row factor_many refused
-    if real_err is not None or err is not None:
-        raise real_err or err
+    real, err = _realified(facts, P, Q, err)
+    if err is not None:
+        raise err
     return real
 
 

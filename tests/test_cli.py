@@ -274,6 +274,16 @@ class TestExitCodes:
             assert exc.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_all_with_real_unique_rejected(self, files, capsys):
+        # --all asks for every factorization, real_unique for the one real
+        # factorization: the combination is refused, on both paths
+        for mode in (["--cone"], []):
+            code = main(["decompose", files["xy"], *mode, "--all",
+                         "--strategy", "real_unique"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "--all" in captured.err and "real_unique" in captured.err
+
     def test_divisible_by_q(self, run, files):
         for argv in [["decompose", files["qq"], "--cone"],
                      ["discriminant", files["qq"]],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadpole import (
+    DivisibleByQ,
     EnumerationLimit,
     HomogPoly,
     InvalidPartition,
@@ -22,6 +23,8 @@ from quadpole import (
     factor,
     factor_on_quadric,
     full_decompose,
+    grade_split,
+    homogenize_on_quadric,
     intersection_clusters,
     lemma9_gap,
     line_through,
@@ -319,6 +322,90 @@ class TestRealUnique:
         with pytest.raises(StrategyMismatch):
             full_decompose(random_poly(2, rng, real=True), hyperboloid,
                            strategy="real_unique")
+
+
+def _one_answer_reference(P, Q, strategy):
+    """full_decompose for canonical and real_unique as a loop per parity,
+    through the public factor: a test-local copy of the recursion."""
+    lam, terms = 0j, {}
+    for part in grade_split(P):
+        if part.is_zero():
+            continue
+        h = homogenize_on_quadric(part, Q)
+        while True:
+            fact = None
+            while h.degree > 1 and not h.is_zero():
+                try:
+                    fact = factor(h, Q, strategy)
+                    break
+                except DivisibleByQ:
+                    h = divide_by_quadric(h, Q)
+            if fact is None:
+                if h.degree == 1 and not h.is_zero():
+                    terms[1] = Multipole.from_parts(1.0, [h])
+                lam += complex(h.coeffs[0]) if h.degree == 0 else 0j
+                break
+            terms[h.degree] = Multipole.from_parts(fact.lam, fact.lines)
+            h = fact.remainder
+    return lam, terms
+
+
+def _bits(lam, terms):
+    """The constant and terms in order, as exact text (-0.0 differs from 0.0)."""
+    return repr((complex(lam), list(terms.items())))
+
+
+class TestOneRecursion:
+    """canonical, real_unique and enumerate run one recursion and differ
+    only in the rows each level keeps."""
+
+    def _inputs(self, Q, rng, real):
+        q2 = poly_mul(Q.poly(), Q.poly())
+        for d in range(10):
+            yield random_poly(d, rng, real=real)
+        # a multiple of Q^2, whose odd part ends in a linear remainder
+        yield Poly.from_grades({2: random_homog(2, rng, real=real),
+                                7: poly_mul(q2, random_homog(3, rng, real=real))})
+
+    def test_matches_reference(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(76)
+        cases = [(sphere, False, "canonical"), (sphere, True, "canonical"),
+                 (sphere, True, "real_unique"), (hyperboloid, False, "canonical"),
+                 (hyperboloid, True, "canonical"), (dense_complex, False, "canonical")]
+        linear = 0
+        for Q, real, strategy in cases:
+            for P in self._inputs(Q, rng, real):
+                seq = full_decompose(P, Q, strategy=strategy)
+                assert _bits(seq.lam, seq.terms) == _bits(
+                    *_one_answer_reference(P, Q, strategy))
+                linear += 1 in seq.terms
+        assert linear >= 5 * len(cases)
+
+    @staticmethod
+    def _matches(seqs, seq, tol):
+        return [s for s in seqs if sorted(s.terms) == sorted(seq.terms)
+                and abs(s.lam - seq.lam) <= tol * max(1.0, abs(seq.lam))
+                and all(s.terms[k].isclose(seq.terms[k], tol=tol) for k in s.terms)]
+
+    def test_strategies_agree(self, sphere, hyperboloid, dense_complex):
+        # canonical is one of the enumerated sequences: its top level bit
+        # for bit, since both factor it in one context from the same lines;
+        # a lower level only to round-off, as a remainder divided by Q in a
+        # stack of rows and alone can differ in its last bits
+        rng = np.random.default_rng(77)
+        for Q, real in ((sphere, True), (hyperboloid, False), (dense_complex, False)):
+            for d in (1, 2, 3, 4):
+                P = random_poly(d, rng, real=real)
+                seqs = full_decompose(P, Q, strategy="enumerate")
+                seq = full_decompose(P, Q, strategy="canonical")
+                match = self._matches(seqs, seq, 1e-10)
+                assert len(match) == 1
+                assert match[0].terms[d] == seq.terms[d]
+                if Q is sphere:
+                    real_seq = full_decompose(P, Q, strategy="real_unique")
+                    assert len(self._matches(seqs, real_seq, 1e-9)) == 1
+                    # its rows are made real, not only real to round-off
+                    assert real_seq.is_real(tol=0.0)
 
 
 class TestReconstruct:
