@@ -59,12 +59,32 @@ class ProjPoint1:
 
 
 class ProjPoint2:
-    """Point of CP^2, normalized so the max-modulus coordinate is exactly 1."""
+    """Point of CP^2, normalized so the max-modulus coordinate is exactly 1.
+
+    ProjPoint2.stack holds n points as one, with coords of shape (n, 3);
+    indexing a stack gives a row as a point, or an index array's rows as a
+    stack.
+    """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
         self.coords = _normalize(coords, 3)
+
+    @classmethod
+    def _of(cls, coords: np.ndarray) -> "ProjPoint2":
+        """Coordinates that are normalized already, kept as they are."""
+        out = cls.__new__(cls)
+        out.coords = coords
+        return out
+
+    @classmethod
+    def stack(cls, points: Sequence["ProjPoint2"]) -> "ProjPoint2":
+        """The points as one stack, row k holding points[k]'s coordinates."""
+        return cls._of(np.array([p.coords for p in points], dtype=complex).reshape(-1, 3))
+
+    def __getitem__(self, k) -> "ProjPoint2":
+        return ProjPoint2._of(self.coords[k])
 
     def conj(self) -> "ProjPoint2":
         return ProjPoint2(np.conj(self.coords))
@@ -345,23 +365,47 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
     return _clusters_of(m_inf, desc, roots, _merge_groups(roots, eps_cluster))
 
 
-def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm,
-                 tol_on_conic: float = TOL_ON_CONIC) -> HomogPoly:
+def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm):
     """Linear form vanishing on the line through two conic points.
 
-    Distinct points give the secant (cross product of coordinates); coincident
-    points give the tangent line, whose coefficients are B @ p.
+    Distinct points give the secant (cross product of coordinates); points
+    closer than 1e-9 in chordal distance give the tangent line at pa, whose
+    coefficients are B @ pa.  pa and pb may each hold a stack of n points
+    (ProjPoint2.stack): the n lines then come as one (n, 3) array, row k
+    equal to the line of the k-th pair alone, which comes as a HomogPoly.
+    Every point must lie on the conic; NotOnConic names the first that does
+    not, in the order pa[0], pb[0], pa[1], pb[1], ...
     """
+    n = pa.coords.size // 3
+    ab = np.concatenate([pa.coords.reshape(-1, 3), pb.coords.reshape(-1, 3)])
+    # squares summed in coordinate order, as Python complex arithmetic
+    # sums them for chordal; also the on-conic check's |p|^2
+    sq = ab.real * ab.real + ab.imag * ab.imag
+    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    val = (ab[:, None] @ Q.B @ ab[:, :, None])[:, 0, 0]
     scale = max(float(np.max(np.abs(Q.B))), 1e-300)
-    for p in (pa, pb):
-        r = float(np.linalg.norm(p.coords)) ** 2
-        if abs(Q(p.coords)) > tol_on_conic * scale * r:
-            raise NotOnConic("point %r is off the conic" % p)
-    if chordal(pa, pb) < 1e-9:
-        w = Q.B @ pa.coords
-    else:
-        w = _cross(pa.coords.tolist(), pb.coords.tolist())
-    return HomogPoly(1, w)
+    # np.hypot, not np.abs, gives abs(complex) of each value
+    off = np.hypot(val.real, val.imag) > TOL_ON_CONIC * scale * norms ** 2
+    if off.any():
+        k = int(np.argmax(off[:n] | off[n:]))
+        raise NotOnConic("point %r is off the conic"
+                         % ProjPoint2._of(ab[k] if off[k] else ab[n + k]))
+    # the cross product u[s] * v[t] - u[t] * v[s] with s = (1, 2, 0) and
+    # t = (2, 0, 1), in real and imaginary parts as Python complex does it
+    twice = np.concatenate([ab, ab], axis=1)
+    a1, a2, b1, b2 = twice[:n, 1:4], twice[:n, 2:5], twice[n:, 1:4], twice[n:, 2:5]
+    re = ((a1.real * b2.real - a1.imag * b2.imag)
+          - (a2.real * b1.real - a2.imag * b1.imag))
+    im = ((a1.real * b2.imag + a1.imag * b2.real)
+          - (a2.real * b1.imag + a2.imag * b1.real))
+    sq = re * re + im * im
+    chord = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]) / (norms[:n] * norms[n:])
+    w = np.empty((n, 3), dtype=complex)
+    w.real, w.imag = re, im
+    tangent = chord < 1e-9
+    if tangent.any():
+        w[tangent] = (Q.B @ ab[:n][tangent, :, None])[:, :, 0]
+    return HomogPoly(1, w[0]) if pa.coords.ndim == 1 else w
 
 
 def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:

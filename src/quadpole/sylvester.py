@@ -306,8 +306,10 @@ class _FactorContext:
     """One P on one quadric: the work every parcelling shares, done once.
 
     The divisibility test, the restriction and the roots are computed once.
-    The point q where lambda is fixed, P(q), and each cluster pair's line
-    with its value at q are computed at first use and kept.  factor_many
+    The point q where lambda is fixed and P(q) are computed at first use
+    and kept; so is each cluster pair's line with its value at q, where the
+    lines a factor_many call is the first to use are built by one
+    line_through call on the stack of their point pairs.  factor_many
     takes a list of parcellings as one stack of rows: the line products,
     lambdas, defects and their norms for all rows at once, and one division
     of the stack by Q.  Each row is computed as factor computes it alone,
@@ -347,7 +349,7 @@ class _FactorContext:
         """Take the clusters, their multiplicities, conic points and least separation."""
         self.clusters: List[RootCluster] = clusters
         self.multiplicities: List[int] = [c.multiplicity for c in clusters]
-        self.points: List[ProjPoint2] = [self.param.point(c.point) for c in clusters]
+        self.points = ProjPoint2.stack([self.param.point(c.point) for c in clusters])
         near = _pairwise_chordal(np.array([c.point.coords for c in clusters]))
         np.fill_diagonal(near, np.inf)
         self._min_separation = float(near.min())
@@ -404,18 +406,6 @@ class _FactorContext:
             raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
         return self._eval_u
 
-    def _add_line(self, piece: Tuple[int, int]) -> None:
-        """Keep the piece's line, scaled so its max-modulus coefficient is 1, and its value at q."""
-        if self._q is None:
-            q = self.param.point(self.evaluation_point()).coords
-            self._p_at_q = self.P(q)
-            # the degree-1 monomials at q, as HomogPoly.__call__ takes them
-            self._q = _monomial_values(1, np.asarray(q, dtype=complex).reshape(1, 3))
-        i, j = piece
-        w = line_through(self.points[i], self.points[j], self.Q).coeffs
-        L = HomogPoly(1, w / w[int(np.argmax(np.abs(w)))])
-        self._lines[piece] = (L, complex((self._q @ L.coeffs)[0]))
-
     def factor(self, parcelling: GeneralizedParcelling) -> MultipoleFactorization:
         """P = lam * prod(L) + Q * R over one parcelling: factor_many of it alone."""
         return self.factor_many([parcelling])[0]
@@ -456,14 +446,29 @@ class _FactorContext:
             if par.multiplicity_use(nc) != self.multiplicities:
                 n, err = k, ValueError("parcelling does not match the root multiplicities")
                 break
-        for k in range(n):
+        # the pieces whose lines are not kept yet, in order of first use;
+        # every row uses every cluster, so a point off the conic, like a
+        # failed search for the evaluation point, fails row 0
+        missing = list(dict.fromkeys(piece for par in parcellings[:n] for piece in par.pieces
+                                     if piece not in self._lines))
+        if missing:
             try:
-                for piece in parcellings[k].pieces:
-                    if piece not in self._lines:
-                        self._add_line(piece)
+                if self._q is None:
+                    q = self.param.point(self.evaluation_point()).coords
+                    self._p_at_q = self.P(q)
+                    # the degree-1 monomials at q, as HomogPoly.__call__ takes them
+                    self._q = _monomial_values(1, np.asarray(q, dtype=complex).reshape(1, 3))
+                ends = np.array(missing, dtype=np.intp)
+                w = line_through(self.points[ends[:, 0]], self.points[ends[:, 1]], self.Q)
             except QuadpoleError as exc:
-                n, err = k, exc
-                break
+                n, err = 0, exc
+            else:
+                # each line scaled so its max-modulus coefficient is 1, and
+                # its value at q as the (1, 3) @ (3,) product of one line
+                w = w / w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
+                at_q = (self._q @ w[:, :, None])[:, 0, 0]
+                for piece, row, value in zip(missing, w, at_q.tolist()):
+                    self._lines[piece] = (HomogPoly(1, row), value)
         col = {piece: c for c, piece in enumerate(self._lines)}
         table = list(self._lines.values())
         cols = [[col[piece] for piece in par.pieces] for par in parcellings[:n]]
@@ -570,7 +575,7 @@ class _FactorContext:
         to the componentwise conjugate.
         """
         tol = 10 * self.eps_cluster
-        pts = np.array([pt.coords for pt in self.points])
+        pts = self.points.coords
         dists = _pairwise_chordal(pts.conj(), pts)
         sigma: List[int] = []
         for i, cl in enumerate(self.clusters):

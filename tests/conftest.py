@@ -1,10 +1,24 @@
 """Shared fixtures and numeric helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quadpole import HomogPoly, Poly, QuadForm, poly_mul
 from quadpole.algebra import grade_dim
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def subprocess_env():
+    """This process's environment with src first on PYTHONPATH, so that a
+    child interpreter imports the package under test; pytest's pythonpath
+    setting reaches only the pytest process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

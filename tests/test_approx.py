@@ -21,7 +21,7 @@ from quadpole import (
 )
 from quadpole.algebra import grade_dim
 
-from conftest import random_poly
+from conftest import random_poly, subprocess_env
 
 
 def poly_eval(P):
@@ -434,6 +434,6 @@ class TestEpsClusterRange:
         proc = subprocess.run(
             [sys.executable, "-m", "quadpole.cli", "approx", "--function",
              "exp_x", "--d-max", "4", "--eps-cluster", "0"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, env=subprocess_env())
         assert proc.returncode == 2
         assert "eps_cluster" in proc.stderr

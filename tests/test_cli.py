@@ -19,6 +19,8 @@ from quadpole import io as qio
 from quadpole.algebra import grade_dim, monomial_index
 from quadpole.cli import main
 
+from conftest import subprocess_env
+
 
 def hp(degree, entries):
     idx = monomial_index(degree)
@@ -314,6 +316,6 @@ class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "quadpole.cli", "counts", "--d", "2"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=subprocess_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"bound": 3, "kappa": 3}

@@ -1,11 +1,14 @@
 """Conic parameterization, binary forms, and projective root clustering."""
 
+import re
+
 import numpy as np
 import pytest
 
 from quadpole import (
     BinaryForm,
     HomogPoly,
+    NotOnConic,
     ProjPoint1,
     ProjPoint2,
     QuadForm,
@@ -16,7 +19,7 @@ from quadpole import (
     restrict_to_conic,
     roots_projective,
 )
-from quadpole.conic import binary_discriminant
+from quadpole.conic import _cross, binary_discriminant
 
 from conftest import random_homog
 
@@ -406,6 +409,76 @@ class TestLineThrough:
         want = sorted([ua.key(), ub.key()])
         for g, w in zip(got, want):
             assert np.allclose(g, w, atol=1e-7)
+
+
+def _line_through_reference(pa, pb, Q):
+    """One pair's line in Python complex arithmetic, as a test-local copy:
+    the tangent B @ pa for points closer than 1e-9, else the secant."""
+    if chordal(pa, pb) < 1e-9:
+        return Q.B @ pa.coords
+    return np.array(_cross(pa.coords.tolist(), pb.coords.tolist()))
+
+
+class TestStackedLineThrough:
+    """Row k of a stacked call equals the call on the k-th pair alone, and
+    both equal the one-pair reference, bit for bit."""
+
+    def _pairs(self, Q, rng):
+        param = conic_param(Q)
+
+        def pt(u):
+            return param.point(ProjPoint1(u))
+
+        def rand_u():
+            return rng.standard_normal(2) + 1j * rng.standard_normal(2)
+
+        pairs = [(pt(rand_u()), pt(rand_u())) for _ in range(12)]
+        same = pt(rand_u())
+        pairs.append((same, same))
+        # distinct points, closer than 1e-9: the tangent, not a secant
+        u = rand_u()
+        near = (pt(u), pt(u + 1e-11))
+        assert not np.array_equal(near[0].coords, near[1].coords)
+        assert chordal(*near) < 1e-9
+        pairs.append(near)
+        inf = pt([1.0, 0.0])
+        pairs += [(inf, pt(rand_u())), (inf, inf)]
+        return pairs
+
+    @pytest.mark.parametrize("form", ["sphere", "hyperboloid", "dense_complex"])
+    def test_rows_equal_single_calls(self, form, request):
+        Q = request.getfixturevalue(form)
+        pairs = self._pairs(Q, np.random.default_rng(60))
+        lines = line_through(ProjPoint2.stack([a for a, _ in pairs]),
+                             ProjPoint2.stack([b for _, b in pairs]), Q)
+        assert lines.shape == (len(pairs), 3)
+        for row, (pa, pb) in zip(lines, pairs):
+            single = line_through(pa, pb, Q)
+            assert isinstance(single, HomogPoly) and single.degree == 1
+            assert row.tobytes() == single.coeffs.tobytes()
+            assert row.tobytes() == _line_through_reference(pa, pb, Q).astype(complex).tobytes()
+
+    def test_stack_indexing(self, sphere):
+        pairs = self._pairs(sphere, np.random.default_rng(61))
+        pts = ProjPoint2.stack([a for a, _ in pairs])
+        assert pts.coords.shape == (len(pairs), 3)
+        assert repr(pts[3]) == repr(pairs[3][0])
+        assert pts[np.array([2, 0])].coords.tobytes() == \
+            np.array([pairs[2][0].coords, pairs[0][0].coords]).tobytes()
+
+    def test_off_conic_point_named(self, sphere):
+        pairs = self._pairs(sphere, np.random.default_rng(62))
+        pa = [a for a, _ in pairs]
+        pb = [b for _, b in pairs]
+        off = ProjPoint2([1.0, 0.5j, 0.25])
+        pa[5] = off
+        with pytest.raises(NotOnConic, match=re.escape(repr(off))):
+            line_through(ProjPoint2.stack(pa), ProjPoint2.stack(pb), sphere)
+        # the first off the conic in the order pa[0], pb[0], pa[1], ...
+        first = ProjPoint2([0.5, 1.0, 0.0])
+        pb[2] = first
+        with pytest.raises(NotOnConic, match=re.escape(repr(first))):
+            line_through(ProjPoint2.stack(pa), ProjPoint2.stack(pb), sphere)
 
 
 class TestBinaryDiscriminant:

@@ -428,11 +428,13 @@ class TestEnumerationEngine:
                            for a, b in zip(got.lines, ref.lines))
 
     def test_one_line_per_pair(self, hyperboloid, monkeypatch):
-        calls = []
+        # the rows of every stacked call: 28 distinct pairs, each built once
+        rows = []
         original = sylvester.line_through
 
         def counted(pa, pb, Q):
-            calls.append(frozenset((pa.coords.tobytes(), pb.coords.tobytes())))
+            rows.extend(frozenset((a.tobytes(), b.tobytes()))
+                        for a, b in zip(pa.coords, pb.coords))
             return original(pa, pb, Q)
 
         monkeypatch.setattr(sylvester, "line_through", counted)
@@ -440,7 +442,33 @@ class TestEnumerationEngine:
         facts = all_factorizations(p, hyperboloid)
         pieces = {piece for f in facts for piece in f.parcelling.pieces}
         assert len(facts) == 105
-        assert len(calls) == len(set(calls)) == len(pieces) == 28
+        assert len(rows) == len(set(rows)) == len(pieces) == 28
+
+    def test_one_call_per_context(self, sphere, monkeypatch):
+        # a context builds the lines it lacks with one stacked call: 28 rows
+        # for the 105 parcellings of a generic quartic, 4 for its canonical
+        # parcelling, and none once it has them
+        calls = []
+        original = sylvester.line_through
+
+        def counted(pa, pb, Q):
+            calls.append(len(pa.coords))
+            return original(pa, pb, Q)
+
+        monkeypatch.setattr(sylvester, "line_through", counted)
+        P = random_homog(4, np.random.default_rng(63))
+        assert len(all_factorizations(P, sphere)) == 105
+        assert calls == [28]
+        calls.clear()
+        factor(P, sphere)
+        assert calls == [4]
+        calls.clear()
+        ctx = _FactorContext(P, sphere)
+        pars = enumerate_parcellings(ctx.multiplicities)
+        first = ctx.factor_many(pars)
+        again = ctx.factor_many(pars)
+        assert calls == [28]
+        assert [f.lam for f in again] == [f.lam for f in first]
 
     def test_no_product_per_parcelling(self, sphere, monkeypatch):
         # a generic quartic's 105 parcellings are one stack of rows: their
@@ -548,18 +576,18 @@ class TestDivisionScale:
     ])
     def test_perturbed_line_refused(self, sphere, hyperboloid, dense_complex,
                                     monkeypatch, size, tol_div):
+        # the first line a context builds, row 0 of its first stacked call
         rng = np.random.default_rng(45)
         original = sylvester.line_through
         first = []
 
         def perturbed(pa, pb, Q):
-            line = original(pa, pb, Q)
+            lines = original(pa, pb, Q)
             if not first:
                 first.append(True)
                 e = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                line = HomogPoly(1, line.coeffs + size * np.linalg.norm(line.coeffs)
-                                 * e / np.linalg.norm(e))
-            return line
+                lines[0] = lines[0] + size * np.linalg.norm(lines[0]) * e / np.linalg.norm(e)
+            return lines
 
         monkeypatch.setattr(sylvester, "line_through", perturbed)
         for Q in (sphere, hyperboloid, dense_complex):
@@ -606,13 +634,13 @@ class TestBatchedGates:
         hits = []
 
         def perturbed(pa, pb, Q):
-            line = original(pa, pb, Q)
-            if {pa.coords.tobytes(), pb.coords.tobytes()} == target:
-                hits.append(True)
-                e = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                line = HomogPoly(1, line.coeffs + 1e-7 * np.linalg.norm(line.coeffs)
-                                 * e / np.linalg.norm(e))
-            return line
+            lines = original(pa, pb, Q)
+            for k, (a, b) in enumerate(zip(pa.coords, pb.coords)):
+                if {a.tobytes(), b.tobytes()} == target:
+                    hits.append(True)
+                    e = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                    lines[k] = lines[k] + 1e-7 * np.linalg.norm(lines[k]) * e / np.linalg.norm(e)
+            return lines
 
         monkeypatch.setattr(sylvester, "line_through", perturbed)
         return hits
