@@ -81,13 +81,6 @@ class HomogPoly:
     def zero(cls, degree: int) -> "HomogPoly":
         return cls(degree)
 
-    def term(self, exp: Monomial) -> complex:
-        return complex(self.coeffs[monomial_index(self.degree)[tuple(exp)]])
-
-    def terms(self) -> Dict[Monomial, complex]:
-        return {m: complex(c) for m, c in zip(monomials(self.degree), self.coeffs)
-                if c != 0}
-
     def copy(self) -> "HomogPoly":
         return HomogPoly(self.degree, self.coeffs)
 
@@ -137,9 +130,6 @@ class HomogPoly:
         out = HomogPoly.zero(self.degree - 1)
         out.coeffs[target[keep]] = factor[keep] * self.coeffs[keep]
         return out
-
-    def conjugate(self) -> "HomogPoly":
-        return HomogPoly(self.degree, np.conj(self.coeffs))
 
     def __repr__(self) -> str:
         parts = []
@@ -199,22 +189,19 @@ def _mul_table_re_im(d1: int, d2: int) -> np.ndarray:
 
 
 def poly_mul(p: HomogPoly, q: HomogPoly) -> HomogPoly:
-    """Product of homogeneous polynomials; degrees add."""
-    # one bincount sums the real and the imaginary parts, in product order
-    prods = np.outer(p.coeffs, q.coeffs).ravel().view(np.float64)
-    dim = grade_dim(p.degree + q.degree)
-    out = np.bincount(_mul_table_re_im(p.degree, q.degree), weights=prods,
-                      minlength=2 * dim).view(complex)
-    return HomogPoly(p.degree + q.degree, out)
+    """Product of homogeneous polynomials; degrees add.  The one-row case
+    of poly_mul_rows."""
+    return HomogPoly(p.degree + q.degree,
+                     poly_mul_rows(p.coeffs[None], p.degree, q.coeffs[None], q.degree)[0])
 
 
 def poly_mul_rows(a: np.ndarray, deg_a: int, b: np.ndarray, deg_b: int) -> np.ndarray:
-    """poly_mul row by row: row i is the product of rows i of a and b.
+    """Products row by row: row i is the product of rows i of a and b.
 
     a and b are stacks of coefficient rows of grades deg_a and deg_b; a
-    one-row stack is paired with every row of the other.  Each row is summed
-    in poly_mul's order, so it equals poly_mul of its two polynomials bit
-    for bit.
+    one-row stack is paired with every row of the other.  One bincount sums
+    the real and the imaginary parts of every row's products, in product
+    order, so each row's bits do not depend on the rows beside it.
     """
     prods = a[:, :, None] * b[:, None, :]
     n = prods.shape[0]

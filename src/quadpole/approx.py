@@ -40,7 +40,7 @@ from .errors import (
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, _auto_strategy, _strategy_context
+from .sylvester import Multipole, _auto_strategy, _rows_or_raise, _strategy_context
 
 TOL_ZERO_BAND = 1e-12
 
@@ -302,7 +302,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                 continue
             tried[key] = None
             try:
-                cand = ctx.factor_with(strategy).multipole()
+                cand = _rows_or_raise(ctx.rows(strategy))[0].multipole()
                 _, cc, defect = maxwell_fit(fk, Q, cand.lines)
                 if defect < best:
                     w, c, best = cand, cc, defect

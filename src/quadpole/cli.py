@@ -25,6 +25,7 @@ from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
 from .sylvester import (
     _FactorContext,
+    _rows_or_raise,
     all_factorizations,
     count_parcellings,
     factor,
@@ -132,7 +133,7 @@ def _cmd_fibers(args, Q: QuadForm) -> Any:
     # restriction and the roots are computed once
     ctx = _FactorContext(P, Q, eps_cluster=args.eps_cluster,
                          tol_div=args.tol_div)
-    facts = ctx.factor_all()
+    facts = _rows_or_raise(ctx.rows("enumerate"))
     return {"clusters": [qio.cluster_to_json(c) for c in ctx.clusters],
             "count": len(facts),
             "factorizations": [qio.factorization_to_json(f) for f in facts]}

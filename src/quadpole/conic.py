@@ -365,6 +365,22 @@ def roots_projective(p: BinaryForm, eps_cluster: float = EPS_CLUSTER) -> List[Ro
     return _clusters_of(m_inf, desc, roots, _merge_groups(roots, eps_cluster))
 
 
+def _off_conic(pts: np.ndarray, Q: QuadForm) -> Tuple[np.ndarray, np.ndarray]:
+    """Which rows of an (n, 3) stack of points lie off the conic, and their norms.
+
+    A point p is off when |Q(p)| exceeds TOL_ON_CONIC * max|B| * |p|^2,
+    with max|B| floored at 1e-300.
+    """
+    # squares summed in coordinate order, as Python complex arithmetic
+    # sums them for chordal
+    sq = pts.real * pts.real + pts.imag * pts.imag
+    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    val = (pts[:, None] @ Q.B @ pts[:, :, None])[:, 0, 0]
+    scale = max(float(np.max(np.abs(Q.B))), 1e-300)
+    # np.hypot, not np.abs, gives abs(complex) of each value
+    return np.hypot(val.real, val.imag) > TOL_ON_CONIC * scale * norms ** 2, norms
+
+
 def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm):
     """Linear form vanishing on the line through two conic points.
 
@@ -378,14 +394,7 @@ def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm):
     """
     n = pa.coords.size // 3
     ab = np.concatenate([pa.coords.reshape(-1, 3), pb.coords.reshape(-1, 3)])
-    # squares summed in coordinate order, as Python complex arithmetic
-    # sums them for chordal; also the on-conic check's |p|^2
-    sq = ab.real * ab.real + ab.imag * ab.imag
-    norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-    val = (ab[:, None] @ Q.B @ ab[:, :, None])[:, 0, 0]
-    scale = max(float(np.max(np.abs(Q.B))), 1e-300)
-    # np.hypot, not np.abs, gives abs(complex) of each value
-    off = np.hypot(val.real, val.imag) > TOL_ON_CONIC * scale * norms ** 2
+    off, norms = _off_conic(ab, Q)
     if off.any():
         k = int(np.argmax(off[:n] | off[n:]))
         raise NotOnConic("point %r is off the conic"

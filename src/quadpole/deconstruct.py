@@ -111,7 +111,7 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
         # the rows before the first failing parcelling are expanded before
         # its error is raised, as when each row is factored in turn
         facts, err = ctx.rows(strategy)
-        rows = [(Multipole.from_parts(f.lam, f.lines), f.remainder) for f in facts]
+        rows = [(f.multipole(), f.remainder) for f in facts]
     else:
         if cur.degree != 1 or cur.is_zero():
             return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]

@@ -10,8 +10,9 @@ identifies pencil divisors with binary forms via their root sets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,14 +22,13 @@ from .conic import (
     EPS_CLUSTER,
     ProjPoint1,
     ProjPoint2,
+    _off_conic,
     chordal,
     conic_param,
     restrict_to_conic,
     roots_projective,
 )
 from .errors import Degenerate, DegenerateTangency, NotOnConic
-
-TOL_CENTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,38 +38,21 @@ class PencilCenter:
     point: ProjPoint2
 
     @classmethod
-    def from_coords(cls, coords: Sequence[complex], Q: QuadForm,
-                    tol: float = TOL_CENTER) -> "PencilCenter":
+    def from_coords(cls, coords: Sequence[complex], Q: QuadForm) -> "PencilCenter":
         pt = ProjPoint2(coords)
-        scale = float(np.max(np.abs(Q.B))) * float(np.linalg.norm(pt.coords)) ** 2
-        if abs(Q(pt.coords)) <= tol * scale:
+        if not _off_conic(pt.coords.reshape(1, 3), Q)[0][0]:
             raise Degenerate("pencil center lies on the conic")
         return cls(pt)
 
 
 @dataclass(frozen=True)
-class ConicDivisor:
-    """Effective divisor on the conic: (point, multiplicity) pairs."""
+class _Divisor:
+    """Effective divisor: (point, multiplicity) pairs sorted by point key.
 
-    points: Tuple[Tuple[ProjPoint2, int], ...]
+    Equality, hash and repr are the dataclass's, per subclass.
+    """
 
-    def __init__(self, points) -> None:
-        entries = tuple(sorted(((pt, int(m)) for pt, m in points),
-                               key=lambda e: e[0].key()))
-        if any(m < 1 for _, m in entries):
-            raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "points", entries)
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.points)
-
-
-@dataclass(frozen=True)
-class PencilDivisor:
-    """Effective divisor on the pencil's parameter line."""
-
-    points: Tuple[Tuple[ProjPoint1, int], ...]
+    points: Tuple[Tuple[Any, int], ...]
 
     def __init__(self, points) -> None:
         entries = tuple(sorted(((pt, int(m)) for pt, m in points),
@@ -81,6 +64,14 @@ class PencilDivisor:
     @property
     def degree(self) -> int:
         return sum(m for _, m in self.points)
+
+
+class ConicDivisor(_Divisor):
+    """Effective divisor on the conic: (ProjPoint2, multiplicity) pairs."""
+
+
+class PencilDivisor(_Divisor):
+    """Effective divisor on the pencil's parameter line: (ProjPoint1, multiplicity) pairs."""
 
 
 def divisors_close(a, b, tol: float = 1e-8) -> bool:
@@ -97,12 +88,6 @@ def divisors_close(a, b, tol: float = 1e-8) -> bool:
     return True
 
 
-def _on_conic_check(q: ProjPoint2, Q: QuadForm, tol: float = 1e-9) -> None:
-    scale = float(np.max(np.abs(Q.B))) * float(np.linalg.norm(q.coords)) ** 2
-    if abs(Q(q.coords)) > tol * scale:
-        raise NotOnConic("point does not satisfy the quadric equation")
-
-
 def star_involution(q: ProjPoint2, p: PencilCenter, Q: QuadForm) -> ProjPoint2:
     """The other conic intersection of the line through p and q.
 
@@ -110,7 +95,8 @@ def star_involution(q: ProjPoint2, p: PencilCenter, Q: QuadForm) -> ProjPoint2:
     equals q exactly when that line is tangent, i.e. p lies on the tangent
     at q.
     """
-    _on_conic_check(q, Q)
+    if _off_conic(q.coords.reshape(1, 3), Q)[0][0]:
+        raise NotOnConic("point %r is off the conic" % q)
     pc = p.point.coords
     t = 2.0 * Q.polar(q.coords, pc) / Q(pc)
     return ProjPoint2(q.coords - t * pc)
@@ -220,20 +206,9 @@ def fiber_enumerate(E: PencilDivisor, p: PencilCenter, Q: QuadForm,
                     entry.append((qstar, m - j))
                 opts.append(tuple(entry))
             options.append(opts)
-    out: List[ConicDivisor] = []
-    idx = [0] * len(options)
-    while True:
-        combo = [entry for k, choice in enumerate(idx)
-                 for entry in options[k][choice]]
-        out.append(ConicDivisor(combo))
-        for k in range(len(options) - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] < len(options[k]):
-                break
-            idx[k] = 0
-        else:
-            break
-    return out
+    # the last pencil point's option varies fastest
+    return [ConicDivisor([entry for choice in combo for entry in choice])
+            for combo in itertools.product(*options)]
 
 
 def viete_map(D: PencilDivisor) -> BinaryForm:

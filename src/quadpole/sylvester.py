@@ -215,10 +215,12 @@ class Multipole:
         return len(self.lines)
 
     def product_poly(self) -> HomogPoly:
-        out = HomogPoly(0, [self.scale])
-        for w in self.lines:
-            out = poly_mul(out, HomogPoly(1, w))
-        return out
+        """scale * prod(lines), the scale multiplied into the first line."""
+        if not self.lines:
+            return HomogPoly(0, [self.scale])
+        lines = np.array([self.lines], dtype=complex)
+        lines[:, 0] = poly_mul_rows(np.array([[self.scale]]), 0, lines[:, 0], 1)
+        return HomogPoly(self.degree, _line_products(lines)[0])
 
     def isclose(self, other: "Multipole", tol: float = 1e-8) -> bool:
         if self.degree != other.degree:
@@ -229,10 +231,6 @@ class Multipole:
             if max(abs(x - y) for x, y in zip(a, b)) > tol:
                 return False
         return True
-
-
-def _scaled(lam: complex, p: HomogPoly) -> HomogPoly:
-    return HomogPoly(p.degree, lam * p.coeffs)
 
 
 @dataclass
@@ -250,9 +248,11 @@ class MultipoleFactorization:
         return len(self.lines)
 
     def product(self) -> HomogPoly:
+        """lam * prod(lines), the lines multiplied first."""
         if not self.lines:
             return HomogPoly(0, [self.lam])
-        return _scaled(self.lam, functools.reduce(poly_mul, self.lines))
+        lines = np.array([[L.coeffs for L in self.lines]])
+        return HomogPoly(self.degree, self.lam * _line_products(lines)[0])
 
     def reconstruct(self, Q: QuadForm) -> HomogPoly:
         """lam * prod(lines) + Q * remainder; a zero remainder adds nothing."""
@@ -308,13 +308,13 @@ class _FactorContext:
     The divisibility test, the restriction and the roots are computed once.
     The point q where lambda is fixed and P(q) are computed at first use
     and kept; so is each cluster pair's line with its value at q, where the
-    lines a factor_many call is the first to use are built by one
-    line_through call on the stack of their point pairs.  factor_many
+    lines a _factor_rows call is the first to use are built by one
+    line_through call on the stack of their point pairs.  _factor_rows
     takes a list of parcellings as one stack of rows: the line products,
     lambdas, defects and their norms for all rows at once, and one division
-    of the stack by Q.  Each row is computed as factor computes it alone,
-    except that a remainder R, from one matrix product for the stack, can
-    differ in its last bits with the number of rows that share the call.
+    of the stack by Q.  Each row is computed as it is alone, except that a
+    remainder R, from one matrix product for the stack, can differ in its
+    last bits with the number of rows that share the call.
 
     Every division by Q, the divisibility test and the parcellings'
     defects, goes through divide_rows_by_quadric, which applies one operator
@@ -406,13 +406,10 @@ class _FactorContext:
             raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
         return self._eval_u
 
-    def factor(self, parcelling: GeneralizedParcelling) -> MultipoleFactorization:
-        """P = lam * prod(L) + Q * R over one parcelling: factor_many of it alone."""
-        return self.factor_many([parcelling])[0]
-
-    def factor_many(self, parcellings: Sequence[GeneralizedParcelling]
-                    ) -> List[MultipoleFactorization]:
-        """P = lam * prod(L) + Q * R over each parcelling, each certified once.
+    def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
+                     ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
+        """P = lam * prod(L) + Q * R over each parcelling, each certified once:
+        the rows before the first failing one, and that row's error.
 
         The one check is on the defect diff = P - lam * prod(L).  In a
         well-conditioned context R is zero when ||diff|| is at most
@@ -424,21 +421,10 @@ class _FactorContext:
         a division residual of 1e-4 * ||diff||.  A linear P has no R: it
         must lie within TOL_FACT * ||P|| of lam * L.
 
-        The error raised is that of the first parcelling that fails, as if
-        each were factored in turn.
-        """
-        facts, err = self._factor_rows(parcellings)
-        if err is not None:
-            raise err
-        return facts
-
-    def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
-                     ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
-        """factor_many's rows before the first failing one, and that row's error.
-
         Each check runs on the rows before the first failure found so far,
-        in factor's order of checks, so the error kept is the one the first
-        failing parcelling raises alone; it is None when every row passes.
+        in the order a single row meets them, so the error kept is the one
+        the first failing parcelling gives alone; it is None when every row
+        passes.
         """
         n, err = len(parcellings), None
         nc = len(self.clusters)
@@ -537,18 +523,11 @@ class _FactorContext:
             return _realified(facts, self.P, self.Q, err)
         return facts, err
 
-    def factor_with(self, strategy: str) -> MultipoleFactorization:
-        """The one row of rows(strategy), or its error raised."""
-        facts, err = self.rows(strategy)
-        if err is not None:
-            raise err
-        return facts[0]
-
     def attempt_key(self, strategy: str) -> tuple:
-        """What factor_with(strategy) reads that the clustering scale changes.
+        """What rows(strategy) reads that the clustering scale changes.
 
         That is the clusters, the parcelling, the evaluation point and
-        ill_conditioned, in the order factor_with reads them; a failure
+        ill_conditioned, in the order rows reads them; a failure
         stands for itself by its type and message, and ends the key, as it
         ends the attempt.  Two contexts of one P with equal keys return equal
         factorizations or raise the same error.
@@ -562,10 +541,6 @@ class _FactorContext:
         else:
             key.append(self.ill_conditioned)
         return tuple(key)
-
-    def factor_all(self) -> List[MultipoleFactorization]:
-        """Factorizations for every parcelling, in enumeration order."""
-        return self.factor_many(enumerate_parcellings(self.multiplicities))
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -594,6 +569,15 @@ class _FactorContext:
                 raise ConjugationPairingFailure(
                     "cluster %d is real; conjugation must act freely" % i)
         return sigma
+
+
+def _rows_or_raise(rows: Tuple[List[MultipoleFactorization], Optional[Exception]]
+                   ) -> List[MultipoleFactorization]:
+    """The rows of a (rows, error) pair as _factor_rows gives it, or its error raised."""
+    facts, err = rows
+    if err is not None:
+        raise err
+    return facts
 
 
 def _check_real_input(P: HomogPoly) -> None:
@@ -650,14 +634,14 @@ def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelli
                       tol_div: float = TOL_DIV) -> MultipoleFactorization:
     """Factor P as lambda * prod(lines) + Q * R for one chosen parcelling."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return ctx.factor(parcelling)
+    return _rows_or_raise(ctx._factor_rows([parcelling]))[0]
 
 
 def all_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
                        tol_div: float = TOL_DIV) -> List[MultipoleFactorization]:
     """Factorizations for every parcelling, in enumeration order."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return ctx.factor_all()
+    return _rows_or_raise(ctx.rows("enumerate"))
 
 
 def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -708,7 +692,7 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
         raise ValueError("unknown factoring strategy %r" % (strategy,))
     ctx = _strategy_context(P, Q, strategy, eps_cluster=eps_cluster,
                             tol_div=tol_div)
-    return ctx.factor_with(strategy)
+    return _rows_or_raise(ctx.rows(strategy))[0]
 
 
 def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -727,10 +711,7 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
     stable = [par for par in enumerate_parcellings(ctx.multiplicities)
               if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
     facts, err = ctx._factor_rows(stable)
-    real, err = _realified(facts, P, Q, err)
-    if err is not None:
-        raise err
-    return real
+    return _rows_or_raise(_realified(facts, P, Q, err))
 
 
 def intersection_clusters(P: HomogPoly, Q: QuadForm,

@@ -2,8 +2,10 @@
 round trips of emitted JSON back through the parsers."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,10 @@ from quadpole.algebra import grade_dim, monomial_index
 from quadpole.cli import main
 
 from conftest import subprocess_env
+
+ROOT = Path(__file__).resolve().parent.parent
+# each README demo's argv, exit code and parsed output
+DEMOS = json.loads((ROOT / "tests" / "data" / "readme_demos.json").read_text())
 
 
 def hp(degree, entries):
@@ -319,3 +325,54 @@ class TestSubprocess:
             capture_output=True, text=True, timeout=120, env=subprocess_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"bound": 3, "kappa": 3}
+
+
+def readme_demos():
+    """The argv of each quadpole command in the README's command-line block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("quadpole ")]
+
+
+def _magnitudes(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [m for y in x for m in _magnitudes(y)]
+    return [abs(x)] if isinstance(x, (int, float)) and not isinstance(x, bool) else []
+
+
+def _assert_matches(got, want, tol, path):
+    """Same structure, strings, booleans and integers; floats within tol."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for k in want:
+            _assert_matches(got[k], want[k], tol, "%s.%s" % (path, k))
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, tol, "%s[%d]" % (path, i))
+    elif isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= tol, (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+class TestReadmeDemos:
+    """The README's command-line demos, run in-process from the repository
+    root against their recorded outputs: exit codes, JSON structure and
+    integers exactly, floats within 1e-10 of the output's largest magnitude."""
+
+    def test_readme_lists_the_recorded_demos(self):
+        assert readme_demos() == [demo["argv"] for demo in DEMOS]
+        assert len(DEMOS) == 12
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=[" ".join(d["argv"]) for d in DEMOS])
+    def test_demo(self, demo, run, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        code, out = run(demo["argv"])
+        assert code == demo["exit"]
+        want = demo["output"]
+        _assert_matches(json.loads(out), want, 1e-10 * max(_magnitudes(want), default=0.0),
+                        "$")

@@ -1,6 +1,8 @@
 """Pencil projection of conic divisors: the line involution, tangency
 points, fibers of the projection, and the root/coefficient correspondence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,12 @@ class TestStarInvolution:
         p = center([0, 0, 1], sphere)
         with pytest.raises(NotOnConic):
             star_involution(ProjPoint2([1, 0, 1]), p, sphere)
+
+    def test_off_conic_error_names_point(self, sphere):
+        p = center([0, 0, 1], sphere)
+        q = ProjPoint2([1, 0.5, 1])
+        with pytest.raises(NotOnConic, match=re.escape("point %r is off" % q)):
+            star_involution(q, p, sphere)
 
 
 class TestTangency:
@@ -210,6 +218,26 @@ class TestFibers:
         assert len(f1) == len(f2) == 9
         for a, b in zip(f1, f2):
             assert divisors_close(a, b, tol=1e-10)
+
+    def test_pinned_order(self, sphere):
+        # the pencil through [0:0:1] meets the line x = 0 at A+- = [0:1:+-i]
+        # and y = 0 at B+- = [1:0:+-i]; E = 2 (x = 0) + 1 (y = 0).  The
+        # last pencil point varies fastest, and each point's options run
+        # from (m, 0) to (0, m) in the multiplicities of (A-, A+), (B-, B+)
+        p = center([0, 0, 2], sphere)
+        frame = PencilFrame(p, sphere)
+        e = PencilDivisor([(frame.param_of_line([1, 0, 0]), 2),
+                           (frame.param_of_line([0, 1, 0]), 1)])
+        assert [m for _, m in e.points] == [2, 1]
+        a_m, a_p = ProjPoint2([0, 1, -1j]), ProjPoint2([0, 1, 1j])
+        b_m, b_p = ProjPoint2([1, 0, -1j]), ProjPoint2([1, 0, 1j])
+        want = [[(a_m, 2), (b_m, 1)], [(a_m, 2), (b_p, 1)],
+                [(a_m, 1), (a_p, 1), (b_m, 1)], [(a_m, 1), (a_p, 1), (b_p, 1)],
+                [(a_p, 2), (b_m, 1)], [(a_p, 2), (b_p, 1)]]
+        got = fiber_enumerate(e, p, sphere)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert divisors_close(g, ConicDivisor(w), tol=1e-12)
 
 
 class TestViete:

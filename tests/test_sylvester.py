@@ -35,7 +35,7 @@ from quadpole import algebra, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim, monomial_index
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
                              SolveFailure)
-from quadpole.sylvester import _FactorContext
+from quadpole.sylvester import _FactorContext, _rows_or_raise
 
 from conftest import compose_linear, q_orthogonal, random_homog
 
@@ -417,10 +417,10 @@ class TestEnumerationEngine:
             p = random_homog(4, rng)
             ctx = _FactorContext(p, Q)
             pars = enumerate_parcellings(ctx.multiplicities)
-            want = {par: ctx.factor(par) for par in pars}
+            want = {par: _rows_or_raise(ctx._factor_rows([par]))[0] for par in pars}
             shuffled = _FactorContext(p, Q)
             for k in rng.permutation(len(pars)):
-                got = shuffled.factor(pars[k])
+                got = _rows_or_raise(shuffled._factor_rows([pars[k]]))[0]
                 ref = want[pars[k]]
                 assert got.lam == ref.lam
                 assert np.array_equal(got.remainder.coeffs, ref.remainder.coeffs)
@@ -465,8 +465,8 @@ class TestEnumerationEngine:
         calls.clear()
         ctx = _FactorContext(P, sphere)
         pars = enumerate_parcellings(ctx.multiplicities)
-        first = ctx.factor_many(pars)
-        again = ctx.factor_many(pars)
+        first = _rows_or_raise(ctx._factor_rows(pars))
+        again = _rows_or_raise(ctx._factor_rows(pars))
         assert calls == [28]
         assert [f.lam for f in again] == [f.lam for f in first]
 
@@ -699,17 +699,17 @@ class TestFirstFailingRow:
         P = random_homog(4, np.random.default_rng(57))
         ctx = _FactorContext(P, sphere)
         pars = enumerate_parcellings(ctx.multiplicities)
-        want = ctx.factor_many(pars)
+        want = _rows_or_raise(ctx._factor_rows(pars))
         # the line first used latest passes through the evaluation point
         piece, row = _late_piece(ctx)
         ctx._lines[piece] = (ctx._lines[piece][0], 0j)
         wrong = GeneralizedParcelling(((0, 0), (1, 2), (3, 4), (5, 6)))
         with pytest.raises(NoEvaluationPoint):
-            ctx.factor_many(pars)
+            _rows_or_raise(ctx._factor_rows(pars))
         with pytest.raises(ValueError, match="multiplicities"):
-            ctx.factor_many(pars[:row] + [wrong] + pars[row:])
+            _rows_or_raise(ctx._factor_rows(pars[:row] + [wrong] + pars[row:]))
         with pytest.raises(NoEvaluationPoint):
-            ctx.factor_many(pars[:row + 1] + [wrong])
+            _rows_or_raise(ctx._factor_rows(pars[:row + 1] + [wrong]))
         facts, err = ctx._factor_rows(pars)
         assert isinstance(err, NoEvaluationPoint) and len(facts) == row
         for f, g in zip(facts, want):
@@ -771,6 +771,25 @@ class TestMultipoleFromParts:
             lines = [lines[k] for k in order]
             assert _bits(Multipole.from_parts(2.5, lines)) \
                 == _bits(_from_parts_reference(2.5, lines))
+
+
+class TestLineProducts:
+    """MultipoleFactorization.product and Multipole.product_poly against
+    lam * prod(L(x)), evaluated point by point."""
+
+    def test_pointwise(self, sphere, dense_complex):
+        rng = np.random.default_rng(64)
+        pts = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
+        for Q in (sphere, dense_complex):
+            for d in range(1, 7):
+                f = factor(random_homog(d, rng), Q)
+                mp = f.multipole()
+                for got, lam, lines in ((f.product(), f.lam, [L.coeffs for L in f.lines]),
+                                        (mp.product_poly(), mp.scale, mp.lines)):
+                    # a line's value at x is its coefficients dotted with x
+                    want = lam * np.prod(pts @ np.array(lines).T, axis=1)
+                    assert got.degree == d
+                    assert _rel(got.eval_many(pts), want) <= 1e-12
 
 
 class TestRealFactorizations:
@@ -905,8 +924,8 @@ class TestAtScale:
                 assert np.array_equal(a.point.coords, b.point.coords)
             assert got.ill_conditioned == want.ill_conditioned
             assert got.attempt_key(strategy) == want.attempt_key(strategy)
-            assert _outcome(lambda: got.factor_with(strategy)) \
-                == _outcome(lambda: want.factor_with(strategy))
+            assert _outcome(lambda: _rows_or_raise(got.rows(strategy))[0]) \
+                == _outcome(lambda: _rows_or_raise(want.rows(strategy))[0])
 
     def test_near_double(self, sphere, hyperboloid):
         rng = np.random.default_rng(49)
