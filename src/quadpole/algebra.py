@@ -421,7 +421,7 @@ def _sqrt_factor_2x2(T: np.ndarray) -> np.ndarray:
     return s * np.array([[1.0, 1j], [1.0, -1j]], dtype=complex)
 
 
-def quad_reduce(Q: QuadForm, tol_det: float = TOL_DET) -> np.ndarray:
+def quad_reduce(Q: QuadForm) -> np.ndarray:
     """Matrix A with A @ A.T = B, so Q becomes a sum of three squares in v @ A.
 
     Symmetric elimination with largest-pivot selection; a 2x2 block step covers
@@ -430,7 +430,7 @@ def quad_reduce(Q: QuadForm, tol_det: float = TOL_DET) -> np.ndarray:
     """
     B = Q.B
     scale = float(np.max(np.abs(B)))
-    if scale == 0.0 or abs(np.linalg.det(B)) <= tol_det * scale ** 3:
+    if scale == 0.0 or abs(np.linalg.det(B)) <= TOL_DET * scale ** 3:
         raise Degenerate("quadratic form is singular within tolerance")
     M = B.copy()
     piv_tol = 1e-13 * scale

@@ -239,23 +239,21 @@ class SeriesMultipoles:
 
 
 def multipole_series(decomp: BandDecomposition, Q: QuadForm,
-                     tol_zero: float = TOL_ZERO_BAND,
                      eps_cluster: float = EPS_CLUSTER,
                      tol_div: float = TOL_DIV) -> SeriesMultipoles:
     """Factor every band of a decomposition into one multipole.
 
     Real bands over a definite real form go through the unique real
     factorization; otherwise the deterministic greedy parcelling is used.
-    Bands below tol_zero * f_norm relative norm become the zero multipole.
+    Bands below TOL_ZERO_BAND * f_norm relative norm become the zero multipole.
     Each nonzero multipole is checked to reproduce its band through the
     potential-derivative construction before being returned.
 
     A band that does not reproduce within 1e-12 relative is factored again
     with its roots merged at 10x the scale, from eps_cluster while the scale
     is at most 0.2; so eps_cluster must lie in (0, 0.2].  A scale whose
-    attempt would repeat an earlier one exactly is skipped: the same
-    clusters, parcelling, evaluation point and ill_conditioned flag, or the
-    same failure among them, give the same result or the same error.
+    candidate has the lines of an earlier one takes that one's fit instead
+    of fitting again: the fit reads nothing else that the scale changes.
     """
     if not 0.0 < eps_cluster <= 0.2:
         raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
@@ -269,7 +267,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     norms: Dict[int, float] = {0: abs(lam)}
     for k in range(1, decomp.d_max + 1):
         fk = decomp.bands[k]
-        if decomp.band_norms[k] <= tol_zero * scale_ref:
+        if decomp.band_norms[k] <= TOL_ZERO_BAND * scale_ref:
             terms[k] = Multipole(0j, ())
             scales[k] = 0j
             norms[k] = 0.0
@@ -284,7 +282,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         band_tol_div = max(tol_div, 1e3 * floor)
         w, c, best = None, 0j, np.inf
         last_err = None
-        tried = {}  # attempt key -> the error the attempt raised, or None
+        fits = {}  # candidate lines -> maxwell_fit's scale and defect
         ctx = None
         eps = eps_cluster
         while eps <= 0.2:
@@ -292,25 +290,18 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                                      tol_div=band_tol_div)
                    if ctx is None else ctx.at_scale(eps))
             eps *= 10.0
-            key = ctx.attempt_key(strategy)
-            if key in tried:
-                # a repeated success cannot lower best or pass the gate
-                # that would have stopped the loop; a repeated failure
-                # raises what it raised before
-                if tried[key] is not None:
-                    last_err = tried[key]
-                continue
-            tried[key] = None
             try:
                 cand = _rows_or_raise(ctx.rows(strategy))[0].multipole()
-                _, cc, defect = maxwell_fit(fk, Q, cand.lines)
+                if cand.lines not in fits:
+                    fits[cand.lines] = maxwell_fit(fk, Q, cand.lines)[1:]
+                cc, defect = fits[cand.lines]
                 if defect < best:
                     w, c, best = cand, cc, defect
                 if defect <= 1e-12 * fk.norm():
                     break
             except (SolveFailure, ConjugationPairingFailure,
                     NoEvaluationPoint) as exc:
-                last_err = tried[key] = exc
+                last_err = exc
         if w is None:
             raise last_err
         if best > 1e-7 * fk.norm():

@@ -45,11 +45,13 @@ class PencilCenter:
         return cls(pt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Divisor:
     """Effective divisor: (point, multiplicity) pairs sorted by point key.
 
-    Equality, hash and repr are the dataclass's, per subclass.
+    Two divisors are equal when they are of one subclass and their points
+    have equal keys and multiplicities; the hash follows.  The repr is the
+    dataclass's.
     """
 
     points: Tuple[Tuple[Any, int], ...]
@@ -60,6 +62,17 @@ class _Divisor:
         if any(m < 1 for _, m in entries):
             raise ValueError("multiplicities must be positive")
         object.__setattr__(self, "points", entries)
+
+    def _key(self) -> tuple:
+        return type(self), tuple((pt.key(), m) for pt, m in self.points)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Divisor):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def degree(self) -> int:

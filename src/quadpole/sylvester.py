@@ -358,8 +358,6 @@ class _FactorContext:
         """Set eps_cluster and what it decides, and empty the caches that follow from it."""
         self.eps_cluster = eps_cluster
         self.ill_conditioned = bool(self._min_separation < 10 * eps_cluster)
-        # None until evaluation_point searches; False if no point cleared
-        self._eval_u = None
         self._q: Optional[np.ndarray] = None
         self._p_at_q = 0j
         # piece -> (its normalized line, the line's value at q)
@@ -384,32 +382,25 @@ class _FactorContext:
         return ctx
 
     def evaluation_point(self) -> ProjPoint1:
-        """First golden-ratio trial point clear of the divisor with |b| not small.
-
-        The search runs once per context; a failed search is kept too.
-        """
-        if self._eval_u is None:
-            self._eval_u = False
-            max_c = float(np.max(np.abs(self.b.coeffs)))
-            power = 1.0
-            for _ in range(64):
-                u = ProjPoint1([1.0, power])
-                power *= _GOLDEN
-                if any(chordal(u, c.point) <= 10 * self.eps_cluster
-                       for c in self.clusters):
-                    continue
-                if abs(self.b.eval_point(u)) <= 1e-4 * max_c:
-                    continue
-                self._eval_u = u
-                break
-        if self._eval_u is False:
-            raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
-        return self._eval_u
+        """First golden-ratio trial point clear of the divisor with |b| not small."""
+        max_c = float(np.max(np.abs(self.b.coeffs)))
+        power = 1.0
+        for _ in range(64):
+            u = ProjPoint1([1.0, power])
+            power *= _GOLDEN
+            if any(chordal(u, c.point) <= 10 * self.eps_cluster
+                   for c in self.clusters):
+                continue
+            if abs(self.b.eval_point(u)) <= 1e-4 * max_c:
+                continue
+            return u
+        raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
     def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
                      ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
         """P = lam * prod(L) + Q * R over each parcelling, each certified once:
-        the rows before the first failing one, and that row's error.
+        the rows before the first failing one, and that row's error.  Every
+        parcelling must use each cluster its multiplicity times.
 
         The one check is on the defect diff = P - lam * prod(L).  In a
         well-conditioned context R is zero when ||diff|| is at most
@@ -427,11 +418,6 @@ class _FactorContext:
         passes.
         """
         n, err = len(parcellings), None
-        nc = len(self.clusters)
-        for k, par in enumerate(parcellings):
-            if par.multiplicity_use(nc) != self.multiplicities:
-                n, err = k, ValueError("parcelling does not match the root multiplicities")
-                break
         # the pieces whose lines are not kept yet, in order of first use;
         # every row uses every cluster, so a point off the conic, like a
         # failed search for the evaluation point, fails row 0
@@ -522,25 +508,6 @@ class _FactorContext:
         if strategy == "real_unique":
             return _realified(facts, self.P, self.Q, err)
         return facts, err
-
-    def attempt_key(self, strategy: str) -> tuple:
-        """What rows(strategy) reads that the clustering scale changes.
-
-        That is the clusters, the parcelling, the evaluation point and
-        ill_conditioned, in the order rows reads them; a failure
-        stands for itself by its type and message, and ends the key, as it
-        ends the attempt.  Two contexts of one P with equal keys return equal
-        factorizations or raise the same error.
-        """
-        key: list = [tuple((c.point.key(), c.multiplicity) for c in self.clusters)]
-        try:
-            key.append(self.parcelling_for(strategy).pieces)
-            key.append(self.evaluation_point().key())
-        except (NoEvaluationPoint, ConjugationPairingFailure) as exc:
-            key.append((type(exc), str(exc)))
-        else:
-            key.append(self.ill_conditioned)
-        return tuple(key)
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -634,6 +601,10 @@ def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelli
                       tol_div: float = TOL_DIV) -> MultipoleFactorization:
     """Factor P as lambda * prod(lines) + Q * R for one chosen parcelling."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    n = len(ctx.clusters)
+    if not all(0 <= i < n for piece in parcelling.pieces for i in piece) \
+            or parcelling.multiplicity_use(n) != ctx.multiplicities:
+        raise ValueError("parcelling does not match the root multiplicities")
     return _rows_or_raise(ctx._factor_rows([parcelling]))[0]
 
 
@@ -724,8 +695,7 @@ def intersection_clusters(P: HomogPoly, Q: QuadForm,
     return roots_projective(b, eps_cluster=eps_cluster)
 
 
-def in_discriminant(P: HomogPoly, Q: QuadForm, tol_disc: float = TOL_DISC,
-                    eps_cluster: float = EPS_CLUSTER,
+def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
                     tol_div: float = TOL_DIV) -> bool:
     """Whether the intersection divisor of P on {Q = 0} has a multiple point.
 
@@ -745,7 +715,7 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, tol_disc: float = TOL_DISC,
     clusters = roots_projective(b, eps_cluster=eps_mult)
     multiple = any(c.multiplicity >= 2 for c in clusters)
     bn = BinaryForm(b.degree, b.coeffs / max_c)
-    small = abs(binary_discriminant(bn)) <= tol_disc * discriminant_scale(bn)
+    small = abs(binary_discriminant(bn)) <= TOL_DISC * discriminant_scale(bn)
     if multiple and not small and b.degree <= 8:
         raise SolveFailure("cluster and resultant discriminant signals disagree")
     return multiple

@@ -417,7 +417,7 @@ class TestScaleSchedule:
         monkeypatch.setattr(approx, "maxwell_fit", counted)
         dec = l2_project(f_exp, sphere, 12, QuadratureRule(24))
         multipole_series(dec, sphere)
-        assert len(calls) == 19 < 30
+        assert len(calls) == 15 < 30
 
 
 class TestEpsClusterRange:

@@ -147,6 +147,20 @@ class TestProjection:
         assert e.degree == d.degree
 
 
+class TestDivisorEquality:
+    def test_equal_coordinates(self):
+        a = ConicDivisor([(ProjPoint2([1, 1j, 0]), 2), (ProjPoint2([1, -1j, 0]), 1)])
+        b = ConicDivisor([(ProjPoint2([1, -1j, 0]), 1), (ProjPoint2([2, 2j, 0]), 2)])
+        assert a == b and hash(a) == hash(b)
+
+    def test_unequal(self):
+        a = ConicDivisor([(ProjPoint2([1, 1j, 0]), 2)])
+        assert a != ConicDivisor([(ProjPoint2([1, 1j, 0]), 3)])
+        assert a != PencilDivisor([(ProjPoint2([1, 1j, 0]), 2)])
+        assert PencilDivisor([(ProjPoint1([1, 2]), 1)]) \
+            == PencilDivisor([(ProjPoint1([1, 2]), 1)])
+
+
 class TestFibers:
     def test_generic_degree_two(self, sphere):
         rng = np.random.default_rng(45)
