@@ -253,7 +253,10 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     with its roots merged at 10x the scale, from eps_cluster while the scale
     is at most 0.2; so eps_cluster must lie in (0, 0.2].  A scale whose
     candidate has the lines of an earlier one takes that one's fit instead
-    of fitting again: the fit reads nothing else that the scale changes.
+    of fitting again: the fit reads nothing else that the scale changes.  A
+    scale whose roots merge into the same groups as a scale that was fit is
+    skipped: its clusters, parcelling and lines are that scale's, so it
+    could only give the same fit again.
     """
     if not 0.0 < eps_cluster <= 0.2:
         raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
@@ -283,18 +286,21 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         w, c, best = None, 0j, np.inf
         last_err = None
         fits = {}  # candidate lines -> maxwell_fit's scale and defect
-        ctx = None
+        ctx = fitted = None  # fitted: the last context whose candidate was fit
         eps = eps_cluster
         while eps <= 0.2:
             ctx = (_strategy_context(fk, Q, strategy, eps_cluster=eps,
                                      tol_div=band_tol_div)
                    if ctx is None else ctx.at_scale(eps))
             eps *= 10.0
+            if fitted is not None and ctx._groups == fitted._groups:
+                continue
             try:
                 cand = _rows_or_raise(ctx.rows(strategy))[0].multipole()
                 if cand.lines not in fits:
                     fits[cand.lines] = maxwell_fit(fk, Q, cand.lines)[1:]
                 cc, defect = fits[cand.lines]
+                fitted = ctx
                 if defect < best:
                     w, c, best = cand, cc, defect
                 if defect <= 1e-12 * fk.norm():

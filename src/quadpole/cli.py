@@ -1,14 +1,17 @@
 """Command-line interface: stable JSON in, stable JSON out.
 
-Exit codes: 0 success, 2 unreadable or schema-violating input, 3 input that
+Exit codes: 0 success, 2 unreadable or schema-violating input or an option
+out of range (a quadrature rule too low for --d-max among them), 3 input that
 is a multiple of the form where that is rejected, 4 numerical failure inside
 an operation.  Output is deterministic: identical inputs and options produce
-byte-identical JSON.
+byte-identical JSON, exactly json.dumps(obj, indent=2, sort_keys=True) and a
+newline.  main builds its argument parser once per process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Dict, List, Optional
@@ -19,7 +22,7 @@ from . import io as qio
 from .algebra import QuadForm, QuadratureRule, TOL_DIV
 from .conic import EPS_CLUSTER
 from .deconstruct import full_decompose, representation_bound
-from .errors import DivisibleByQ, InvalidInput, QuadpoleError
+from .errors import DivisibleByQ, InsufficientQuadrature, InvalidInput, QuadpoleError
 from .harmonic import TOL_HARM, harmonic_decompose
 from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
@@ -57,8 +60,78 @@ def _resolve_quadric(name: str) -> QuadForm:
     return qio.quadform_from_json(_load_json(name))
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json writes it, before its quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(key).__name__)
+
+
+def _json_text(obj: Any, newline: str = "\n") -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True).
+
+    The standard library runs its pure-Python encoder whenever indent is
+    set; this one builds the same text with one recursive join per
+    container.  Types are tested in json's order, so bools before ints and
+    float subclasses such as np.float64 as floats; any other type raises
+    TypeError, as json does.  newline is the line break and indentation of
+    obj's own level.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [_json_text(v, inner) for v in obj]), newline)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [_encode_str(_key_text(k)) + ": " + _json_text(v, inner)
+             for k, v in sorted(obj.items())]), newline)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(obj).__name__)
+
+
 def _emit(obj: Any, output: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _json_text(obj) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -286,14 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         Q = _resolve_quadric(args.quadric)
         result = args.func(args, Q)
         _emit(result, args.output)
-    except (InvalidInput, ValueError) as exc:
+    except (InvalidInput, InsufficientQuadrature, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except DivisibleByQ as exc:

@@ -5,6 +5,9 @@ as a real).  Parsers validate shapes and reject unknown keys with
 InvalidInput so the CLI can map schema problems to its parse-error exit code.
 Serializers emit canonical, deterministically ordered structures: the same
 object always produces the same bytes through json.dumps(sort_keys=True).
+The CLI prints them as exactly json.dumps(obj, indent=2, sort_keys=True)
+plus a newline, through its own printer, and reuses one argument parser for
+every main call in a process.
 """
 
 from __future__ import annotations
@@ -52,12 +55,11 @@ def poly_to_json(p) -> Dict[str, Any]:
     parts = p.parts if isinstance(p, Poly) else Poly.from_homog(p).parts
     terms = []
     for part in parts:
-        for mono, c in zip(monomials(part.degree), part.coeffs):
-            c = complex(c)
-            if c == 0:
-                continue
-            terms.append({"exp": list(mono), "re": float(c.real),
-                          "im": float(c.imag)})
+        monos = monomials(part.degree)
+        nz = np.flatnonzero(part.coeffs != 0)
+        c = part.coeffs[nz]
+        for i, re, im in zip(nz.tolist(), c.real.tolist(), c.imag.tolist()):
+            terms.append({"exp": list(monos[i]), "re": re, "im": im})
     return {"degree": len(parts) - 1, "terms": terms}
 
 

@@ -419,6 +419,22 @@ class TestScaleSchedule:
         multipole_series(dec, sphere)
         assert len(calls) == 15 < 30
 
+    def test_same_groups_not_refactored(self, sphere, monkeypatch):
+        # a scale whose merge groups repeat a fitted scale's builds no rows;
+        # rebuilding them at every scale makes 41 calls here
+        from quadpole.sylvester import _FactorContext
+        calls = []
+        original = _FactorContext._factor_rows
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_FactorContext, "_factor_rows", counted)
+        dec = l2_project(f_exp, sphere, 12, QuadratureRule(24))
+        multipole_series(dec, sphere)
+        assert len(calls) == 24 < 41
+
 
 class TestEpsClusterRange:
     @pytest.mark.parametrize("eps", [0.5, float("nan"), -1.0])

@@ -19,7 +19,8 @@ from quadpole import (
 )
 from quadpole import io as qio
 from quadpole.algebra import grade_dim, monomial_index
-from quadpole.cli import main
+from quadpole import cli
+from quadpole.cli import _json_text, main
 
 from conftest import subprocess_env
 
@@ -77,6 +78,10 @@ def run(capsys):
     def invoke(argv):
         code = main(argv)
         out = capsys.readouterr().out
+        if out:
+            # the CLI's printer against the standard library's bytes
+            assert out == json.dumps(json.loads(out), indent=2,
+                                     sort_keys=True) + "\n"
         return code, out
 
     return invoke
@@ -316,6 +321,63 @@ class TestExitCodes:
         for argv in cases:
             code, _ = run(argv)
             assert code == 4, argv
+
+    def test_quadrature_too_low_is_an_input_error(self, capsys):
+        code = main(["approx", "--function", "exp_x", "--d-max", "4",
+                     "--exact-degree", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "rule exact to 3 cannot project up to degree 4" in captured.err
+
+
+class TestPrinter:
+    """The CLI's printer gives json.dumps(obj, indent=2, sort_keys=True)."""
+
+    CASES = [
+        -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1, float("nan"), float("inf"),
+        -float("inf"), 10 ** 40, -(10 ** 40), 0, True, False, None, "",
+        "plain", "caf\u00e9 \u2603 \U0001f600", "\x00\x1f\x7f\"\\/\n\t",
+        [], {}, [[]], [{}], {"a": {}}, {"a": []}, [True, False, None, 1],
+        (1, (2.5, [])), {"b": (), "a": [[], [[]]]},
+        [np.float64(0.1), np.float64(-0.0), np.float64("nan")],
+        {2: "two", 10: "ten", -1: "minus"}, {np.float64(0.5): 1, 1.5: 2},
+        {True: 1}, {None: [1]}, {"\u00e9": 1, "e": {"z": 0, "y": [1, {}]}},
+    ]
+
+    @pytest.mark.parametrize("obj", CASES, ids=[repr(c) for c in CASES])
+    def test_same_bytes_as_json(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_demo_outputs(self):
+        for demo in DEMOS:
+            obj = demo["output"]
+            assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [np.int64(3), [1, np.int64(3)],
+                                     {"a": np.int64(3)}, {np.int64(3): 1},
+                                     {1j: 0}, object(), [np.bool_(True)]])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+    def test_one_parser_per_process(self, run, monkeypatch):
+        calls = []
+        original = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["counts", "--d", "2"], ["counts", "--d", "3"]):
+                assert run(argv)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
 
 
 class TestSubprocess:

@@ -24,7 +24,7 @@ from quadpole import (
     poly_mul,
 )
 from quadpole import io as qio
-from quadpole.algebra import grade_dim, monomial_index
+from quadpole.algebra import grade_dim, monomial_index, monomials
 
 from conftest import random_poly
 
@@ -43,6 +43,20 @@ Y = hp(1, {(0, 1, 0): 1})
 
 def dumps(obj):
     return json.dumps(obj, sort_keys=True)
+
+
+def poly_to_json_loop(p):
+    """poly_to_json as one complex() per coefficient, the reference."""
+    parts = p.parts if isinstance(p, Poly) else Poly.from_homog(p).parts
+    terms = []
+    for part in parts:
+        for mono, c in zip(monomials(part.degree), part.coeffs):
+            c = complex(c)
+            if c == 0:
+                continue
+            terms.append({"exp": list(mono), "re": float(c.real),
+                          "im": float(c.imag)})
+    return {"degree": len(parts) - 1, "terms": terms}
 
 
 class TestPoly:
@@ -66,6 +80,28 @@ class TestPoly:
         p = Poly.from_grades({0: HomogPoly(0, [1.0]), 2: poly_mul(X, X)})
         with pytest.raises(InvalidInput):
             qio.homog_from_json(qio.poly_to_json(p))
+
+    def test_serializer_matches_term_loop(self):
+        # repr tells -0.0 from 0.0, nan from a number and np.float64 from
+        # float; -0.0+0j equals 0 and is omitted, nan and inf are kept
+        nan, inf = float("nan"), float("inf")
+        odd = HomogPoly(3, [complex(-0.0, 0.0), complex(0.0, -0.0),
+                            complex(-0.0, -0.0), complex(1.0, -0.0),
+                            complex(-0.0, 2.0), complex(nan, 0.0),
+                            complex(0.0, inf), complex(-inf, nan),
+                            complex(-1e-300, 0.0), complex(0.0, 5e-324)])
+        rng = np.random.default_rng(92)
+        cases = [
+            odd,
+            HomogPoly.zero(2),
+            Poly.from_grades({0: HomogPoly(0, [-0.0]), 3: odd}),
+            Poly.from_grades({1: HomogPoly.zero(1), 2: HomogPoly.zero(2)}),
+            Poly.from_grades({0: HomogPoly(0, [complex(-0.0, 1.0)]),
+                              2: poly_mul(X, Y) * -1.0}),
+            random_poly(5, rng),
+        ]
+        for p in cases:
+            assert repr(qio.poly_to_json(p)) == repr(poly_to_json_loop(p))
 
     def test_duplicate_terms_accumulate(self):
         obj = {"degree": 1, "terms": [{"exp": [1, 0, 0], "re": 1.0},

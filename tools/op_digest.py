@@ -1,6 +1,7 @@
 """Digest of every benchmark op's output, to show that a change keeps them.
 
     python3 tools/op_digest.py --root <checkout> --workload W --seeds 1-11 [--seconds 25]
+    python3 tools/op_digest.py --root <checkout> --readme
 
 For each seed the plan is built with <checkout>/perfbench/workloads.py,
 exactly as perfbench/run.py builds it, and every warm-up and timed op runs
@@ -16,11 +17,19 @@ One line per seed and a total line give the op count, the failure count
 (ops that raised, and CLI ops with a non-zero exit code) and the SHA-256 of
 the outputs in op order.  Two checkouts with equal lines gave every op the
 same bits.
+
+--readme runs instead each README demo listed in
+<checkout>/tests/data/readme_demos.json as `python -m quadpole.cli ...` in a
+fresh interpreter, from the checkout root with <checkout>/src on PYTHONPATH
+and the BLAS threads pinned to one, and prints per demo the SHA-256 of its
+exit code and its exact stdout bytes.
 """
 
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -97,14 +106,35 @@ def run_seed(worker, workloads, qp, workload: str, seed: int, seconds: int):
     return len(ops), failed, h.hexdigest()
 
 
+def readme_digests(root: Path) -> int:
+    """Print one SHA-256 of exit code and stdout per README demo."""
+    demos = json.loads((root / "tests" / "data" / "readme_demos.json").read_text())
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for demo in demos:
+        proc = subprocess.run([sys.executable, "-m", "quadpole.cli", *demo["argv"]],
+                              cwd=root, env=env, capture_output=True, timeout=600)
+        h = hashlib.sha256(b"%d\n" % proc.returncode)
+        h.update(proc.stdout)
+        print("%s: exit %d, sha256 %s"
+              % (" ".join(demo["argv"]), proc.returncode, h.hexdigest()), flush=True)
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", required=True, help="source checkout to run")
-    ap.add_argument("--workload", required=True)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload")
+    mode.add_argument("--readme", action="store_true",
+                      help="digest the README demos instead of a workload")
     ap.add_argument("--seeds", default="1-11", help="e.g. 1-11 or 1,3,5")
     ap.add_argument("--seconds", type=int, default=25,
                     help="plan length, as perfbench/run.py --seconds")
     args = ap.parse_args()
+    if args.readme:
+        return readme_digests(Path(args.root).resolve())
     bench = Path(args.root).resolve() / "perfbench"
     sys.path.insert(0, str(bench))
     import worker  # pins the BLAS threads before numpy loads
