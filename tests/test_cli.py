@@ -348,11 +348,6 @@ class TestPrinter:
     def test_same_bytes_as_json(self, obj):
         assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
-    def test_demo_outputs(self):
-        for demo in DEMOS:
-            obj = demo["output"]
-            assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
-
     @pytest.mark.parametrize("obj", [np.int64(3), [1, np.int64(3)],
                                      {"a": np.int64(3)}, {np.int64(3): 1},
                                      {1j: 0}, object(), [np.bool_(True)]])
