@@ -505,9 +505,13 @@ def divide_rows_by_quadric(rows: np.ndarray, degree: int, Q: QuadForm,
     ref_norm is one number or one per row and defaults to ||p_i||.
     Otherwise NotDivisible is raised for the first such row; its `row` is
     that row's index and its `quotient` the quotients of the rows before it.
+    tol_div must be finite and positive: a NaN or infinite bound would pass
+    every row, so any input would count as a multiple of Q.
     """
     if degree < 2:
         raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")
+    if not (math.isfinite(tol_div) and tol_div > 0):
+        raise ValueError("tol_div must be finite and positive, not %r" % (tol_div,))
     # one row gives the bits of M^+ @ p
     quot = rows @ _quotient_matrix(Q, degree - 2).T
     residual = np.linalg.norm(poly_mul_rows(Q.poly().coeffs[None, :], 2, quot, degree - 2)

@@ -11,7 +11,7 @@ factorization machinery consumes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -40,25 +40,56 @@ def _normalize(coords, size: int) -> np.ndarray:
     return out
 
 
-class ProjPoint1:
-    """Point of CP^1, normalized so the max-modulus coordinate is exactly 1."""
+def _normalize_rows(v: np.ndarray) -> np.ndarray:
+    """_normalize of each row of an (n, size) complex array, with the same bits.
+
+    One pass for the stack: the first max-modulus entry of each row is its
+    pivot, every row is divided by its pivot and the pivots are set to 1.
+    """
+    mags = np.abs(v)
+    rows = np.arange(v.shape[0])
+    j = np.argmax(mags, axis=1)
+    if not mags[rows, j].all():
+        raise ValueError("zero vector does not define a projective point")
+    out = v / v[rows, j][:, None]
+    out[rows, j] = 1.0
+    return out
+
+
+class _ProjPoint:
+    """Projective point, normalized so the max-modulus coordinate is exactly 1."""
 
     __slots__ = ("coords",)
+    _size = 0
 
     def __init__(self, coords):
-        self.coords = _normalize(coords, 2)
+        self.coords = _normalize(coords, self._size)
 
-    def conj(self) -> "ProjPoint1":
-        return ProjPoint1(np.conj(self.coords))
+    @classmethod
+    def _of(cls, coords: np.ndarray):
+        """Coordinates that are normalized already, kept as they are."""
+        out = cls.__new__(cls)
+        out.coords = coords
+        return out
+
+    def conj(self):
+        return type(self)(np.conj(self.coords))
 
     def key(self) -> Tuple[float, ...]:
         return tuple(float(p) for c in self.coords for p in (c.real, c.imag))
+
+
+class ProjPoint1(_ProjPoint):
+    """Point of CP^1, normalized so the max-modulus coordinate is exactly 1."""
+
+    __slots__ = ()
+    _size = 2
 
     def __repr__(self) -> str:
         return "ProjPoint1[%s : %s]" % (self.coords[0], self.coords[1])
 
 
-class ProjPoint2:
+class ProjPoint2(_ProjPoint):
     """Point of CP^2, normalized so the max-modulus coordinate is exactly 1.
 
     ProjPoint2.stack holds n points as one, with coords of shape (n, 3);
@@ -66,17 +97,8 @@ class ProjPoint2:
     stack.
     """
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = _normalize(coords, 3)
-
-    @classmethod
-    def _of(cls, coords: np.ndarray) -> "ProjPoint2":
-        """Coordinates that are normalized already, kept as they are."""
-        out = cls.__new__(cls)
-        out.coords = coords
-        return out
+    __slots__ = ()
+    _size = 3
 
     @classmethod
     def stack(cls, points: Sequence["ProjPoint2"]) -> "ProjPoint2":
@@ -85,12 +107,6 @@ class ProjPoint2:
 
     def __getitem__(self, k) -> "ProjPoint2":
         return ProjPoint2._of(self.coords[k])
-
-    def conj(self) -> "ProjPoint2":
-        return ProjPoint2(np.conj(self.coords))
-
-    def key(self) -> Tuple[float, ...]:
-        return tuple(float(p) for c in self.coords for p in (c.real, c.imag))
 
     def __repr__(self) -> str:
         return "ProjPoint2[%s : %s : %s]" % tuple(self.coords)
@@ -183,10 +199,35 @@ class ConicParam:
     """Degree-2 parameterization u -> alpha(u) of the conic {Q = 0}."""
 
     alphas: Tuple[BinaryForm, BinaryForm, BinaryForm]
+    # the Q this parameterizes, which keys its restriction operators
+    form: QuadForm = field(compare=False, repr=False)
+
+    def points(self, U) -> np.ndarray:
+        """alpha(u) for each row u of an (n, 2) array of parameters, as an
+        (n, 3) array whose row k has the bits of point(u_k).coords.
+
+        Each alpha_j(u) is BinaryForm.eval_uv's sum in its exact order of
+        operations, in Python complex arithmetic: numpy's SIMD loop for
+        complex array products rounds some products differently from scalar
+        arithmetic, which eval_uv's numpy scalars and Python complex share.
+        The rows are then normalized as one stack.
+        """
+        one = 1.0 + 0.0j
+        coeffs = [a.coeffs.tolist() for a in self.alphas]
+        vals = []
+        for u0, u1 in np.asarray(U, dtype=complex).reshape(-1, 2).tolist():
+            # eval_uv's powers of u1 and u0, each built up from 1 as there:
+            # 1 * u is not u when u has a signed zero
+            v1 = one * u1
+            v2 = v1 * u1
+            w1 = one * u0
+            w2 = w1 * u0
+            vals.append([0j + c0 * one * v2 + c1 * w1 * v1 + c2 * w2 * one
+                         for c0, c1, c2 in coeffs])
+        return _normalize_rows(np.array(vals, dtype=complex).reshape(-1, 3))
 
     def point(self, u: ProjPoint1) -> ProjPoint2:
-        vals = [a.eval_point(u) for a in self.alphas]
-        return ProjPoint2(vals)
+        return ProjPoint2._of(self.points(u.coords.reshape(1, 2))[0])
 
 
 _SPHERE_ALPHAS = (
@@ -220,25 +261,42 @@ def conic_param(Q: QuadForm) -> ConicParam:
     scale = max(float(np.max(np.abs(B))), 1.0)
     if np.max(np.abs(quartic)) > 1e-10 * scale:
         raise Degenerate("parameterization does not satisfy Q(alpha(u)) = 0")
-    return ConicParam(tuple(alphas))
+    return ConicParam(tuple(alphas), Q)
+
+
+@form_operator
+def _restriction_matrix(Q: QuadForm, degree: int) -> np.ndarray:
+    """The restriction to the conic of each monomial of grade `degree`.
+
+    Row m of this (grade_dim(degree), 2 * degree + 1) array is the binary
+    form alpha_0^a * alpha_1^b * alpha_2^c for monomial m = (a, b, c), by a
+    chain of np.convolve calls.  Built once per (Q, degree) and shared, so
+    it is read-only.
+    """
+    pows = []
+    for a in conic_param(Q).alphas:
+        chain = [np.array([1.0 + 0j])]
+        for _ in range(degree):
+            chain.append(np.convolve(chain[-1], a.coeffs))
+        pows.append(chain)
+    M = np.array([np.convolve(np.convolve(pows[0][a], pows[1][b]), pows[2][c])
+                  for a, b, c in monomials(degree)], dtype=complex)
+    M.flags.writeable = False
+    return M
 
 
 def restrict_to_conic(p: HomogPoly, param: ConicParam) -> BinaryForm:
-    """Binary form of degree 2*deg(p) obtained by substituting alpha(u) into p."""
-    d = p.degree
-    pows = []
-    for a in param.alphas:
-        chain = [np.array([1.0 + 0j])]
-        for _ in range(d):
-            chain.append(np.convolve(chain[-1], a.coeffs))
-        pows.append(chain)
-    out = np.zeros(2 * d + 1, dtype=complex)
-    for (a, b, c), coeff in zip(monomials(d), p.coeffs):
-        if coeff == 0:
-            continue
-        term = np.convolve(np.convolve(pows[0][a], pows[1][b]), pows[2][c])
-        out += coeff * term
-    return BinaryForm(2 * d, out)
+    """Binary form of degree 2*deg(p) obtained by substituting alpha(u) into p.
+
+    The sum of c_m times row m of _restriction_matrix over the nonzero
+    coefficients c_m of p, added to zero one row after another in monomial
+    order (np.add.reduce over axis 0).  A BLAS product M.T @ c would sum in
+    its own order and change the last bits.
+    """
+    c = p.coeffs
+    nz = c != 0
+    M = _restriction_matrix(param.form, p.degree)
+    return BinaryForm(2 * p.degree, np.add.reduce(c[nz, None] * M[nz], axis=0, initial=0j))
 
 
 def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
@@ -344,8 +402,10 @@ def _clusters_of(m_inf: int, desc: np.ndarray, roots: np.ndarray,
         for mult in set(sizes):
             same = np.equal(sizes, mult)
             reps[same] = _newton_polish(desc, reps[same], mult)
-        for rep, mult in zip(reps, sizes):
-            clusters.append(RootCluster(ProjPoint1([rep, 1.0]), mult))
+        params = np.ones((len(reps), 2), dtype=complex)
+        params[:, 0] = reps
+        for coords, mult in zip(_normalize_rows(params), sizes):
+            clusters.append(RootCluster(ProjPoint1._of(coords), mult))
     clusters.sort(key=lambda cl: cl.point.key())
     return clusters
 

@@ -170,7 +170,8 @@ def tangent_lines_from(p: PencilCenter, Q: QuadForm,
                                 eps_cluster=eps_cluster)
     if len(clusters) != 2:
         raise DegenerateTangency("polar line is tangent to the conic")
-    a, b = (param.point(c.point) for c in clusters)
+    a, b = (ProjPoint2._of(row)
+            for row in param.points(np.array([c.point.coords for c in clusters])))
     return (a, b) if a.key() <= b.key() else (b, a)
 
 
@@ -205,7 +206,8 @@ def fiber_enumerate(E: PencilDivisor, p: PencilCenter, Q: QuadForm,
         clusters = roots_projective(restrict_to_conic(HomogPoly(1, w),
                                                       frame.param),
                                     eps_cluster=eps_cluster)
-        pts = [frame.param.point(c.point) for c in clusters]
+        pts = [ProjPoint2._of(row) for row in
+               frame.param.points(np.array([c.point.coords for c in clusters]))]
         if len(clusters) == 1:
             options.append([((pts[0], m),)])
         else:

@@ -349,8 +349,9 @@ class _FactorContext:
         """Take the clusters, their multiplicities, conic points and least separation."""
         self.clusters: List[RootCluster] = clusters
         self.multiplicities: List[int] = [c.multiplicity for c in clusters]
-        self.points = ProjPoint2.stack([self.param.point(c.point) for c in clusters])
-        near = _pairwise_chordal(np.array([c.point.coords for c in clusters]))
+        params = np.array([c.point.coords for c in clusters])
+        self.points = ProjPoint2._of(self.param.points(params))
+        near = _pairwise_chordal(params)
         np.fill_diagonal(near, np.inf)
         self._min_separation = float(near.min())
 

@@ -297,6 +297,16 @@ class TestExitCodes:
             assert code == 2 and captured.out == ""
             assert "--all" in captured.err and "real_unique" in captured.err
 
+    def test_non_finite_tol_div(self, run, files):
+        # a NaN bound passed every divisibility test, so decompose printed
+        # an empty answer and exited 0
+        for argv in (["decompose", files["xy"], "--tol-div", "nan"],
+                     ["fibers", files["xy"], "--tol-div", "nan"],
+                     ["approx", "--function", "exp_x", "--d-max", "2",
+                      "--tol-div", "nan"]):
+            code, out = run(argv)
+            assert code == 2 and out == "", argv
+
     def test_divisible_by_q(self, run, files):
         for argv in [["decompose", files["qq"], "--cone"],
                      ["discriminant", files["qq"]],

@@ -19,7 +19,14 @@ from quadpole import (
     restrict_to_conic,
     roots_projective,
 )
-from quadpole.conic import _cross, binary_discriminant
+from quadpole.algebra import grade_dim, monomials
+from quadpole.conic import (
+    _cross,
+    _normalize,
+    _normalize_rows,
+    _restriction_matrix,
+    binary_discriminant,
+)
 
 from conftest import random_homog
 
@@ -512,3 +519,147 @@ class TestBinaryDiscriminant:
             has_mult = any(c.multiplicity >= 2 for c in roots)
             assert has_mult == multiple
             assert (disc < 1e-9) == multiple
+
+
+def _restrict_reference(p, param):
+    """Test-local copy of the per-monomial convolution loop that
+    restrict_to_conic ran before its operator was cached."""
+    d = p.degree
+    pows = []
+    for a in param.alphas:
+        chain = [np.array([1.0 + 0j])]
+        for _ in range(d):
+            chain.append(np.convolve(chain[-1], a.coeffs))
+        pows.append(chain)
+    out = np.zeros(2 * d + 1, dtype=complex)
+    for (a, b, c), coeff in zip(monomials(d), p.coeffs):
+        if coeff == 0:
+            continue
+        term = np.convolve(np.convolve(pows[0][a], pows[1][b]), pows[2][c])
+        out += coeff * term
+    return out
+
+
+def _point_reference(param, u):
+    """Test-local copy of the per-point path: each alpha by eval_point, then
+    the ProjPoint2 normalization."""
+    return ProjPoint2([a.eval_point(u) for a in param.alphas]).coords
+
+
+def _bit_forms():
+    rng = np.random.default_rng(70)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return {"sphere": QuadForm.sphere(), "hyperboloid": QuadForm.hyperboloid(),
+            "dense_ellipsoid": QuadForm(rot @ np.diag([1.0, 2.5, 0.4]) @ rot.T),
+            "dense_complex": QuadForm(b + b.T)}
+
+
+BIT_FORMS = _bit_forms()
+
+
+def _special_coeffs(d, rng):
+    """Gaussian integers with zeros, -0.0 parts and fully negative zeros."""
+    n = grade_dim(d)
+    c = (rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)).astype(complex)
+    c[rng.random(n) < 0.3] = 0.0
+    c[rng.random(n) < 0.2] = complex(-0.0, -0.0)
+    c.imag[rng.random(n) < 0.2] = -0.0
+    return c
+
+
+class TestRestrictionBits:
+    """restrict_to_conic through the cached operator gives the bits of the
+    per-monomial convolution loop, compared as bytes so signed zeros count."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_FORMS))
+    def test_equals_convolution_loop(self, name):
+        Q = BIT_FORMS[name]
+        param = conic_param(Q)
+        rng = np.random.default_rng(71)
+        for d in range(17):
+            polys = [random_homog(d, rng), random_homog(d, rng, real=True),
+                     HomogPoly(d, _special_coeffs(d, rng)), HomogPoly.zero(d)]
+            for p in polys:
+                got = restrict_to_conic(p, param)
+                assert got.degree == 2 * d
+                assert got.coeffs.tobytes() == _restrict_reference(p, param).tobytes()
+
+    def test_degree_zero_and_zero_form(self, sphere):
+        param = conic_param(sphere)
+        for p in (HomogPoly(0, [2.5 - 1j]), HomogPoly(0, [complex(-0.0, -0.0)]),
+                  HomogPoly.zero(0), HomogPoly.zero(5)):
+            got = restrict_to_conic(p, param).coeffs
+            assert got.tobytes() == _restrict_reference(p, param).tobytes()
+        assert restrict_to_conic(HomogPoly(0, [2.5 - 1j]), param).coeffs.tolist() == [2.5 - 1j]
+
+
+class TestRestrictionMatrixCache:
+    def test_read_only_and_shared(self):
+        Q = QuadForm(np.diag([1.0, 3.0, -2.0]))
+        M = _restriction_matrix(Q, 4)
+        assert M.shape == (grade_dim(4), 9)
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        assert _restriction_matrix(Q, 4) is M
+        assert _restriction_matrix(QuadForm(np.diag([1.0, 3.0, -2.0])), 4) is M
+        assert _restriction_matrix(Q, 5) is not M
+
+    def test_rows_are_monomial_restrictions(self, dense_complex):
+        param = conic_param(dense_complex)
+        M = _restriction_matrix(dense_complex, 3)
+        for m in range(grade_dim(3)):
+            e = np.zeros(grade_dim(3), dtype=complex)
+            e[m] = 1.0
+            ref = _restrict_reference(HomogPoly(3, e), param)
+            assert M[m].tobytes() == ref.tobytes()
+
+    def test_param_carries_its_form(self, hyperboloid):
+        param = conic_param(hyperboloid)
+        assert param.form.key == hyperboloid.key
+        assert "form" not in repr(param)
+
+
+def _special_params(rng):
+    fixed = [[1, 0], [0, 1], [1, 1], [-1, 1], [1j, 1], [-1j, 1]]
+    rand = rng.standard_normal((24, 2)) + 1j * rng.standard_normal((24, 2))
+    rand[::3] *= 10.0 ** rng.uniform(-4, 4, (8, 1))
+    return np.concatenate([np.array(fixed, dtype=complex), rand])
+
+
+class TestPointsBits:
+    """ConicParam.points gives per row the bits of the per-point path, for
+    one point and for stacks; _normalize_rows those of _normalize."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_FORMS))
+    def test_points_equal_per_point_path(self, name):
+        param = conic_param(BIT_FORMS[name])
+        rng = np.random.default_rng(72)
+        params = _special_params(rng)
+        refs = [_point_reference(param, ProjPoint1(u)) for u in params]
+        normalized = np.array([ProjPoint1(u).coords for u in params])
+        for k, u in enumerate(normalized):
+            assert param.point(ProjPoint1._of(u)).coords.tobytes() == refs[k].tobytes()
+            assert param.points(u[None, :]).tobytes() == refs[k].tobytes()
+        for n in (1, 2, 7, 30):
+            idx = rng.choice(len(params), n, replace=False)
+            got = param.points(normalized[idx])
+            assert got.shape == (n, 3)
+            assert got.tobytes() == np.array([refs[k] for k in idx]).tobytes()
+
+    def test_empty_stack(self, sphere):
+        assert conic_param(sphere).points(np.empty((0, 2), dtype=complex)).shape == (0, 3)
+
+    def test_normalize_rows_equals_normalize(self):
+        rng = np.random.default_rng(73)
+        v = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        v[::4] *= 10.0 ** rng.uniform(-6, 6, (10, 1))
+        v[1] = [1.0, 1.0, 1.0]
+        v[2] = [complex(-0.0, 0.0), 2j, -2.0]
+        v[3] = [0.0, 0.0, complex(0.0, -3.0)]
+        got = _normalize_rows(v)
+        for row, w in zip(got, v):
+            assert row.tobytes() == _normalize(w, 3).tobytes()
+        with pytest.raises(ValueError, match="zero vector"):
+            _normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))

@@ -24,6 +24,7 @@ from quadpole import (
     enumerate_parcellings,
     factor,
     factor_on_quadric,
+    full_decompose,
     in_discriminant,
     intersection_clusters,
     line_through,
@@ -984,3 +985,16 @@ class TestDiscriminant:
             for _ in range(5):
                 p = random_homog(d, rng)
                 assert not in_discriminant(p, sphere)
+
+
+class TestTolDivRefused:
+    """A tol_div that is not finite and positive raises ValueError: with NaN
+    or inf every divisibility test passed, so xy was taken for a multiple
+    of Q all the way down and decomposed to nothing."""
+
+    @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_every_entry_point(self, sphere, tol_div):
+        xy = poly_mul(HomogPoly(1, [1, 0, 0]), HomogPoly(1, [0, 1, 0]))
+        for call in (full_decompose, factor, all_factorizations):
+            with pytest.raises(ValueError, match="tol_div must be finite and positive"):
+                call(xy, sphere, tol_div=tol_div)
