@@ -1,14 +1,15 @@
 """Alternating parent/change benchmark pairs and their summary.
 
     python3 tools/bench_pairs.py --parent <checkout> --change <checkout> \
-        --workload W --seeds 4-13 [--seconds 25]
+        --workload W --seeds 4-13
 
 For each seed, <checkout>/perfbench/run.py --trace 0 runs once in each
-checkout, one run at a time: the parent first on even seeds, the change
-first on odd seeds.  Each run's result line (the last line of its standard
-output) is kept with "side", "seed" and "workload" added.  A run that exits
-non-zero or prints no result line stops the series; the lines kept so far
-are printed with the error.
+checkout for <change>/BENCHMARK.json's run_seconds, one run at a time: the
+parent first on even seeds, the change first on odd seeds.  Each run's
+result line (the last line of its standard output) is kept with "side",
+"seed" and "workload" added.  A run that exits non-zero or prints no
+result line stops the series; the lines kept so far are printed with the
+error.
 
 The last line of standard output is one JSON object: "runs", every result
 line in run order, and "summary", {W: block}, where the block gives per
@@ -100,19 +101,16 @@ def main() -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", default="4-13", help="e.g. 4-13 or 4,6,8")
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="run length; BENCHMARK.json's run_seconds by default")
     args = ap.parse_args()
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
     runs, err = [], None
     try:
         for seed in parse_seeds(args.seeds):
             for side in run_order(seed):
                 print("%s seed %d: %s" % (args.workload, seed, side), file=sys.stderr,
                       flush=True)
-                line = run_once(roots[side], args.workload, seed, seconds)
+                line = run_once(roots[side], args.workload, seed, bench["run_seconds"])
                 runs.append(dict(line, side=side, seed=seed, workload=args.workload))
     except RuntimeError as exc:
         err = str(exc)
