@@ -44,18 +44,39 @@ def grade_dim(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
+@lru_cache(maxsize=None)
+def _exponent_table(degree: int) -> np.ndarray:
+    """The exponents of monomials(degree) as a read-only (3, grade_dim) array."""
+    table = np.array(monomials(degree), dtype=np.intp).reshape(-1, 3).T.copy()
+    table.flags.writeable = False
+    return table
+
+
 def _monomial_values(degree: int, pts: np.ndarray) -> np.ndarray:
-    """Matrix of monomial values, one row per point, one column per monomial."""
+    """Matrix of monomial values, one row per point, one column per monomial.
+
+    The powers x_k^j of each coordinate are built up from 1 by repeated
+    products, and the value of x^a y^b z^c is (x^a * y^b) * z^c, gathered
+    for all monomials at once through _exponent_table.  numpy's complex
+    products give the same bits whatever the array layout, so these are the
+    bits of one such product chain per monomial and point.  The result is
+    C-contiguous: a BLAS product such as mono @ v rounds differently on an
+    F-ordered matrix.
+    """
     n = pts.shape[0]
-    pows = []
-    for k in range(3):
-        col = [np.ones(n, dtype=complex)]
-        for _ in range(degree):
-            col.append(col[-1] * pts[:, k])
-        pows.append(col)
+    # pows[k, j] holds x_k^j for every point
+    pows = np.empty((3, degree + 1, n), dtype=complex)
+    pows[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        pows[:, j] = pows[:, j - 1] * pts.T
+    a, b, c = _exponent_table(degree)
     vals = np.empty((n, grade_dim(degree)), dtype=complex)
-    for i, (a, b, c) in enumerate(monomials(degree)):
-        vals[:, i] = pows[0][a] * pows[1][b] * pows[2][c]
+    # the products formed in place in vals, so one gathered power column
+    # stack at a time is held beside it
+    prod = vals.T
+    np.take(pows[0], a, axis=0, out=prod, mode="clip")
+    prod *= pows[1, b]
+    prod *= pows[2, c]
     return vals
 
 
@@ -76,6 +97,15 @@ class HomogPoly:
                 raise ValueError("coefficient vector has length %d, expected %d"
                                  % (arr.size, grade_dim(degree)))
             self.coeffs = arr.copy()
+
+    @classmethod
+    def _of(cls, degree: int, coeffs: np.ndarray) -> "HomogPoly":
+        """A complex coefficient row of the right length, kept as it is:
+        not validated, not copied."""
+        out = cls.__new__(cls)
+        out.degree = degree
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls, degree: int) -> "HomogPoly":

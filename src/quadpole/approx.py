@@ -12,6 +12,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
@@ -249,6 +250,10 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     Each nonzero multipole is checked to reproduce its band through the
     potential-derivative construction before being returned.
 
+    A band's division tolerance is tol_div raised to that band's noise
+    floor, so tol_div must be finite and positive: raised, a zero or
+    negative one would pass unnoticed.
+
     A band that does not reproduce within 1e-12 relative is factored again
     with its roots merged at 10x the scale, from eps_cluster while the scale
     is at most 0.2; so eps_cluster must lie in (0, 0.2].  A scale whose
@@ -260,6 +265,8 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     """
     if not 0.0 < eps_cluster <= 0.2:
         raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
+    if not (math.isfinite(tol_div) and tol_div > 0):
+        raise ValueError("tol_div must be finite and positive, not %r" % (tol_div,))
     scale_ref = max(decomp.f_norm, 1.0)
     imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
                     for b in decomp.bands), default=0.0)

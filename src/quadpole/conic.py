@@ -76,7 +76,8 @@ class _ProjPoint:
         return type(self)(np.conj(self.coords))
 
     def key(self) -> Tuple[float, ...]:
-        return tuple(float(p) for c in self.coords for p in (c.real, c.imag))
+        """The real and imaginary parts of the coordinates in turn."""
+        return tuple(self.coords.view(np.float64).tolist())
 
 
 class ProjPoint1(_ProjPoint):
@@ -285,6 +286,13 @@ def _restriction_matrix(Q: QuadForm, degree: int) -> np.ndarray:
     return M
 
 
+@form_operator
+def _restriction_norm(Q: QuadForm, degree: int) -> float:
+    """The spectral norm of _restriction_matrix(Q, degree): the most the
+    restriction to the conic can multiply the norm of a coefficient row."""
+    return float(np.linalg.norm(_restriction_matrix(Q, degree), 2))
+
+
 def restrict_to_conic(p: HomogPoly, param: ConicParam) -> BinaryForm:
     """Binary form of degree 2*deg(p) obtained by substituting alpha(u) into p.
 
@@ -362,12 +370,16 @@ def _merge_groups(roots: np.ndarray, eps_cluster: float) -> Tuple[Tuple[int, ...
 
     Roots within eps_cluster * (1 + |root|) of each other merge, and so do
     chains of them.  Groups come in the order of their first index, with
-    ascending members, so equal partitions give equal tuples.
+    ascending members, so equal partitions give equal tuples.  When no two
+    roots are close, every root is its own group and no union-find runs.
     """
     k = roots.size
     mags = np.abs(roots)
     close = (np.abs(roots[:, None] - roots[None, :])
              <= eps_cluster * (1.0 + np.maximum.outer(mags, mags)))
+    pairs = np.nonzero(np.triu(close, 1))
+    if not pairs[0].size:
+        return tuple((i,) for i in range(k))
     parent = list(range(k))
 
     def find(i):
@@ -376,7 +388,7 @@ def _merge_groups(roots: np.ndarray, eps_cluster: float) -> Tuple[Tuple[int, ...
             i = parent[i]
         return i
 
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+    for i, j in zip(*pairs):
         ri, rj = find(int(i)), find(int(j))
         if ri != rj:
             parent[rj] = ri

@@ -15,6 +15,7 @@ import copy
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +42,9 @@ from .conic import (
     RootCluster,
     _clusters_of,
     _merge_groups,
+    _normalize_rows,
     _raw_roots,
+    _restriction_norm,
     binary_discriminant,
     chordal,
     conic_param,
@@ -52,6 +55,7 @@ from .conic import (
 )
 from .errors import (
     ConjugationPairingFailure,
+    Degenerate,
     DivisibleByQ,
     NoEvaluationPoint,
     NotDefinite,
@@ -291,9 +295,41 @@ def _line_products(lines: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float) -> None:
-    """Raise DivisibleByQ, carrying the quotient P / Q, when P is a multiple of Q."""
+def _objects(items: Sequence) -> np.ndarray:
+    """The items as a 1-d object array, to be indexed or reshaped like any
+    array and turned into nested lists of the same objects by tolist."""
+    out = np.empty(len(items), dtype=object)
+    out[:] = items
+    return out
+
+
+def _factorization_rows(lams: Sequence[complex], lines: Sequence[List[HomogPoly]],
+                        deg_r: int, rem: np.ndarray,
+                        parcellings: Sequence[GeneralizedParcelling],
+                        ill_conditioned: bool) -> List[MultipoleFactorization]:
+    """One MultipoleFactorization per row; the remainders are the rows of
+    rem as they are, not copied."""
+    return list(map(MultipoleFactorization, lams, lines,
+                    map(HomogPoly._of, itertools.repeat(deg_r), rem),
+                    parcellings, itertools.repeat(ill_conditioned)))
+
+
+def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float,
+                          b: Optional[BinaryForm] = None) -> None:
+    """Raise DivisibleByQ, carrying the quotient P / Q, when P is a multiple of Q.
+
+    The division decides, unless b, P's restriction to the conic, shows
+    without it that P is not a multiple.  Q vanishes on the conic, so
+    ||b|| <= ||T||_2 * ||P - Q * R|| for every R, where T is
+    _restriction_matrix(Q, deg P); ||b|| > 10 * ||T||_2 * tol_div * ||P||
+    therefore puts the division's residual above its bound tol_div * ||P||,
+    and the factor 10 leaves room for the round-off in b.  Below
+    tol_div = 1e-12 that room is too small, and the division always runs.
+    """
     if P.degree < 2:
+        return
+    if b is not None and tol_div >= 1e-12 \
+            and b.norm() > 10 * _restriction_norm(Q, P.degree) * tol_div * P.norm():
         return
     try:
         quotient = divide_by_quadric(P, Q, tol_div=tol_div)
@@ -302,10 +338,52 @@ def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float) -> None:
     raise DivisibleByQ("input is a multiple of the quadratic form", quotient)
 
 
+def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
+                    ) -> Tuple[ConicParam, BinaryForm]:
+    """The conic's parameterization and P's restriction to it, once
+    _reject_multiple_of_q, given the restriction, has let P pass.
+
+    A form whose conic has no parameterization raises Degenerate only after
+    the division has decided, so its errors come in the same order.
+    """
+    try:
+        param = conic_param(Q)
+    except Degenerate:
+        _reject_multiple_of_q(P, Q, tol_div)
+        raise
+    b = restrict_to_conic(P, param)
+    _reject_multiple_of_q(P, Q, tol_div, b)
+    return param, b
+
+
+def _trial_points() -> Tuple[np.ndarray, np.ndarray]:
+    """The 64 golden-ratio trial parameters [1 : golden**k], normalized as
+    ProjPoint1 normalizes them, as a read-only (64, 2) array, with their
+    norms as a (64, 1) column."""
+    powers = [1.0]
+    for _ in range(63):
+        powers.append(powers[-1] * _GOLDEN)
+    trials = _normalize_rows(np.array([[1.0, p] for p in powers], dtype=complex))
+    norms = np.linalg.norm(trials, axis=1)[:, None]
+    trials.flags.writeable = norms.flags.writeable = False
+    return trials, norms
+
+
+_TRIALS, _TRIAL_NORMS = _trial_points()
+
+
 class _FactorContext:
     """One P on one quadric: the work every parcelling shares, done once.
 
-    The divisibility test, the restriction and the roots are computed once.
+    The restriction, the divisibility test and the roots are computed once.
+    The divisibility test divides P by Q only when the restriction b cannot
+    decide it: Q vanishes on the conic, so ||b|| <= ||T||_2 * ||P - Q * R||
+    for the restriction matrix T of P's degree and every R, and
+    ||b|| > 10 * ||T||_2 * tol_div * ||P|| already shows that the division's
+    residual exceeds tol_div * ||P|| (_reject_multiple_of_q).  So a generic
+    P is not divided; a P within about 10 * tol_div of a multiple of Q is,
+    and so is every P when tol_div < 1e-12.
+
     The point q where lambda is fixed and P(q) are computed at first use
     and kept; so is each cluster pair's line with its value at q, where the
     lines a _factor_rows call is the first to use are built by one
@@ -334,9 +412,7 @@ class _FactorContext:
         self.Q = Q
         self.tol_div = tol_div
         self.pnorm = P.norm()
-        _reject_multiple_of_q(P, Q, tol_div)
-        self.param: ConicParam = conic_param(Q)
-        self.b: BinaryForm = restrict_to_conic(P, self.param)
+        self.param, self.b = _restriction_of(P, Q, tol_div)
         # conic._raw_roots of b and the merge groups at this scale, for
         # at_scale; the first scale is clustered by roots_projective, as in
         # every context, so they are computed by the first at_scale
@@ -346,14 +422,17 @@ class _FactorContext:
         self._set_scale(eps_cluster)
 
     def _take_clusters(self, clusters: List[RootCluster]) -> None:
-        """Take the clusters, their multiplicities, conic points and least separation."""
+        """Take the clusters, their multiplicities, parameters, conic points
+        and least separation."""
         self.clusters: List[RootCluster] = clusters
         self.multiplicities: List[int] = [c.multiplicity for c in clusters]
-        params = np.array([c.point.coords for c in clusters])
-        self.points = ProjPoint2._of(self.param.points(params))
-        near = _pairwise_chordal(params)
+        self._params = np.array([c.point.coords for c in clusters])
+        self.points = ProjPoint2._of(self.param.points(self._params))
+        near = _pairwise_chordal(self._params)
         np.fill_diagonal(near, np.inf)
         self._min_separation = float(near.min())
+        # the trial points' distances to the clusters, at first use
+        self._trial_dist: Optional[np.ndarray] = None
 
     def _set_scale(self, eps_cluster: float) -> None:
         """Set eps_cluster and what it decides, and empty the caches that follow from it."""
@@ -383,18 +462,36 @@ class _FactorContext:
         return ctx
 
     def evaluation_point(self) -> ProjPoint1:
-        """First golden-ratio trial point clear of the divisor with |b| not small."""
+        """First golden-ratio trial point clear of the divisor with |b| not small.
+
+        A trial point is clear when its chordal distance to every cluster
+        exceeds 10 * eps_cluster.  The distances of all 64 trial points
+        (_trial_points) to all clusters are one array, computed once per
+        set of clusters; where one lies within 1e-12 (relative) of the
+        clearance, its last bits could decide, and the scalar chordal
+        decides instead.  So every decision is the scalar chordal's, also at
+        eps_cluster = 0.1, whose clearance 1 is the largest chordal distance
+        there is: a tie there still rejects.  |b| is then evaluated in trial
+        order, at the points that clear, until one is not below
+        1e-4 * max |b_k|.
+        """
+        if self._trial_dist is None:
+            # |u0 v1 - u1 v0| / (|u| |v|) for every trial point u and cluster v
+            u, v = _TRIALS, self._params
+            cross = u[:, :1] * v[:, 1] - u[:, 1:] * v[:, 0]
+            mods = np.abs(v)
+            norms = _TRIAL_NORMS * np.hypot(mods[:, 0], mods[:, 1])
+            self._trial_dist = np.abs(cross) / norms
+        clear = 10 * self.eps_cluster
+        dist = self._trial_dist
+        far = dist > clear * (1 + 1e-12)
+        for t, j in zip(*np.nonzero(~far & (dist >= clear * (1 - 1e-12)))):
+            far[t, j] = chordal(ProjPoint1._of(_TRIALS[t]), self.clusters[j].point) > clear
         max_c = float(np.max(np.abs(self.b.coeffs)))
-        power = 1.0
-        for _ in range(64):
-            u = ProjPoint1([1.0, power])
-            power *= _GOLDEN
-            if any(chordal(u, c.point) <= 10 * self.eps_cluster
-                   for c in self.clusters):
-                continue
-            if abs(self.b.eval_point(u)) <= 1e-4 * max_c:
-                continue
-            return u
+        for t in np.flatnonzero(far.all(axis=1)):
+            u = ProjPoint1._of(_TRIALS[t])
+            if abs(self.b.eval_point(u)) > 1e-4 * max_c:
+                return u
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
     def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
@@ -417,13 +514,22 @@ class _FactorContext:
         in the order a single row meets them, so the error kept is the one
         the first failing parcelling gives alone; it is None when every row
         passes.
+
+        No Python loop or generator runs per row: the pieces are one (n, d)
+        array of columns into the kept lines, lambda's denominators Python
+        complex products in piece order, taken one piece of every row at a
+        time, and the rows' lines and remainders views, not validated copies.
         """
         n, err = len(parcellings), None
+        if n == 0:
+            return [], err
+        # every row's d = deg P pieces in turn
+        pieces = list(itertools.chain.from_iterable(
+            map(operator.attrgetter("pieces"), parcellings)))
         # the pieces whose lines are not kept yet, in order of first use;
         # every row uses every cluster, so a point off the conic, like a
         # failed search for the evaluation point, fails row 0
-        missing = list(dict.fromkeys(piece for par in parcellings[:n] for piece in par.pieces
-                                     if piece not in self._lines))
+        missing = [piece for piece in dict.fromkeys(pieces) if piece not in self._lines]
         if missing:
             try:
                 if self._q is None:
@@ -441,21 +547,27 @@ class _FactorContext:
                 w = w / w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
                 at_q = (self._q @ w[:, :, None])[:, 0, 0]
                 for piece, row, value in zip(missing, w, at_q.tolist()):
-                    self._lines[piece] = (HomogPoly(1, row), value)
-        col = {piece: c for c, piece in enumerate(self._lines)}
-        table = list(self._lines.values())
-        cols = [[col[piece] for piece in par.pieces] for par in parcellings[:n]]
-        # lambda as a Python complex, the denominator multiplied in piece order
-        lams = []
-        for k, row in enumerate(cols):
-            denom = math.prod((table[c][1] for c in row), start=1.0 + 0.0j)
-            if denom == 0:
-                n, err = k, NoEvaluationPoint("evaluation point lies on a factor line")
-                break
-            lams.append(self._p_at_q / denom)
+                    self._lines[piece] = (HomogPoly._of(1, row), value)
         if n == 0:
             return [], err
-        lines = np.array([L.coeffs for L, _ in table])[np.array(cols[:n], dtype=np.intp)]
+        # the pieces as columns of the table of kept lines
+        d = self.P.degree
+        table = list(self._lines.values())
+        flat = list(map(dict(zip(self._lines, itertools.count())).__getitem__, pieces))
+        cols = np.array(flat, dtype=np.intp).reshape(-1, d)
+        # lambda's denominator as a Python complex, 1 times each line's
+        # value at q in piece order, one piece of every row at a time
+        values = [value for _, value in table]
+        denoms = [1.0 + 0.0j] * n
+        for k in range(d):
+            denoms = list(map(operator.mul, denoms, map(values.__getitem__, flat[k::d])))
+        if 0 in denoms:
+            n, err = denoms.index(0), NoEvaluationPoint(
+                "evaluation point lies on a factor line")
+            if n == 0:
+                return [], err
+        lams = list(map(operator.truediv, itertools.repeat(self._p_at_q), denoms[:n]))
+        lines = np.array([L.coeffs for L, _ in table])[cols[:n]]
         diff = self.P.coeffs - np.array(lams)[:, None] * _line_products(lines)
         norms = np.linalg.norm(diff, axis=1)
         deg_r = max(self.P.degree - 2, 0)
@@ -477,10 +589,9 @@ class _FactorContext:
                     rem[big[:exc.row]] = exc.quotient
                     n, err = int(big[exc.row]), SolveFailure(
                         "factorization defect is not a multiple of Q: %s" % exc)
-        return [MultipoleFactorization(lams[k], [table[c][0] for c in cols[k]],
-                                       HomogPoly(deg_r, rem[k]), parcellings[k],
-                                       ill_conditioned=self.ill_conditioned)
-                for k in range(n)], err
+        lines_of = _objects([L for L, _ in table])[cols[:n]].tolist()
+        return _factorization_rows(lams[:n], lines_of, deg_r, rem[:n], parcellings[:n],
+                                   self.ill_conditioned), err
 
     def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
         """The parcelling a strategy picks.
@@ -568,7 +679,7 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
     if not facts:
         return [], err
     lam = np.array([f.lam for f in facts])
-    lines = np.array([[L.coeffs for L in f.lines] for f in facts]).reshape(len(facts), -1, 3)
+    lines = np.array([L.coeffs for f in facts for L in f.lines]).reshape(len(facts), -1, 3)
     rem = np.array([f.remainder.coeffs for f in facts])
     drift = np.maximum.reduce([
         np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0),
@@ -590,11 +701,13 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
         if bad.size:
             n = int(bad[0])
             err = SolveFailure("real factorization residual %.3e too large" % res[n])
-    return [MultipoleFactorization(complex(lam[k]), [HomogPoly(1, L) for L in lines[k]],
-                                   HomogPoly(facts[k].remainder.degree, rem[k]),
-                                   facts[k].parcelling,
-                                   ill_conditioned=facts[k].ill_conditioned)
-            for k in range(n)], err
+    lines_of = _objects(list(map(HomogPoly._of, itertools.repeat(1),
+                                 lines.reshape(-1, 3))))
+    return _factorization_rows(lam.astype(complex).tolist(),
+                               lines_of.reshape(lines.shape[:2]).tolist(),
+                               facts[0].remainder.degree, rem,
+                               list(map(operator.attrgetter("parcelling"), facts[:n])),
+                               facts[0].ill_conditioned), err
 
 
 def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelling,
@@ -705,10 +818,11 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     root clustering at resolution max(10 * eps_cluster, 1e-5), which stays
     reliable at every degree; the normalized resultant magnitude corroborates
     it at moderate degree but its scale collapses as the degree grows, so a
-    disagreement is resolved in favor of the clusters.
+    disagreement is resolved in favor of the clusters.  P is tested for
+    being a multiple of Q as a factor context tests it: the restriction
+    decides where it can, the division elsewhere.
     """
-    _reject_multiple_of_q(P, Q, tol_div)
-    b = restrict_to_conic(P, conic_param(Q))
+    b = _restriction_of(P, Q, tol_div)[1]
     max_c = float(np.max(np.abs(b.coeffs)))
     if max_c == 0.0:
         raise DivisibleByQ("restriction to the conic vanishes identically")

@@ -24,8 +24,9 @@ from quadpole import (
     quad_reduce,
     surface_samples,
 )
-from quadpole.algebra import (_quotient_matrix, divide_rows_by_quadric, grade_dim,
-                              monomial_index, monomials, mul_q_matrix, poly_mul_rows)
+from quadpole.algebra import (_monomial_values, _quotient_matrix, divide_rows_by_quadric,
+                              grade_dim, monomial_index, monomials, mul_q_matrix,
+                              poly_mul_rows)
 
 from conftest import random_homog, random_poly
 
@@ -75,6 +76,46 @@ class TestPolyEval:
         vals = p.eval_many(pts)
         for v, pt in zip(vals, pts):
             assert v == pytest.approx(p(pt))
+
+
+def _monomial_values_reference(degree, pts):
+    """One column per monomial, each a product chain of power columns: a
+    test-local copy of the loop _monomial_values replaced."""
+    n = pts.shape[0]
+    pows = []
+    for k in range(3):
+        col = [np.ones(n, dtype=complex)]
+        for _ in range(degree):
+            col.append(col[-1] * pts[:, k])
+        pows.append(col)
+    vals = np.empty((n, grade_dim(degree)), dtype=complex)
+    for i, (a, b, c) in enumerate(monomials(degree)):
+        vals[:, i] = pows[0][a] * pows[1][b] * pows[2][c]
+    return vals
+
+
+class TestMonomialValues:
+    """_monomial_values from its exponent table against the per-monomial
+    loop: the same bits, C-contiguous, and so the same bits of mono @ v."""
+
+    def test_bits_against_loop(self):
+        rng = np.random.default_rng(90)
+        for n in (1, 600):
+            for d in range(25):
+                pts = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+                # signed zeros and real coordinates
+                pts[0, 0] = -0.0
+                pts[-1, 2] = complex(0.5, -0.0)
+                v = rng.standard_normal(grade_dim(d)) + 1j * rng.standard_normal(grade_dim(d))
+                got, want = _monomial_values(d, pts), _monomial_values_reference(d, pts)
+                assert got.flags.c_contiguous and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (n, d)
+                assert (got @ v).tobytes() == (want @ v).tobytes(), (n, d)
+
+    def test_real_points(self):
+        pts = np.random.default_rng(91).standard_normal((7, 3))
+        assert _monomial_values(5, pts).tobytes() \
+            == _monomial_values_reference(5, pts).tobytes()
 
 
 class TestPolyMul:

@@ -299,11 +299,16 @@ class TestExitCodes:
 
     def test_non_finite_tol_div(self, run, files):
         # a NaN bound passed every divisibility test, so decompose printed
-        # an empty answer and exited 0
+        # an empty answer and exited 0; approx raised a zero or negative
+        # bound to each band's noise floor and exited 0
         for argv in (["decompose", files["xy"], "--tol-div", "nan"],
                      ["fibers", files["xy"], "--tol-div", "nan"],
                      ["approx", "--function", "exp_x", "--d-max", "2",
-                      "--tol-div", "nan"]):
+                      "--tol-div", "nan"],
+                     ["approx", "--function", "exp_x", "--d-max", "3",
+                      "--tol-div", "-1"],
+                     ["approx", "--function", "exp_x", "--d-max", "3",
+                      "--tol-div", "0"]):
             code, out = run(argv)
             assert code == 2 and out == "", argv
 

@@ -22,9 +22,11 @@ from quadpole import (
 from quadpole.algebra import grade_dim, monomials
 from quadpole.conic import (
     _cross,
+    _merge_groups,
     _normalize,
     _normalize_rows,
     _restriction_matrix,
+    _restriction_norm,
     binary_discriminant,
 )
 
@@ -615,6 +617,22 @@ class TestRestrictionMatrixCache:
             ref = _restrict_reference(HomogPoly(3, e), param)
             assert M[m].tobytes() == ref.tobytes()
 
+    def test_norm_bounds_every_restriction(self, sphere, dense_complex):
+        # the cached spectral norm: no row is stretched more, and the top
+        # right singular vector is stretched that much
+        rng = np.random.default_rng(76)
+        for Q in (sphere, dense_complex):
+            for d in (1, 2, 5, 9):
+                norm = _restriction_norm(Q, d)
+                assert _restriction_norm(Q, d) == norm
+                M = _restriction_matrix(Q, d)
+                for _ in range(5):
+                    p = random_homog(d, rng)
+                    b = restrict_to_conic(p, conic_param(Q))
+                    assert b.norm() <= norm * p.norm() * (1 + 1e-12)
+                top = np.linalg.svd(M.T)[2][0].conj()
+                assert np.linalg.norm(M.T @ top) == pytest.approx(norm, rel=1e-12)
+
     def test_param_carries_its_form(self, hyperboloid):
         param = conic_param(hyperboloid)
         assert param.form.key == hyperboloid.key
@@ -663,3 +681,41 @@ class TestPointsBits:
             assert row.tobytes() == _normalize(w, 3).tobytes()
         with pytest.raises(ValueError, match="zero vector"):
             _normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
+
+
+def _merge_groups_reference(roots, eps_cluster):
+    """Union-find over every close pair, a test-local copy."""
+    k = roots.size
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(roots[i] - roots[j]) <= eps_cluster * (1.0 + max(abs(roots[i]),
+                                                                    abs(roots[j]))):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(g) for g in groups.values())
+
+
+class TestMergeGroups:
+    def test_against_union_find(self):
+        # far apart roots give singletons without the union-find; chains
+        # and pairs merge as before
+        rng = np.random.default_rng(77)
+        for k in (0, 1, 2, 5, 12):
+            roots = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            assert _merge_groups(roots, 1e-6) == tuple((i,) for i in range(k))
+            for eps in (1e-6, 0.05, 0.3, 2.0):
+                near = roots.copy()
+                if k > 2:
+                    near[2] = near[0] + 1e-7
+                assert _merge_groups(near, eps) == _merge_groups_reference(near, eps)

@@ -32,10 +32,11 @@ from quadpole import (
     real_factor,
     real_factorizations,
 )
-from quadpole import algebra, sylvester
+from quadpole import algebra, multipole_series, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim, monomial_index
+from quadpole.conic import BinaryForm, RootCluster, restrict_to_conic
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
-                             SolveFailure)
+                             QuadpoleError, SolveFailure)
 from quadpole.sylvester import _FactorContext, _rows_or_raise
 
 from conftest import compose_linear, q_orthogonal, random_homog
@@ -387,6 +388,16 @@ def _five_doubles(rng, Q):
     return P
 
 
+def _near_multiple(Q, d, size, rng):
+    """Q * R + E for a random R of degree d - 2 and an E orthogonal to the
+    multiples of Q with ||E|| = size * ||Q * R||: the least-squares
+    division of this input by Q leaves the residual E."""
+    QR = poly_mul(Q.poly(), random_homog(d - 2, rng))
+    e = random_homog(d, rng)
+    E = e - poly_mul(Q.poly(), algebra.divide_by_quadric(e, Q, tol_div=1.0))
+    return QR + E * (size * QR.norm() / E.norm())
+
+
 def _rel(a, b):
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
@@ -480,8 +491,11 @@ class TestEnumerationEngine:
 
     def test_no_product_per_parcelling(self, sphere, monkeypatch):
         # a generic quartic's 105 parcellings are one stack of rows: their
-        # line products and the products by Q in the divisions are row-wise
-        # (3 and 1 + 1 calls), and no parcelling calls poly_mul
+        # line products and the product by Q in the division of the stack
+        # are row-wise (3 and 1 calls), and no parcelling calls poly_mul.
+        # The restriction shows the quartic is not a multiple of Q, so no
+        # divisibility division multiplies by Q; a quartic within 5 * tol_div
+        # of a multiple of Q still has that division, and its product by Q
         counts = {}
 
         def counted(module, name):
@@ -499,6 +513,13 @@ class TestEnumerationEngine:
                 counted(module, name)
         P = random_homog(4, np.random.default_rng(46))
         assert len(all_factorizations(P, sphere)) == 105
+        assert counts == {("quadpole.sylvester", "poly_mul"): 0,
+                          ("quadpole.sylvester", "poly_mul_rows"): 3,
+                          ("quadpole.algebra", "poly_mul"): 0,
+                          ("quadpole.algebra", "poly_mul_rows"): 1}
+        near = _near_multiple(sphere, 4, 5 * TOL_DIV, np.random.default_rng(46))
+        counts.update(dict.fromkeys(counts, 0))
+        assert len(all_factorizations(near, sphere)) == 105
         assert counts == {("quadpole.sylvester", "poly_mul"): 0,
                           ("quadpole.sylvester", "poly_mul_rows"): 3,
                           ("quadpole.algebra", "poly_mul"): 0,
@@ -543,8 +564,11 @@ class TestDivisionScale:
                     assert (f.reconstruct(Q) - p).norm() <= 1e-8 * p.norm()
 
     def test_one_stack_division_per_context(self, sphere, monkeypatch):
-        # one divisibility test, then one division of the stack of all the
-        # parcellings' defects of a generic quartic: 7!! = 105 rows
+        # one division of the stack of all the parcellings' defects of a
+        # generic quartic, 7!! = 105 rows, and no divisibility division:
+        # the restriction shows the quartic is not a multiple of Q.  A
+        # quartic within 5 * tol_div of a multiple of Q has a restriction
+        # too small to show it, so the division decides first
         calls = []
         for name in ("divide_by_quadric", "divide_rows_by_quadric"):
             original = getattr(sylvester, name)
@@ -559,6 +583,10 @@ class TestDivisionScale:
         P = random_homog(4, np.random.default_rng(46))
         facts = all_factorizations(P, sphere)
         assert len(facts) == count_parcellings(4) == 105
+        assert calls == [("divide_rows_by_quadric", 105, 4)]
+        calls.clear()
+        near = _near_multiple(sphere, 4, 5 * TOL_DIV, np.random.default_rng(46))
+        assert len(all_factorizations(near, sphere)) == 105
         assert calls == [("divide_by_quadric", 1, 4),
                          ("divide_rows_by_quadric", 105, 4)]
 
@@ -998,3 +1026,226 @@ class TestTolDivRefused:
         for call in (full_decompose, factor, all_factorizations):
             with pytest.raises(ValueError, match="tol_div must be finite and positive"):
                 call(xy, sphere, tol_div=tol_div)
+
+    @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_multipole_series(self, sphere, tol_div):
+        # raised to a band's noise floor, a zero or negative tol_div passed
+        from quadpole import QuadratureRule, l2_project
+        dec = l2_project(lambda p: np.exp(p[:, 0]), sphere, 3, QuadratureRule(6))
+        with pytest.raises(ValueError, match="tol_div must be finite and positive"):
+            multipole_series(dec, sphere, tol_div=tol_div)
+
+
+def _decision(P, Q, tol_div, b=None):
+    """What _reject_multiple_of_q decides: the quotient's bits, or None."""
+    try:
+        sylvester._reject_multiple_of_q(P, Q, tol_div, b)
+    except DivisibleByQ as exc:
+        return exc.quotient.coeffs.tobytes()
+    return None
+
+
+class TestDivisibilityFromRestriction:
+    """Given P's restriction b, _reject_multiple_of_q skips the division
+    only where b shows that P is not a multiple of Q, so it decides as the
+    division does.  Inputs Q * R + E put the division's residual ||E|| at
+    chosen multiples s of its bound tol_div * ||P||."""
+
+    TOLS = (1e-6, 1e-9, 1e-12, 1e-15)
+    SIZES = (0.0, 0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 5.0, 9.0, 10.0, 11.0,
+             20.0, 100.0, 1e4)
+
+    def test_sweep_across_the_bound(self, sphere, hyperboloid, dense_complex,
+                                    monkeypatch):
+        divisions = []
+        original = sylvester.divide_by_quadric
+
+        def counted(*args, **kwargs):
+            divisions.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sylvester, "divide_by_quadric", counted)
+        rng = np.random.default_rng(70)
+        skipped = 0
+        for Q in (sphere, hyperboloid, dense_complex):
+            for d in (2, 3, 4, 6):
+                for tol in self.TOLS:
+                    for s in self.SIZES:
+                        P = _near_multiple(Q, d, s * tol, rng)
+                        b = restrict_to_conic(P, conic_param(Q))
+                        want = _decision(P, Q, tol)
+                        divisions.clear()
+                        assert _decision(P, Q, tol, b) == want, (d, tol, s)
+                        skipped += not divisions
+                        if want is not None or tol < 1e-12:
+                            assert divisions
+        # the restriction decided for every large enough residual
+        assert skipped >= 3 * 4 * 2 * 3
+
+    def test_random_inputs(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(71)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for d in range(1, 9):
+                for real in (False, True):
+                    P = random_homog(d, rng, real=real)
+                    b = restrict_to_conic(P, conic_param(Q))
+                    for tol in self.TOLS + (1.0,):
+                        assert _decision(P, Q, tol, b) == _decision(P, Q, tol)
+
+    def test_degenerate_form_divides_first(self):
+        # a singular form has no conic to restrict to: the division decides
+        # first, as it did before the restriction could, then Degenerate
+        from quadpole import Degenerate
+        flat = QuadForm(np.diag([1.0, 1.0, 0.0]))
+        with pytest.raises(DivisibleByQ):
+            _FactorContext(poly_mul(flat.poly(), poly_mul(X, Y)), flat)
+        with pytest.raises(Degenerate):
+            _FactorContext(poly_mul(X, Y), flat)
+        with pytest.raises(DivisibleByQ):
+            in_discriminant(flat.poly(), flat)
+
+    def test_in_discriminant(self, sphere, dense_complex, monkeypatch):
+        # against in_discriminant with every divisibility test divided: an
+        # infinite restriction norm never lets the restriction decide
+        divisions = []
+        original = sylvester.divide_by_quadric
+
+        def counted(*args, **kwargs):
+            divisions.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sylvester, "divide_by_quadric", counted)
+        rng = np.random.default_rng(72)
+        inputs = [(Q, _near_multiple(Q, d, s * tol, rng), tol)
+                  for Q in (sphere, dense_complex) for d in (2, 3, 4)
+                  for tol in self.TOLS for s in (0.0, 0.5, 2.0, 20.0, 1e4)]
+        inputs += [(Q, poly_mul(X, X), TOL_DIV) for Q in (sphere, dense_complex)]
+        got = [_outcome_of(lambda: in_discriminant(P, Q, tol_div=tol))
+               for Q, P, tol in inputs]
+        divided = len(divisions)
+        monkeypatch.setattr(sylvester, "_restriction_norm", lambda Q, d: np.inf)
+        assert got == [_outcome_of(lambda: in_discriminant(P, Q, tol_div=tol))
+                       for Q, P, tol in inputs]
+        assert len(divisions) == divided + len(inputs)
+        # the restriction decided for x * x and at least every s = 1e4 input
+        # with tol_div >= 1e-12
+        assert divided <= len(inputs) - 2 - 2 * 3 * 3
+        assert sum(o[0] == "DivisibleByQ" for o in got) >= 2 * 3 * 4
+
+
+def _outcome_of(fn):
+    try:
+        return "value", fn()
+    except QuadpoleError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _evaluation_point_reference(ctx):
+    """_FactorContext.evaluation_point as a scalar loop, a test-local copy."""
+    golden = (1.0 + np.sqrt(5.0)) / 2.0
+    max_c = float(np.max(np.abs(ctx.b.coeffs)))
+    power = 1.0
+    for _ in range(64):
+        u = ProjPoint1([1.0, power])
+        power *= float(golden)
+        if any(chordal(u, c.point) <= 10 * ctx.eps_cluster for c in ctx.clusters):
+            continue
+        if abs(ctx.b.eval_point(u)) <= 1e-4 * max_c:
+            continue
+        return u
+    raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
+
+
+def _point_outcome(fn):
+    try:
+        return fn().coords.tobytes()
+    except NoEvaluationPoint as exc:
+        return str(exc)
+
+
+def _stub_context(params, b, eps_cluster):
+    """What evaluation_point reads of a context: clusters at the given
+    parameters, the restriction b and the scale."""
+    ctx = _FactorContext.__new__(_FactorContext)
+    ctx.clusters = [RootCluster(ProjPoint1(p), 1) for p in params]
+    ctx._params = np.array([c.point.coords for c in ctx.clusters])
+    ctx._trial_dist = None
+    ctx.b = b
+    ctx.eps_cluster = eps_cluster
+    return ctx
+
+
+class TestEvaluationPoint:
+    """evaluation_point against a test-local copy of the scalar loop."""
+
+    def test_contexts(self, sphere, dense_complex):
+        rng = np.random.default_rng(73)
+        for Q in (sphere, dense_complex):
+            for d in (1, 2, 4, 8):
+                P = random_homog(d, rng)
+                for eps in (1e-6, 1e-3, 1e-2, 0.05, 0.0999, 0.1):
+                    ctx = _FactorContext(P, Q, eps_cluster=eps)
+                    assert _point_outcome(ctx.evaluation_point) \
+                        == _point_outcome(lambda: _evaluation_point_reference(ctx))
+
+    def test_clearance_ties(self):
+        # the clearance 10 * eps set to one of the distances, so the array
+        # and the scalar distance may differ in their last bit right there
+        rng = np.random.default_rng(74)
+        trials = sylvester._TRIALS
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            params = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+            b = BinaryForm(4, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+            t, j = int(rng.integers(0, 3)), int(rng.integers(0, k))
+            dist = chordal(ProjPoint1(trials[t]), ProjPoint1(params[j]))
+            for eps in (dist / 10, np.nextafter(dist, 0) / 10, np.nextafter(dist, 2) / 10):
+                ctx = _stub_context(params, b, eps)
+                assert _point_outcome(ctx.evaluation_point) \
+                    == _point_outcome(lambda: _evaluation_point_reference(ctx))
+
+    def test_distance_exactly_one(self):
+        # [-1 : 1/golden] lies at chordal distance exactly 1 from the second
+        # trial point [1/golden : 1]: at eps_cluster = 0.1 the clearance is
+        # 1, the tie rejects, and no trial point clears the cluster; just
+        # below 0.1 that trial point is the first to clear it
+        second = sylvester._TRIALS[1]
+        far = [-1.0, second[0]]
+        assert chordal(ProjPoint1._of(second), ProjPoint1(far)) == 1.0
+        b = BinaryForm(2, [1.0, 0.5, 2.0])
+        for params in ([far], [far, [3.0, 1j]]):
+            ctx = _stub_context(params, b, 0.1)
+            with pytest.raises(NoEvaluationPoint):
+                ctx.evaluation_point()
+            with pytest.raises(NoEvaluationPoint):
+                _evaluation_point_reference(ctx)
+        ctx = _stub_context([far], b, np.nextafter(0.1, 0))
+        assert 10 * ctx.eps_cluster < 1.0
+        assert ctx.evaluation_point().coords.tobytes() \
+            == _evaluation_point_reference(ctx).coords.tobytes() == second.tobytes()
+
+    def test_trial_points(self):
+        power = 1.0
+        for k in range(64):
+            assert sylvester._TRIALS[k].tobytes() == ProjPoint1([1.0, power]).coords.tobytes()
+            power *= sylvester._GOLDEN
+
+
+class TestRowBits:
+    """The rows' lambdas are Python complex products in piece order."""
+
+    def test_lambda_bits(self, sphere, hyperboloid, dense_complex):
+        import math
+        rng = np.random.default_rng(75)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for d in (1, 2, 3, 4):
+                ctx = _FactorContext(random_homog(d, rng), Q)
+                facts = _rows_or_raise(ctx.rows("enumerate"))
+                for f in facts:
+                    denom = math.prod((ctx._lines[p][1] for p in f.parcelling.pieces),
+                                      start=1.0 + 0.0j)
+                    want = ctx._p_at_q / denom
+                    assert type(f.lam) is complex
+                    assert np.complex128(f.lam).tobytes() == np.complex128(want).tobytes()
+                    assert [L.coeffs.tobytes() for L in f.lines] \
+                        == [ctx._lines[p][0].coeffs.tobytes() for p in f.parcelling.pieces]

@@ -1,6 +1,7 @@
 """Digest of every benchmark op's output, to show that a change keeps them.
 
     python3 tools/op_digest.py --root <checkout> --workload W --seeds 1-11 [--seconds 25]
+                               [--per-op]
     python3 tools/op_digest.py --root <checkout> --readme
 
 For each seed the plan is built with <checkout>/perfbench/workloads.py,
@@ -16,7 +17,14 @@ ops read their inputs from a temporary directory.
 One line per seed and a total line give the op count, the failure count
 (ops that raised, and CLI ops with a non-zero exit code) and the SHA-256 of
 the outputs in op order.  Two checkouts with equal lines gave every op the
-same bits.
+same bits.  With --per-op each seed's line comes after one line per op,
+
+    seed 4 op 17 [allfact d=4, sphere] ok sha256 <hex>
+
+with the op's id, its label as perfbench/worker.label gives it, its status
+(ok, "raised <error type>", or "exit <code>" for a CLI op that exits
+non-zero) and the SHA-256 of the op's own bytes; diffing the output of two
+checkouts then names the first op whose bits differ.
 
 --readme runs instead each README demo listed in
 <checkout>/tests/data/readme_demos.json as `python -m quadpole.cli ...` in a
@@ -83,8 +91,44 @@ def feed(h, x, np) -> None:
             feed(h, v, np)
 
 
-def run_seed(worker, workloads, qp, workload: str, seed: int, seconds: int):
-    """(op count, failure count, SHA-256 hex) of one seed's plan."""
+class _Tee:
+    """Feeds the same bytes to several hashes."""
+
+    def __init__(self, *hashes) -> None:
+        self.hashes = hashes
+
+    def update(self, data: bytes) -> None:
+        for h in self.hashes:
+            h.update(data)
+
+
+def digest_op(h, op: dict, call, np):
+    """Run call(), op's prepared call, and add its bytes to the hash h.
+
+    Gives the op's status, "ok", "raised <error type>" or "exit <code>" (a
+    CLI op's non-zero exit code), and the SHA-256 of the op's own bytes.
+    """
+    own = hashlib.sha256()
+    both = _Tee(h, own)
+    try:
+        out = call()
+    except Exception as exc:  # a failure is part of the digest
+        both.update(("!%s: %s" % (type(exc).__name__, exc)).encode())
+        return "raised %s" % type(exc).__name__, own.hexdigest()
+    feed(both, out, np)
+    status = "exit %d" % out[0] if op["kind"] == "cli" and out[0] != 0 else "ok"
+    return status, own.hexdigest()
+
+
+def op_line(seed: int, op_id, label: str, status: str, digest: str) -> str:
+    """The --per-op line of one op."""
+    return "seed %d op %s [%s] %s sha256 %s" % (seed, op_id, label, status, digest)
+
+
+def run_seed(worker, workloads, qp, workload: str, seed: int, seconds: int,
+             per_op: bool = False):
+    """(op count, failure count, SHA-256 hex) of one seed's plan; with
+    per_op, each op's line is printed as it finishes."""
     import numpy as np
     plan = json.loads(workloads.encode(workloads.build(workload, seed, seconds)))
     h = hashlib.sha256()
@@ -94,15 +138,11 @@ def run_seed(worker, workloads, qp, workload: str, seed: int, seconds: int):
         workloads.write_inputs(plan, Path(tmp))
         runner = worker.Runner(qp, plan, Path(tmp))
         for op in ops:
-            try:
-                out = runner.prepare(op)()
-            except Exception as exc:  # a failure is part of the digest
-                failed += 1
-                h.update(("!%s: %s" % (type(exc).__name__, exc)).encode())
-                continue
-            if op["kind"] == "cli" and out[0] != 0:
-                failed += 1
-            feed(h, out, np)
+            status, digest = digest_op(h, op, lambda: runner.prepare(op)(), np)
+            failed += status != "ok"
+            if per_op:
+                print(op_line(seed, op["id"], worker.label(op, plan), status, digest),
+                      flush=True)
     return len(ops), failed, h.hexdigest()
 
 
@@ -132,6 +172,8 @@ def main() -> int:
     ap.add_argument("--seeds", default="1-11", help="e.g. 1-11 or 1,3,5")
     ap.add_argument("--seconds", type=int, default=25,
                     help="plan length, as perfbench/run.py --seconds")
+    ap.add_argument("--per-op", action="store_true",
+                    help="also print one line per op, before its seed's line")
     args = ap.parse_args()
     if args.readme:
         return readme_digests(Path(args.root).resolve())
@@ -144,7 +186,7 @@ def main() -> int:
     n_ops = n_failed = 0
     for seed in parse_seeds(args.seeds):
         n, failed, digest = run_seed(worker, workloads, qp, args.workload, seed,
-                                     args.seconds)
+                                     args.seconds, per_op=args.per_op)
         print("seed %d: %d ops, %d failed, sha256 %s" % (seed, n, failed, digest),
               flush=True)
         total.update(digest.encode())
