@@ -35,13 +35,14 @@ from .algebra import (
 from .conic import EPS_CLUSTER
 from .errors import (
     ConjugationPairingFailure,
+    DivisibleByQ,
     InsufficientQuadrature,
     NoEvaluationPoint,
     SolveFailure,
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, _auto_strategy, _rows_or_raise, _strategy_context
+from .sylvester import Multipole, _FactorContext, _auto_strategy, _rows_or_raise
 
 TOL_ZERO_BAND = 1e-12
 
@@ -257,11 +258,13 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     A band that does not reproduce within 1e-12 relative is factored again
     with its roots merged at 10x the scale, from eps_cluster while the scale
     is at most 0.2; so eps_cluster must lie in (0, 0.2].  A scale whose
-    candidate has the lines of an earlier one takes that one's fit instead
-    of fitting again: the fit reads nothing else that the scale changes.  A
-    scale whose roots merge into the same groups as a scale that was fit is
-    skipped: its clusters, parcelling and lines are that scale's, so it
-    could only give the same fit again.
+    roots merge into the same groups as a scale that was fit is skipped: its
+    clusters, parcelling and lines are that scale's, so it could only give
+    the same fit again.
+
+    A harmonic band is never a multiple of Q, so a band that its division
+    tolerance takes for one lies too near its noise floor to factor, and
+    raises SolveFailure.
     """
     if not 0.0 < eps_cluster <= 0.2:
         raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
@@ -292,21 +295,22 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         band_tol_div = max(tol_div, 1e3 * floor)
         w, c, best = None, 0j, np.inf
         last_err = None
-        fits = {}  # candidate lines -> maxwell_fit's scale and defect
-        ctx = fitted = None  # fitted: the last context whose candidate was fit
+        try:
+            ctx = _FactorContext(fk, Q, eps_cluster=eps_cluster, tol_div=band_tol_div)
+        except DivisibleByQ as exc:
+            raise SolveFailure("band %d lies within its noise floor of a multiple of Q"
+                               % k) from exc
+        fitted = None  # the last context whose candidate was fit
         eps = eps_cluster
         while eps <= 0.2:
-            ctx = (_strategy_context(fk, Q, strategy, eps_cluster=eps,
-                                     tol_div=band_tol_div)
-                   if ctx is None else ctx.at_scale(eps))
+            if eps != eps_cluster:
+                ctx = ctx.at_scale(eps)
             eps *= 10.0
             if fitted is not None and ctx._groups == fitted._groups:
                 continue
             try:
                 cand = _rows_or_raise(ctx.rows(strategy))[0].multipole()
-                if cand.lines not in fits:
-                    fits[cand.lines] = maxwell_fit(fk, Q, cand.lines)[1:]
-                cc, defect = fits[cand.lines]
+                cc, defect = maxwell_fit(fk, Q, cand.lines)[1:]
                 fitted = ctx
                 if defect < best:
                     w, c, best = cand, cc, defect

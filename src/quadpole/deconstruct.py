@@ -5,7 +5,7 @@ surface, where Q = 1), the top homogeneous part factors into a scaled line
 product plus Q times a remainder, and the remainder recurses two degrees
 lower.  The result is a constant plus one multipole per degree.  A generic
 degree-d input admits up to prod_{k=1..d} (2k-1)!! distinct sequences; real
-inputs over a positive definite form have exactly one with all pieces real.
+inputs over a definite form have exactly one with all pieces real.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from .errors import (
     InvalidPartition,
     StrategyMismatch,
 )
-from .sylvester import (
-    TOL_REAL,
-    Multipole,
-    _FactorContext,
-    _check_real_input,
-    _strategy_context,
-)
+from .sylvester import TOL_REAL, Multipole, _FactorContext
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -80,19 +74,17 @@ def representation_bound(d: int) -> RepresentationCount:
     return RepresentationCount(d, bound)
 
 
-def _strip_q_powers(h: HomogPoly, Q: QuadForm, strategy: str,
-                    eps_cluster: float, tol_div: float
+def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float
                     ) -> Tuple[HomogPoly, Optional[_FactorContext]]:
     """The first h / Q^k that is not a multiple of Q, with its factor context.
 
-    The strategy's context runs the divisibility test, and a multiple of Q
-    comes back as DivisibleByQ carrying the quotient, so each level is
-    tested once.  A zero, constant or linear h builds no context and gives
-    None.
+    The context runs the divisibility test, and a multiple of Q comes back
+    as DivisibleByQ carrying the quotient, so each level is tested once.  A
+    zero, constant or linear h builds no context and gives None.
     """
     while h.degree > 1 and not h.is_zero():
         try:
-            return h, _strategy_context(h, Q, strategy, eps_cluster, tol_div)
+            return h, _FactorContext(h, Q, eps_cluster=eps_cluster, tol_div=tol_div)
         except DivisibleByQ as exc:
             if exc.quotient is None:
                 raise
@@ -105,8 +97,9 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
            ) -> List[Tuple[complex, Dict[int, Multipole]]]:
     """The constant and terms of every decomposition of h the strategy
     gives: each level keeps its context's rows(strategy), and each row's
-    remainder recurses."""
-    cur, ctx = _strip_q_powers(h, Q, strategy, eps_cluster, tol_div)
+    remainder recurses.  full_decompose has checked the input for the
+    strategy; each level's rows certify themselves."""
+    cur, ctx = _strip_q_powers(h, Q, eps_cluster, tol_div)
     if ctx is not None:
         # the rows before the first failing parcelling are expanded before
         # its error is raised, as when each row is factored in turn
@@ -115,8 +108,6 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
     else:
         if cur.degree != 1 or cur.is_zero():
             return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
-        if strategy == "real_unique":
-            _check_real_input(cur)
         # a line is the secant of its two conic points, so a nonzero linear
         # level is its own one-line multipole: scale * line = h exactly
         rows, err = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))], None
@@ -144,17 +135,16 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     the sorted root clusters), enumerate fans out over every parcelling at
     every level and returns the full list, and real_unique forces the
     conjugation-stable choice, which exists and is unique for real input over
-    a positive definite real form.  All three run one recursion, and differ
-    only in the rows each level keeps.
+    a definite real form.  All three run one recursion, and differ only in
+    the rows each level keeps.
     """
     if isinstance(P, HomogPoly):
         P = Poly.from_homog(P)
     if strategy not in Strategy:
         raise ValueError("unknown strategy %r" % (strategy,))
     if strategy == "real_unique":
-        if not Q.is_real or Q.signature != 3:
-            raise StrategyMismatch(
-                "real_unique needs a positive definite real form")
+        if not Q.is_real or Q.signature not in (-3, 3):
+            raise StrategyMismatch("real_unique needs a definite real form")
         worst = max((float(np.max(np.abs(g.coeffs.imag), initial=0.0))
                      for g in P.parts), default=0.0)
         if worst > TOL_REAL * max(P.norm(), 1e-300):

@@ -345,7 +345,13 @@ def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
 
     A form whose conic has no parameterization raises Degenerate only after
     the division has decided, so its errors come in the same order.
+
+    tol_div must lie in (0, 1): a least-squares residual never exceeds
+    ||P||, so a bound of 1 or more would take every P for a multiple of Q.
     """
+    if not 0 < tol_div < 1:
+        raise ValueError("tol_div must be finite and positive, and below 1, not %r"
+                         % (tol_div,))
     try:
         param = conic_param(Q)
     except Degenerate:
@@ -356,20 +362,18 @@ def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
     return param, b
 
 
-def _trial_points() -> Tuple[np.ndarray, np.ndarray]:
+def _trial_points() -> np.ndarray:
     """The 64 golden-ratio trial parameters [1 : golden**k], normalized as
-    ProjPoint1 normalizes them, as a read-only (64, 2) array, with their
-    norms as a (64, 1) column."""
+    ProjPoint1 normalizes them, as a read-only (64, 2) array."""
     powers = [1.0]
     for _ in range(63):
         powers.append(powers[-1] * _GOLDEN)
     trials = _normalize_rows(np.array([[1.0, p] for p in powers], dtype=complex))
-    norms = np.linalg.norm(trials, axis=1)[:, None]
-    trials.flags.writeable = norms.flags.writeable = False
-    return trials, norms
+    trials.flags.writeable = False
+    return trials
 
 
-_TRIALS, _TRIAL_NORMS = _trial_points()
+_TRIALS = _trial_points()
 
 
 class _FactorContext:
@@ -400,6 +404,10 @@ class _FactorContext:
 
     at_scale gives the same P clustered at another eps_cluster, sharing all
     of the above that the scale does not change.
+
+    A context checks nothing of what a strategy asks of its input: the
+    entry that takes the strategy does (factor, full_decompose,
+    multipole_series), and _realified's gates certify every real row.
     """
 
     def __init__(self, P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -426,13 +434,11 @@ class _FactorContext:
         and least separation."""
         self.clusters: List[RootCluster] = clusters
         self.multiplicities: List[int] = [c.multiplicity for c in clusters]
-        self._params = np.array([c.point.coords for c in clusters])
-        self.points = ProjPoint2._of(self.param.points(self._params))
-        near = _pairwise_chordal(self._params)
+        params = np.array([c.point.coords for c in clusters])
+        self.points = ProjPoint2._of(self.param.points(params))
+        near = _pairwise_chordal(params)
         np.fill_diagonal(near, np.inf)
         self._min_separation = float(near.min())
-        # the trial points' distances to the clusters, at first use
-        self._trial_dist: Optional[np.ndarray] = None
 
     def _set_scale(self, eps_cluster: float) -> None:
         """Set eps_cluster and what it decides, and empty the caches that follow from it."""
@@ -465,32 +471,15 @@ class _FactorContext:
         """First golden-ratio trial point clear of the divisor with |b| not small.
 
         A trial point is clear when its chordal distance to every cluster
-        exceeds 10 * eps_cluster.  The distances of all 64 trial points
-        (_trial_points) to all clusters are one array, computed once per
-        set of clusters; where one lies within 1e-12 (relative) of the
-        clearance, its last bits could decide, and the scalar chordal
-        decides instead.  So every decision is the scalar chordal's, also at
-        eps_cluster = 0.1, whose clearance 1 is the largest chordal distance
-        there is: a tie there still rejects.  |b| is then evaluated in trial
-        order, at the points that clear, until one is not below
+        exceeds 10 * eps_cluster; |b| there must not be below
         1e-4 * max |b_k|.
         """
-        if self._trial_dist is None:
-            # |u0 v1 - u1 v0| / (|u| |v|) for every trial point u and cluster v
-            u, v = _TRIALS, self._params
-            cross = u[:, :1] * v[:, 1] - u[:, 1:] * v[:, 0]
-            mods = np.abs(v)
-            norms = _TRIAL_NORMS * np.hypot(mods[:, 0], mods[:, 1])
-            self._trial_dist = np.abs(cross) / norms
         clear = 10 * self.eps_cluster
-        dist = self._trial_dist
-        far = dist > clear * (1 + 1e-12)
-        for t, j in zip(*np.nonzero(~far & (dist >= clear * (1 - 1e-12)))):
-            far[t, j] = chordal(ProjPoint1._of(_TRIALS[t]), self.clusters[j].point) > clear
         max_c = float(np.max(np.abs(self.b.coeffs)))
-        for t in np.flatnonzero(far.all(axis=1)):
-            u = ProjPoint1._of(_TRIALS[t])
-            if abs(self.b.eval_point(u)) > 1e-4 * max_c:
+        for t in _TRIALS:
+            u = ProjPoint1._of(t)
+            if all(chordal(u, c.point) > clear for c in self.clusters) \
+                    and abs(self.b.eval_point(u)) > 1e-4 * max_c:
                 return u
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
@@ -751,19 +740,6 @@ def _auto_strategy(imag_max: float, ref_norm: float, Q: QuadForm) -> str:
     return "canonical"
 
 
-def _strategy_context(P: HomogPoly, Q: QuadForm, strategy: str,
-                      eps_cluster: float, tol_div: float) -> _FactorContext:
-    """P's factor context, after the checks the strategy makes on its input.
-
-    The strategy is one of canonical, enumerate and real_unique.
-    """
-    if strategy == "real_unique":
-        _check_real_input(P)
-        if not Q.is_real or Q.signature not in (-3, 3):
-            raise NotDefinite("real factorization needs a definite real form")
-    return _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-
-
 def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
            eps_cluster: float = EPS_CLUSTER,
            tol_div: float = TOL_DIV) -> MultipoleFactorization:
@@ -775,8 +751,11 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
     """
     if strategy not in ("canonical", "real_unique"):
         raise ValueError("unknown factoring strategy %r" % (strategy,))
-    ctx = _strategy_context(P, Q, strategy, eps_cluster=eps_cluster,
-                            tol_div=tol_div)
+    if strategy == "real_unique":
+        _check_real_input(P)
+        if not Q.is_real or Q.signature not in (-3, 3):
+            raise NotDefinite("real factorization needs a definite real form")
+    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
     return _rows_or_raise(ctx.rows(strategy))[0]
 
 
@@ -816,9 +795,11 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     The divisor has a multiple point exactly when the discriminant resultant
     of the conic restriction vanishes.  Numerically the decision is made by
     root clustering at resolution max(10 * eps_cluster, 1e-5), which stays
-    reliable at every degree; the normalized resultant magnitude corroborates
-    it at moderate degree but its scale collapses as the degree grows, so a
-    disagreement is resolved in favor of the clusters.  P is tested for
+    reliable at every degree.  The normalized resultant magnitude
+    corroborates it at restriction degree <= 8, where its scale has not yet
+    collapsed: when the clusters see a multiple point there and the
+    resultant does not, SolveFailure is raised.  Every other disagreement,
+    and every one above degree 8, goes to the clusters.  P is tested for
     being a multiple of Q as a factor context tests it: the restriction
     decides where it can, the division elsewhere.
     """

@@ -436,6 +436,30 @@ class TestScaleSchedule:
         assert len(calls) == 24 < 41
 
 
+class TestRealDecidedAtEntry:
+    """multipole_series takes real_unique or canonical once, for all bands."""
+
+    def test_imaginary_noise_under_the_entry_bound(self, sphere):
+        # the noise passes the entry's test against f_norm; a small band's
+        # second test against its own norm raised NotReal
+        from quadpole import surface_samples
+
+        def g(pts):
+            x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+            return np.exp(x / 3 + y / 5) * np.cos(z / 4) + 1e-14j * np.exp(y)
+
+        dec = l2_project(g, sphere, 10, QuadratureRule(20))
+        s = multipole_series(dec, sphere)
+        for k in range(1, 11):
+            assert s.terms[k].degree == k
+            assert s.terms[k].scale.imag == 0.0
+            assert all(c.imag == 0.0 for line in s.terms[k].lines for c in line)
+        pts = surface_samples(sphere, 200, np.random.default_rng(80))
+        want = dec.evaluate(pts)
+        got = sum(s.band_poly(k, sphere).eval_many(pts) for k in range(11))
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
 class TestEpsClusterRange:
     @pytest.mark.parametrize("eps", [0.5, float("nan"), -1.0])
     def test_out_of_range_rejected(self, sphere, eps):

@@ -302,6 +302,8 @@ class TestExitCodes:
         # an empty answer and exited 0; approx raised a zero or negative
         # bound to each band's noise floor and exited 0
         for argv in (["decompose", files["xy"], "--tol-div", "nan"],
+                     ["decompose", files["xy"], "--tol-div", "1e300"],
+                     ["decompose", files["xy"], "--tol-div", "2"],
                      ["fibers", files["xy"], "--tol-div", "nan"],
                      ["approx", "--function", "exp_x", "--d-max", "2",
                       "--tol-div", "nan"],
@@ -336,6 +338,20 @@ class TestExitCodes:
         for argv in cases:
             code, _ = run(argv)
             assert code == 4, argv
+
+    def test_noise_floor_band_is_a_numerical_failure(self, capsys, tmp_path):
+        # band 12 of exp(x) on this ellipsoid has relative norm 1.4e-11 and
+        # division tolerance 1.5e-2, which takes it for a multiple of Q; a
+        # harmonic band is none, so this is no input error (exit 3)
+        U = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        quadric = tmp_path / "ellipsoid.json"
+        quadric.write_text(json.dumps(
+            {"B": (U @ np.diag([1.0, 2.0, 0.5]) @ U.T).tolist(), "real": True}))
+        code = main(["approx", "--function", "exp_x", "--d-max", "12",
+                     "--quadric", str(quadric)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "band 12 " in captured.err
 
     def test_quadrature_too_low_is_an_input_error(self, capsys):
         code = main(["approx", "--function", "exp_x", "--d-max", "4",

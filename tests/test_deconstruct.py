@@ -317,6 +317,29 @@ class TestRealUnique:
             full_decompose(random_poly(2, rng), sphere,
                            strategy="real_unique")
 
+    def test_small_odd_part_with_imaginary_noise(self, sphere):
+        # the noise passes the entry's test against ||P||; the odd level's
+        # second test against its own norm, 1e-6 of ||P||, raised NotReal
+        rng = np.random.default_rng(73)
+        even = Poly.from_grades({k: random_homog(k, rng, real=True) for k in (0, 2, 4)})
+        odd = Poly.from_grades({k: random_homog(k, rng, real=True) for k in (1, 3)})
+        noise = Poly.from_grades({k: HomogPoly(k, 1e-14j * rng.standard_normal(grade_dim(k)))
+                                  for k in range(5)})
+        P = even + odd * (1e-6 * even.norm() / odd.norm()) + noise
+        seq = full_decompose(P, sphere, strategy="real_unique")
+        assert seq.is_real() and sorted(seq.terms) == [1, 2, 3, 4]
+        surface_match(P, seq, sphere, rng)
+
+    def test_negative_definite_form(self):
+        # -I is definite, as factor and the automatic strategy take it
+        rng = np.random.default_rng(74)
+        negative = QuadForm(-np.eye(3))
+        for d in (2, 3, 4):
+            P = random_poly(d, rng, real=True)
+            seq = full_decompose(P, negative, strategy="real_unique")
+            assert seq.is_real()
+            surface_match(P, seq, negative, rng)
+
     def test_indefinite_form_rejected(self, hyperboloid):
         rng = np.random.default_rng(72)
         with pytest.raises(StrategyMismatch):

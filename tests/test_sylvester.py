@@ -1168,8 +1168,6 @@ def _stub_context(params, b, eps_cluster):
     parameters, the restriction b and the scale."""
     ctx = _FactorContext.__new__(_FactorContext)
     ctx.clusters = [RootCluster(ProjPoint1(p), 1) for p in params]
-    ctx._params = np.array([c.point.coords for c in ctx.clusters])
-    ctx._trial_dist = None
     ctx.b = b
     ctx.eps_cluster = eps_cluster
     return ctx
