@@ -97,11 +97,34 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
 
     The standard library runs its pure-Python encoder whenever indent is
     set; this one builds the same text with one recursive join per
-    container.  Types are tested in json's order, so bools before ints and
-    float subclasses such as np.float64 as floats; any other type raises
-    TypeError, as json does.  newline is the line break and indentation of
-    obj's own level.
+    container.  The exact types float, int, list, tuple and dict are tested
+    first, and int and finite float children are written inline, without a
+    call of their own.  Other types are tested in json's order, so bools
+    before ints and float subclasses such as np.float64 as floats; any other
+    type raises TypeError, as json does.  newline is the line break and
+    indentation of obj's own level.
     """
+    cls = type(obj)
+    if cls is float:
+        return _float_text(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [float.__repr__(v) if type(v) is float and -_INF < v < _INF else
+             int.__repr__(v) if type(v) is int else _json_text(v, inner)
+             for v in obj]), newline)
+    if cls is dict:
+        if not obj:
+            return "{}"
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [_encode_str(_key_text(k)) + ": " + (
+                float.__repr__(v) if type(v) is float and -_INF < v < _INF else
+                int.__repr__(v) if type(v) is int else _json_text(v, inner))
+             for k, v in sorted(obj.items())]), newline)
     if isinstance(obj, str):
         return _encode_str(obj)
     if obj is None:
@@ -114,18 +137,10 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _float_text(obj)
-    inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[%s%s%s]" % (inner, ("," + inner).join(
-            [_json_text(v, inner) for v in obj]), newline)
+        return _json_text(list(obj), newline)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{%s%s%s}" % (inner, ("," + inner).join(
-            [_encode_str(_key_text(k)) + ": " + _json_text(v, inner)
-             for k, v in sorted(obj.items())]), newline)
+        return _json_text(dict(obj.items()), newline)
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(obj).__name__)
 

@@ -31,7 +31,7 @@ from .errors import (
     InvalidPartition,
     StrategyMismatch,
 )
-from .sylvester import TOL_REAL, Multipole, _FactorContext
+from .sylvester import TOL_REAL, Multipole, _FactorContext, _check_tol_div
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -136,7 +136,8 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     every level and returns the full list, and real_unique forces the
     conjugation-stable choice, which exists and is unique for real input over
     a definite real form.  All three run one recursion, and differ only in
-    the rows each level keeps.
+    the rows each level keeps.  tol_div must lie in (0, 1), whatever the
+    degrees of P, as in every factor context.
     """
     if isinstance(P, HomogPoly):
         P = Poly.from_homog(P)
@@ -149,6 +150,7 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
                      for g in P.parts), default=0.0)
         if worst > TOL_REAL * max(P.norm(), 1e-300):
             raise StrategyMismatch("real_unique needs real coefficients")
+    _check_tol_div(tol_div)
     parts = [None if g.is_zero() else homogenize_on_quadric(g, Q)
              for g in grade_split(P)]
     budget = [ENUMERATION_CAP]

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import HomogPoly, Poly, QuadForm, grade_dim, monomial_index, monomials
+from .algebra import HomogPoly, Poly, QuadForm, grade_dim, monomials
 from .conic import BinaryForm, ProjPoint1, ProjPoint2, RootCluster
 from .deconstruct import MultipoleSequence
 from .errors import InvalidInput
@@ -64,6 +64,13 @@ def poly_to_json(p) -> Dict[str, Any]:
 
 
 def poly_from_json(obj: Any) -> Poly:
+    """Parse a polynomial; terms with the same exponent add up in term order.
+
+    Each term's coefficient is placed by its flat index, the offset of its
+    grade plus its lexicographic index in that grade, and one bincount per
+    part sums the real parts and one the imaginary parts, so each sum runs
+    in term order from 0.0, as adding complex(re, im) to a zero grade does.
+    """
     _check_keys(obj, ("degree", "terms"), "polynomial")
     if "degree" not in obj or "terms" not in obj:
         raise InvalidInput("polynomial: needs 'degree' and 'terms'")
@@ -72,7 +79,9 @@ def poly_from_json(obj: Any) -> Poly:
         raise InvalidInput("polynomial: degree must be a non-negative integer")
     if not isinstance(obj["terms"], list):
         raise InvalidInput("polynomial: terms must be a list")
-    coeffs = {k: np.zeros(grade_dim(k), dtype=complex) for k in range(d + 1)}
+    index: List[int] = []
+    re_parts: List[Any] = []
+    im_parts: List[Any] = []
     for t in obj["terms"]:
         _check_keys(t, ("exp", "re", "im"), "polynomial term")
         e = t.get("exp")
@@ -81,18 +90,28 @@ def poly_from_json(obj: Any) -> Poly:
                        for x in e)):
             raise InvalidInput("polynomial term: exp must be three"
                                " non-negative integers")
-        k = sum(e)
+        a, b, c = e
+        k = a + b + c
         if k > d:
             raise InvalidInput("polynomial term: exponent %s exceeds the"
                                " stated degree %d" % (e, d))
         re = t.get("re", 0.0)
         im = t.get("im", 0.0)
-        for name, v in (("re", re), ("im", im)):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise InvalidInput("polynomial term: %s must be a number"
-                                   % name)
-        coeffs[k][monomial_index(k)[tuple(e)]] += complex(re, im)
-    return Poly([HomogPoly(k, coeffs[k]) for k in range(d + 1)])
+        if not isinstance(re, (int, float)) or isinstance(re, bool):
+            raise InvalidInput("polynomial term: re must be a number")
+        if not isinstance(im, (int, float)) or isinstance(im, bool):
+            raise InvalidInput("polynomial term: im must be a number")
+        # grades below k hold k(k+1)(k+2)/6 monomials
+        index.append(k * (k + 1) * (k + 2) // 6 + (k - a) * (k - a + 1) // 2 + c)
+        re_parts.append(re)
+        im_parts.append(im)
+    size = (d + 1) * (d + 2) * (d + 3) // 6
+    bins = np.array(index, dtype=np.intp)
+    flat = np.empty(size, dtype=complex)
+    flat.real = np.bincount(bins, weights=re_parts, minlength=size)
+    flat.imag = np.bincount(bins, weights=im_parts, minlength=size)
+    return Poly([HomogPoly(k, flat[k * (k + 1) * (k + 2) // 6:][:grade_dim(k)])
+                 for k in range(d + 1)])
 
 
 def homog_from_json(obj: Any) -> HomogPoly:

@@ -11,11 +11,12 @@ convention by the degree-1 computation grad_u Q^{-1/2} = -<u.B, x>.Q^{-3/2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import HomogPoly, QuadForm, poly_mul, TOL_DIV
+from .algebra import HomogPoly, QuadForm, TOL_DIV, _exponent_table, grade_dim, monomials
 from .conic import EPS_CLUSTER
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
@@ -40,28 +41,69 @@ class PotentialTerm:
         return self.numerator.eval_many(pts) * qv ** (-self.half_exponent / 2.0)
 
 
-def _directional_gradient(p: HomogPoly, u: np.ndarray) -> HomogPoly:
-    out = HomogPoly.zero(p.degree - 1)
-    for axis in range(3):
-        if u[axis] != 0:
-            out = out + p.deriv(axis) * u[axis]
-    return out
+# The step (N, m) -> Q*grad_u(N) - m*<Bu, x>*N has 21 terms: for monomial
+# x^{e_j} of Q and axis a, q_j*u_a * x^{e_j} * dN/dx_a (18 terms, j major),
+# then for axis b, -m*(Bu)_b * x_b * N.  _SHIFTS[t] takes an output exponent
+# to the exponent of N that term t reads, and _AXES[t] is a term's axis a.
+_AXES = np.tile(np.arange(3), 6)
+_UNIT = np.eye(3, dtype=np.intp)
+_SHIFTS = np.concatenate([(_UNIT - np.array(monomials(2))[:, None]).reshape(18, 3), -_UNIT])
+
+
+@lru_cache(maxsize=None)
+def _step_table(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The derivative step from grade k to grade k + 1 as (source, factor),
+    two read-only (21, grade_dim(k + 1)) arrays with one row per term.
+
+    Output monomial i of term t is factor[t, i] times coefficient
+    source[t, i] of N: the exponent along a that d/dx_a brings down, or 1
+    for x_b * N.  Where the term has no source, source[t, i] names the zero
+    appended at index grade_dim(k) and factor[t, i] is 0.  The table does
+    not depend on the form, so every form shares it.
+    """
+    src = _exponent_table(k + 1)[None] + _SHIFTS[:, :, None]
+    factor = np.ones(src[:, 0].shape)
+    factor[:18] = src[np.arange(18), _AXES]
+    factor[src.min(axis=1) < 0] = 0.0
+    a, c = src[:, 0], src[:, 2]
+    # the lexicographic index of (a, b, c) in grade k
+    source = np.where(factor > 0, (k - a) * (k - a + 1) // 2 + c, grade_dim(k))
+    source.flags.writeable = False
+    factor.flags.writeable = False
+    return source, factor
+
+
+def _directions(vectors) -> np.ndarray:
+    """The direction vectors as a (d, 3) complex stack; none may be zero."""
+    U = np.asarray(vectors, dtype=complex).reshape(len(vectors), 3)
+    if not np.all(np.any(np.abs(U) > 0.0, axis=1)):
+        raise ZeroVector("direction vector is zero")
+    return U
+
+
+def _step_weights(Q: QuadForm, U: np.ndarray, half_exponents: np.ndarray) -> np.ndarray:
+    """The 21 term weights of each row's step: q_j*u_a, then -m*(Bu)_b."""
+    d = len(U)
+    return np.concatenate([(Q.poly().coeffs[:, None] * U[:, None, :]).reshape(d, 18),
+                           -half_exponents[:, None] * (U @ Q.B)], axis=1)
+
+
+def _steps(N: np.ndarray, k: int, weights: np.ndarray) -> np.ndarray:
+    """Coefficients of grade-k N after one derivative step per weight row."""
+    for w in weights:
+        source, factor = _step_table(k)
+        N = w @ (factor * np.append(N, 0.0)[source])
+        k += 1
+    return N
 
 
 def directional_derivative_potential(t: PotentialTerm, u: Sequence[complex],
                                      Q: QuadForm) -> PotentialTerm:
     """One derivative step: (N, m) -> (Q*grad_u(N) - (m/2)*N*grad_u(Q), m+2)."""
-    uv = np.asarray(u, dtype=complex).reshape(3)
-    if not np.any(np.abs(uv) > 0.0):
-        raise ZeroVector("direction vector is zero")
-    grad_q = HomogPoly(1, 2.0 * (Q.B @ uv))
-    second = poly_mul(t.numerator, grad_q) * (-0.5 * t.half_exponent)
-    if t.numerator.degree >= 1:
-        first = poly_mul(Q.poly(), _directional_gradient(t.numerator, uv))
-        numerator = first + second
-    else:
-        numerator = second
-    return PotentialTerm(numerator, t.half_exponent + 2)
+    w = _step_weights(Q, _directions([u]), np.array([float(t.half_exponent)]))
+    N = t.numerator
+    return PotentialTerm(HomogPoly._of(N.degree + 1, _steps(N.coeffs, N.degree, w)),
+                         t.half_exponent + 2)
 
 
 def maxwell_poly(Q: QuadForm, vectors: Sequence[Sequence[complex]]) -> HomogPoly:
@@ -69,24 +111,24 @@ def maxwell_poly(Q: QuadForm, vectors: Sequence[Sequence[complex]]) -> HomogPoly
 
     The result is Q-harmonic of degree len(vectors) and linear in each slot;
     for degenerate vector lists it can vanish identically, which is an error.
+    Step i starts from the half exponent 2i + 1.
     """
-    term = PotentialTerm(HomogPoly(0, [1.0]), 1)
-    for u in vectors:
-        term = directional_derivative_potential(term, u, Q)
-    if term.numerator.norm() == 0.0:
+    U = _directions(vectors)
+    N = _steps(np.ones(1, dtype=complex), 0,
+               _step_weights(Q, U, np.arange(1.0, 2 * len(U), 2.0)))
+    if np.linalg.norm(N) == 0.0:
         raise SolveFailure("vector configuration produced the zero polynomial")
-    return term.numerator
+    return HomogPoly._of(len(U), N)
 
 
 def maxwell_fit(P: HomogPoly, Q: QuadForm, lines: Sequence[Sequence[complex]]
                 ) -> Tuple[List[np.ndarray], complex, float]:
     """Directions u = w.B^{-1} of cone lines w, the least-squares scale c of
     P against maxwell_poly(Q, directions), and the defect ||P - c * model||."""
-    vectors = [np.asarray(w, dtype=complex) @ Q.b_inv for w in lines]
-    model = maxwell_poly(Q, vectors)
-    scale = complex(np.vdot(model.coeffs, P.coeffs) / np.vdot(model.coeffs,
-                                                              model.coeffs))
-    return vectors, scale, (P - model * scale).norm()
+    U = np.asarray(lines, dtype=complex).reshape(len(lines), 3) @ Q.b_inv
+    model = maxwell_poly(Q, U).coeffs
+    scale = complex(np.vdot(model, P.coeffs) / np.vdot(model, model))
+    return list(U), scale, float(np.linalg.norm(P.coeffs - scale * model))
 
 
 def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,

@@ -338,6 +338,15 @@ def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float,
     raise DivisibleByQ("input is a multiple of the quadratic form", quotient)
 
 
+def _check_tol_div(tol_div: float) -> None:
+    """Raise ValueError unless tol_div lies in (0, 1): a least-squares
+    residual never exceeds ||P||, so a bound of 1 or more would take every P
+    for a multiple of Q, and a NaN one would pass every P."""
+    if not 0 < tol_div < 1:
+        raise ValueError("tol_div must be finite and positive, and below 1, not %r"
+                         % (tol_div,))
+
+
 def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
                     ) -> Tuple[ConicParam, BinaryForm]:
     """The conic's parameterization and P's restriction to it, once
@@ -345,13 +354,9 @@ def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
 
     A form whose conic has no parameterization raises Degenerate only after
     the division has decided, so its errors come in the same order.
-
-    tol_div must lie in (0, 1): a least-squares residual never exceeds
-    ||P||, so a bound of 1 or more would take every P for a multiple of Q.
+    tol_div must pass _check_tol_div.
     """
-    if not 0 < tol_div < 1:
-        raise ValueError("tol_div must be finite and positive, and below 1, not %r"
-                         % (tol_div,))
+    _check_tol_div(tol_div)
     try:
         param = conic_param(Q)
     except Degenerate:

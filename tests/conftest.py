@@ -1,13 +1,28 @@
 """Shared fixtures and numeric helpers for the test suite."""
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from quadpole import HomogPoly, Poly, QuadForm, poly_mul
 from quadpole.algebra import grade_dim
+
+# The property tests draw the same examples on every run and keep no
+# example database, so the suite stays deterministic.
+settings.register_profile("quadpole", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("quadpole")
+# Hypothesis also caches the constants it reads in the package's modules,
+# from collection on, under its home directory: .hypothesis/ in the working
+# directory unless moved.  A temporary one is removed at exit.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quadpole import (
     HomogPoly,
@@ -314,6 +315,16 @@ class TestExitCodes:
             code, out = run(argv)
             assert code == 2 and out == "", argv
 
+    def test_tol_div_refused_at_every_degree(self, run, files):
+        # a surface input of degree <= 1 builds no factor context, the one
+        # place that checked the bound, so it took any --tol-div
+        lin = files["tmp"] / "lin.json"
+        lin.write_text(json.dumps(qio.poly_to_json(X)))
+        for value in ("2", "nan"):
+            for mode in ([], ["--cone"]):
+                code, out = run(["decompose", str(lin), *mode, "--tol-div", value])
+                assert code == 2 and out == "", (value, mode)
+
     def test_divisible_by_q(self, run, files):
         for argv in [["decompose", files["qq"], "--cone"],
                      ["discriminant", files["qq"]],
@@ -404,6 +415,37 @@ class TestPrinter:
         finally:
             cli._parser.cache_clear()
         assert len(calls) == 1
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, float("nan"),
+     float("inf"), -float("inf")]))
+# any code point, lone surrogates included, and often one that json escapes;
+# st.text() would first map the codec's characters, which takes seconds
+_TEXT = st.lists(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028'),
+                           st.integers(0, 0x10FFFF).map(chr)), max_size=6).map("".join)
+_SCALARS = st.one_of(_TEXT, st.integers(), _FLOATS, _FLOATS.map(np.float64),
+                     st.booleans(), st.none())
+# each dict draws its keys from one of these
+_KEYS = st.sampled_from([_TEXT, st.integers(), _FLOATS,
+                         _FLOATS.map(np.float64), st.booleans(), st.none()])
+_JSON = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4))),
+    max_leaves=12)
+
+
+class TestPrinterProperties:
+    @given(_JSON)
+    def test_same_bytes_as_json(self, obj):
+        try:
+            want = json.dumps(obj, indent=2, sort_keys=True)
+        except TypeError:
+            with pytest.raises(TypeError):
+                _json_text(obj)
+            return
+        assert _json_text(obj) == want
 
 
 class TestSubprocess:

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quadpole import (
     BinaryForm,
@@ -59,6 +60,70 @@ def poly_to_json_loop(p):
     return {"degree": len(parts) - 1, "terms": terms}
 
 
+def poly_from_json_loop(obj):
+    """poly_from_json as one += of complex(re, im) per term, the reference."""
+    qio._check_keys(obj, ("degree", "terms"), "polynomial")
+    if "degree" not in obj or "terms" not in obj:
+        raise InvalidInput("polynomial: needs 'degree' and 'terms'")
+    d = obj["degree"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise InvalidInput("polynomial: degree must be a non-negative integer")
+    if not isinstance(obj["terms"], list):
+        raise InvalidInput("polynomial: terms must be a list")
+    coeffs = {k: np.zeros(grade_dim(k), dtype=complex) for k in range(d + 1)}
+    for t in obj["terms"]:
+        qio._check_keys(t, ("exp", "re", "im"), "polynomial term")
+        e = t.get("exp")
+        if (not isinstance(e, list) or len(e) != 3
+                or any(not isinstance(x, int) or isinstance(x, bool) or x < 0
+                       for x in e)):
+            raise InvalidInput("polynomial term: exp must be three"
+                               " non-negative integers")
+        k = sum(e)
+        if k > d:
+            raise InvalidInput("polynomial term: exponent %s exceeds the"
+                               " stated degree %d" % (e, d))
+        re = t.get("re", 0.0)
+        im = t.get("im", 0.0)
+        for name, v in (("re", re), ("im", im)):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise InvalidInput("polynomial term: %s must be a number"
+                                   % name)
+        coeffs[k][monomial_index(k)[tuple(e)]] += complex(re, im)
+    return Poly([HomogPoly(k, coeffs[k]) for k in range(d + 1)])
+
+
+def _parse_outcome(parse, obj):
+    """The bits of each parsed grade, or the error's type and message."""
+    try:
+        p = parse(obj)
+    except InvalidInput as exc:
+        return "raised", str(exc)
+    return "ok", [part.coeffs.tobytes() for part in p.parts]
+
+
+# coefficients: floats of every kind, -0.0 among them, tenths, whose sums
+# round differently in another order, and integers beyond 2**53
+_COEFFS = st.one_of(st.floats(), st.just(-0.0),
+                    st.integers(-99, 99).map(lambda n: n / 10),
+                    st.integers(-2 ** 70, 2 ** 70))
+# exponents mostly from a pool of four, so that terms often repeat one
+_EXPS = st.one_of(
+    st.sampled_from([[0, 0, 0], [1, 0, 0], [0, 1, 1], [2, 0, 1]]),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3))
+_TERMS = st.fixed_dictionaries({"exp": _EXPS}, optional={"re": _COEFFS, "im": _COEFFS})
+_POLYS = st.fixed_dictionaries({"degree": st.integers(0, 9),
+                                "terms": st.lists(_TERMS, max_size=12)})
+_REFUSED_TERMS = st.one_of(
+    st.fixed_dictionaries({"exp": st.sampled_from(
+        [[1, 0], [0, -1, 1], [True, 0, 0], [1.0, 0, 0], "x", None])}),
+    st.fixed_dictionaries({"exp": st.just([1, 0, 0]), "re": st.sampled_from(
+        [True, "1", None, [1.0, 0.0]])}),
+    st.fixed_dictionaries({"exp": st.just([0, 0, 0]), "im": st.sampled_from(
+        [False, "1", None])}),
+    st.fixed_dictionaries({"exp": st.just([0, 0, 0]), "bad": st.just(0)}))
+
+
 class TestPoly:
     def test_round_trip(self):
         rng = np.random.default_rng(90)
@@ -109,6 +174,14 @@ class TestPoly:
         p = qio.poly_from_json(obj)
         assert p.part(1).coeffs[0] == 3.0
 
+    def test_duplicates_add_in_term_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
+        obj = {"degree": 1, "terms": [{"exp": [0, 1, 0], "re": v, "im": -v}
+                                      for v in (0.1, 0.2, 0.3)]}
+        c = qio.poly_from_json(obj).part(1).coeffs[1]
+        assert c == complex((0.1 + 0.2) + 0.3, (-0.1 - 0.2) - 0.3)
+        assert c != complex((0.3 + 0.2) + 0.1, (-0.3 - 0.2) - 0.1)
+
     def test_missing_im_defaults_zero(self):
         p = qio.poly_from_json({"degree": 0,
                                 "terms": [{"exp": [0, 0, 0], "re": 2.0}]})
@@ -130,6 +203,47 @@ class TestPoly:
         for obj in bad:
             with pytest.raises(InvalidInput):
                 qio.poly_from_json(obj)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"degree": 1}, "polynomial: needs 'degree' and 'terms'"),
+        ({"terms": []}, "polynomial: needs 'degree' and 'terms'"),
+        ({"degree": -1, "terms": []},
+         "polynomial: degree must be a non-negative integer"),
+        ({"degree": True, "terms": []},
+         "polynomial: degree must be a non-negative integer"),
+        ({"degree": 1, "terms": [{"exp": [1, 0], "re": 1}]},
+         "polynomial term: exp must be three non-negative integers"),
+        ({"degree": 1, "terms": [{"exp": [1, 0, -1], "re": 1}]},
+         "polynomial term: exp must be three non-negative integers"),
+        ({"degree": 1, "terms": [{"exp": [1, 1, 0], "re": 1}]},
+         "polynomial term: exponent [1, 1, 0] exceeds the stated degree 1"),
+        ({"degree": 1, "terms": [{"exp": [1, 0, 0], "re": "x"}]},
+         "polynomial term: re must be a number"),
+        ({"degree": 1, "terms": [{"exp": [1, 0, 0], "bad": 1}]},
+         "polynomial term: unknown keys ['bad']"),
+        ({"degree": 1, "terms": [], "extra": 0},
+         "polynomial: unknown keys ['extra']"),
+    ])
+    def test_schema_messages(self, obj, message):
+        # test_schema_rejections' cases, each with the message it has always had
+        with pytest.raises(InvalidInput) as info:
+            qio.poly_from_json(obj)
+        assert str(info.value) == message
+
+    @given(_POLYS)
+    def test_parser_matches_term_loop(self, obj):
+        # the same bits, or the same error, as one += per term
+        assert _parse_outcome(qio.poly_from_json, obj) \
+            == _parse_outcome(poly_from_json_loop, obj)
+
+    @given(_POLYS, _REFUSED_TERMS, st.integers(0, 12))
+    def test_refusals_match_term_loop(self, obj, refused, at):
+        # a refused term among others: the first failing check's message
+        terms = list(obj["terms"])
+        terms.insert(at, refused)
+        obj = dict(obj, terms=terms)
+        assert _parse_outcome(qio.poly_from_json, obj) \
+            == _parse_outcome(poly_from_json_loop, obj)
 
 
 class TestQuadForm:

@@ -18,7 +18,7 @@ from quadpole import (
     maxwell_poly,
     poly_mul,
 )
-from quadpole.algebra import grade_dim, monomial_index
+from quadpole.algebra import double_factorial, grade_dim, monomial_index
 
 from conftest import random_homog
 
@@ -94,6 +94,54 @@ class TestRecurrence:
     def test_zero_vector_rejected(self, sphere):
         with pytest.raises(ZeroVector):
             maxwell_poly(sphere, [(0, 0, 0)])
+
+    def test_step_at_any_half_exponent(self, sphere, hyperboloid, dense_complex):
+        # a term's step uses its own half exponent, not the 2k + 1 that
+        # maxwell_poly reaches after k steps
+        rng = np.random.default_rng(38)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for k, m in ((0, 7), (1, 1), (3, 9), (5, 3), (8, 21)):
+                N = random_homog(k, rng)
+                u = rand_vec(rng)
+                got = directional_derivative_potential(PotentialTerm(N, m), u, Q)
+                want = _step_reference(N, m, u, Q)
+                assert got.half_exponent == m + 2
+                assert got.numerator.degree == k + 1
+                assert np.linalg.norm(got.numerator.coeffs - want.coeffs) \
+                    <= 1e-14 * np.linalg.norm(want.coeffs)
+
+
+def _step_reference(N, m, u, Q):
+    """One derivative step, Q*grad_u(N) - (m/2)*N*grad_u(Q), built from
+    HomogPoly derivatives and products."""
+    second = poly_mul(N, HomogPoly(1, 2.0 * (Q.B @ u))) * (-0.5 * m)
+    if N.degree == 0:
+        return second
+    grad = HomogPoly.zero(N.degree - 1)
+    for axis in range(3):
+        grad = grad + N.deriv(axis) * u[axis]
+    return poly_mul(Q.poly(), grad) + second
+
+
+class TestHobson:
+    """Hobson's theorem: the numerator is (-1)^d (2d-1)!! times the harmonic
+    part of prod <B u_i, x> (E. W. Hobson, The Theory of Spherical and
+    Ellipsoidal Harmonics, 1931; M. R. Dennis, J. Phys. A 37, 2004)."""
+
+    def test_harmonic_part_of_the_line_product(self, sphere, hyperboloid,
+                                                dense_complex):
+        rng = np.random.default_rng(39)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for d in range(1, 13):
+                vecs = [rand_vec(rng) for _ in range(d)]
+                prod = HomogPoly(0, [1.0])
+                for u in vecs:
+                    prod = poly_mul(prod, HomogPoly(1, Q.B @ u))
+                want = harmonic_project(prod, Q)[0] \
+                    * ((-1) ** d * double_factorial(2 * d - 1))
+                got = maxwell_poly(Q, vecs)
+                assert np.linalg.norm(got.coeffs - want.coeffs) \
+                    <= 1e-12 * np.linalg.norm(want.coeffs), (Q, d)
 
 
 class TestHarmonicity:
