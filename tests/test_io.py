@@ -188,47 +188,31 @@ class TestPoly:
         assert p.part(0).coeffs[0] == 2.0 + 0j
 
     def test_schema_rejections(self):
+        # each case with the message it has always had
         bad = [
-            {"degree": 1},                                      # no terms
-            {"terms": []},                                      # no degree
-            {"degree": -1, "terms": []},
-            {"degree": True, "terms": []},
-            {"degree": 1, "terms": [{"exp": [1, 0], "re": 1}]},
-            {"degree": 1, "terms": [{"exp": [1, 0, -1], "re": 1}]},
-            {"degree": 1, "terms": [{"exp": [1, 1, 0], "re": 1}]},  # deg 2
-            {"degree": 1, "terms": [{"exp": [1, 0, 0], "re": "x"}]},
-            {"degree": 1, "terms": [{"exp": [1, 0, 0], "bad": 1}]},
-            {"degree": 1, "terms": [], "extra": 0},
+            ({"degree": 1}, "polynomial: needs 'degree' and 'terms'"),
+            ({"terms": []}, "polynomial: needs 'degree' and 'terms'"),
+            ({"degree": -1, "terms": []},
+             "polynomial: degree must be a non-negative integer"),
+            ({"degree": True, "terms": []},
+             "polynomial: degree must be a non-negative integer"),
+            ({"degree": 1, "terms": [{"exp": [1, 0], "re": 1}]},
+             "polynomial term: exp must be three non-negative integers"),
+            ({"degree": 1, "terms": [{"exp": [1, 0, -1], "re": 1}]},
+             "polynomial term: exp must be three non-negative integers"),
+            ({"degree": 1, "terms": [{"exp": [1, 1, 0], "re": 1}]},
+             "polynomial term: exponent [1, 1, 0] exceeds the stated degree 1"),
+            ({"degree": 1, "terms": [{"exp": [1, 0, 0], "re": "x"}]},
+             "polynomial term: re must be a number"),
+            ({"degree": 1, "terms": [{"exp": [1, 0, 0], "bad": 1}]},
+             "polynomial term: unknown keys ['bad']"),
+            ({"degree": 1, "terms": [], "extra": 0},
+             "polynomial: unknown keys ['extra']"),
         ]
-        for obj in bad:
-            with pytest.raises(InvalidInput):
+        for obj, message in bad:
+            with pytest.raises(InvalidInput) as info:
                 qio.poly_from_json(obj)
-
-    @pytest.mark.parametrize("obj, message", [
-        ({"degree": 1}, "polynomial: needs 'degree' and 'terms'"),
-        ({"terms": []}, "polynomial: needs 'degree' and 'terms'"),
-        ({"degree": -1, "terms": []},
-         "polynomial: degree must be a non-negative integer"),
-        ({"degree": True, "terms": []},
-         "polynomial: degree must be a non-negative integer"),
-        ({"degree": 1, "terms": [{"exp": [1, 0], "re": 1}]},
-         "polynomial term: exp must be three non-negative integers"),
-        ({"degree": 1, "terms": [{"exp": [1, 0, -1], "re": 1}]},
-         "polynomial term: exp must be three non-negative integers"),
-        ({"degree": 1, "terms": [{"exp": [1, 1, 0], "re": 1}]},
-         "polynomial term: exponent [1, 1, 0] exceeds the stated degree 1"),
-        ({"degree": 1, "terms": [{"exp": [1, 0, 0], "re": "x"}]},
-         "polynomial term: re must be a number"),
-        ({"degree": 1, "terms": [{"exp": [1, 0, 0], "bad": 1}]},
-         "polynomial term: unknown keys ['bad']"),
-        ({"degree": 1, "terms": [], "extra": 0},
-         "polynomial: unknown keys ['extra']"),
-    ])
-    def test_schema_messages(self, obj, message):
-        # test_schema_rejections' cases, each with the message it has always had
-        with pytest.raises(InvalidInput) as info:
-            qio.poly_from_json(obj)
-        assert str(info.value) == message
+            assert str(info.value) == message, obj
 
     @given(_POLYS)
     def test_parser_matches_term_loop(self, obj):
