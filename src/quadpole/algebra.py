@@ -398,6 +398,10 @@ class QuadForm:
         return self.B.tobytes()
 
     @property
+    def is_definite(self) -> bool:
+        return self.is_real and self.signature in (-3, 3)
+
+    @property
     def det(self) -> complex:
         return complex(np.linalg.det(self.B))
 

@@ -12,7 +12,6 @@ construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
@@ -42,7 +41,8 @@ from .errors import (
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, _FactorContext, _auto_strategy, _rows_or_raise
+from .sylvester import (Multipole, _FactorContext, _auto_strategy, _check_tol_div,
+                        _rows_or_raise)
 
 TOL_ZERO_BAND = 1e-12
 
@@ -252,8 +252,8 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     potential-derivative construction before being returned.
 
     A band's division tolerance is tol_div raised to that band's noise
-    floor, so tol_div must be finite and positive: raised, a zero or
-    negative one would pass unnoticed.
+    floor, so tol_div is checked at entry, as in every factor context: raised,
+    a zero or negative one would pass unnoticed.
 
     A band that does not reproduce within 1e-12 relative is factored again
     with its roots merged at 10x the scale, from eps_cluster while the scale
@@ -268,8 +268,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     """
     if not 0.0 < eps_cluster <= 0.2:
         raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
-    if not (math.isfinite(tol_div) and tol_div > 0):
-        raise ValueError("tol_div must be finite and positive, not %r" % (tol_div,))
+    _check_tol_div(tol_div)
     scale_ref = max(decomp.f_norm, 1.0)
     imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
                     for b in decomp.bands), default=0.0)

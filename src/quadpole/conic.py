@@ -365,6 +365,12 @@ def _raw_roots(p: BinaryForm) -> Tuple[int, np.ndarray, np.ndarray]:
     return m_inf, desc, roots
 
 
+def _check_eps_cluster(eps_cluster: float) -> None:
+    """Raise ValueError unless eps_cluster is finite and non-negative."""
+    if not 0 <= eps_cluster < math.inf:
+        raise ValueError("eps_cluster must be finite and non-negative, not %r" % eps_cluster)
+
+
 def _merge_groups(roots: np.ndarray, eps_cluster: float) -> Tuple[Tuple[int, ...], ...]:
     """Indices of the roots that merge at eps_cluster, one tuple per cluster.
 
@@ -373,6 +379,7 @@ def _merge_groups(roots: np.ndarray, eps_cluster: float) -> Tuple[Tuple[int, ...
     ascending members, so equal partitions give equal tuples.  When no two
     roots are close, every root is its own group and no union-find runs.
     """
+    _check_eps_cluster(eps_cluster)
     k = roots.size
     mags = np.abs(roots)
     close = (np.abs(roots[:, None] - roots[None, :])

@@ -24,7 +24,7 @@ from .algebra import (
     homogenize_on_quadric,
     TOL_DIV,
 )
-from .conic import EPS_CLUSTER
+from .conic import EPS_CLUSTER, _check_eps_cluster
 from .errors import (
     DivisibleByQ,
     EnumerationLimit,
@@ -136,21 +136,22 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     every level and returns the full list, and real_unique forces the
     conjugation-stable choice, which exists and is unique for real input over
     a definite real form.  All three run one recursion, and differ only in
-    the rows each level keeps.  tol_div must lie in (0, 1), whatever the
-    degrees of P, as in every factor context.
+    the rows each level keeps.  tol_div and eps_cluster are checked as in
+    every factor context, whatever the degrees of P.
     """
     if isinstance(P, HomogPoly):
         P = Poly.from_homog(P)
     if strategy not in Strategy:
         raise ValueError("unknown strategy %r" % (strategy,))
     if strategy == "real_unique":
-        if not Q.is_real or Q.signature not in (-3, 3):
+        if not Q.is_definite:
             raise StrategyMismatch("real_unique needs a definite real form")
         worst = max((float(np.max(np.abs(g.coeffs.imag), initial=0.0))
                      for g in P.parts), default=0.0)
         if worst > TOL_REAL * max(P.norm(), 1e-300):
             raise StrategyMismatch("real_unique needs real coefficients")
     _check_tol_div(tol_div)
+    _check_eps_cluster(eps_cluster)
     parts = [None if g.is_zero() else homogenize_on_quadric(g, Q)
              for g in grade_split(P)]
     budget = [ENUMERATION_CAP]

@@ -70,6 +70,7 @@ def poly_from_json(obj: Any) -> Poly:
     grade plus its lexicographic index in that grade, and one bincount per
     part sums the real parts and one the imaginary parts, so each sum runs
     in term order from 0.0, as adding complex(re, im) to a zero grade does.
+    The grades above the highest that a term uses are left out: Poly trims them.
     """
     _check_keys(obj, ("degree", "terms"), "polynomial")
     if "degree" not in obj or "terms" not in obj:
@@ -82,6 +83,7 @@ def poly_from_json(obj: Any) -> Poly:
     index: List[int] = []
     re_parts: List[Any] = []
     im_parts: List[Any] = []
+    top = 0
     for t in obj["terms"]:
         _check_keys(t, ("exp", "re", "im"), "polynomial term")
         e = t.get("exp")
@@ -105,13 +107,14 @@ def poly_from_json(obj: Any) -> Poly:
         index.append(k * (k + 1) * (k + 2) // 6 + (k - a) * (k - a + 1) // 2 + c)
         re_parts.append(re)
         im_parts.append(im)
-    size = (d + 1) * (d + 2) * (d + 3) // 6
+        top = max(top, k)
+    size = (top + 1) * (top + 2) * (top + 3) // 6
     bins = np.array(index, dtype=np.intp)
     flat = np.empty(size, dtype=complex)
     flat.real = np.bincount(bins, weights=re_parts, minlength=size)
     flat.imag = np.bincount(bins, weights=im_parts, minlength=size)
     return Poly([HomogPoly(k, flat[k * (k + 1) * (k + 2) // 6:][:grade_dim(k)])
-                 for k in range(d + 1)])
+                 for k in range(top + 1)])
 
 
 def homog_from_json(obj: Any) -> HomogPoly:

@@ -17,10 +17,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .algebra import HomogPoly, QuadForm, TOL_DIV, _exponent_table, grade_dim, monomials
-from .conic import EPS_CLUSTER
+from .conic import EPS_CLUSTER, _check_eps_cluster
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
-from .sylvester import _auto_strategy, factor
+from .sylvester import _auto_strategy, _check_tol_div, factor
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,11 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     so the vectors come out real; otherwise the canonical parcelling is used
     (any parcelling gives a proportional result: the construction is
     harmonic with the same cone divisor as P, and harmonics embed injectively
-    into binary forms on the cone).
+    into binary forms on the cone).  tol_div and eps_cluster are checked as
+    in every factor context, whatever the degree of P.
     """
+    _check_tol_div(tol_div)
+    _check_eps_cluster(eps_cluster)
     if P.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
     if not is_harmonic(P, Q, tol=tol_harm):

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .conic import (
     ProjPoint1,
     ProjPoint2,
     RootCluster,
+    _check_eps_cluster,
     _clusters_of,
     _merge_groups,
     _normalize_rows,
@@ -393,15 +394,12 @@ class _FactorContext:
     P is not divided; a P within about 10 * tol_div of a multiple of Q is,
     and so is every P when tol_div < 1e-12.
 
-    The point q where lambda is fixed and P(q) are computed at first use
-    and kept; so is each cluster pair's line with its value at q, where the
-    lines a _factor_rows call is the first to use are built by one
-    line_through call on the stack of their point pairs.  _factor_rows
-    takes a list of parcellings as one stack of rows: the line products,
-    lambdas, defects and their norms for all rows at once, and one division
-    of the stack by Q.  Each row is computed as it is alone, except that a
-    remainder R, from one matrix product for the stack, can differ in its
-    last bits with the number of rows that share the call.
+    _factor_rows takes a list of parcellings as one stack of rows, and
+    finds for them the point q where lambda is fixed, P(q) and, by one
+    line_through call, the lines of their distinct pieces.  Each row is
+    computed as it is alone, except that a remainder R, from one matrix
+    product for the stack, can differ in its last bits with the number of
+    rows that share the call.
 
     Every division by Q, the divisibility test and the parcellings'
     defects, goes through divide_rows_by_quadric, which applies one operator
@@ -432,7 +430,7 @@ class _FactorContext:
         self._raw: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         self._groups: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._take_clusters(roots_projective(self.b, eps_cluster=eps_cluster))
-        self._set_scale(eps_cluster)
+        self.eps_cluster = eps_cluster
 
     def _take_clusters(self, clusters: List[RootCluster]) -> None:
         """Take the clusters, their multiplicities, parameters, conic points
@@ -445,22 +443,17 @@ class _FactorContext:
         np.fill_diagonal(near, np.inf)
         self._min_separation = float(near.min())
 
-    def _set_scale(self, eps_cluster: float) -> None:
-        """Set eps_cluster and what it decides, and empty the caches that follow from it."""
-        self.eps_cluster = eps_cluster
-        self.ill_conditioned = bool(self._min_separation < 10 * eps_cluster)
-        self._q: Optional[np.ndarray] = None
-        self._p_at_q = 0j
-        # piece -> (its normalized line, the line's value at q)
-        self._lines: Dict[Tuple[int, int], Tuple[HomogPoly, complex]] = {}
+    @property
+    def ill_conditioned(self) -> bool:
+        """Whether two clusters lie within 10 * eps_cluster of each other."""
+        return bool(self._min_separation < 10 * self.eps_cluster)
 
     def at_scale(self, eps_cluster: float) -> "_FactorContext":
         """This P with its roots merged at eps_cluster instead.
 
         Shares P, its norm, the divisibility test, the restriction and the
         raw roots; when the roots merge into the same groups as here, also
-        the clusters and their conic points.  The evaluation point and the
-        lines start afresh.
+        the clusters and their conic points.
         """
         if self._raw is None:
             self._raw = _raw_roots(self.b)
@@ -469,7 +462,7 @@ class _FactorContext:
         ctx._groups = _merge_groups(self._raw[2], eps_cluster)
         if ctx._groups != self._groups:
             ctx._take_clusters(_clusters_of(*self._raw, ctx._groups))
-        ctx._set_scale(eps_cluster)
+        ctx.eps_cluster = eps_cluster
         return ctx
 
     def evaluation_point(self) -> ProjPoint1:
@@ -510,48 +503,36 @@ class _FactorContext:
         passes.
 
         No Python loop or generator runs per row: the pieces are one (n, d)
-        array of columns into the kept lines, lambda's denominators Python
+        array of columns into the call's lines, lambda's denominators Python
         complex products in piece order, taken one piece of every row at a
         time, and the rows' lines and remainders views, not validated copies.
         """
-        n, err = len(parcellings), None
+        n = len(parcellings)
         if n == 0:
-            return [], err
-        # every row's d = deg P pieces in turn
+            return [], None
+        # every row's d = deg P pieces in turn, and the distinct pieces in
+        # order of first use; every row uses every cluster, so a point off
+        # the conic, like a failed search for the evaluation point, fails row 0
         pieces = list(itertools.chain.from_iterable(
             map(operator.attrgetter("pieces"), parcellings)))
-        # the pieces whose lines are not kept yet, in order of first use;
-        # every row uses every cluster, so a point off the conic, like a
-        # failed search for the evaluation point, fails row 0
-        missing = [piece for piece in dict.fromkeys(pieces) if piece not in self._lines]
-        if missing:
-            try:
-                if self._q is None:
-                    q = self.param.point(self.evaluation_point()).coords
-                    self._p_at_q = self.P(q)
-                    # the degree-1 monomials at q, as HomogPoly.__call__ takes them
-                    self._q = _monomial_values(1, np.asarray(q, dtype=complex).reshape(1, 3))
-                ends = np.array(missing, dtype=np.intp)
-                w = line_through(self.points[ends[:, 0]], self.points[ends[:, 1]], self.Q)
-            except QuadpoleError as exc:
-                n, err = 0, exc
-            else:
-                # each line scaled so its max-modulus coefficient is 1, and
-                # its value at q as the (1, 3) @ (3,) product of one line
-                w = w / w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
-                at_q = (self._q @ w[:, :, None])[:, 0, 0]
-                for piece, row, value in zip(missing, w, at_q.tolist()):
-                    self._lines[piece] = (HomogPoly._of(1, row), value)
-        if n == 0:
-            return [], err
-        # the pieces as columns of the table of kept lines
-        d = self.P.degree
-        table = list(self._lines.values())
-        flat = list(map(dict(zip(self._lines, itertools.count())).__getitem__, pieces))
+        distinct = list(dict.fromkeys(pieces))
+        try:
+            q = self.param.point(self.evaluation_point()).coords
+            p_at_q = self.P(q)
+            ends = np.array(distinct, dtype=np.intp)
+            w = line_through(self.points[ends[:, 0]], self.points[ends[:, 1]], self.Q)
+        except QuadpoleError as exc:
+            return [], exc
+        # each line scaled so its max-modulus coefficient is 1, and its value
+        # at q as the (1, 3) @ (3,) product of the degree-1 monomials at q,
+        # as HomogPoly.__call__ takes them, with one line
+        w = w / w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
+        values = (_monomial_values(1, q.reshape(1, 3)) @ w[:, :, None])[:, 0, 0].tolist()
+        d, err = self.P.degree, None
+        flat = list(map(dict(zip(distinct, itertools.count())).__getitem__, pieces))
         cols = np.array(flat, dtype=np.intp).reshape(-1, d)
         # lambda's denominator as a Python complex, 1 times each line's
         # value at q in piece order, one piece of every row at a time
-        values = [value for _, value in table]
         denoms = [1.0 + 0.0j] * n
         for k in range(d):
             denoms = list(map(operator.mul, denoms, map(values.__getitem__, flat[k::d])))
@@ -560,8 +541,8 @@ class _FactorContext:
                 "evaluation point lies on a factor line")
             if n == 0:
                 return [], err
-        lams = list(map(operator.truediv, itertools.repeat(self._p_at_q), denoms[:n]))
-        lines = np.array([L.coeffs for L, _ in table])[cols[:n]]
+        lams = list(map(operator.truediv, itertools.repeat(p_at_q), denoms[:n]))
+        lines = w[cols[:n]]
         diff = self.P.coeffs - np.array(lams)[:, None] * _line_products(lines)
         norms = np.linalg.norm(diff, axis=1)
         deg_r = max(self.P.degree - 2, 0)
@@ -583,9 +564,9 @@ class _FactorContext:
                     rem[big[:exc.row]] = exc.quotient
                     n, err = int(big[exc.row]), SolveFailure(
                         "factorization defect is not a multiple of Q: %s" % exc)
-        lines_of = _objects([L for L, _ in table])[cols[:n]].tolist()
-        return _factorization_rows(lams[:n], lines_of, deg_r, rem[:n], parcellings[:n],
-                                   self.ill_conditioned), err
+        lines_of = _objects(list(map(HomogPoly._of, itertools.repeat(1), w)))
+        return _factorization_rows(lams[:n], lines_of[cols[:n]].tolist(), deg_r, rem[:n],
+                                   parcellings[:n], self.ill_conditioned), err
 
     def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
         """The parcelling a strategy picks.
@@ -740,7 +721,7 @@ def _auto_strategy(imag_max: float, ref_norm: float, Q: QuadForm) -> str:
     The input is real when its largest imaginary part imag_max is at most
     TOL_REAL * ref_norm; each caller gives its own reference norm.
     """
-    if imag_max <= TOL_REAL * ref_norm and Q.is_real and Q.signature in (-3, 3):
+    if imag_max <= TOL_REAL * ref_norm and Q.is_definite:
         return "real_unique"
     return "canonical"
 
@@ -758,7 +739,7 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
         raise ValueError("unknown factoring strategy %r" % (strategy,))
     if strategy == "real_unique":
         _check_real_input(P)
-        if not Q.is_real or Q.signature not in (-3, 3):
+        if not Q.is_definite:
             raise NotDefinite("real factorization needs a definite real form")
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
     return _rows_or_raise(ctx.rows(strategy))[0]
@@ -812,6 +793,7 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     max_c = float(np.max(np.abs(b.coeffs)))
     if max_c == 0.0:
         raise DivisibleByQ("restriction to the conic vanishes identically")
+    _check_eps_cluster(eps_cluster)
     eps_mult = max(10.0 * eps_cluster, 1e-5)
     clusters = roots_projective(b, eps_cluster=eps_mult)
     multiple = any(c.multiplicity >= 2 for c in clusters)

@@ -389,3 +389,13 @@ class TestSurfaceSamples:
         assert np.allclose(pts.imag, 0)
         assert np.allclose([Q.real for Q in
                             (hyperboloid(p) for p in pts)], 1.0)
+
+
+class TestQuadFormDefinite:
+    def test_is_definite(self, sphere, hyperboloid, dense_complex):
+        # real with signature +-3: the forms whose conic has no real point
+        assert sphere.is_definite and QuadForm(-2.0 * np.eye(3)).is_definite
+        assert not hyperboloid.is_definite
+        assert not QuadForm(np.diag([1.0, -1.0, -1.0])).is_definite
+        assert not dense_complex.is_definite
+        assert not QuadForm(np.diag([1.0, 1.0, 1.0 + 1e-3j])).is_definite

@@ -325,6 +325,32 @@ class TestExitCodes:
                 code, out = run(["decompose", str(lin), *mode, "--tol-div", value])
                 assert code == 2 and out == "", (value, mode)
 
+    def test_tol_div_refused_without_a_factor_context(self, run, files):
+        # a constant input reaches no factor context, the one place that
+        # checked the bound, in maxwell --invert and in approx
+        for value in ("2", "nan"):
+            for argv in (["maxwell", "--invert", files["const1"]],
+                         ["approx", "--function", files["const1"], "--d-max", "2"]):
+                code, out = run([*argv, "--tol-div", value])
+                assert code == 2 and out == "", (argv, value)
+
+    def test_eps_cluster_refused(self, run, files):
+        # a NaN scale merged no roots: discriminant printed false for x^2,
+        # which meets the conic in two double points, and decompose and
+        # fibers found no evaluation point (exit 4)
+        lin = files["tmp"] / "lin.json"
+        lin.write_text(json.dumps(qio.poly_to_json(X)))
+        for value in ("nan", "inf", "-1e-6"):
+            for argv in (["discriminant", files["xsq"]],
+                         ["decompose", files["xy"]],
+                         ["decompose", str(lin)],
+                         ["fibers", files["xy"]],
+                         ["approx", "--function", "exp_x", "--d-max", "2"]):
+                code, out = run([*argv, "--eps-cluster=" + value])
+                assert code == 2 and out == "", (argv, value)
+        code, out = run(["discriminant", files["xsq"], "--eps-cluster", "0"])
+        assert code == 0 and json.loads(out) == {"in_discriminant": True}
+
     def test_divisible_by_q(self, run, files):
         for argv in [["decompose", files["qq"], "--cone"],
                      ["discriminant", files["qq"]],

@@ -214,6 +214,25 @@ class TestPoly:
                 qio.poly_from_json(obj)
             assert str(info.value) == message, obj
 
+    def test_memory_follows_the_terms(self):
+        # grades above the highest term are not allocated: a stated degree
+        # of 200 took 1,373,701 coefficients (tens of MB) before Poly
+        # trimmed them away
+        import tracemalloc
+        objs = [{"degree": 200, "terms": []},
+                {"degree": 200, "terms": [{"exp": [0, 1, 1], "re": 2.0}]}]
+        tracemalloc.start()
+        try:
+            parsed = [qio.poly_from_json(obj) for obj in objs]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert [p.degree for p in parsed] == [0, 2]
+        for obj in objs:
+            assert _parse_outcome(qio.poly_from_json, obj) \
+                == _parse_outcome(poly_from_json_loop, obj)
+
     @given(_POLYS)
     def test_parser_matches_term_loop(self, obj):
         # the same bits, or the same error, as one += per term

@@ -175,6 +175,15 @@ class TestHarmonicity:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("kwargs", [{"tol_div": 2.0}, {"tol_div": float("nan")},
+                                        {"eps_cluster": float("nan")},
+                                        {"eps_cluster": -1e-6}])
+    def test_bounds_refused_at_degree_zero(self, sphere, kwargs):
+        # a constant returns before any factor context, which checked these
+        with pytest.raises(ValueError, match="must be finite"):
+            maxwell_decompose(HomogPoly(0, [2.0]), sphere, **kwargs)
+        assert maxwell_decompose(HomogPoly(0, [2.0]), sphere) == ([], 2 + 0j)
+
     def test_single_z(self, sphere):
         vecs, scale = maxwell_decompose(Z * (-1.0), sphere)
         assert len(vecs) == 1

@@ -464,9 +464,10 @@ class TestEnumerationEngine:
         assert len(rows) == len(set(rows)) == len(pieces) == 28
 
     def test_one_call_per_context(self, sphere, monkeypatch):
-        # a context builds the lines it lacks with one stacked call: 28 rows
+        # a _factor_rows call builds its lines with one stacked call: 28 rows
         # for the 105 parcellings of a generic quartic, 4 for its canonical
-        # parcelling, and none once it has them
+        # parcelling, and 28 again, with the same lambdas, when one context
+        # factors the 105 parcellings a second time
         calls = []
         original = sylvester.line_through
 
@@ -486,8 +487,9 @@ class TestEnumerationEngine:
         pars = enumerate_parcellings(ctx.multiplicities)
         first = _rows_or_raise(ctx._factor_rows(pars))
         again = _rows_or_raise(ctx._factor_rows(pars))
-        assert calls == [28]
-        assert [f.lam for f in again] == [f.lam for f in first]
+        assert calls == [28, 28]
+        assert [np.complex128(f.lam).tobytes() for f in again] \
+            == [np.complex128(f.lam).tobytes() for f in first]
 
     def test_no_product_per_parcelling(self, sphere, monkeypatch):
         # a generic quartic's 105 parcellings are one stack of rows: their
@@ -731,14 +733,32 @@ class TestFirstFailingRow:
     """Rows that fail different checks: the error raised is the one the
     first failing parcelling raises alone, and the rows before it are kept."""
 
-    def test_error_of_first_failing_row(self, sphere):
+    def test_error_of_first_failing_row(self, sphere, monkeypatch):
         P = random_homog(4, np.random.default_rng(57))
         ctx = _FactorContext(P, sphere)
         pars = enumerate_parcellings(ctx.multiplicities)
         want = _rows_or_raise(ctx._factor_rows(pars))
-        # the line first used latest passes through the evaluation point
+        # the line first used latest passes through the evaluation point q:
+        # q's pivot coordinate p is exactly 1 and |q_j| < 1, so the line with
+        # 1 at j and -q_j at p is its own normalization and is exactly 0 at q
         piece, row = _late_piece(ctx)
-        ctx._lines[piece] = (ctx._lines[piece][0], 0j)
+        q = ctx.param.point(ctx.evaluation_point()).coords
+        p = int(np.flatnonzero(q == 1.0)[0])
+        j = min((k for k in range(3) if k != p), key=lambda k: abs(q[k]))
+        assert abs(q[j]) < 1.0
+        through_q = np.zeros(3, dtype=complex)
+        through_q[j], through_q[p] = 1.0, -q[j]
+        ends = [ctx.points.coords[i].tobytes() for i in piece]
+        original = sylvester.line_through
+
+        def late_line_through_q(pa, pb, Q):
+            w = original(pa, pb, Q)
+            for k, (a, b) in enumerate(zip(pa.coords, pb.coords)):
+                if [a.tobytes(), b.tobytes()] == ends:
+                    w[k] = through_q
+            return w
+
+        monkeypatch.setattr(sylvester, "line_through", late_line_through_q)
         wrong = GeneralizedParcelling(((0, 0), (1, 2), (3, 4), (5, 6)))
         with pytest.raises(NoEvaluationPoint):
             _rows_or_raise(ctx._factor_rows(pars))
@@ -1036,6 +1056,31 @@ class TestTolDivRefused:
             multipole_series(dec, sphere, tol_div=tol_div)
 
 
+class TestEpsClusterRefused:
+    """An eps_cluster that is NaN, infinite or negative raises ValueError:
+    a NaN scale merged no roots, so x^2 was outside the discriminant and
+    factor found no evaluation point, and a negative one fell to
+    in_discriminant's floor of 1e-5 unseen.  A zero scale merges equal
+    roots only, and stays accepted."""
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-6])
+    def test_every_entry_point(self, sphere, eps):
+        xx = poly_mul(X, X)
+        for call in (full_decompose, factor, all_factorizations, in_discriminant,
+                     intersection_clusters):
+            with pytest.raises(ValueError, match="eps_cluster must be finite and non-negative"):
+                call(xx, sphere, eps_cluster=eps)
+        # a linear surface input is not clustered, and still refused
+        with pytest.raises(ValueError, match="eps_cluster must be finite and non-negative"):
+            full_decompose(X, sphere, eps_cluster=eps)
+
+    def test_zero_accepted(self, sphere):
+        xx = poly_mul(X, X)
+        assert in_discriminant(xx, sphere, eps_cluster=0.0)
+        assert not in_discriminant(poly_mul(X, Y), sphere, eps_cluster=0.0)
+        assert len(full_decompose(poly_mul(X, Y), sphere, eps_cluster=0.0).terms) == 1
+
+
 def _decision(P, Q, tol_div, b=None):
     """What _reject_multiple_of_q decides: the quotient's bits, or None."""
     try:
@@ -1239,11 +1284,21 @@ class TestRowBits:
             for d in (1, 2, 3, 4):
                 ctx = _FactorContext(random_homog(d, rng), Q)
                 facts = _rows_or_raise(ctx.rows("enumerate"))
+                # a test-local reference: the evaluation point q, P(q), and
+                # each piece's line, built alone and scaled so its
+                # max-modulus coefficient is 1, with its value at q
+                q = ctx.param.point(ctx.evaluation_point()).coords
+                p_at_q = ctx.P(q)
+                lines = {}
+                for piece in {p for f in facts for p in f.parcelling.pieces}:
+                    w = line_through(ctx.points[piece[0]], ctx.points[piece[1]], Q).coeffs
+                    L = HomogPoly(1, w / w[np.argmax(np.abs(w))])
+                    lines[piece] = (L, L(q))
                 for f in facts:
-                    denom = math.prod((ctx._lines[p][1] for p in f.parcelling.pieces),
+                    denom = math.prod((lines[p][1] for p in f.parcelling.pieces),
                                       start=1.0 + 0.0j)
-                    want = ctx._p_at_q / denom
+                    want = p_at_q / denom
                     assert type(f.lam) is complex
                     assert np.complex128(f.lam).tobytes() == np.complex128(want).tobytes()
                     assert [L.coeffs.tobytes() for L in f.lines] \
-                        == [ctx._lines[p][0].coeffs.tobytes() for p in f.parcelling.pieces]
+                        == [lines[p][0].coeffs.tobytes() for p in f.parcelling.pieces]
