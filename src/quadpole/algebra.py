@@ -37,11 +37,18 @@ def monomials(degree: int) -> Tuple[Monomial, ...]:
 
 @lru_cache(maxsize=None)
 def monomial_index(degree: int) -> Dict[Monomial, int]:
+    """Each monomial's position in monomials(degree), as a dict."""
     return {m: i for i, m in enumerate(monomials(degree))}
 
 
 def grade_dim(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
+
+
+def _lex_index(a, c, degree: int):
+    """The lexicographic index of x^a y^b z^c in grade `degree`, the
+    position of (a, b, c) in monomials(degree); a and c may be arrays."""
+    return (degree - a) * (degree - a + 1) // 2 + c
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +178,10 @@ class HomogPoly:
 
 @lru_cache(maxsize=None)
 def _mul_table(d1: int, d2: int) -> np.ndarray:
-    idx_out = monomial_index(d1 + d2)
-    table = np.empty(grade_dim(d1) * grade_dim(d2), dtype=np.intp)
-    k = 0
-    for a, b, c in monomials(d1):
-        for e, f, g in monomials(d2):
-            table[k] = idx_out[(a + e, b + f, c + g)]
-            k += 1
-    return table
+    """Index in grade d1 + d2 of the product of monomial i of grade d1 and
+    monomial j of grade d2, at position i * grade_dim(d2) + j."""
+    a, _, c = _exponent_table(d1)[:, :, None] + _exponent_table(d2)[:, None, :]
+    return _lex_index(a, c, d1 + d2).ravel()
 
 
 def _mul_matrix(f: HomogPoly, degree: int) -> np.ndarray:
@@ -192,6 +195,9 @@ def _mul_matrix(f: HomogPoly, degree: int) -> np.ndarray:
     return m
 
 
+_UNIT = np.eye(3, dtype=np.intp)
+
+
 @lru_cache(maxsize=None)
 def deriv_map(degree: int, axis: int) -> Tuple[np.ndarray, np.ndarray]:
     """d/dx_axis on grade `degree` as (target, factor) per monomial.
@@ -199,16 +205,10 @@ def deriv_map(degree: int, axis: int) -> Tuple[np.ndarray, np.ndarray]:
     Monomial i maps to monomial target[i] of grade degree - 1 with the
     integer factor[i]; factor[i] is 0 where the monomial lacks the axis.
     """
-    idx = monomial_index(degree - 1)
-    target = np.zeros(grade_dim(degree), dtype=np.intp)
-    factor = np.zeros(grade_dim(degree), dtype=np.intp)
-    for i, m in enumerate(monomials(degree)):
-        if m[axis]:
-            low = list(m)
-            low[axis] -= 1
-            target[i] = idx[tuple(low)]
-            factor[i] = m[axis]
-    return target, factor
+    exps = _exponent_table(degree)
+    factor = exps[axis]
+    a, _, c = exps - _UNIT[axis][:, None]
+    return np.where(factor > 0, _lex_index(a, c, degree - 1), 0), factor
 
 
 @lru_cache(maxsize=None)

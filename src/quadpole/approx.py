@@ -23,12 +23,13 @@ from .algebra import (
     QuadForm,
     QuadratureRule,
     TOL_DIV,
+    _UNIT,
+    _exponent_table,
+    _lex_index,
     _monomial_values,
     _mul_matrix,
     form_operator,
     grade_dim,
-    monomial_index,
-    monomials,
     quad_reduce,
 )
 from .conic import EPS_CLUSTER
@@ -72,14 +73,13 @@ def _pullback_matrix(Q: QuadForm, k: int) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     A = quad_reduce(Q)
     low = _pullback_matrix(Q, k - 1)
-    index = monomial_index(k - 1)
+    exps = _exponent_table(k)
+    first = np.argmax(exps > 0, axis=0)
     out = np.empty((grade_dim(k), grade_dim(k)), dtype=complex)
     for i in range(3):
-        cols, prev = [], []
-        for j, m in enumerate(monomials(k)):
-            if m[i] and not any(m[:i]):
-                cols.append(j)
-                prev.append(index[m[:i] + (m[i] - 1,) + m[i + 1:]])
+        cols = np.flatnonzero(first == i)
+        a, _, c = exps[:, cols] - _UNIT[i][:, None]
+        prev = _lex_index(a, c, k - 1)
         out[:, cols] = _mul_matrix(HomogPoly(1, A[:, i]), k - 1) @ low[:, prev]
     return out
 
@@ -270,9 +270,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
     _check_tol_div(tol_div)
     scale_ref = max(decomp.f_norm, 1.0)
-    imag_max = max((float(np.max(np.abs(b.coeffs.imag), initial=0.0))
-                    for b in decomp.bands), default=0.0)
-    strategy = _auto_strategy(imag_max, scale_ref, Q)
+    strategy = _auto_strategy(decomp.bands, scale_ref, Q)
     lam = complex(decomp.bands[0].coeffs[0])
     terms: Dict[int, Multipole] = {}
     scales: Dict[int, complex] = {}

@@ -25,26 +25,13 @@ INF_COEFF_TOL = 1e-10
 TOL_ON_CONIC = 1e-9
 
 
-def _normalize(coords, size: int) -> np.ndarray:
-    v = np.asarray(coords, dtype=complex).ravel()
-    if v.size != size:
-        raise ValueError("expected %d homogeneous coordinates" % size)
-    mags = np.abs(v)
-    j = int(np.argmax(mags))
-    if mags[j] == 0.0:
-        raise ValueError("zero vector does not define a projective point")
-    out = v / v[j]
-    # v[j] / v[j] can miss 1 + 0j in the last bit; the canonical cluster
-    # order compares these coordinates, so the pivot is set exactly
-    out[j] = 1.0
-    return out
-
-
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    """_normalize of each row of an (n, size) complex array, with the same bits.
+    """Each row of an (n, size) complex array as a normalized projective point.
 
-    One pass for the stack: the first max-modulus entry of each row is its
-    pivot, every row is divided by its pivot and the pivots are set to 1.
+    The first max-modulus entry of each row is its pivot, every row is
+    divided by its pivot and the pivots are set to 1: p / p can miss 1 + 0j
+    in the last bit, and the canonical cluster order compares these
+    coordinates, so the pivot is set exactly.
     """
     mags = np.abs(v)
     rows = np.arange(v.shape[0])
@@ -63,7 +50,10 @@ class _ProjPoint:
     _size = 0
 
     def __init__(self, coords):
-        self.coords = _normalize(coords, self._size)
+        v = np.asarray(coords, dtype=complex).ravel()
+        if v.size != self._size:
+            raise ValueError("expected %d homogeneous coordinates" % self._size)
+        self.coords = _normalize_rows(v[None])[0]
 
     @classmethod
     def _of(cls, coords: np.ndarray):

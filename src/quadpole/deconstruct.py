@@ -31,7 +31,7 @@ from .errors import (
     InvalidPartition,
     StrategyMismatch,
 )
-from .sylvester import TOL_REAL, Multipole, _FactorContext, _check_tol_div
+from .sylvester import Multipole, _FactorContext, _check_tol_div, _is_real
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -146,9 +146,7 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     if strategy == "real_unique":
         if not Q.is_definite:
             raise StrategyMismatch("real_unique needs a definite real form")
-        worst = max((float(np.max(np.abs(g.coeffs.imag), initial=0.0))
-                     for g in P.parts), default=0.0)
-        if worst > TOL_REAL * max(P.norm(), 1e-300):
+        if not _is_real(P.parts, max(P.norm(), 1e-300)):
             raise StrategyMismatch("real_unique needs real coefficients")
     _check_tol_div(tol_div)
     _check_eps_cluster(eps_cluster)

@@ -1,8 +1,9 @@
 """JSON serialization for the package's domain objects.
 
 Complex numbers travel as [re, im] pairs (a bare number is accepted on input
-as a real).  Parsers validate shapes and reject unknown keys with
-InvalidInput so the CLI can map schema problems to its parse-error exit code.
+as a real).  Parsers validate shapes and reject unknown keys and NaN or
+infinite numbers with InvalidInput so the CLI can map schema problems to its
+parse-error exit code.
 Serializers emit canonical, deterministically ordered structures: the same
 object always produces the same bytes through json.dumps(sort_keys=True).
 The CLI prints them as exactly json.dumps(obj, indent=2, sort_keys=True)
@@ -12,11 +13,12 @@ every main call in a process.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import HomogPoly, Poly, QuadForm, grade_dim, monomials
+from .algebra import HomogPoly, Poly, QuadForm, _lex_index, grade_dim, monomials
 from .conic import BinaryForm, ProjPoint1, ProjPoint2, RootCluster
 from .deconstruct import MultipoleSequence
 from .errors import InvalidInput
@@ -29,14 +31,18 @@ def _cnum(z: complex) -> List[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_finite(x: Any) -> bool:
+    """Whether a parsed int or float is finite; an int of any size is."""
+    return -math.inf < x < math.inf
+
+
 def _parse_cnum(v: Any, where: str) -> complex:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in v)):
-        return complex(v[0], v[1])
-    raise InvalidInput("%s: expected a number or [re, im] pair" % where)
+    parts = v if isinstance(v, list) and len(v) == 2 else [v]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise InvalidInput("%s: expected a number or [re, im] pair" % where)
+    if not all(map(_is_finite, parts)):
+        raise InvalidInput("%s: expected finite numbers" % where)
+    return complex(*parts)
 
 
 def _check_keys(obj: Dict[str, Any], allowed: Sequence[str], where: str) -> None:
@@ -103,8 +109,12 @@ def poly_from_json(obj: Any) -> Poly:
             raise InvalidInput("polynomial term: re must be a number")
         if not isinstance(im, (int, float)) or isinstance(im, bool):
             raise InvalidInput("polynomial term: im must be a number")
+        if not _is_finite(re):
+            raise InvalidInput("polynomial term: re must be finite")
+        if not _is_finite(im):
+            raise InvalidInput("polynomial term: im must be finite")
         # grades below k hold k(k+1)(k+2)/6 monomials
-        index.append(k * (k + 1) * (k + 2) // 6 + (k - a) * (k - a + 1) // 2 + c)
+        index.append(k * (k + 1) * (k + 2) // 6 + _lex_index(a, c, k))
         re_parts.append(re)
         im_parts.append(im)
         top = max(top, k)

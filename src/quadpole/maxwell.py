@@ -16,7 +16,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import HomogPoly, QuadForm, TOL_DIV, _exponent_table, grade_dim, monomials
+from .algebra import (HomogPoly, QuadForm, TOL_DIV, _UNIT, _exponent_table, _lex_index,
+                      grade_dim, monomials)
 from .conic import EPS_CLUSTER, _check_eps_cluster
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
@@ -46,7 +47,6 @@ class PotentialTerm:
 # then for axis b, -m*(Bu)_b * x_b * N.  _SHIFTS[t] takes an output exponent
 # to the exponent of N that term t reads, and _AXES[t] is a term's axis a.
 _AXES = np.tile(np.arange(3), 6)
-_UNIT = np.eye(3, dtype=np.intp)
 _SHIFTS = np.concatenate([(_UNIT - np.array(monomials(2))[:, None]).reshape(18, 3), -_UNIT])
 
 
@@ -65,9 +65,7 @@ def _step_table(k: int) -> Tuple[np.ndarray, np.ndarray]:
     factor = np.ones(src[:, 0].shape)
     factor[:18] = src[np.arange(18), _AXES]
     factor[src.min(axis=1) < 0] = 0.0
-    a, c = src[:, 0], src[:, 2]
-    # the lexicographic index of (a, b, c) in grade k
-    source = np.where(factor > 0, (k - a) * (k - a + 1) // 2 + c, grade_dim(k))
+    source = np.where(factor > 0, _lex_index(src[:, 0], src[:, 2], k), grade_dim(k))
     source.flags.writeable = False
     factor.flags.writeable = False
     return source, factor
@@ -151,7 +149,7 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
         raise NotHarmonic("input is not annihilated by the quadric Laplacian")
     if P.degree == 0:
         return [], complex(P.coeffs[0])
-    strategy = _auto_strategy(float(np.max(np.abs(P.coeffs.imag))), P.norm(), Q)
+    strategy = _auto_strategy([P], P.norm(), Q)
     fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div)
     vectors, scale, defect = maxwell_fit(P, Q, [L.coeffs for L in fact.lines])
     if defect > 1e-7 * P.norm():

@@ -22,6 +22,7 @@ from .conic import (
     EPS_CLUSTER,
     ProjPoint1,
     ProjPoint2,
+    _check_eps_cluster,
     _off_conic,
     chordal,
     conic_param,
@@ -178,6 +179,7 @@ def tangent_lines_from(p: PencilCenter, Q: QuadForm,
 def project_divisor(D: ConicDivisor, p: PencilCenter, Q: QuadForm,
                     eps_cluster: float = EPS_CLUSTER) -> PencilDivisor:
     """Push a conic divisor into the pencil, merging colliding images."""
+    _check_eps_cluster(eps_cluster)
     frame = PencilFrame(p, Q)
     images = [(frame.param_of_point(q), m) for q, m in D.points]
     merged: List[Tuple[ProjPoint1, int]] = []

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -424,12 +424,11 @@ class _FactorContext:
         self.tol_div = tol_div
         self.pnorm = P.norm()
         self.param, self.b = _restriction_of(P, Q, tol_div)
-        # conic._raw_roots of b and the merge groups at this scale, for
-        # at_scale; the first scale is clustered by roots_projective, as in
-        # every context, so they are computed by the first at_scale
-        self._raw: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
-        self._groups: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._take_clusters(roots_projective(self.b, eps_cluster=eps_cluster))
+        # roots_projective's steps, with the raw roots and the merge groups
+        # kept for at_scale
+        self._raw = _raw_roots(self.b)
+        self._groups = _merge_groups(self._raw[2], eps_cluster)
+        self._take_clusters(_clusters_of(*self._raw, self._groups))
         self.eps_cluster = eps_cluster
 
     def _take_clusters(self, clusters: List[RootCluster]) -> None:
@@ -455,9 +454,6 @@ class _FactorContext:
         raw roots; when the roots merge into the same groups as here, also
         the clusters and their conic points.
         """
-        if self._raw is None:
-            self._raw = _raw_roots(self.b)
-            self._groups = _merge_groups(self._raw[2], self.eps_cluster)
         ctx = copy.copy(self)
         ctx._groups = _merge_groups(self._raw[2], eps_cluster)
         if ctx._groups != self._groups:
@@ -634,8 +630,16 @@ def _rows_or_raise(rows: Tuple[List[MultipoleFactorization], Optional[Exception]
     return facts
 
 
+def _is_real(grades: Iterable[HomogPoly], ref_norm: float) -> bool:
+    """Whether input is taken as real: no grade's imaginary part exceeds
+    TOL_REAL * ref_norm, each caller giving its own reference norm.  A NaN
+    imaginary part or reference norm is not real."""
+    bound = TOL_REAL * ref_norm
+    return all(float(np.max(np.abs(g.coeffs.imag), initial=0.0)) <= bound for g in grades)
+
+
 def _check_real_input(P: HomogPoly) -> None:
-    if float(np.max(np.abs(P.coeffs.imag), initial=0.0)) > TOL_REAL * max(P.norm(), 1e-300):
+    if not _is_real([P], max(P.norm(), 1e-300)):
         raise NotReal("polynomial has non-real coefficients")
 
 
@@ -715,13 +719,10 @@ def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     return factor(P, Q, "real_unique", eps_cluster=eps_cluster, tol_div=tol_div)
 
 
-def _auto_strategy(imag_max: float, ref_norm: float, Q: QuadForm) -> str:
-    """real_unique for real input over a definite real form, else canonical.
-
-    The input is real when its largest imaginary part imag_max is at most
-    TOL_REAL * ref_norm; each caller gives its own reference norm.
-    """
-    if imag_max <= TOL_REAL * ref_norm and Q.is_definite:
+def _auto_strategy(grades: Iterable[HomogPoly], ref_norm: float, Q: QuadForm) -> str:
+    """real_unique for real input (_is_real of the grades at ref_norm) over a
+    definite real form, else canonical."""
+    if _is_real(grades, ref_norm) and Q.is_definite:
         return "real_unique"
     return "canonical"
 

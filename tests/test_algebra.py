@@ -24,9 +24,9 @@ from quadpole import (
     quad_reduce,
     surface_samples,
 )
-from quadpole.algebra import (_monomial_values, _quotient_matrix, divide_rows_by_quadric,
-                              grade_dim, monomial_index, monomials, mul_q_matrix,
-                              poly_mul_rows)
+from quadpole.algebra import (_lex_index, _monomial_values, _mul_table, _quotient_matrix,
+                              deriv_map, divide_rows_by_quadric, grade_dim,
+                              monomial_index, monomials, mul_q_matrix, poly_mul_rows)
 
 from conftest import random_homog, random_poly
 
@@ -155,6 +155,50 @@ class TestPolyMul:
                 for i, row in enumerate(got):
                     want = poly_mul(a[i % na], b[i % nb]).coeffs
                     assert np.array_equal(row, want)
+
+
+def _mul_table_reference(d1, d2):
+    """Each product's index by the dict lookup, one monomial pair at a time."""
+    idx_out = monomial_index(d1 + d2)
+    return np.array([idx_out[(a + e, b + f, c + g)]
+                     for a, b, c in monomials(d1) for e, f, g in monomials(d2)],
+                    dtype=np.intp)
+
+
+def _deriv_map_reference(degree, axis):
+    """(target, factor) by the dict lookup, one monomial at a time; 0 and 0
+    where the monomial lacks the axis."""
+    idx = monomial_index(degree - 1)
+    target = np.zeros(grade_dim(degree), dtype=np.intp)
+    factor = np.zeros(grade_dim(degree), dtype=np.intp)
+    for i, m in enumerate(monomials(degree)):
+        if m[axis]:
+            low = list(m)
+            low[axis] -= 1
+            target[i] = idx[tuple(low)]
+            factor[i] = m[axis]
+    return target, factor
+
+
+class TestMonomialIndex:
+    def test_lex_index_matches_dict(self):
+        for d in range(41):
+            a, _, c = np.array(monomials(d)).T
+            assert np.array_equal(_lex_index(a, c, d), np.arange(grade_dim(d)))
+            for (a, b, c), i in monomial_index(d).items():
+                assert _lex_index(a, c, d) == i
+
+    def test_mul_table_matches_dict_loop(self):
+        for d1 in range(7):
+            for d2 in range(13):
+                got, want = _mul_table(d1, d2), _mul_table_reference(d1, d2)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_deriv_map_matches_dict_loop(self):
+        for d in range(1, 21):
+            for axis in range(3):
+                for got, want in zip(deriv_map(d, axis), _deriv_map_reference(d, axis)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGradeSplit:

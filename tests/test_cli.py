@@ -190,7 +190,7 @@ class TestOtherCommands:
     def test_fibers_restricts_and_roots_once(self, run, files, monkeypatch):
         from quadpole import sylvester
         calls = []
-        for name in ("restrict_to_conic", "roots_projective"):
+        for name in ("restrict_to_conic", "_raw_roots"):
             original = getattr(sylvester, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -200,7 +200,7 @@ class TestOtherCommands:
             monkeypatch.setattr(sylvester, name, counted)
         obj = parsed(run, ["fibers", files["xy"]])
         assert obj["count"] == 3
-        assert sorted(calls) == ["restrict_to_conic", "roots_projective"]
+        assert sorted(calls) == ["_raw_roots", "restrict_to_conic"]
 
     def test_planar_fiber(self, run, files, sphere):
         obj = parsed(run, ["planar-fiber", files["div2"],
@@ -314,6 +314,24 @@ class TestExitCodes:
                       "--tol-div", "0"]):
             code, out = run(argv)
             assert code == 2 and out == "", argv
+
+    def test_non_finite_input_refused(self, run, files):
+        # a NaN coefficient printed NaN answers with exit 0 (decompose,
+        # harmonic, maxwell --vectors) or was taken for a multiple of the
+        # quadratic form (exit 3)
+        for value in ("NaN", "Infinity", "-Infinity"):
+            path = files["tmp"] / "nonfinite.json"
+            path.write_text('{"degree": 2, "terms": [{"exp": [2, 0, 0], "re": 1.0,'
+                            ' "im": %s}]}' % value)
+            for argv in (["decompose", str(path)],
+                         ["harmonic", str(path)],
+                         ["decompose", "--cone", str(path)],
+                         ["fibers", str(path)],
+                         ["discriminant", str(path)],
+                         ["approx", "--function", str(path), "--d-max", "2"],
+                         ["maxwell", "--vectors", "[%s,0,1]" % value]):
+                code, out = run(argv)
+                assert code == 2 and out == "", argv
 
     def test_tol_div_refused_at_every_degree(self, run, files):
         # a surface input of degree <= 1 builds no factor context, the one

@@ -23,7 +23,6 @@ from quadpole.algebra import grade_dim, monomials
 from quadpole.conic import (
     _cross,
     _merge_groups,
-    _normalize,
     _normalize_rows,
     _restriction_matrix,
     _restriction_norm,
@@ -646,9 +645,25 @@ def _special_params(rng):
     return np.concatenate([np.array(fixed, dtype=complex), rand])
 
 
+def _normalize_reference(coords, size):
+    """One point's normalization, pivot by pivot: a test-local copy of the
+    per-point path that _normalize_rows replaced."""
+    v = np.asarray(coords, dtype=complex).ravel()
+    if v.size != size:
+        raise ValueError("expected %d homogeneous coordinates" % size)
+    mags = np.abs(v)
+    j = int(np.argmax(mags))
+    if mags[j] == 0.0:
+        raise ValueError("zero vector does not define a projective point")
+    out = v / v[j]
+    out[j] = 1.0
+    return out
+
+
 class TestPointsBits:
     """ConicParam.points gives per row the bits of the per-point path, for
-    one point and for stacks; _normalize_rows those of _normalize."""
+    one point and for stacks; _normalize_rows those of the per-point
+    normalization."""
 
     @pytest.mark.parametrize("name", sorted(BIT_FORMS))
     def test_points_equal_per_point_path(self, name):
@@ -678,7 +693,7 @@ class TestPointsBits:
         v[3] = [0.0, 0.0, complex(0.0, -3.0)]
         got = _normalize_rows(v)
         for row, w in zip(got, v):
-            assert row.tobytes() == _normalize(w, 3).tobytes()
+            assert row.tobytes() == _normalize_reference(w, 3).tobytes()
         with pytest.raises(ValueError, match="zero vector"):
             _normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
 

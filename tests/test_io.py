@@ -2,6 +2,7 @@
 and byte-level determinism of the emitted structures."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ def poly_from_json_loop(obj):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise InvalidInput("polynomial term: %s must be a number"
                                    % name)
+        for name, v in (("re", re), ("im", im)):
+            if v != v or v in (math.inf, -math.inf):
+                raise InvalidInput("polynomial term: %s must be finite" % name)
         coeffs[k][monomial_index(k)[tuple(e)]] += complex(re, im)
     return Poly([HomogPoly(k, coeffs[k]) for k in range(d + 1)])
 

@@ -138,6 +138,19 @@ class TestProjection:
         assert len(e.points) == 1
         assert e.degree == 3
 
+    def test_eps_cluster_checked(self, sphere):
+        # a NaN or negative scale merged nothing: these three images, which
+        # merge at 1e-6, came out as three points of multiplicity 1
+        param = conic_param(sphere)
+        d = ConicDivisor([(param.point(ProjPoint1(u)), 1)
+                          for u in ([1, 0], [1, 1e-9], [0, 1])])
+        p = center([0, 0, 2], sphere)
+        for eps in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="eps_cluster"):
+                project_divisor(d, p, sphere, eps_cluster=eps)
+        e = project_divisor(d, p, sphere, eps_cluster=1e-6)
+        assert [m for _, m in e.points] == [3]
+
     def test_degree_preserved(self, hyperboloid):
         rng = np.random.default_rng(44)
         p = center([0.4, 0.1, 1.9], hyperboloid)

@@ -2,6 +2,7 @@
 and discriminant membership."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from quadpole import algebra, multipole_series, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim, monomial_index
 from quadpole.conic import BinaryForm, RootCluster, restrict_to_conic
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
-                             QuadpoleError, SolveFailure)
+                             QuadpoleError, SolveFailure, StrategyMismatch)
 from quadpole.sylvester import _FactorContext, _rows_or_raise
 
 from conftest import compose_linear, q_orthogonal, random_homog
@@ -309,6 +310,16 @@ class TestRealFactor:
     def test_complex_input_rejected(self, sphere):
         with pytest.raises(NotReal):
             real_factor(X * (1 + 1j), sphere)
+
+    def test_nan_imaginary_part_is_not_real(self, sphere):
+        # x^2 + 0.3xy + (1 + NaN i)y^2: a NaN imaginary part passed the
+        # real-input test, so real_unique factoring raised DivisibleByQ
+        # and full_decompose returned a sequence
+        p = hp(2, {(2, 0, 0): 1, (1, 1, 0): 0.3, (0, 2, 0): complex(1, math.nan)})
+        with pytest.raises(NotReal):
+            factor(p, sphere, "real_unique")
+        with pytest.raises(StrategyMismatch):
+            full_decompose(p, sphere, "real_unique")
 
     def test_indefinite_form_rejected(self, hyperboloid):
         with pytest.raises(NotDefinite):
@@ -1000,6 +1011,24 @@ class TestAtScale:
         same = base.at_scale(1e-5)
         assert same.clusters is base.clusters and same.points is base.points
         assert same.at_scale(1e-3).clusters is base.clusters
+
+    def test_roots_found_once(self, sphere, monkeypatch):
+        # the context keeps the raw roots it clusters, so a band factored
+        # again at new scales runs np.roots once
+        from quadpole import conic
+        calls = []
+        original = conic._raw_roots
+
+        def counted(b):
+            calls.append(b)
+            return original(b)
+
+        monkeypatch.setattr(conic, "_raw_roots", counted)
+        monkeypatch.setattr(sylvester, "_raw_roots", counted)
+        base = _FactorContext(random_homog(4, np.random.default_rng(52)), sphere)
+        for eps in (1e-5, 1e-4, 1e-3, 1e-2, 0.1):
+            base.at_scale(eps)
+        assert len(calls) == 1
 
 
 class TestDiscriminant:
