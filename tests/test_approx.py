@@ -170,6 +170,25 @@ class TestPulledBackBasis:
                 assert np.max(np.abs(T[:, j] - want)) < 1e-12 * max(
                     1.0, np.max(np.abs(want)))
 
+    def test_pullback_matrix_bits(self, dense_complex):
+        # each grade has the bits of the dict-lookup loop it replaced: one
+        # product per axis, over the monomials whose first axis it is
+        from quadpole.algebra import _mul_matrix, monomial_index, monomials, quad_reduce
+        from quadpole.approx import _pullback_matrix
+        A = quad_reduce(dense_complex)
+        for k in range(1, 11):
+            low = _pullback_matrix(dense_complex, k - 1)
+            index = monomial_index(k - 1)
+            want = np.empty((grade_dim(k), grade_dim(k)), dtype=complex)
+            for i in range(3):
+                cols, prev = [], []
+                for j, m in enumerate(monomials(k)):
+                    if m[i] and not any(m[:i]):
+                        cols.append(j)
+                        prev.append(index[m[:i] + (m[i] - 1,) + m[i + 1:]])
+                want[:, cols] = _mul_matrix(HomogPoly(1, A[:, i]), k - 1) @ low[:, prev]
+            assert _pullback_matrix(dense_complex, k).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("form", ["ellipsoid", "complex"])
     def test_off_sphere_bands_match_oracle(self, form):
         # band-limited input against the homogenize-then-split oracle, as in
