@@ -31,15 +31,19 @@ def _normalize_rows(v: np.ndarray) -> np.ndarray:
     The first max-modulus entry of each row is its pivot, every row is
     divided by its pivot and the pivots are set to 1: p / p can miss 1 + 0j
     in the last bit, and the canonical cluster order compares these
-    coordinates, so the pivot is set exactly.
+    coordinates, so the pivot is set exactly.  The pivots are picked by
+    their index in the flattened rows, which costs less than indexing by
+    row and column; the rows are taken C-ordered so that the result is too,
+    and its ravel() a view.
     """
+    v = np.ascontiguousarray(v)
     mags = np.abs(v)
-    rows = np.arange(v.shape[0])
-    j = np.argmax(mags, axis=1)
-    if not mags[rows, j].all():
+    n, size = v.shape
+    pivots = np.argmax(mags, axis=1) + np.arange(0, n * size, size)
+    if not mags.ravel()[pivots].all():
         raise ValueError("zero vector does not define a projective point")
-    out = v / v[rows, j][:, None]
-    out[rows, j] = 1.0
+    out = v / v.ravel()[pivots][:, None]
+    out.ravel()[pivots] = 1.0
     return out
 
 
@@ -305,31 +309,51 @@ def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
     polishing there restores quadratic convergence.  Each root keeps its
     best-residual iterate and stops on its own step test, exactly as if it
     were polished alone; the roots only share the polynomial evaluations.
+
+    Each step evaluates the polynomial and its derivative in one Horner pass
+    over the roots stacked twice, a flat array of length 2n, the
+    derivative's coefficients behind a leading zero.  The pass starts from
+    +0 and ends each step with one complex product and one sum, as
+    np.polyval does, and numpy's complex products round the same at any
+    array length, so every value has np.polyval's bits; 0 * x + 0 is again
+    +0 for finite x, so the leading zero leaves the derivative's bits alone.
     """
     poly = coeffs_desc
     for _ in range(multiplicity - 1):
         poly = np.polyder(poly)
-    deriv = np.polyder(poly)
+    # column 0 the polynomial, column 1 its derivative behind a zero
+    table = np.zeros((poly.size, 2), dtype=complex)
+    table[:, 0] = poly
+    table[1:, 1] = np.polyder(poly)
+
+    def horner(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        n = x.size
+        x2 = np.concatenate([x, x])
+        y = np.zeros(2 * n, dtype=complex)
+        for c in np.repeat(table, n, axis=1):
+            y *= x2
+            y += c
+        return y[:n], y[n:]
+
     cur = np.array(roots, dtype=complex)
     best = cur.copy()
-    val = np.polyval(poly, cur)
+    val, dv = horner(cur)
     best_val = np.abs(val)
     live = np.arange(cur.size)
     for _ in range(12):
-        dv = np.polyval(deriv, cur)
         moving = dv != 0
         live, cur, val, dv = live[moving], cur[moving], val[moving], dv[moving]
         if live.size == 0:
             break
         step = val / dv
         cur = cur - step
-        val = np.polyval(poly, cur)
+        val, dv = horner(cur)
         mag = np.abs(val)
         better = mag < best_val[live]
         best[live[better]] = cur[better]
         best_val[live[better]] = mag[better]
         moving = np.abs(step) >= 1e-14 * (1 + np.abs(cur))
-        live, cur, val = live[moving], cur[moving], val[moving]
+        live, cur, val, dv = live[moving], cur[moving], val[moving], dv[moving]
         if live.size == 0:
             break
     return best
@@ -340,7 +364,11 @@ def _raw_roots(p: BinaryForm) -> Tuple[int, np.ndarray, np.ndarray]:
 
     Returns the multiplicity of the root at [1:0] (the count of vanishing
     leading coefficients), the descending coefficients of the rest, and
-    their roots from the companion matrix, unmerged.
+    their roots, unmerged.  The roots are np.roots' without its wrapper:
+    the eigenvalues of the same companion matrix, then a zero of their dtype
+    for each vanishing trailing coefficient (a root at [0:1]); when only the
+    leading coefficient is nonzero there is no matrix, and the zeros are
+    float, as np.roots gives them.
     """
     c = p.coeffs
     scale = float(np.max(np.abs(c)))
@@ -351,7 +379,16 @@ def _raw_roots(p: BinaryForm) -> Tuple[int, np.ndarray, np.ndarray]:
     while m_inf < n and abs(c[n - m_inf]) <= INF_COEFF_TOL * scale:
         m_inf += 1
     desc = c[: n - m_inf + 1][::-1]
-    roots = np.roots(desc) if desc.size > 1 else np.empty(0, dtype=complex)
+    # desc[0] is nonzero: the companion matrix is that of desc[:size]
+    size = int(np.flatnonzero(desc)[-1]) + 1
+    if size > 1:
+        A = np.eye(size - 1, k=-1, dtype=complex)
+        A[0] = -desc[1:size] / desc[0]
+        roots = np.linalg.eigvals(A)
+    else:
+        roots = np.empty(0)
+    if size < desc.size:
+        roots = np.concatenate([roots, np.zeros(desc.size - size, roots.dtype)])
     return m_inf, desc, roots
 
 

@@ -32,8 +32,12 @@ def _cnum(z: complex) -> List[float]:
 
 
 def _is_finite(x: Any) -> bool:
-    """Whether a parsed int or float is finite; an int of any size is."""
-    return -math.inf < x < math.inf
+    """Whether a parsed int or float is a finite double: an int beyond the
+    double range, which float() cannot convert, is not."""
+    try:
+        return -math.inf < float(x) < math.inf
+    except OverflowError:
+        return False
 
 
 def _parse_cnum(v: Any, where: str) -> complex:

@@ -27,6 +27,7 @@ from .algebra import (
     divide_by_quadric,
     divide_rows_by_quadric,
     double_factorial,
+    form_operator,
     grade_dim,
     poly_mul,
     poly_mul_rows,
@@ -43,11 +44,11 @@ from .conic import (
     _check_eps_cluster,
     _clusters_of,
     _merge_groups,
+    _norm,
     _normalize_rows,
     _raw_roots,
     _restriction_norm,
     binary_discriminant,
-    chordal,
     conic_param,
     discriminant_scale,
     line_through,
@@ -380,6 +381,29 @@ def _trial_points() -> np.ndarray:
 
 
 _TRIALS = _trial_points()
+# each trial point's coordinates as Python complex numbers and its norm,
+# as chordal takes them
+_TRIAL_COORDS = _TRIALS.tolist()
+_TRIAL_NORMS = [_norm(u) for u in _TRIAL_COORDS]
+
+
+@form_operator
+def _trial_conic_points(Q: QuadForm) -> np.ndarray:
+    """The conic points of the trial parameters: row k of this read-only
+    (64, 3) array has the bits of conic_param(Q).point at _TRIALS[k]."""
+    pts = conic_param(Q).points(_TRIALS)
+    pts.flags.writeable = False
+    return pts
+
+
+@form_operator
+def _trial_monomials(Q: QuadForm, degree: int, k: int) -> np.ndarray:
+    """The monomials of grade `degree` at trial point k's conic point, as
+    the read-only (1, grade_dim(degree)) row HomogPoly.__call__ builds for
+    it: row @ P.coeffs has the bits of P at that point."""
+    row = _monomial_values(degree, _trial_conic_points(Q)[k:k + 1])
+    row.flags.writeable = False
+    return row
 
 
 class _FactorContext:
@@ -396,8 +420,12 @@ class _FactorContext:
 
     _factor_rows takes a list of parcellings as one stack of rows, and
     finds for them the point q where lambda is fixed, P(q) and, by one
-    line_through call, the lines of their distinct pieces.  Each row is
-    computed as it is alone, except that a remainder R, from one matrix
+    line_through call, the lines of their distinct pieces.  q is the conic
+    point of the trial parameter _evaluation_index picks, read from a table
+    cached per form (_trial_conic_points), and P(q) is the product of P's
+    coefficients with that point's monomial row, cached per (form, degree,
+    trial index) (_trial_monomials); neither table depends on P.  Each row
+    is computed as it is alone, except that a remainder R, from one matrix
     product for the stack, can differ in its last bits with the number of
     rows that share the call.
 
@@ -461,21 +489,32 @@ class _FactorContext:
         ctx.eps_cluster = eps_cluster
         return ctx
 
-    def evaluation_point(self) -> ProjPoint1:
-        """First golden-ratio trial point clear of the divisor with |b| not small.
+    def _evaluation_index(self) -> int:
+        """Index in _TRIALS of the first golden-ratio trial point clear of
+        the divisor with |b| not small.
 
         A trial point is clear when its chordal distance to every cluster
         exceeds 10 * eps_cluster; |b| there must not be below
-        1e-4 * max |b_k|.
+        1e-4 * max |b_k|.  Each distance is chordal's, in its order of
+        operations, with every cluster's coordinates and norm taken once.
         """
         clear = 10 * self.eps_cluster
         max_c = float(np.max(np.abs(self.b.coeffs)))
-        for t in _TRIALS:
-            u = ProjPoint1._of(t)
-            if all(chordal(u, c.point) > clear for c in self.clusters) \
-                    and abs(self.b.eval_point(u)) > 1e-4 * max_c:
-                return u
+        others = []
+        for c in self.clusters:
+            v = c.point.coords.tolist()
+            others.append((v[0], v[1], _norm(v)))
+        for k, (u0, u1) in enumerate(_TRIAL_COORDS):
+            nu = _TRIAL_NORMS[k]
+            if all(abs(u0 * v1 - u1 * v0) / (nu * nv) > clear for v0, v1, nv in others) \
+                    and abs(self.b.eval_uv(*_TRIALS[k])) > 1e-4 * max_c:
+                return k
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
+
+    def evaluation_point(self) -> ProjPoint1:
+        """First golden-ratio trial point clear of the divisor with |b| not
+        small, as _evaluation_index finds it."""
+        return ProjPoint1._of(_TRIALS[self._evaluation_index()])
 
     def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
                      ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
@@ -513,8 +552,9 @@ class _FactorContext:
             map(operator.attrgetter("pieces"), parcellings)))
         distinct = list(dict.fromkeys(pieces))
         try:
-            q = self.param.point(self.evaluation_point()).coords
-            p_at_q = self.P(q)
+            k = self._evaluation_index()
+            q = _trial_conic_points(self.Q)[k]
+            p_at_q = complex((_trial_monomials(self.Q, self.P.degree, k) @ self.P.coeffs)[0])
             ends = np.array(distinct, dtype=np.intp)
             w = line_through(self.points[ends[:, 0]], self.points[ends[:, 1]], self.Q)
         except QuadpoleError as exc:

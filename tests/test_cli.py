@@ -333,6 +333,18 @@ class TestExitCodes:
                 code, out = run(argv)
                 assert code == 2 and out == "", argv
 
+    def test_huge_integer_refused(self, run, files):
+        # an integer literal beyond the double range passed the finite
+        # checks, and float() or complex() raised OverflowError (exit 1)
+        for value in ("1" + "0" * 400, "-" + str(2 ** 1024 - 2 ** 970)):
+            path = files["tmp"] / "huge.json"
+            path.write_text('{"degree": 1, "terms": [{"exp": [1, 0, 0], "re": %s}]}'
+                            % value)
+            for argv in (["decompose", str(path)],
+                         ["maxwell", "--vectors", "[%s,0,1]" % value]):
+                code, out = run(argv)
+                assert code == 2 and out == "", argv
+
     def test_tol_div_refused_at_every_degree(self, run, files):
         # a surface input of degree <= 1 builds no factor context, the one
         # place that checked the bound, so it took any --tol-div

@@ -24,6 +24,7 @@ from quadpole.conic import (
     _cross,
     _merge_groups,
     _normalize_rows,
+    _raw_roots,
     _restriction_matrix,
     _restriction_norm,
     binary_discriminant,
@@ -253,18 +254,21 @@ class TestRootsProjective:
             roots_projective(BinaryForm(3, [0, 0, 0, 0]))
 
 
-def _scalar_newton_polish(coeffs_desc, root, multiplicity):
-    """Reference: one root at a time, with scalar np.polyval calls."""
+def _scalar_newton_polish(coeffs_desc, root, multiplicity, steps=None):
+    """Reference: one root at a time, with scalar np.polyval calls.  The
+    number of Newton steps taken is appended to steps when it is given."""
     poly = coeffs_desc
     for _ in range(multiplicity - 1):
         poly = np.polyder(poly)
     deriv = np.polyder(poly)
     best = cur = complex(root)
     best_val = abs(np.polyval(poly, cur))
+    taken = 0
     for _ in range(12):
         dv = np.polyval(deriv, cur)
         if dv == 0:
             break
+        taken += 1
         step = np.polyval(poly, cur) / dv
         cur = cur - step
         val = abs(np.polyval(poly, cur))
@@ -272,6 +276,8 @@ def _scalar_newton_polish(coeffs_desc, root, multiplicity):
             best, best_val = cur, val
         if abs(step) < 1e-14 * (1 + abs(cur)):
             break
+    if steps is not None:
+        steps.append(taken)
     return best
 
 
@@ -345,6 +351,82 @@ class TestPolishAgainstScalarReference:
             assert any(c.multiplicity == m_inf and c.point.coords[1] == 0
                        for c in roots_projective(f))
             _assert_same_as_reference(f)
+
+
+    def test_split_clusters(self):
+        # a ring of k roots of radius 1e-2 merged into one cluster of
+        # multiplicity k, among 16 other roots: for every k some of these
+        # polishes take all 12 Newton steps
+        rng = np.random.default_rng(63)
+        for k in range(2, 9):
+            steps = []
+            for _ in range(8):
+                center = complex(*rng.standard_normal(2))
+                ring = center + 1e-2 * np.exp(2j * np.pi * (np.arange(k) + rng.uniform()) / k)
+                others = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+                desc = np.poly(np.concatenate([ring, others])) * complex(*rng.standard_normal(2))
+                _assert_same_as_reference(BinaryForm(desc.size - 1, desc[::-1]), 0.05)
+                roots = np.roots(desc)
+                for g in _merge_groups(roots, 0.05):
+                    if len(g) > 1:
+                        _scalar_newton_polish(desc, np.mean(roots[list(g)]), len(g), steps)
+            assert 12 in steps, k
+
+
+def _raw_roots_reference(p):
+    """_raw_roots as it was with np.roots, a test-local copy."""
+    c = p.coeffs
+    scale = float(np.max(np.abs(c)))
+    n = p.degree
+    m_inf = 0
+    while m_inf < n and abs(c[n - m_inf]) <= 1e-10 * scale:
+        m_inf += 1
+    desc = c[: n - m_inf + 1][::-1]
+    roots = np.roots(desc) if desc.size > 1 else np.empty(0, dtype=complex)
+    return m_inf, desc, roots
+
+
+class TestRawRoots:
+    """_raw_roots' own companion matrix gives np.roots' roots, bits and dtype."""
+
+    @staticmethod
+    def _check(f):
+        m_inf, desc, roots = _raw_roots(f)
+        want = _raw_roots_reference(f)
+        assert m_inf == want[0] and desc.tobytes() == want[1].tobytes()
+        assert roots.dtype == want[2].dtype and roots.tobytes() == want[2].tobytes()
+
+    def test_random_forms(self):
+        rng = np.random.default_rng(64)
+        for degree in range(1, 41):
+            self._check(BinaryForm(degree, rng.standard_normal(degree + 1)
+                                   + 1j * rng.standard_normal(degree + 1)))
+
+    def test_trailing_zeros(self):
+        # vanishing u1^n, u0 u1^(n-1), ... coefficients are roots at [0:1],
+        # next to a root at [1:0] or not, and -0.0 counts as zero
+        rng = np.random.default_rng(65)
+        for degree in range(2, 12):
+            for zeros in range(1, min(3, degree - 1) + 1):
+                for m_inf in (0, 1):
+                    c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                    c[:zeros] = 0.0
+                    c[0] = complex(-0.0, 0.0)
+                    c[degree + 1 - m_inf:] = 0.0
+                    f = BinaryForm(degree, c)
+                    assert sum(r == 0 for r in _raw_roots(f)[2]) >= zeros
+                    self._check(f)
+
+    def test_only_leading_coefficient(self):
+        # a * u0^n: every root at [0:1] and no companion matrix, so np.roots
+        # gives n float zeros
+        for degree in range(1, 9):
+            c = np.zeros(degree + 1, dtype=complex)
+            c[degree] = 2.0 - 1.5j
+            f = BinaryForm(degree, c)
+            roots = _raw_roots(f)[2]
+            assert roots.dtype == np.float64 and roots.tolist() == [0.0] * degree
+            self._check(f)
 
 
 class TestBinaryForm:

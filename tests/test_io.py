@@ -91,7 +91,9 @@ def poly_from_json_loop(obj):
                 raise InvalidInput("polynomial term: %s must be a number"
                                    % name)
         for name, v in (("re", re), ("im", im)):
-            if v != v or v in (math.inf, -math.inf):
+            # 2**1024 - 2**970 is the least int that rounds past the
+            # largest double
+            if v != v or v in (math.inf, -math.inf) or abs(v) >= 2 ** 1024 - 2 ** 970:
                 raise InvalidInput("polynomial term: %s must be finite" % name)
         coeffs[k][monomial_index(k)[tuple(e)]] += complex(re, im)
     return Poly([HomogPoly(k, coeffs[k]) for k in range(d + 1)])
@@ -107,10 +109,13 @@ def _parse_outcome(parse, obj):
 
 
 # coefficients: floats of every kind, -0.0 among them, tenths, whose sums
-# round differently in another order, and integers beyond 2**53
+# round differently in another order, integers beyond 2**53, and integers
+# on either side of the double range's end
 _COEFFS = st.one_of(st.floats(), st.just(-0.0),
                     st.integers(-99, 99).map(lambda n: n / 10),
-                    st.integers(-2 ** 70, 2 ** 70))
+                    st.integers(-2 ** 70, 2 ** 70),
+                    st.sampled_from([2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970,
+                                     -(2 ** 1024 - 2 ** 970), 10 ** 400]))
 # exponents mostly from a pool of four, so that terms often repeat one
 _EXPS = st.one_of(
     st.sampled_from([[0, 0, 0], [1, 0, 0], [0, 1, 1], [2, 0, 1]]),

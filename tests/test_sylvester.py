@@ -1331,3 +1331,61 @@ class TestRowBits:
                     assert np.complex128(f.lam).tobytes() == np.complex128(want).tobytes()
                     assert [L.coeffs.tobytes() for L in f.lines] \
                         == [lines[p][0].coeffs.tobytes() for p in f.parcelling.pieces]
+
+
+class TestTrialTables:
+    """The trial points' conic points and monomial rows, cached per form,
+    against the per-point path they replace."""
+
+    def test_points_and_values(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(76)
+        for Q in (sphere, hyperboloid, dense_complex):
+            param = conic_param(Q)
+            pts = sylvester._trial_conic_points(Q)
+            assert pts.shape == (64, 3) and not pts.flags.writeable
+            for k in range(64):
+                want = param.point(ProjPoint1._of(sylvester._TRIALS[k])).coords
+                assert pts[k].tobytes() == want.tobytes()
+            for d in (1, 2, 5, 9):
+                P = random_homog(d, rng)
+                for k in range(64):
+                    row = sylvester._trial_monomials(Q, d, k)
+                    assert row.shape == (1, grade_dim(d)) and not row.flags.writeable
+                    got = complex((row @ P.coeffs)[0])
+                    assert np.complex128(got).tobytes() == np.complex128(P(pts[k])).tobytes()
+
+    def test_tables_bounded(self):
+        # a form of this test's own: factoring inputs on it adds the
+        # trial-points entry and one row per trial index used, and no entry
+        # that depends on the input; at eps_cluster = 0.04 the search often
+        # passes the first trial points
+        rng = np.random.default_rng(77)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        Q, d = QuadForm(m + m.T), 4
+
+        def entries():
+            return {key for key in algebra._OPERATORS if key[1] == Q.key}
+
+        def trial_entries(used):
+            return {("_trial_conic_points", Q.key)} \
+                | {("_trial_monomials", Q.key, d, k) for k in used}
+
+        used = set()
+        for batch in range(2):
+            for _ in range(50):
+                P = random_homog(d, rng)
+                try:
+                    factor(P, Q, eps_cluster=0.04)
+                except QuadpoleError:
+                    pass
+                try:
+                    used.add(_FactorContext(P, Q, eps_cluster=0.04)._evaluation_index())
+                except NoEvaluationPoint:
+                    pass
+            if batch == 0:
+                first = entries()
+                assert {key for key in first if key[0].startswith("_trial")} \
+                    == trial_entries(used)
+        assert len(used) > 4
+        assert entries() - first == trial_entries(used) - first
+        assert all(isinstance(arg, int) for key in entries() for arg in key[2:])
