@@ -313,7 +313,7 @@ def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
     Each step evaluates the polynomial and its derivative in one Horner pass
     over the roots stacked twice, a flat array of length 2n, the
     derivative's coefficients behind a leading zero.  The pass starts from
-    +0 and ends each step with one complex product and one sum, as
+    +0 and takes one complex product and one sum per coefficient, as
     np.polyval does, and numpy's complex products round the same at any
     array length, so every value has np.polyval's bits; 0 * x + 0 is again
     +0 for finite x, so the leading zero leaves the derivative's bits alone.
