@@ -365,7 +365,11 @@ def form_operator(build: Callable) -> Callable:
 
 
 class QuadForm:
-    """Nondegenerate complex symmetric quadratic form Q(v) = v B v^T on C^3."""
+    """Nondegenerate complex symmetric quadratic form Q(v) = v B v^T on C^3.
+
+    A singular B raises Degenerate: one that is zero, or whose determinant
+    is at most TOL_DET * max|B|^3 in magnitude.
+    """
 
     def __init__(self, B):
         B = np.asarray(B, dtype=complex)
@@ -375,6 +379,8 @@ class QuadForm:
         if scale > 0 and np.max(np.abs(B - B.T)) > 1e-12 * scale:
             raise ValueError("B must be symmetric")
         self.B = 0.5 * (B + B.T)
+        if scale == 0.0 or abs(np.linalg.det(self.B)) <= TOL_DET * scale ** 3:
+            raise Degenerate("quadratic form is singular within tolerance")
         self.is_real = bool(np.all(self.B.imag == 0))
         if self.is_real:
             eig = np.linalg.eigvalsh(self.B.real)
@@ -464,8 +470,6 @@ def quad_reduce(Q: QuadForm) -> np.ndarray:
     """
     B = Q.B
     scale = float(np.max(np.abs(B)))
-    if scale == 0.0 or abs(np.linalg.det(B)) <= TOL_DET * scale ** 3:
-        raise Degenerate("quadratic form is singular within tolerance")
     M = B.copy()
     piv_tol = 1e-13 * scale
     cols = []

@@ -64,51 +64,20 @@ _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key: Any) -> str:
-    """A dict key as json writes it, before its quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError("keys must be str, int, float, bool or None, not %s"
-                    % type(key).__name__)
-
-
 def _json_text(obj: Any, newline: str = "\n") -> str:
     """The bytes of json.dumps(obj, indent=2, sort_keys=True).
 
     The standard library runs its pure-Python encoder whenever indent is
-    set; this one builds the same text with one recursive join per
-    container.  The exact types float, int, list, tuple and dict are tested
-    first, and int and finite float children are written inline, without a
-    call of their own.  Other types are tested in json's order, so bools
-    before ints and float subclasses such as np.float64 as floats; any other
-    type raises TypeError, as json does.  newline is the line break and
-    indentation of obj's own level.
+    set.  This one writes what the commands emit itself, with one join per
+    container: lists, tuples and dicts whose keys are all str, with finite
+    float and int children inline.  Every other value, a dict with a
+    non-str key among them (its sort or key encoding raises TypeError), is
+    json.dumps' own text with each of its line breaks indented to this
+    level; json escapes the line breaks inside strings, and an unsupported
+    type raises its TypeError.  newline is the line break and indentation
+    of obj's own level.
     """
     cls = type(obj)
-    if cls is float:
-        return _float_text(obj)
-    if cls is int:
-        return int.__repr__(obj)
     inner = newline + "  "
     if cls is list or cls is tuple:
         if not obj:
@@ -117,32 +86,16 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
             [float.__repr__(v) if type(v) is float and -_INF < v < _INF else
              int.__repr__(v) if type(v) is int else _json_text(v, inner)
              for v in obj]), newline)
-    if cls is dict:
-        if not obj:
-            return "{}"
-        return "{%s%s%s}" % (inner, ("," + inner).join(
-            [_encode_str(_key_text(k)) + ": " + (
-                float.__repr__(v) if type(v) is float and -_INF < v < _INF else
-                int.__repr__(v) if type(v) is int else _json_text(v, inner))
-             for k, v in sorted(obj.items())]), newline)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    if isinstance(obj, (list, tuple)):
-        return _json_text(list(obj), newline)
-    if isinstance(obj, dict):
-        return _json_text(dict(obj.items()), newline)
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % type(obj).__name__)
+    if cls is dict and obj:
+        try:
+            return "{%s%s%s}" % (inner, ("," + inner).join(
+                [_encode_str(k) + ": " + (
+                    float.__repr__(v) if type(v) is float and -_INF < v < _INF else
+                    int.__repr__(v) if type(v) is int else _json_text(v, inner))
+                 for k, v in sorted(obj.items())]), newline)
+        except TypeError:
+            pass
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _emit(obj: Any, output: Optional[str]) -> None:

@@ -23,6 +23,8 @@ EPS_CLUSTER = 1e-6
 # A leading coefficient below this (relative) threshold counts as a root at [1:0].
 INF_COEFF_TOL = 1e-10
 TOL_ON_CONIC = 1e-9
+# Conic points closer than this chordal distance count as one point.
+TOL_SAME_POINT = 1e-9
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -364,11 +366,10 @@ def _raw_roots(p: BinaryForm) -> Tuple[int, np.ndarray, np.ndarray]:
 
     Returns the multiplicity of the root at [1:0] (the count of vanishing
     leading coefficients), the descending coefficients of the rest, and
-    their roots, unmerged.  The roots are np.roots' without its wrapper:
-    the eigenvalues of the same companion matrix, then a zero of their dtype
-    for each vanishing trailing coefficient (a root at [0:1]); when only the
-    leading coefficient is nonzero there is no matrix, and the zeros are
-    float, as np.roots gives them.
+    their roots, unmerged.  When the trailing coefficient is nonzero and
+    the degree left is at least 1, the roots are np.roots' without its
+    wrapper: the eigenvalues of the same companion matrix.  Otherwise (a
+    root at [0:1], or no root left) they are np.roots' own.
     """
     c = p.coeffs
     scale = float(np.max(np.abs(c)))
@@ -379,17 +380,12 @@ def _raw_roots(p: BinaryForm) -> Tuple[int, np.ndarray, np.ndarray]:
     while m_inf < n and abs(c[n - m_inf]) <= INF_COEFF_TOL * scale:
         m_inf += 1
     desc = c[: n - m_inf + 1][::-1]
-    # desc[0] is nonzero: the companion matrix is that of desc[:size]
-    size = int(np.flatnonzero(desc)[-1]) + 1
-    if size > 1:
-        A = np.eye(size - 1, k=-1, dtype=complex)
-        A[0] = -desc[1:size] / desc[0]
-        roots = np.linalg.eigvals(A)
-    else:
-        roots = np.empty(0)
-    if size < desc.size:
-        roots = np.concatenate([roots, np.zeros(desc.size - size, roots.dtype)])
-    return m_inf, desc, roots
+    if desc.size == 1 or desc[-1] == 0:
+        return m_inf, desc, np.roots(desc)
+    # desc[0] is nonzero: this is the companion matrix np.roots builds
+    A = np.eye(desc.size - 1, k=-1, dtype=complex)
+    A[0] = -desc[1:] / desc[0]
+    return m_inf, desc, np.linalg.eigvals(A)
 
 
 def _check_eps_cluster(eps_cluster: float) -> None:
@@ -491,10 +487,11 @@ def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm):
     """Linear form vanishing on the line through two conic points.
 
     Distinct points give the secant (cross product of coordinates); points
-    closer than 1e-9 in chordal distance give the tangent line at pa, whose
-    coefficients are B @ pa.  pa and pb may each hold a stack of n points
-    (ProjPoint2.stack): the n lines then come as one (n, 3) array, row k
-    equal to the line of the k-th pair alone, which comes as a HomogPoly.
+    closer than TOL_SAME_POINT in chordal distance give the tangent line at
+    pa, whose coefficients are B @ pa.  pa and pb may each hold a stack of
+    n points (ProjPoint2.stack): the n lines then come as one (n, 3) array,
+    row k equal to the line of the k-th pair alone, which comes as a
+    HomogPoly.
     Every point must lie on the conic; NotOnConic names the first that does
     not, in the order pa[0], pb[0], pa[1], pb[1], ...
     """
@@ -517,7 +514,7 @@ def line_through(pa: ProjPoint2, pb: ProjPoint2, Q: QuadForm):
     chord = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2]) / (norms[:n] * norms[n:])
     w = np.empty((n, 3), dtype=complex)
     w.real, w.imag = re, im
-    tangent = chord < 1e-9
+    tangent = chord < TOL_SAME_POINT
     if tangent.any():
         w[tangent] = (Q.B @ ab[:n][tangent, :, None])[:, :, 0]
     return HomogPoly(1, w[0]) if pa.coords.ndim == 1 else w

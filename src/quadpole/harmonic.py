@@ -9,6 +9,7 @@ harmonic_project), so no linear system is solved for it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,6 +30,14 @@ from .algebra import (
 from .errors import SolveFailure
 
 TOL_HARM = 1e-9
+
+
+def _check_tol_harm(tol_harm: float) -> None:
+    """Raise ValueError unless tol_harm is finite and non-negative: with a
+    NaN or infinite bound the residual comparisons decide nothing."""
+    if not 0 <= tol_harm < math.inf:
+        raise ValueError("tol_harm must be finite and non-negative, not %r" % (tol_harm,))
+
 
 @form_operator
 def delta_matrix(Q: QuadForm, degree: int) -> np.ndarray:
@@ -61,6 +70,7 @@ def apply_delta_q(p: HomogPoly, Q: QuadForm) -> HomogPoly:
 
 
 def is_harmonic(p: HomogPoly, Q: QuadForm, tol: float = TOL_HARM) -> bool:
+    _check_tol_harm(tol)
     if p.degree < 2:
         return True
     res = apply_delta_q(p, Q).norm()
@@ -90,6 +100,7 @@ def harmonic_project(p: HomogPoly, Q: QuadForm,
     Harmonic Function Theory, ch. 5, valid for Q as delta_Q Q = 6.  A second
     pass on H lowers its round-off in delta_Q(H), which must stay small.
     """
+    _check_tol_harm(tol_harm)
     if p.degree < 2:
         return p.copy(), HomogPoly.zero(0)
     H, R = _closed_split(p, Q)
@@ -122,8 +133,10 @@ def harmonic_decompose(p: HomogPoly, Q: QuadForm,
     """Full splitting P = sum_k Q^k H_k by repeated projection.
 
     Grades 0 and 1 are harmonic as they stand, so the component list always
-    has floor(degree/2) + 1 entries, indexed by the power of Q.
+    has floor(degree/2) + 1 entries, indexed by the power of Q.  tol_harm
+    is checked here too, since a p of degree below 2 runs no projection.
     """
+    _check_tol_harm(tol_harm)
     comps: List[HomogPoly] = []
     cur = p.copy()
     while True:
@@ -146,6 +159,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
     a random kernel element is added to T first; the output must not change,
     which makes the uniqueness statement directly testable.
     """
+    _check_tol_harm(tol_harm)
     rng = np.random.default_rng(perturb_seed) if perturb_seed is not None else None
     t_grades: Dict[int, HomogPoly] = {}
     for k in range(m.degree + 1):

@@ -41,6 +41,7 @@ from .conic import (
     ProjPoint1,
     ProjPoint2,
     RootCluster,
+    TOL_SAME_POINT,
     _check_eps_cluster,
     _clusters_of,
     _merge_groups,
@@ -57,7 +58,6 @@ from .conic import (
 )
 from .errors import (
     ConjugationPairingFailure,
-    Degenerate,
     DivisibleByQ,
     NoEvaluationPoint,
     NotDefinite,
@@ -353,17 +353,10 @@ def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
                     ) -> Tuple[ConicParam, BinaryForm]:
     """The conic's parameterization and P's restriction to it, once
     _reject_multiple_of_q, given the restriction, has let P pass.
-
-    A form whose conic has no parameterization raises Degenerate only after
-    the division has decided, so its errors come in the same order.
     tol_div must pass _check_tol_div.
     """
     _check_tol_div(tol_div)
-    try:
-        param = conic_param(Q)
-    except Degenerate:
-        _reject_multiple_of_q(P, Q, tol_div)
-        raise
+    param = conic_param(Q)
     b = restrict_to_conic(P, param)
     _reject_multiple_of_q(P, Q, tol_div, b)
     return param, b
@@ -637,9 +630,11 @@ class _FactorContext:
 
         Conjugation acts on the surface points, not the parameter coordinates:
         the partner of a cluster is the one whose conic point is proportional
-        to the componentwise conjugate.
+        to the componentwise conjugate, within 10 * eps_cluster, but never
+        within less than TOL_SAME_POINT: conjugate points differ by round-off
+        even at eps_cluster = 0.
         """
-        tol = 10 * self.eps_cluster
+        tol = max(10 * self.eps_cluster, TOL_SAME_POINT)
         pts = self.points.coords
         dists = _pairwise_chordal(pts.conj(), pts)
         sigma: List[int] = []

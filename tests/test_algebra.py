@@ -24,6 +24,7 @@ from quadpole import (
     quad_reduce,
     surface_samples,
 )
+from quadpole import algebra
 from quadpole.algebra import (_lex_index, _monomial_values, _mul_table, _quotient_matrix,
                               deriv_map, divide_rows_by_quadric, grade_dim,
                               monomial_index, monomials, mul_q_matrix, poly_mul_rows)
@@ -341,6 +342,49 @@ class TestQuadReduce:
     def test_degenerate(self):
         with pytest.raises(Degenerate):
             quad_reduce(QuadForm(np.diag([1.0, 1.0, 0.0])))
+
+    # 2xy + z^2, 2(xy + yz + zx), x^2 + 2yz and a complex form: each leaves
+    # a vanishing diagonal that only the 2x2 pivot step can eliminate
+    ZERO_DIAGONAL = [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 2 + 1j, 0], [2 + 1j, 0, 0], [0, 0, 3 - 1j]],
+    ]
+
+    @pytest.mark.parametrize("B", ZERO_DIAGONAL)
+    def test_two_by_two_pivot(self, B, monkeypatch):
+        calls = []
+        original = algebra._sqrt_factor_2x2
+
+        def counted(T):
+            calls.append(1)
+            return original(T)
+
+        monkeypatch.setattr(algebra, "_sqrt_factor_2x2", counted)
+        Q = QuadForm(np.array(B, dtype=complex))
+        a = quad_reduce(Q)
+        assert calls
+        assert np.max(np.abs(a @ a.T - Q.B)) <= 2e-15 * np.max(np.abs(Q.B))
+
+    @pytest.mark.parametrize("B", ZERO_DIAGONAL)
+    def test_two_by_two_pivot_forms_rebuild(self, B):
+        from quadpole import all_factorizations, full_decompose, harmonic_decompose, reconstruct
+        Q = QuadForm(np.array(B, dtype=complex))
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 4):
+            P = random_homog(d, rng)
+            for f in all_factorizations(P, Q):
+                assert np.max(np.abs(f.reconstruct(Q).coeffs - P.coeffs)) <= 1e-14 * P.norm()
+            rebuilt = harmonic_decompose(P, Q).reconstruct(Q)
+            assert np.max(np.abs(rebuilt.coeffs - P.coeffs)) <= 1e-14 * P.norm()
+            P = random_poly(d, rng)
+            evaluate, rep = reconstruct(full_decompose(P, Q), Q)
+            pts = surface_samples(Q, 20, rng)
+            want = P.eval_many(pts)
+            scale = max(float(np.max(np.abs(want))), 1.0)
+            assert np.max(np.abs(evaluate(pts) - want)) <= 1e-14 * scale
+            assert np.max(np.abs(rep.eval_many(pts) - want)) <= 1e-14 * scale
 
 
 class TestMonomialIntegral:

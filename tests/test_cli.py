@@ -381,6 +381,49 @@ class TestExitCodes:
         code, out = run(["discriminant", files["xsq"], "--eps-cluster", "0"])
         assert code == 0 and json.loads(out) == {"in_discriminant": True}
 
+    @pytest.mark.parametrize("diag", [[1.0, 1.0, 0.0], [1.0, 1.0, 1e-14]])
+    def test_singular_quadric_refused(self, run, files, diag):
+        # only the factoring commands refused a singular form: harmonic
+        # raised numpy's LinAlgError (exit 2), and maxwell and counts, or
+        # every command at a determinant of 1e-14, printed an answer
+        quadric = files["tmp"] / "singular.json"
+        quadric.write_text(json.dumps({"B": np.diag(diag).tolist(), "real": True}))
+        for argv in (["decompose", files["xy"]],
+                     ["decompose", files["xy"], "--cone"],
+                     ["harmonic", files["xsq"]],
+                     ["maxwell", "--vectors", "[0,0,1],[0,0,1]"],
+                     ["maxwell", "--invert", files["zon2"]],
+                     ["fibers", files["xy"]],
+                     ["discriminant", files["xy"]],
+                     ["planar-fiber", files["div2"], "--center", "[0,0,2]"],
+                     ["approx", "--function", "exp_x", "--d-max", "2"],
+                     ["counts", "--d", "3"]):
+            code, out = run([*argv, "--quadric", str(quadric)])
+            assert code == 4 and out == "", argv
+
+    def test_tol_harm_refused(self, run, files):
+        # nothing checked tol_harm: a NaN or infinite bound turned off the
+        # residual gates, and maxwell --invert --tol-harm nan called a
+        # harmonic input not annihilated (exit 4)
+        for value in ("nan", "inf", "-1"):
+            for argv in (["harmonic", files["xsq"]],
+                         ["harmonic", files["const1"]],
+                         ["maxwell", "--invert", files["zon2"]],
+                         ["maxwell", "--invert", files["const1"]]):
+                code, out = run([*argv, "--tol-harm", value])
+                assert code == 2 and out == "", (argv, value)
+
+    def test_real_unique_at_zero_eps_cluster(self, run, files):
+        # conjugate cluster points differ by round-off, so pairing them
+        # within 10 * eps_cluster = 0 failed for a generic real input (exit 4)
+        rng = np.random.default_rng(3)
+        path = files["tmp"] / "generic.json"
+        path.write_text(json.dumps(qio.poly_to_json(Poly.from_grades(
+            {k: HomogPoly(k, rng.standard_normal(grade_dim(k))) for k in range(5)}))))
+        outs = [run(["decompose", str(path), "--strategy", "real_unique",
+                     "--eps-cluster", eps]) for eps in ("0", "1e-6")]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
     def test_divisible_by_q(self, run, files):
         for argv in [["decompose", files["qq"], "--cone"],
                      ["discriminant", files["qq"]],
@@ -440,6 +483,13 @@ class TestPrinter:
         [np.float64(0.1), np.float64(-0.0), np.float64("nan")],
         {2: "two", 10: "ten", -1: "minus"}, {np.float64(0.5): 1, 1.5: 2},
         {True: 1}, {None: [1]}, {"\u00e9": 1, "e": {"z": 0, "y": [1, {}]}},
+        # values the printer leaves to json.dumps, two or three levels down
+        {"a": [{"b": {2: "two", -1: [0.5]}}], "c": {"d": {None: 1}, "e": [{1.5: 2, 0.5: 1}]}},
+        [{"a": [np.float64(0.1), np.float64(-0.0)]}, [np.float64("inf")]],
+        {"a": {"b": [float("nan"), 1.0]}, "c": [[-float("inf")]]},
+        [[None, {"a": None}], {"b": [None]}],
+        {"a": [True, {"b": False}], "c": [[1, True]]},
+        [{"a": ["line\nbreak", {"b": "\r\n\u2028"}]}],
     ]
 
     @pytest.mark.parametrize("obj", CASES, ids=[repr(c) for c in CASES])

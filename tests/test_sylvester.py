@@ -40,7 +40,7 @@ from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
                              QuadpoleError, SolveFailure, StrategyMismatch)
 from quadpole.sylvester import _FactorContext, _rows_or_raise
 
-from conftest import compose_linear, q_orthogonal, random_homog
+from conftest import compose_linear, q_orthogonal, random_homog, random_poly
 
 
 def hp(degree, entries):
@@ -1109,6 +1109,25 @@ class TestEpsClusterRefused:
         assert not in_discriminant(poly_mul(X, Y), sphere, eps_cluster=0.0)
         assert len(full_decompose(poly_mul(X, Y), sphere, eps_cluster=0.0).terms) == 1
 
+    def test_zero_pairs_conjugates(self, sphere):
+        # conjugate cluster points differ by round-off, so pairing them within
+        # 10 * eps_cluster = 0 raised ConjugationPairingFailure for generic
+        # real inputs; at 0 they now factor with the bits of the default scale
+        from quadpole import io as qio
+        rng = np.random.default_rng(76)
+        for Q in (sphere, QuadForm(np.diag([1.0, 2.0, 0.5]))):
+            for d in range(2, 7):
+                P = random_homog(d, rng, real=True)
+                f0, f6 = (factor(P, Q, "real_unique", eps_cluster=eps) for eps in (0.0, 1e-6))
+                assert np.complex128(f0.lam).tobytes() == np.complex128(f6.lam).tobytes()
+                assert [L.coeffs.tobytes() for L in f0.lines] \
+                    == [L.coeffs.tobytes() for L in f6.lines]
+                assert f0.remainder.coeffs.tobytes() == f6.remainder.coeffs.tobytes()
+                P = random_poly(d, rng, real=True)
+                s0, s6 = (repr(qio.sequence_to_json(full_decompose(
+                    P, Q, strategy="real_unique", eps_cluster=eps))) for eps in (0.0, 1e-6))
+                assert s0 == s6
+
 
 def _decision(P, Q, tol_div, b=None):
     """What _reject_multiple_of_q decides: the quotient's bits, or None."""
@@ -1166,17 +1185,13 @@ class TestDivisibilityFromRestriction:
                     for tol in self.TOLS + (1.0,):
                         assert _decision(P, Q, tol, b) == _decision(P, Q, tol)
 
-    def test_degenerate_form_divides_first(self):
-        # a singular form has no conic to restrict to: the division decides
-        # first, as it did before the restriction could, then Degenerate
+    def test_singular_form_refused_at_construction(self):
+        # no singular form reaches the divisibility test: QuadForm refuses it,
+        # whether B is singular or only within TOL_DET of it
         from quadpole import Degenerate
-        flat = QuadForm(np.diag([1.0, 1.0, 0.0]))
-        with pytest.raises(DivisibleByQ):
-            _FactorContext(poly_mul(flat.poly(), poly_mul(X, Y)), flat)
-        with pytest.raises(Degenerate):
-            _FactorContext(poly_mul(X, Y), flat)
-        with pytest.raises(DivisibleByQ):
-            in_discriminant(flat.poly(), flat)
+        for diag in ([1.0, 1.0, 0.0], [1.0, 1.0, 1e-14]):
+            with pytest.raises(Degenerate):
+                QuadForm(np.diag(diag))
 
     def test_in_discriminant(self, sphere, dense_complex, monkeypatch):
         # against in_discriminant with every divisibility test divided: an
