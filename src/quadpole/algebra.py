@@ -349,7 +349,13 @@ def form_operator(build: Callable) -> Callable:
     The key is the value of B, not the QuadForm object: forms built afresh
     from equal matrices (the CLI builds one per call) share their operators.
     The arguments after Q are positional and hashable; entries are never
-    evicted.
+    evicted.  The builders that hold per-form entries are mul_q_matrix and
+    _quotient_matrix here; delta_matrix and _delta_weights in harmonic;
+    conic_param, _restriction_matrix and _restriction_norm in conic;
+    _trial_conic_points and _trial_monomials in sylvester; _pullback_matrix
+    and _band_basis in approx.  Tables that do not depend on the form, such
+    as harmonic._delta_table and maxwell._step_table, are cached per degree
+    instead and shared by every form.
     """
     name = build.__name__
 
@@ -368,13 +374,16 @@ class QuadForm:
     """Nondegenerate complex symmetric quadratic form Q(v) = v B v^T on C^3.
 
     A singular B raises Degenerate: one that is zero, or whose determinant
-    is at most TOL_DET * max|B|^3 in magnitude.
+    is at most TOL_DET * max|B|^3 in magnitude.  A B with a NaN or infinite
+    entry raises ValueError: its determinant would be NaN.
     """
 
     def __init__(self, B):
         B = np.asarray(B, dtype=complex)
         if B.shape != (3, 3):
             raise ValueError("B must be a 3x3 matrix")
+        if not np.all(np.isfinite(B)):
+            raise ValueError("B must have finite entries")
         scale = float(np.max(np.abs(B)))
         if scale > 0 and np.max(np.abs(B - B.T)) > 1e-12 * scale:
             raise ValueError("B must be symmetric")
@@ -605,12 +614,22 @@ def monomial_sphere_integral(a: int, b: int, c: int) -> float:
     return 4.0 * math.pi * num / double_factorial(a + b + c + 1)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights, as read-only arrays."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 class QuadratureRule:
     """Tensor rule on the sphere, exact for polynomials up to exact_degree.
 
     Uniform angles in theta (trapezoid on the circle) and Gauss-Legendre in
-    cos(phi); nodes are stored as (theta, phi) rows with combined weights for
-    the measure |sin phi| dtheta dphi.
+    cos(phi), its nodes and weights computed once per node count; nodes are
+    stored as (theta, phi) rows with combined weights for the measure
+    |sin phi| dtheta dphi.
     """
 
     def __init__(self, exact_degree: int):
@@ -621,7 +640,7 @@ class QuadratureRule:
         n_phi = (exact_degree + 2) // 2
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         w_theta = np.full(n_theta, 2.0 * np.pi / n_theta)
-        t, w_t = np.polynomial.legendre.leggauss(max(n_phi, 1))
+        t, w_t = _gauss_legendre(max(n_phi, 1))
         phi = np.arccos(t)
         th, ph = np.meshgrid(theta, phi, indexing="ij")
         wt, wp = np.meshgrid(w_theta, w_t, indexing="ij")

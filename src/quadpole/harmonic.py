@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -19,24 +20,34 @@ from .algebra import (
     HomogPoly,
     Poly,
     QuadForm,
+    _exponent_table,
+    _lex_index,
     deriv_map,
     form_operator,
     grade_dim,
     grade_split,
     homogenize_on_quadric,
     poly_mul,
+    poly_mul_rows,
     surface_samples,
 )
 from .errors import SolveFailure
 
 TOL_HARM = 1e-9
+# The least bound any residual gate applies: delta_Q of a computed harmonic
+# is round-off, not zero, so a bound of 0 would refuse every one of them.
+TOL_HARM_FLOOR = 1e-12
 
 
-def _check_tol_harm(tol_harm: float) -> None:
-    """Raise ValueError unless tol_harm is finite and non-negative: with a
-    NaN or infinite bound the residual comparisons decide nothing."""
+def _harm_bound(tol_harm: float) -> float:
+    """tol_harm as the residual gates apply it, raised to TOL_HARM_FLOOR.
+
+    Raises ValueError unless tol_harm is finite and non-negative: with a NaN
+    or infinite bound the residual comparisons decide nothing.
+    """
     if not 0 <= tol_harm < math.inf:
         raise ValueError("tol_harm must be finite and non-negative, not %r" % (tol_harm,))
+    return max(tol_harm, TOL_HARM_FLOOR)
 
 
 @form_operator
@@ -45,6 +56,8 @@ def delta_matrix(Q: QuadForm, degree: int) -> np.ndarray:
 
     Built from the sparse first-derivative maps: the entry for d_j d_k of
     monomial i is (b_inv[j, k] * f_j) * f_k at the twice-lowered monomial.
+    apply_delta_q does not use it; it serves the solvers that need the
+    matrix itself.
     """
     if degree < 2:
         return np.zeros((0, grade_dim(degree)), dtype=complex)
@@ -62,33 +75,83 @@ def delta_matrix(Q: QuadForm, degree: int) -> np.ndarray:
     return m
 
 
+# delta_Q has one term d_j d_k per pair j <= k, taken in the order of
+# monomials(2): column t of _PAIRS is the exponent e_j + e_k of term t.
+_PAIRS = _exponent_table(2)
+
+
+@lru_cache(maxsize=None)
+def _delta_table(degree: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The six terms of delta_Q from grade `degree` to `degree - 2` as
+    (source, factor), two read-only (6, grade_dim(degree - 2)) arrays.
+
+    Output monomial i, x^e, of term t is factor[t, i] times input
+    coefficient source[t, i], that of x^(e + e_j + e_k); the factor is the
+    integer that d_j d_k brings down, (e_j + 1)(e_k + 1), or (e_j + 2)(e_j + 1)
+    for j = k.  Every output monomial reads all six terms.  The table does
+    not depend on the form, so every form shares it.
+    """
+    shift = _PAIRS.T[:, :, None]
+    src = _exponent_table(degree - 2)[None] + shift
+    factor = np.prod(np.where(shift > 0, src, 1) * np.where(shift > 1, src - 1, 1),
+                     axis=1).astype(float)
+    source = _lex_index(src[:, 0], src[:, 2], degree)
+    source.flags.writeable = False
+    factor.flags.writeable = False
+    return source, factor
+
+
+@form_operator
+def _delta_weights(Q: QuadForm) -> np.ndarray:
+    """The weights of the six terms of _delta_table: (B^-1)_jj for j = k,
+    (B^-1)_jk + (B^-1)_kj for j < k, as a read-only row."""
+    j, k = np.triu_indices(3)
+    w = np.where(j == k, 0.5, 1.0) * (Q.b_inv + Q.b_inv.T)[j, k]
+    w.flags.writeable = False
+    return w
+
+
+def _delta(coeffs: np.ndarray, degree: int, weights: np.ndarray) -> np.ndarray:
+    """delta_Q of a grade-`degree` coefficient row, degree >= 2, given the
+    form's _delta_weights: one gather of six input coefficients per output
+    coefficient through _delta_table, contracted with the weights."""
+    source, factor = _delta_table(degree)
+    return weights @ (factor * coeffs[source])
+
+
 def apply_delta_q(p: HomogPoly, Q: QuadForm) -> HomogPoly:
     """delta_Q applied to a grade; degree drops by two (zero below degree 2)."""
     if p.degree < 2:
         return HomogPoly.zero(0)
-    return HomogPoly(p.degree - 2, delta_matrix(Q, p.degree) @ p.coeffs)
+    return HomogPoly._of(p.degree - 2, _delta(p.coeffs, p.degree, _delta_weights(Q)))
 
 
 def is_harmonic(p: HomogPoly, Q: QuadForm, tol: float = TOL_HARM) -> bool:
-    _check_tol_harm(tol)
+    """Whether ||delta_Q(p)|| is within tol of ||p||, scaled by the size of
+    delta_Q on the grade; tol is raised to TOL_HARM_FLOOR as in every gate."""
+    bound = _harm_bound(tol)
     if p.degree < 2:
         return True
     res = apply_delta_q(p, Q).norm()
     scale = max(1.0, p.degree ** 2 * float(np.max(np.abs(Q.b_inv))))
-    return res <= tol * scale * max(p.norm(), 1e-300)
+    return res <= bound * scale * max(p.norm(), 1e-300)
 
 
 def _closed_split(p: HomogPoly, Q: QuadForm) -> Tuple[HomogPoly, HomogPoly]:
-    """One pass of the formula of harmonic_project, R by Horner in Q."""
-    terms, c, lap, m = [], 1.0, apply_delta_q(p, Q), p.degree
+    """One pass of the formula of harmonic_project, R by Horner in Q, on
+    coefficient rows; p.degree >= 2."""
+    m, weights, q = p.degree, _delta_weights(Q), Q.poly().coeffs[None]
+    terms, c, lap = [], 1.0, p.coeffs
     for j in range(1, m // 2 + 1):
         c = -c / (2 * j * (2 * m - 2 * j + 1))
-        terms.append(lap * -c)
-        lap = apply_delta_q(lap, Q)
-    R = terms.pop()
+        lap = _delta(lap, m - 2 * j + 2, weights)
+        terms.append(lap * complex(-c))
+    R, deg = terms.pop(), m % 2
     for term in reversed(terms):
-        R = term + poly_mul(Q.poly(), R)
-    return p - poly_mul(Q.poly(), R), R
+        R = term + poly_mul_rows(q, 2, R[None], deg)[0]
+        deg += 2
+    return (HomogPoly._of(m, p.coeffs - poly_mul_rows(q, 2, R[None], deg)[0]),
+            HomogPoly._of(deg, R))
 
 
 def harmonic_project(p: HomogPoly, Q: QuadForm,
@@ -100,13 +163,13 @@ def harmonic_project(p: HomogPoly, Q: QuadForm,
     Harmonic Function Theory, ch. 5, valid for Q as delta_Q Q = 6.  A second
     pass on H lowers its round-off in delta_Q(H), which must stay small.
     """
-    _check_tol_harm(tol_harm)
+    bound = _harm_bound(tol_harm)
     if p.degree < 2:
         return p.copy(), HomogPoly.zero(0)
     H, R = _closed_split(p, Q)
     H, R2 = _closed_split(H, Q)
     residual = apply_delta_q(H, Q).norm()
-    if residual > max(tol_harm, 1e-12) * max(apply_delta_q(p, Q).norm(), p.norm(), 1e-300):
+    if residual > bound * max(apply_delta_q(p, Q).norm(), p.norm(), 1e-300):
         raise SolveFailure("projection residual %.3e too large" % residual)
     return H, R + R2
 
@@ -136,7 +199,7 @@ def harmonic_decompose(p: HomogPoly, Q: QuadForm,
     has floor(degree/2) + 1 entries, indexed by the power of Q.  tol_harm
     is checked here too, since a p of degree below 2 runs no projection.
     """
-    _check_tol_harm(tol_harm)
+    _harm_bound(tol_harm)
     comps: List[HomogPoly] = []
     cur = p.copy()
     while True:
@@ -159,7 +222,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
     a random kernel element is added to T first; the output must not change,
     which makes the uniqueness statement directly testable.
     """
-    _check_tol_harm(tol_harm)
+    bound = _harm_bound(tol_harm)
     rng = np.random.default_rng(perturb_seed) if perturb_seed is not None else None
     t_grades: Dict[int, HomogPoly] = {}
     for k in range(m.degree + 1):
@@ -173,7 +236,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
             noise -= np.linalg.lstsq(dmat, dmat @ noise, rcond=None)[0]
             sol = sol + noise
         residual = float(np.linalg.norm(dmat @ sol - part.coeffs))
-        if residual > max(tol_harm, 1e-12) * max(part.norm(), 1e-300):
+        if residual > bound * max(part.norm(), 1e-300):
             raise SolveFailure("no grade-%d preimage under delta_Q" % (k + 2))
         t_grades[k + 2] = HomogPoly(k + 2, sol)
     T = Poly.from_grades(t_grades) if t_grades else Poly.zero()

@@ -434,6 +434,18 @@ class TestQuadrature:
         pts = QuadratureRule(4).sphere_points()
         assert np.allclose(np.sum(pts ** 2, axis=1), 1.0)
 
+    def test_gauss_legendre_cached(self):
+        # one read-only pair per node count, with leggauss's bits, so the
+        # rule's nodes and weights do not change
+        nodes, weights = algebra._gauss_legendre(9)
+        assert algebra._gauss_legendre(9)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        want_t, want_w = np.polynomial.legendre.leggauss(9)
+        assert nodes.tobytes() == want_t.tobytes() and weights.tobytes() == want_w.tobytes()
+        a, b = QuadratureRule(16), QuadratureRule(16)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.nodes.tobytes() == b.nodes.tobytes()
+
 
 class TestInnerProduct:
     def test_constant(self, sphere):
@@ -487,3 +499,19 @@ class TestQuadFormDefinite:
         assert not QuadForm(np.diag([1.0, -1.0, -1.0])).is_definite
         assert not dense_complex.is_definite
         assert not QuadForm(np.diag([1.0, 1.0, 1.0 + 1e-3j])).is_definite
+
+
+class TestQuadFormNonFinite:
+    """A B with a NaN or infinite entry is refused: it used to pass and give
+    a NaN determinant."""
+
+    @pytest.mark.parametrize("entries", [{(0, 0): math.nan},
+                                         {(0, 1): math.inf, (1, 0): math.inf},
+                                         {(0, 2): -math.inf, (2, 0): -math.inf},
+                                         {(1, 1): complex(1.0, math.nan)}])
+    def test_refused(self, entries):
+        B = np.eye(3, dtype=complex)
+        for at, v in entries.items():
+            B[at] = v
+        with pytest.raises(ValueError, match="finite"):
+            QuadForm(B)

@@ -20,6 +20,7 @@ from quadpole import (
     poly_mul,
     surface_samples,
 )
+from quadpole import algebra
 from quadpole.algebra import grade_dim, monomial_index, monomials, mul_q_matrix
 
 from conftest import compose_linear, q_orthogonal, random_homog, random_poly
@@ -98,6 +99,67 @@ class TestApplyDeltaQ:
         assert delta_matrix(a, 6) is delta_matrix(b, 6)
         assert mul_q_matrix(a, 4) is mul_q_matrix(b, 4)
         assert delta_matrix(a, 6) is not delta_matrix(QuadForm(2 * a.B), 6)
+
+
+def sympy_delta_q_terms(p, Q):
+    """sympy_delta_q term by term, fast for a sparse p of high degree: sympy
+    differentiates each monomial, and the entries of B^-1 combine the
+    results in complex floats.  Returns {exponent: coefficient}."""
+    syms = sympy.symbols("x y z")
+    binv = np.linalg.inv(Q.B)
+    out = {}
+    for mono, coeff in zip(monomials(p.degree), p.coeffs):
+        if coeff == 0:
+            continue
+        term = sympy.Poly.from_dict({mono: 1}, syms)
+        for j in range(3):
+            for k in range(3):
+                for m, f in term.diff(syms[j]).diff(syms[k]).as_dict().items():
+                    out[m] = out.get(m, 0) + binv[j, k] * int(f) * coeff
+    return out
+
+
+def _sparse_homog(d, rng, terms=8):
+    """A grade-d polynomial with at most `terms` nonzero coefficients, at
+    random monomials."""
+    c = np.zeros(grade_dim(d), dtype=complex)
+    at = rng.choice(grade_dim(d), size=min(terms, grade_dim(d)), replace=False)
+    c[at] = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+    return HomogPoly(d, c)
+
+
+class TestDeltaGather:
+    """apply_delta_q's six-term gather against the dense matrix and sympy."""
+
+    @pytest.mark.parametrize("form", ["sphere", "hyperboloid", "dense_indef",
+                                      "dense_complex"])
+    def test_matches_matrix_and_sympy(self, form, request):
+        rng = np.random.default_rng(71)
+        if form == "dense_indef":
+            Q = _rotated([1.0, -2.0, 0.7], rng)
+        else:
+            Q = request.getfixturevalue(form)
+        for d in range(2, 41):
+            p = random_homog(d, rng)
+            got = apply_delta_q(p, Q).coeffs
+            # the uncached builder: matrices of every degree would stay cached
+            want = delta_matrix.__wrapped__(Q, d) @ p.coeffs
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+            sparse = _sparse_homog(d, rng)
+            got = apply_delta_q(sparse, Q).coeffs
+            terms = sympy_delta_q_terms(sparse, Q)
+            want = np.array([terms.get(m, 0) for m in monomials(d - 2)])
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_split_builds_no_matrix(self):
+        # the split of a degree-32 input on a fresh form applies delta_Q
+        # through the gather only: no dense matrix enters the operator cache
+        rng = np.random.default_rng(72)
+        Q = _rotated(rng.uniform(0.8, 1.25, size=3), rng)
+        dec = harmonic_decompose(_unit_homog(32, rng), Q)
+        assert all(is_harmonic(h, Q) for h in dec.components)
+        assert not [key for key in algebra._OPERATORS
+                    if key[0] == "delta_matrix" and key[1] == Q.key]
 
 
 class TestHarmonicProject:
@@ -361,6 +423,18 @@ def _assert_poly_close(a, b, tol):
         ca = ha.coeffs if ha is not None else 0.0
         cb = hb.coeffs if hb is not None else 0.0
         assert np.max(np.abs(np.atleast_1d(ca - cb))) < tol * scale
+
+
+class TestTolHarmZero:
+    """tol_harm = 0 means the floor TOL_HARM_FLOOR in every gate: is_harmonic
+    once refused a component that harmonic_decompose returned under it."""
+
+    def test_components_accepted(self, dense_complex):
+        rng = np.random.default_rng(0)
+        P = HomogPoly(4, rng.standard_normal(grade_dim(4)))
+        dec = harmonic_decompose(P, dense_complex, tol_harm=0)
+        assert apply_delta_q(dec.components[0], dense_complex).norm() > 0
+        assert all(is_harmonic(h, dense_complex, tol=0) for h in dec.components)
 
 
 class TestTolHarmRefused:
