@@ -35,12 +35,6 @@ def monomials(degree: int) -> Tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(degree: int) -> Dict[Monomial, int]:
-    """Each monomial's position in monomials(degree), as a dict."""
-    return {m: i for i, m in enumerate(monomials(degree))}
-
-
 def grade_dim(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
@@ -158,15 +152,6 @@ class HomogPoly:
     def __call__(self, v) -> complex:
         pts = np.asarray(v, dtype=complex).reshape(1, 3)
         return complex(self.eval_many(pts)[0])
-
-    def deriv(self, axis: int) -> "HomogPoly":
-        if self.degree == 0:
-            return HomogPoly.zero(0)
-        target, factor = deriv_map(self.degree, axis)
-        keep = factor > 0
-        out = HomogPoly.zero(self.degree - 1)
-        out.coeffs[target[keep]] = factor[keep] * self.coeffs[keep]
-        return out
 
     def __repr__(self) -> str:
         parts = []

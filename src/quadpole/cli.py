@@ -13,7 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
+import operator
 import sys
+from itertools import chain
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -62,6 +65,40 @@ def _resolve_quadric(name: str) -> QuadForm:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
+_TERM_FIELDS = operator.itemgetter("exp", "im", "re")
+# one polynomial term's text per line break of the list that holds it
+_TERM_TEMPLATES: Dict[str, str] = {}
+
+
+def _terms_text(items, newline: str) -> Optional[str]:
+    """The items of a list of polynomial terms joined at the line break
+    newline, or None if they are not all terms.
+
+    A term is a dict with exactly the keys exp, im and re, exp a list of
+    three ints and im and re finite floats; the whole list is checked at
+    once, and each term is one % of a template cached per line break.
+    """
+    if set(map(type, items)) != {dict} or set(map(len, items)) != {3}:
+        return None
+    try:
+        rows = list(map(_TERM_FIELDS, items))
+    except KeyError:
+        return None
+    exps, ims, res = zip(*rows)
+    values = ims + res
+    if (set(map(type, exps)) != {list} or set(map(len, exps)) != {3}
+            or set(map(type, chain.from_iterable(exps))) != {int}
+            or set(map(type, values)) != {float}
+            or not all(map(math.isfinite, values))):
+        return None
+    template = _TERM_TEMPLATES.get(newline)
+    if template is None:
+        key = newline + "  "
+        exp = key + "  "
+        template = _TERM_TEMPLATES[newline] = (
+            '{%s"exp": [%s%%d,%s%%d,%s%%d%s],%s"im": %%r,%s"re": %%r%s}'
+            % (key, exp, exp, exp, key, key, key, newline))
+    return ("," + newline).join([template % (*e, im, re) for e, im, re in rows])
 
 
 def _json_text(obj: Any, newline: str = "\n") -> str:
@@ -70,22 +107,26 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
     The standard library runs its pure-Python encoder whenever indent is
     set.  This one writes what the commands emit itself, with one join per
     container: lists, tuples and dicts whose keys are all str, with finite
-    float and int children inline.  Every other value, a dict with a
-    non-str key among them (its sort or key encoding raises TypeError), is
-    json.dumps' own text with each of its line breaks indented to this
-    level; json escapes the line breaks inside strings, and an unsupported
-    type raises its TypeError.  newline is the line break and indentation
-    of obj's own level.
+    float and int children inline.  A list of polynomial terms, the bulk of
+    every answer, is written by _terms_text, one % per term.  Every other
+    value, a dict with a non-str key among them (its sort or key encoding
+    raises TypeError), is json.dumps' own text with each of its line breaks
+    indented to this level; json escapes the line breaks inside strings,
+    and an unsupported type raises its TypeError.  newline is the line
+    break and indentation of obj's own level.
     """
     cls = type(obj)
     inner = newline + "  "
     if cls is list or cls is tuple:
         if not obj:
             return "[]"
-        return "[%s%s%s]" % (inner, ("," + inner).join(
-            [float.__repr__(v) if type(v) is float and -_INF < v < _INF else
-             int.__repr__(v) if type(v) is int else _json_text(v, inner)
-             for v in obj]), newline)
+        text = _terms_text(obj, inner) if type(obj[0]) is dict else None
+        if text is None:
+            text = ("," + inner).join(
+                [float.__repr__(v) if type(v) is float and -_INF < v < _INF else
+                 int.__repr__(v) if type(v) is int else _json_text(v, inner)
+                 for v in obj])
+        return "[%s%s%s]" % (inner, text, newline)
     if cls is dict and obj:
         try:
             return "{%s%s%s}" % (inner, ("," + inner).join(

@@ -14,6 +14,7 @@ every main call in a process.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -73,28 +74,62 @@ def poly_to_json(p) -> Dict[str, Any]:
     return {"degree": len(parts) - 1, "terms": terms}
 
 
-def poly_from_json(obj: Any) -> Poly:
-    """Parse a polynomial; terms with the same exponent add up in term order.
+_TERM_KEYS = frozenset(("exp", "re", "im"))
+# the largest exponent whose sum with two others stays an intp
+_EXP_MAX = np.iinfo(np.intp).max // 3
 
-    Each term's coefficient is placed by its flat index, the offset of its
-    grade plus its lexicographic index in that grade, and one bincount per
-    part sums the real parts and one the imaginary parts, so each sum runs
-    in term order from 0.0, as adding complex(re, im) to a zero grade does.
-    The grades above the highest that a term uses are left out: Poly trims them.
+
+def _bulk_terms(terms: list, d: int):
+    """(k, a, c, re, im) of the terms as arrays, k = a + b + c, when every
+    term passes every check of _term_arrays' loop; None otherwise.
+
+    One pass per check over all terms: their types by set(map(type, ...)),
+    the exponents as one intp array with each checked against d before
+    they are summed, and the coefficients as two float arrays checked with
+    np.isfinite.  It only says "all good": None leaves the verdict, and
+    the message, to the per-term checks.
     """
-    _check_keys(obj, ("degree", "terms"), "polynomial")
-    if "degree" not in obj or "terms" not in obj:
-        raise InvalidInput("polynomial: needs 'degree' and 'terms'")
-    d = obj["degree"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise InvalidInput("polynomial: degree must be a non-negative integer")
-    if not isinstance(obj["terms"], list):
-        raise InvalidInput("polynomial: terms must be a list")
-    index: List[int] = []
+    if not set(map(type, terms)) <= {dict} \
+            or not set(chain.from_iterable(terms)) <= _TERM_KEYS:
+        return None
+    exps = list(map(dict.get, terms, repeat("exp")))
+    if not set(map(type, exps)) <= {list} or not set(map(len, exps)) <= {3}:
+        return None
+    flat = list(chain.from_iterable(exps))
+    re = list(map(dict.get, terms, repeat("re"), repeat(0.0)))
+    im = list(map(dict.get, terms, repeat("im"), repeat(0.0)))
+    if not set(map(type, flat)) <= {int} or not set(map(type, re + im)) <= {int, float}:
+        return None
+    try:
+        e = np.array(flat, dtype=np.intp).reshape(-1, 3)
+        re = np.array(re, dtype=float)
+        im = np.array(im, dtype=float)
+    except OverflowError:  # an int beyond intp or beyond the doubles
+        return None
+    if e.size and (e.min() < 0 or e.max() > min(d, _EXP_MAX)):
+        return None
+    k = e.sum(axis=1)
+    if (k.size and k.max() > d) \
+            or not (np.isfinite(re).all() and np.isfinite(im).all()):
+        return None
+    return k, e[:, 0], e[:, 2], re, im
+
+
+def _term_arrays(terms: list, d: int):
+    """(k, a, c, re, im) of the terms, the grade and exponents of x and z of
+    each and its coefficient's parts; raises InvalidInput naming the first
+    term that fails a check.  The loop below states the checks; _bulk_terms
+    passes all the terms at once when none fails.  The loop's results are
+    lists of Python ints and numbers, for the caller to convert."""
+    bulk = _bulk_terms(terms, d)
+    if bulk is not None:
+        return bulk
+    ks: List[int] = []
+    a_s: List[int] = []
+    c_s: List[int] = []
     re_parts: List[Any] = []
     im_parts: List[Any] = []
-    top = 0
-    for t in obj["terms"]:
+    for t in terms:
         _check_keys(t, ("exp", "re", "im"), "polynomial term")
         e = t.get("exp")
         if (not isinstance(e, list) or len(e) != 3
@@ -117,16 +152,48 @@ def poly_from_json(obj: Any) -> Poly:
             raise InvalidInput("polynomial term: re must be finite")
         if not _is_finite(im):
             raise InvalidInput("polynomial term: im must be finite")
-        # grades below k hold k(k+1)(k+2)/6 monomials
-        index.append(k * (k + 1) * (k + 2) // 6 + _lex_index(a, c, k))
+        ks.append(k)
+        a_s.append(a)
+        c_s.append(c)
         re_parts.append(re)
         im_parts.append(im)
-        top = max(top, k)
-    size = (top + 1) * (top + 2) * (top + 3) // 6
-    bins = np.array(index, dtype=np.intp)
-    flat = np.empty(size, dtype=complex)
-    flat.real = np.bincount(bins, weights=re_parts, minlength=size)
-    flat.imag = np.bincount(bins, weights=im_parts, minlength=size)
+    return ks, a_s, c_s, re_parts, im_parts
+
+
+def poly_from_json(obj: Any) -> Poly:
+    """Parse a polynomial; terms with the same exponent add up in term order.
+
+    The terms are checked all at once, and one by one only when that bulk
+    check refuses, to name the first bad term (_term_arrays).  Each term's
+    coefficient is placed by its flat index, the offset of its grade plus
+    its lexicographic index in that grade, and one bincount per part sums
+    the real parts and one the imaginary parts, so each sum runs in term
+    order from 0.0, as adding complex(re, im) to a zero grade does.  The
+    grades above the highest that a term uses are left out: Poly trims them.
+    Terms whose grades are too large to hold in memory are refused with
+    InvalidInput.
+    """
+    _check_keys(obj, ("degree", "terms"), "polynomial")
+    if "degree" not in obj or "terms" not in obj:
+        raise InvalidInput("polynomial: needs 'degree' and 'terms'")
+    d = obj["degree"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise InvalidInput("polynomial: degree must be a non-negative integer")
+    if not isinstance(obj["terms"], list):
+        raise InvalidInput("polynomial: terms must be a list")
+    k, a, c, re, im = _term_arrays(obj["terms"], d)
+    try:
+        k, a, c = (np.asarray(v, dtype=np.intp) for v in (k, a, c))
+        top = int(k.max(initial=0))
+        # grades up to top hold (top+1)(top+2)(top+3)/6 monomials
+        size = (top + 1) * (top + 2) * (top + 3) // 6
+        flat = np.empty(size, dtype=complex)
+    except (MemoryError, OverflowError, ValueError):
+        raise InvalidInput("polynomial: a term of degree %d is too large to"
+                           " hold" % max(k)) from None
+    bins = k * (k + 1) * (k + 2) // 6 + _lex_index(a, c, k)
+    flat.real = np.bincount(bins, weights=re, minlength=size)
+    flat.imag = np.bincount(bins, weights=im, minlength=size)
     return Poly([HomogPoly(k, flat[k * (k + 1) * (k + 2) // 6:][:grade_dim(k)])
                  for k in range(top + 1)])
 

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from quadpole import HomogPoly, Poly, QuadForm, poly_mul
-from quadpole.algebra import grade_dim
+from quadpole.algebra import grade_dim, monomials
 
 # The property tests draw the same examples on every run and keep no
 # example database, so the suite stays deterministic.
@@ -34,6 +35,13 @@ def subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
+
+
+@lru_cache(maxsize=None)
+def monomial_index(degree):
+    """Each monomial's position in monomials(degree), as a dict: the tests'
+    reference index."""
+    return {m: i for i, m in enumerate(monomials(degree))}
 
 
 @pytest.fixture(scope="session")

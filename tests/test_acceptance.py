@@ -47,9 +47,9 @@ from quadpole import (
     surface_samples,
     tangent_lines_from,
 )
-from quadpole.algebra import grade_dim, monomial_index
+from quadpole.algebra import grade_dim
 
-from conftest import compose_linear, q_orthogonal, random_homog, random_poly
+from conftest import compose_linear, monomial_index, q_orthogonal, random_homog, random_poly
 
 
 def report(num, ok, detail):

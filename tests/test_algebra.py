@@ -27,9 +27,9 @@ from quadpole import (
 from quadpole import algebra
 from quadpole.algebra import (_lex_index, _monomial_values, _mul_table, _quotient_matrix,
                               deriv_map, divide_rows_by_quadric, grade_dim,
-                              monomial_index, monomials, mul_q_matrix, poly_mul_rows)
+                              monomials, mul_q_matrix, poly_mul_rows)
 
-from conftest import random_homog, random_poly
+from conftest import monomial_index, random_homog, random_poly
 
 
 def hp(degree, entries):

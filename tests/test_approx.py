@@ -21,7 +21,7 @@ from quadpole import (
 )
 from quadpole.algebra import grade_dim
 
-from conftest import random_poly, subprocess_env
+from conftest import monomial_index, random_poly, subprocess_env
 
 
 def poly_eval(P):
@@ -173,7 +173,7 @@ class TestPulledBackBasis:
     def test_pullback_matrix_bits(self, dense_complex):
         # each grade has the bits of the dict-lookup loop it replaced: one
         # product per axis, over the monomials whose first axis it is
-        from quadpole.algebra import _mul_matrix, monomial_index, monomials, quad_reduce
+        from quadpole.algebra import _mul_matrix, monomials, quad_reduce
         from quadpole.approx import _pullback_matrix
         A = quad_reduce(dense_complex)
         for k in range(1, 11):

@@ -19,11 +19,11 @@ from quadpole import (
     poly_mul,
 )
 from quadpole import io as qio
-from quadpole.algebra import grade_dim, monomial_index
+from quadpole.algebra import grade_dim
 from quadpole import cli
 from quadpole.cli import _json_text, main
 
-from conftest import subprocess_env
+from conftest import monomial_index, subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 # each README demo's argv, exit code and parsed output
@@ -345,6 +345,17 @@ class TestExitCodes:
                 code, out = run(argv)
                 assert code == 2 and out == "", argv
 
+    def test_too_large_to_hold_refused(self, run, files):
+        # a 60-byte input asked for 2.37 PiB of grades (MemoryError) or for
+        # more than an intp can count (OverflowError), and exited 1
+        for e in (100000, 10 ** 7):
+            path = files["tmp"] / "huge_degree.json"
+            path.write_text('{"degree": %d, "terms": [{"exp": [%d, 0, 0], "re": 1.0}]}'
+                            % (e, e))
+            for argv in (["decompose", str(path)], ["harmonic", str(path)]):
+                code, out = run(argv)
+                assert code == 2 and out == "", argv
+
     def test_tol_div_refused_at_every_degree(self, run, files):
         # a surface input of degree <= 1 builds no factor context, the one
         # place that checked the bound, so it took any --tol-div
@@ -542,6 +553,43 @@ _JSON = st.recursive(_SCALARS, lambda children: st.one_of(
     max_leaves=12)
 
 
+# polynomial terms as the commands emit them, and dicts that come close:
+# exps of bools, floats, np.int64, two or four entries or a tuple;
+# coefficients non-finite, np.float64, int or bool; keys extra or missing
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_GOOD_TERMS = st.fixed_dictionaries({
+    "exp": st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    "im": _FINITE, "re": _FINITE})
+_EXP_ENTRIES = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(), _FLOATS,
+                         st.integers(-3, 3).map(np.int64))
+_NEAR_COEFFS = st.one_of(st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                         _FLOATS.map(np.float64), st.integers(), st.booleans())
+# a good term with a coefficient replaced, its exp replaced, one key
+# dropped or one added; or not a dict
+_NEAR_TERMS = {
+    "coefficient": st.builds(lambda t, k, v: dict(t, **{k: v}), _GOOD_TERMS,
+                             st.sampled_from(["im", "re"]), _NEAR_COEFFS),
+    "exp": st.builds(lambda t, e: dict(t, exp=e), _GOOD_TERMS, st.one_of(
+        st.lists(_EXP_ENTRIES, min_size=2, max_size=4),
+        st.lists(st.integers(0, 9), min_size=3, max_size=3).map(tuple))),
+    "keys": st.one_of(
+        st.builds(lambda t, k: {key: v for key, v in t.items() if key != k},
+                  _GOOD_TERMS, st.sampled_from(["exp", "im", "re"])),
+        _GOOD_TERMS.map(lambda t: dict(t, extra=None))),
+    "scalar": _SCALARS,
+}
+
+
+def _term_containers(near):
+    """Lists of good terms with one near term anywhere among them, as a
+    list or a tuple, at the top or two and four levels down."""
+    lists = st.tuples(st.lists(_GOOD_TERMS, max_size=3), near,
+                      st.lists(_GOOD_TERMS, max_size=3)).map(lambda t: [*t[0], t[1], *t[2]])
+    return lists.flatmap(lambda terms: st.sampled_from([
+        terms, tuple(terms), {"degree": 2, "terms": terms},
+        {"degree": 2, "terms": tuple(terms)}, {"components": [{"degree": 2, "terms": terms}]}]))
+
+
 class TestPrinterProperties:
     @given(_JSON)
     def test_same_bytes_as_json(self, obj):
@@ -552,6 +600,46 @@ class TestPrinterProperties:
                 _json_text(obj)
             return
         assert _json_text(obj) == want
+
+    @pytest.mark.parametrize("near", sorted(_NEAR_TERMS))
+    @given(data=st.data())
+    def test_term_lists_same_bytes_as_json(self, near, data):
+        obj = data.draw(_term_containers(_NEAR_TERMS[near]))
+        try:
+            want = json.dumps(obj, indent=2, sort_keys=True)
+        except TypeError:
+            with pytest.raises(TypeError):
+                _json_text(obj)
+            return
+        assert _json_text(obj) == want
+
+    GOOD = {"exp": [1, 0, 2], "im": -0.0, "re": 2.5}
+    SECOND = [dict(GOOD, im=float("nan")), dict(GOOD, re=float("inf")),
+              dict(GOOD, re=-float("inf")), dict(GOOD, re=np.float64(0.5)),
+              dict(GOOD, re=3), dict(GOOD, im=True), dict(GOOD, exp=[1, np.int64(0), 2]),
+              dict(GOOD, exp=[True, 0, 2]), dict(GOOD, exp=[1.0, 0, 2]),
+              dict(GOOD, exp=[1, 0]), dict(GOOD, exp=[1, 0, 2, 0]),
+              dict(GOOD, exp=(1, 0, 2)), dict(GOOD, extra=None),
+              {"exp": [1, 0, 2], "re": 2.5}, {"exp": [1, 0, 2], "im": 1.0, "rx": 2.5},
+              {"im": 1.0, "re": 2.5, 0: 1}, 1.5, None, [GOOD]]
+
+    @pytest.mark.parametrize("second", SECOND, ids=[repr(c) for c in SECOND])
+    def test_good_term_then_another(self, second):
+        for obj in ([self.GOOD, second], ({"terms": (self.GOOD, second, self.GOOD)},)):
+            try:
+                want = json.dumps(obj, indent=2, sort_keys=True)
+            except TypeError:
+                with pytest.raises(TypeError):
+                    _json_text(obj)
+                continue
+            assert _json_text(obj) == want
+
+    @given(st.lists(_GOOD_TERMS, min_size=1, max_size=5))
+    def test_terms_take_the_template(self, terms):
+        # a list of terms is one % per term, not the item-by-item path
+        assert cli._terms_text(terms, "\n  ") \
+            == ",\n  ".join(json.dumps(t, indent=2, sort_keys=True).replace("\n", "\n  ")
+                            for t in terms)
 
 
 class TestSubprocess:

@@ -33,9 +33,9 @@ from quadpole import (
     representation_bound,
     surface_samples,
 )
-from quadpole.algebra import grade_dim, monomial_index
+from quadpole.algebra import grade_dim
 
-from conftest import random_homog, random_poly
+from conftest import monomial_index, random_homog, random_poly
 
 
 def hp(degree, entries):

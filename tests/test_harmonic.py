@@ -21,9 +21,9 @@ from quadpole import (
     surface_samples,
 )
 from quadpole import algebra
-from quadpole.algebra import grade_dim, monomial_index, monomials, mul_q_matrix
+from quadpole.algebra import grade_dim, monomials, mul_q_matrix
 
-from conftest import compose_linear, q_orthogonal, random_homog, random_poly
+from conftest import compose_linear, monomial_index, q_orthogonal, random_homog, random_poly
 
 
 def hp(degree, entries):

@@ -26,9 +26,9 @@ from quadpole import (
     poly_mul,
 )
 from quadpole import io as qio
-from quadpole.algebra import grade_dim, monomial_index, monomials
+from quadpole.algebra import grade_dim, monomials
 
-from conftest import random_poly
+from conftest import monomial_index, random_poly
 
 
 def hp(degree, entries):
@@ -131,6 +131,20 @@ _REFUSED_TERMS = st.one_of(
     st.fixed_dictionaries({"exp": st.just([0, 0, 0]), "im": st.sampled_from(
         [False, "1", None])}),
     st.fixed_dictionaries({"exp": st.just([0, 0, 0]), "bad": st.just(0)}))
+# refusals that the bulk check must leave to the loop: exponents beyond
+# intp, three that overflow an intp sum, negative or bool ones, huge-int and
+# non-finite coefficients, a missing exp, and terms that are not dicts
+_BULK_REFUSED_TERMS = st.one_of(
+    _REFUSED_TERMS,
+    st.fixed_dictionaries({"exp": st.sampled_from(
+        [[2 ** 70, 0, 0], [0, 0, -2 ** 70], [2 ** 62] * 3, [2 ** 63 - 1, 0, 1],
+         [0, False, 1], [1, 0]])}, optional={"re": _COEFFS}),
+    st.fixed_dictionaries({"exp": _EXPS, "re": st.sampled_from(
+        [10 ** 400, 2 ** 1024 - 2 ** 970, float("nan"), -float("inf")])}),
+    st.fixed_dictionaries({"exp": _EXPS, "im": st.sampled_from(
+        [-(2 ** 1024 - 2 ** 970), float("inf")])}),
+    st.fixed_dictionaries({"re": _COEFFS}),
+    st.sampled_from([[], 0, None, "term", [[1, 0, 0], 1.0]]))
 
 
 class TestPoly:
@@ -256,6 +270,44 @@ class TestPoly:
         obj = dict(obj, terms=terms)
         assert _parse_outcome(qio.poly_from_json, obj) \
             == _parse_outcome(poly_from_json_loop, obj)
+
+    @given(_POLYS, st.lists(st.tuples(_BULK_REFUSED_TERMS, st.integers(0, 14)),
+                            min_size=1, max_size=3))
+    def test_bulk_refusals_match_term_loop(self, obj, refusals):
+        # refused terms anywhere among good ones: the bulk check passes
+        # none of them, and the loop names the first
+        terms = list(obj["terms"])
+        for refused, at in refusals:
+            terms.insert(at, refused)
+        obj = dict(obj, terms=terms)
+        assert qio._bulk_terms(terms, obj["degree"]) is None
+        assert _parse_outcome(qio.poly_from_json, obj) \
+            == _parse_outcome(poly_from_json_loop, obj)
+
+    @given(st.lists(st.fixed_dictionaries(
+        {"exp": st.lists(st.integers(0, 12), min_size=3, max_size=3)},
+        optional={"re": _COEFFS, "im": _COEFFS}), min_size=1, max_size=30))
+    def test_bulk_check_passes_what_parses(self, terms):
+        # the bulk check passes exactly the inputs that the loop accepts
+        obj = {"degree": max(sum(t["exp"]) for t in terms), "terms": terms}
+        outcome = _parse_outcome(qio.poly_from_json, obj)
+        assert outcome == _parse_outcome(poly_from_json_loop, obj)
+        assert (qio._bulk_terms(terms, obj["degree"]) is not None) == (outcome[0] == "ok")
+
+    @pytest.mark.parametrize("obj", [
+        # 2.37 PiB of grades: numpy's MemoryError
+        {"degree": 100000, "terms": [{"exp": [100000, 0, 0], "re": 1.0}]},
+        # more coefficients than an intp can count
+        {"degree": 10 ** 7, "terms": [{"exp": [10 ** 7, 0, 0], "re": 1.0}]},
+        # a grade beyond intp, and exponents that are
+        {"degree": 2 ** 64, "terms": [{"exp": [2 ** 62] * 3, "re": 1.0}]},
+        {"degree": 2 ** 71, "terms": [{"exp": [2 ** 70, 0, 0]}]},
+    ])
+    def test_too_large_to_hold(self, obj):
+        # each fails at once, with no allocation made: before, the first
+        # two raised MemoryError and OverflowError out of the parser
+        with pytest.raises(InvalidInput, match="too large to hold"):
+            qio.poly_from_json(obj)
 
 
 class TestQuadForm:

@@ -34,13 +34,13 @@ from quadpole import (
     real_factorizations,
 )
 from quadpole import algebra, multipole_series, sylvester
-from quadpole.algebra import TOL_DIV, grade_dim, monomial_index
+from quadpole.algebra import TOL_DIV, grade_dim
 from quadpole.conic import BinaryForm, RootCluster, restrict_to_conic
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
                              QuadpoleError, SolveFailure, StrategyMismatch)
 from quadpole.sylvester import _FactorContext, _rows_or_raise
 
-from conftest import compose_linear, q_orthogonal, random_homog, random_poly
+from conftest import compose_linear, monomial_index, q_orthogonal, random_homog, random_poly
 
 
 def hp(degree, entries):
