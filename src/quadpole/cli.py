@@ -66,8 +66,16 @@ def _resolve_quadric(name: str) -> QuadForm:
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 _TERM_FIELDS = operator.itemgetter("exp", "im", "re")
-# one polynomial term's text per line break of the list that holds it
-_TERM_TEMPLATES: Dict[str, str] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _term_template(newline: str) -> str:
+    """One polynomial term's text, for % with its three exponents and its
+    im and re, in a list whose items sit at the line break newline."""
+    key = newline + "  "
+    exp = key + "  "
+    return ('{%s"exp": [%s%%d,%s%%d,%s%%d%s],%s"im": %%r,%s"re": %%r%s}'
+            % (key, exp, exp, exp, key, key, key, newline))
 
 
 def _terms_text(items, newline: str) -> Optional[str]:
@@ -76,7 +84,7 @@ def _terms_text(items, newline: str) -> Optional[str]:
 
     A term is a dict with exactly the keys exp, im and re, exp a list of
     three ints and im and re finite floats; the whole list is checked at
-    once, and each term is one % of a template cached per line break.
+    once, and each term is one % of the template of its line break.
     """
     if set(map(type, items)) != {dict} or set(map(len, items)) != {3}:
         return None
@@ -91,13 +99,7 @@ def _terms_text(items, newline: str) -> Optional[str]:
             or set(map(type, values)) != {float}
             or not all(map(math.isfinite, values))):
         return None
-    template = _TERM_TEMPLATES.get(newline)
-    if template is None:
-        key = newline + "  "
-        exp = key + "  "
-        template = _TERM_TEMPLATES[newline] = (
-            '{%s"exp": [%s%%d,%s%%d,%s%%d%s],%s"im": %%r,%s"re": %%r%s}'
-            % (key, exp, exp, exp, key, key, key, newline))
+    template = _term_template(newline)
     return ("," + newline).join([template % (*e, im, re) for e, im, re in rows])
 
 

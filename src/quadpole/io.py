@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def _parse_cnum(v: Any, where: str) -> complex:
     return complex(*parts)
 
 
-def _check_keys(obj: Dict[str, Any], allowed: Sequence[str], where: str) -> None:
+def _check_keys(obj: Dict[str, Any], allowed: Iterable[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise InvalidInput("%s: expected an object" % where)
     unknown = set(obj) - set(allowed)
@@ -130,7 +130,7 @@ def _term_arrays(terms: list, d: int):
     re_parts: List[Any] = []
     im_parts: List[Any] = []
     for t in terms:
-        _check_keys(t, ("exp", "re", "im"), "polynomial term")
+        _check_keys(t, _TERM_KEYS, "polynomial term")
         e = t.get("exp")
         if (not isinstance(e, list) or len(e) != 3
                 or any(not isinstance(x, int) or isinstance(x, bool) or x < 0
