@@ -65,7 +65,7 @@ def _resolve_quadric(name: str) -> QuadForm:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
-_TERM_FIELDS = operator.itemgetter("exp", "im", "re")
+_TERM_FIELDS = [operator.itemgetter(key) for key in ("exp", "im", "re")]
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,24 +83,29 @@ def _terms_text(items, newline: str) -> Optional[str]:
     newline, or None if they are not all terms.
 
     A term is a dict with exactly the keys exp, im and re, exp a list of
-    three ints and im and re finite floats; the whole list is checked at
-    once, and each term is one % of the template of its line break.
+    three ints and im and re finite floats.  The whole list is checked at
+    once, and written with one % of the template of its line break,
+    repeated once per term, over every term's numbers in turn.
     """
     if set(map(type, items)) != {dict} or set(map(len, items)) != {3}:
         return None
     try:
-        rows = list(map(_TERM_FIELDS, items))
+        exps, ims, res = [list(map(get, items)) for get in _TERM_FIELDS]
     except KeyError:
         return None
-    exps, ims, res = zip(*rows)
+    ints = list(chain.from_iterable(exps))
     values = ims + res
     if (set(map(type, exps)) != {list} or set(map(len, exps)) != {3}
-            or set(map(type, chain.from_iterable(exps))) != {int}
-            or set(map(type, values)) != {float}
+            or set(map(type, ints)) != {int} or set(map(type, values)) != {float}
             or not all(map(math.isfinite, values))):
         return None
-    template = _term_template(newline)
-    return ("," + newline).join([template % (*e, im, re) for e, im, re in rows])
+    n = len(items)
+    numbers = [None] * (5 * n)
+    for i in range(3):
+        numbers[i::5] = ints[i::3]
+    numbers[3::5] = ims
+    numbers[4::5] = res
+    return ("," + newline).join([_term_template(newline)] * n) % tuple(numbers)
 
 
 def _json_text(obj: Any, newline: str = "\n") -> str:
@@ -110,7 +115,7 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
     set.  This one writes what the commands emit itself, with one join per
     container: lists, tuples and dicts whose keys are all str, with finite
     float and int children inline.  A list of polynomial terms, the bulk of
-    every answer, is written by _terms_text, one % per term.  Every other
+    every answer, is written by _terms_text with one % per list.  Every other
     value, a dict with a non-str key among them (its sort or key encoding
     raises TypeError), is json.dumps' own text with each of its line breaks
     indented to this level; json escapes the line breaks inside strings,
