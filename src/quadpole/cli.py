@@ -93,10 +93,11 @@ def _terms_text(items, newline: str) -> Optional[str]:
         exps, ims, res = [list(map(get, items)) for get in _TERM_FIELDS]
     except KeyError:
         return None
+    if set(map(type, exps)) != {list} or set(map(len, exps)) != {3}:
+        return None
     ints = list(chain.from_iterable(exps))
     values = ims + res
-    if (set(map(type, exps)) != {list} or set(map(len, exps)) != {3}
-            or set(map(type, ints)) != {int} or set(map(type, values)) != {float}
+    if (set(map(type, ints)) != {int} or set(map(type, values)) != {float}
             or not all(map(math.isfinite, values))):
         return None
     n = len(items)

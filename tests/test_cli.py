@@ -554,7 +554,7 @@ _JSON = st.recursive(_SCALARS, lambda children: st.one_of(
 
 
 # polynomial terms as the commands emit them, and dicts that come close:
-# exps of bools, floats, np.int64, two or four entries or a tuple;
+# exps of bools, floats, np.int64, two or four entries, a tuple or a scalar;
 # coefficients non-finite, np.float64, int or bool; keys extra or missing
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _GOOD_TERMS = st.fixed_dictionaries({
@@ -571,7 +571,7 @@ _NEAR_TERMS = {
                              st.sampled_from(["im", "re"]), _NEAR_COEFFS),
     "exp": st.builds(lambda t, e: dict(t, exp=e), _GOOD_TERMS, st.one_of(
         st.lists(_EXP_ENTRIES, min_size=2, max_size=4),
-        st.lists(st.integers(0, 9), min_size=3, max_size=3).map(tuple))),
+        st.lists(st.integers(0, 9), min_size=3, max_size=3).map(tuple), _SCALARS)),
     "keys": st.one_of(
         st.builds(lambda t, k: {key: v for key, v in t.items() if key != k},
                   _GOOD_TERMS, st.sampled_from(["exp", "im", "re"])),
@@ -619,7 +619,8 @@ class TestPrinterProperties:
               dict(GOOD, re=3), dict(GOOD, im=True), dict(GOOD, exp=[1, np.int64(0), 2]),
               dict(GOOD, exp=[True, 0, 2]), dict(GOOD, exp=[1.0, 0, 2]),
               dict(GOOD, exp=[1, 0]), dict(GOOD, exp=[1, 0, 2, 0]),
-              dict(GOOD, exp=(1, 0, 2)), dict(GOOD, extra=None),
+              dict(GOOD, exp=(1, 0, 2)), dict(GOOD, exp=None), dict(GOOD, exp=7),
+              dict(GOOD, exp="abc"), dict(GOOD, extra=None),
               {"exp": [1, 0, 2], "re": 2.5}, {"exp": [1, 0, 2], "im": 1.0, "rx": 2.5},
               {"im": 1.0, "re": 2.5, 0: 1}, 1.5, None, [GOOD]]
 
