@@ -42,8 +42,7 @@ from .errors import (
 )
 from .harmonic import delta_matrix
 from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import (Multipole, _FactorContext, _auto_strategy, _check_tol_div,
-                        _rows_or_raise)
+from .sylvester import Multipole, _FactorContext, _auto_strategy, _check_tol_div
 
 TOL_ZERO_BAND = 1e-12
 
@@ -306,7 +305,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
             if fitted is not None and ctx._groups == fitted._groups:
                 continue
             try:
-                cand = _rows_or_raise(ctx.rows(strategy))[0].multipole()
+                cand = ctx.rows(strategy)[0].multipole()
                 cc, defect = maxwell_fit(fk, Q, cand.lines)[1:]
                 fitted = ctx
                 if defect < best:

@@ -31,7 +31,6 @@ from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
 from .sylvester import (
     _FactorContext,
-    _rows_or_raise,
     all_factorizations,
     count_parcellings,
     factor,
@@ -43,11 +42,10 @@ from .approx import l2_project, multipole_series, parseval_gap
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise InvalidInput("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInput("%s is not valid JSON: %s" % (path, exc)) from None
+    return _parse_fragment(text, path)
 
 
 def _parse_fragment(text: str, where: str) -> Any:
@@ -55,6 +53,8 @@ def _parse_fragment(text: str, where: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput("%s is not valid JSON: %s" % (where, exc)) from None
+    except RecursionError:
+        raise InvalidInput("%s is nested too deeply to parse" % where) from None
 
 
 def _resolve_quadric(name: str) -> QuadForm:
@@ -150,8 +150,11 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
 def _emit(obj: Any, output: Optional[str]) -> None:
     text = _json_text(obj) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput("cannot write %s: %s" % (output, exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -223,7 +226,7 @@ def _cmd_fibers(args, Q: QuadForm) -> Any:
     # restriction and the roots are computed once
     ctx = _FactorContext(P, Q, eps_cluster=args.eps_cluster,
                          tol_div=args.tol_div)
-    facts = _rows_or_raise(ctx.rows("enumerate"))
+    facts = ctx.rows("enumerate")
     return {"clusters": [qio.cluster_to_json(c) for c in ctx.clusters],
             "count": len(facts),
             "factorizations": [qio.factorization_to_json(f) for f in facts]}

@@ -157,9 +157,6 @@ class BinaryForm:
             p0 *= u0
         return complex(total)
 
-    def eval_point(self, u: ProjPoint1) -> complex:
-        return self.eval_uv(u.coords[0], u.coords[1])
-
     def deriv_u0(self) -> "BinaryForm":
         if self.degree == 0:
             return BinaryForm(0, [0.0])
@@ -533,6 +530,11 @@ def _sylvester(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return S
 
 
+def _discriminant_matrix(p: BinaryForm) -> np.ndarray:
+    """Sylvester matrix of the two partial derivatives of p, of degree >= 2."""
+    return _sylvester(p.deriv_u0().coeffs[::-1], p.deriv_u1().coeffs[::-1])
+
+
 def binary_discriminant(p: BinaryForm) -> complex:
     """Resultant of the two partial derivatives of p, via the Sylvester determinant.
 
@@ -544,18 +546,4 @@ def binary_discriminant(p: BinaryForm) -> complex:
         raise ZeroForm("discriminant needs degree >= 1")
     if p.degree == 1:
         return 1.0 + 0.0j
-    fx = p.deriv_u0().coeffs[::-1]
-    fy = p.deriv_u1().coeffs[::-1]
-    return complex(np.linalg.det(_sylvester(fx, fy)))
-
-
-def discriminant_scale(p: BinaryForm) -> float:
-    """Hadamard bound of the discriminant's Sylvester matrix, for relative tests."""
-    if p.degree <= 1:
-        return 1.0
-    fx = p.deriv_u0().coeffs[::-1]
-    fy = p.deriv_u1().coeffs[::-1]
-    S = _sylvester(fx, fy)
-    rows = np.linalg.norm(S, axis=1)
-    rows = np.where(rows == 0, 1.0, rows)
-    return float(np.prod(rows))
+    return complex(np.linalg.det(_discriminant_matrix(p)))

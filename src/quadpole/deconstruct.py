@@ -101,16 +101,13 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
     strategy; each level's rows certify themselves."""
     cur, ctx = _strip_q_powers(h, Q, eps_cluster, tol_div)
     if ctx is not None:
-        # the rows before the first failing parcelling are expanded before
-        # its error is raised, as when each row is factored in turn
-        facts, err = ctx.rows(strategy)
-        rows = [(f.multipole(), f.remainder) for f in facts]
+        rows = [(f.multipole(), f.remainder) for f in ctx.rows(strategy)]
     else:
         if cur.degree != 1 or cur.is_zero():
             return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
         # a line is the secant of its two conic points, so a nonzero linear
         # level is its own one-line multipole: scale * line = h exactly
-        rows, err = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))], None
+        rows = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))]
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
     for mp, remainder in rows:
         for lam, terms in _chain(remainder, Q, strategy, eps_cluster, tol_div,
@@ -120,8 +117,6 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
             if budget[0] < 0:
                 raise EnumerationLimit("more than %d sequences" %
                                        ENUMERATION_CAP)
-    if err is not None:
-        raise err
     return out
 
 

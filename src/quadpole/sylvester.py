@@ -38,20 +38,18 @@ from .conic import (
     BinaryForm,
     ConicParam,
     EPS_CLUSTER,
-    ProjPoint1,
     ProjPoint2,
     RootCluster,
     TOL_SAME_POINT,
     _check_eps_cluster,
     _clusters_of,
+    _discriminant_matrix,
     _merge_groups,
     _norm,
     _normalize_rows,
     _raw_roots,
     _restriction_norm,
-    binary_discriminant,
     conic_param,
-    discriminant_scale,
     line_through,
     restrict_to_conic,
     roots_projective,
@@ -64,7 +62,6 @@ from .errors import (
     NotDivisible,
     NotReal,
     OddTotal,
-    QuadpoleError,
     SolveFailure,
 )
 
@@ -413,14 +410,15 @@ class _FactorContext:
 
     _factor_rows takes a list of parcellings as one stack of rows, and
     finds for them the point q where lambda is fixed, P(q) and, by one
-    line_through call, the lines of their distinct pieces.  q is the conic
-    point of the trial parameter _evaluation_index picks, read from a table
-    cached per form (_trial_conic_points), and P(q) is the product of P's
-    coefficients with that point's monomial row, cached per (form, degree,
-    trial index) (_trial_monomials); neither table depends on P.  Each row
-    is computed as it is alone, except that a remainder R, from one matrix
-    product for the stack, can differ in its last bits with the number of
-    rows that share the call.
+    line_through call, the lines of their distinct pieces.  It gives every
+    row's factorization, or raises the error of the first failing row.  q
+    is the conic point of the trial parameter _evaluation_index picks, read
+    from a table cached per form (_trial_conic_points), and P(q) is the
+    product of P's coefficients with that point's monomial row, cached per
+    (form, degree, trial index) (_trial_monomials); neither table depends
+    on P.  Each row is computed as it is alone, except that a remainder R,
+    from one matrix product for the stack, can differ in its last bits with
+    the number of rows that share the call.
 
     Every division by Q, the divisibility test and the parcellings'
     defects, goes through divide_rows_by_quadric, which applies one operator
@@ -504,16 +502,10 @@ class _FactorContext:
                 return k
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
-    def evaluation_point(self) -> ProjPoint1:
-        """First golden-ratio trial point clear of the divisor with |b| not
-        small, as _evaluation_index finds it."""
-        return ProjPoint1._of(_TRIALS[self._evaluation_index()])
-
     def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
-                     ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
-        """P = lam * prod(L) + Q * R over each parcelling, each certified once:
-        the rows before the first failing one, and that row's error.  Every
-        parcelling must use each cluster its multiplicity times.
+                     ) -> List[MultipoleFactorization]:
+        """P = lam * prod(L) + Q * R over each parcelling, each certified once.
+        Every parcelling must use each cluster its multiplicity times.
 
         The one check is on the defect diff = P - lam * prod(L).  In a
         well-conditioned context R is zero when ||diff|| is at most
@@ -526,9 +518,8 @@ class _FactorContext:
         must lie within TOL_FACT * ||P|| of lam * L.
 
         Each check runs on the rows before the first failure found so far,
-        in the order a single row meets them, so the error kept is the one
-        the first failing parcelling gives alone; it is None when every row
-        passes.
+        in the order a single row meets them, so the error raised is the one
+        the first failing parcelling raises alone.
 
         No Python loop or generator runs per row: the pieces are one (n, d)
         array of columns into the call's lines, lambda's denominators Python
@@ -537,27 +528,24 @@ class _FactorContext:
         """
         n = len(parcellings)
         if n == 0:
-            return [], None
+            return []
         # every row's d = deg P pieces in turn, and the distinct pieces in
         # order of first use; every row uses every cluster, so a point off
         # the conic, like a failed search for the evaluation point, fails row 0
         pieces = list(itertools.chain.from_iterable(
             map(operator.attrgetter("pieces"), parcellings)))
         distinct = list(dict.fromkeys(pieces))
-        try:
-            k = self._evaluation_index()
-            q = _trial_conic_points(self.Q)[k]
-            p_at_q = complex((_trial_monomials(self.Q, self.P.degree, k) @ self.P.coeffs)[0])
-            ends = np.array(distinct, dtype=np.intp)
-            w = line_through(self.points[ends[:, 0]], self.points[ends[:, 1]], self.Q)
-        except QuadpoleError as exc:
-            return [], exc
+        k = self._evaluation_index()
+        q = _trial_conic_points(self.Q)[k]
+        p_at_q = complex((_trial_monomials(self.Q, self.P.degree, k) @ self.P.coeffs)[0])
+        ends = np.array(distinct, dtype=np.intp)
+        w = line_through(self.points[ends[:, 0]], self.points[ends[:, 1]], self.Q)
         # each line scaled so its max-modulus coefficient is 1, and its value
         # at q as the (1, 3) @ (3,) product of the degree-1 monomials at q,
         # as HomogPoly.__call__ takes them, with one line
         w = w / w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
         values = (_monomial_values(1, q.reshape(1, 3)) @ w[:, :, None])[:, 0, 0].tolist()
-        d, err = self.P.degree, None
+        d, late = self.P.degree, None
         flat = list(map(dict(zip(distinct, itertools.count())).__getitem__, pieces))
         cols = np.array(flat, dtype=np.intp).reshape(-1, d)
         # lambda's denominator as a Python complex, 1 times each line's
@@ -566,10 +554,10 @@ class _FactorContext:
         for k in range(d):
             denoms = list(map(operator.mul, denoms, map(values.__getitem__, flat[k::d])))
         if 0 in denoms:
-            n, err = denoms.index(0), NoEvaluationPoint(
+            n, late = denoms.index(0), NoEvaluationPoint(
                 "evaluation point lies on a factor line")
             if n == 0:
-                return [], err
+                raise late
         lams = list(map(operator.truediv, itertools.repeat(p_at_q), denoms[:n]))
         lines = w[cols[:n]]
         diff = self.P.coeffs - np.array(lams)[:, None] * _line_products(lines)
@@ -577,10 +565,8 @@ class _FactorContext:
         deg_r = max(self.P.degree - 2, 0)
         rem = np.zeros((n, grade_dim(deg_r)), dtype=complex)
         if self.P.degree < 2:
-            bad = np.flatnonzero(norms > TOL_FACT * self.pnorm)
-            if bad.size:
-                n, err = int(bad[0]), SolveFailure(
-                    "linear input is not proportional to its line")
+            if np.any(norms > TOL_FACT * self.pnorm):
+                raise SolveFailure("linear input is not proportional to its line")
         else:
             tol = self.tol_div if self.ill_conditioned else min(self.tol_div, TOL_FACT)
             big = np.flatnonzero(norms > tol * self.pnorm)
@@ -590,12 +576,13 @@ class _FactorContext:
                     rem[big] = divide_rows_by_quadric(diff[big], self.P.degree, self.Q,
                                                       tol_div=tol, ref_norm=ref)
                 except NotDivisible as exc:
-                    rem[big[:exc.row]] = exc.quotient
-                    n, err = int(big[exc.row]), SolveFailure(
-                        "factorization defect is not a multiple of Q: %s" % exc)
+                    raise SolveFailure(
+                        "factorization defect is not a multiple of Q: %s" % exc) from None
+        if late is not None:
+            raise late
         lines_of = _objects(list(map(HomogPoly._of, itertools.repeat(1), w)))
-        return _factorization_rows(lams[:n], lines_of[cols[:n]].tolist(), deg_r, rem[:n],
-                                   parcellings[:n], self.ill_conditioned), err
+        return _factorization_rows(lams, lines_of[cols].tolist(), deg_r, rem,
+                                   parcellings, self.ill_conditioned)
 
     def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
         """The parcelling a strategy picks.
@@ -613,17 +600,16 @@ class _FactorContext:
                 pieces.extend([(i, j)] * self.clusters[i].multiplicity)
         return GeneralizedParcelling(tuple(sorted(pieces)))
 
-    def rows(self, strategy: str
-             ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
-        """The strategy's rows as _factor_rows gives them: every parcelling's
-        for enumerate, else the one parcelling_for picks, made real for
-        real_unique."""
+    def rows(self, strategy: str) -> List[MultipoleFactorization]:
+        """The strategy's rows as _factor_rows gives them, or its error
+        raised: every parcelling's for enumerate, else the one parcelling_for
+        picks, made real for real_unique."""
         if strategy == "enumerate":
             return self._factor_rows(enumerate_parcellings(self.multiplicities))
-        facts, err = self._factor_rows([self.parcelling_for(strategy)])
+        facts = self._factor_rows([self.parcelling_for(strategy)])
         if strategy == "real_unique":
-            return _realified(facts, self.P, self.Q, err)
-        return facts, err
+            return _realified(facts, self.P, self.Q)
+        return facts
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -656,15 +642,6 @@ class _FactorContext:
         return sigma
 
 
-def _rows_or_raise(rows: Tuple[List[MultipoleFactorization], Optional[Exception]]
-                   ) -> List[MultipoleFactorization]:
-    """The rows of a (rows, error) pair as _factor_rows gives it, or its error raised."""
-    facts, err = rows
-    if err is not None:
-        raise err
-    return facts
-
-
 def _is_real(grades: Iterable[HomogPoly], ref_norm: float) -> bool:
     """Whether input is taken as real: no grade's imaginary part exceeds
     TOL_REAL * ref_norm, each caller giving its own reference norm.  A NaN
@@ -678,20 +655,18 @@ def _check_real_input(P: HomogPoly) -> None:
         raise NotReal("polynomial has non-real coefficients")
 
 
-def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadForm,
-               err: Optional[Exception]
-               ) -> Tuple[List[MultipoleFactorization], Optional[Exception]]:
+def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadForm
+               ) -> List[MultipoleFactorization]:
     """Drop imaginary round-off from factorizations of P that must be real.
 
-    The rows come from one context, and err is the factoring error of the
-    row after them, if any.  Each row must have an imaginary drift of at
-    most 1e-6 and, unless ill-conditioned, its real parts must rebuild P
-    within TOL_FACT * ||P||.  Both gates run over all rows at once.  Gives
-    the real factorizations before the first row that fails, and the error
-    that comes first: that row's, else err.
+    The rows come from one context.  Each row must have an imaginary drift
+    of at most 1e-6 and, unless ill-conditioned, its real parts must rebuild
+    P within TOL_FACT * ||P||.  Both gates run over all rows at once, the
+    residual gate on the rows before the first drifting one, so the error
+    raised is the one the first failing row raises alone.
     """
     if not facts:
-        return [], err
+        return []
     lam = np.array([f.lam for f in facts])
     lines = np.array([L.coeffs for f in facts for L in f.lines]).reshape(len(facts), -1, 3)
     rem = np.array([f.remainder.coeffs for f in facts])
@@ -699,11 +674,11 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
         np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0),
         np.max(np.abs(lines.imag), axis=(1, 2), initial=0.0),
         np.max(np.abs(rem.imag), axis=1) / np.maximum(np.linalg.norm(rem, axis=1), 1.0)])
-    n = len(facts)
+    n, late = len(facts), None
     bad = np.flatnonzero(drift > 1e-6)
     if bad.size:
         n = int(bad[0])
-        err = ConjugationPairingFailure(
+        late = ConjugationPairingFailure(
             "factorization expected to be real has imaginary drift %.3e" % drift[n])
     lam, lines, rem = lam.real[:n], lines.real[:n].astype(complex), rem.real[:n].astype(complex)
     if n and not facts[0].ill_conditioned:
@@ -713,15 +688,16 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
         res = np.linalg.norm(recon - P.coeffs, axis=1)
         bad = np.flatnonzero(res > TOL_FACT * P.norm())
         if bad.size:
-            n = int(bad[0])
-            err = SolveFailure("real factorization residual %.3e too large" % res[n])
+            raise SolveFailure("real factorization residual %.3e too large" % res[bad[0]])
+    if late is not None:
+        raise late
     lines_of = _objects(list(map(HomogPoly._of, itertools.repeat(1),
                                  lines.reshape(-1, 3))))
     return _factorization_rows(lam.astype(complex).tolist(),
                                lines_of.reshape(lines.shape[:2]).tolist(),
                                facts[0].remainder.degree, rem,
-                               list(map(operator.attrgetter("parcelling"), facts[:n])),
-                               facts[0].ill_conditioned), err
+                               list(map(operator.attrgetter("parcelling"), facts)),
+                               facts[0].ill_conditioned)
 
 
 def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelling,
@@ -733,14 +709,14 @@ def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelli
     if not all(0 <= i < n for piece in parcelling.pieces for i in piece) \
             or parcelling.multiplicity_use(n) != ctx.multiplicities:
         raise ValueError("parcelling does not match the root multiplicities")
-    return _rows_or_raise(ctx._factor_rows([parcelling]))[0]
+    return ctx._factor_rows([parcelling])[0]
 
 
 def all_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
                        tol_div: float = TOL_DIV) -> List[MultipoleFactorization]:
     """Factorizations for every parcelling, in enumeration order."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return _rows_or_raise(ctx.rows("enumerate"))
+    return ctx.rows("enumerate")
 
 
 def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -778,7 +754,7 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
         if not Q.is_definite:
             raise NotDefinite("real factorization needs a definite real form")
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
-    return _rows_or_raise(ctx.rows(strategy))[0]
+    return ctx.rows(strategy)[0]
 
 
 def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -796,8 +772,7 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
     sigma = ctx.conjugation(require_free=False)
     stable = [par for par in enumerate_parcellings(ctx.multiplicities)
               if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
-    facts, err = ctx._factor_rows(stable)
-    return _rows_or_raise(_realified(facts, P, Q, err))
+    return _realified(ctx._factor_rows(stable), P, Q)
 
 
 def intersection_clusters(P: HomogPoly, Q: QuadForm,
@@ -823,7 +798,8 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     resultant does not, SolveFailure is raised.  Every other disagreement,
     and every one above degree 8, goes to the clusters.  P is tested for
     being a multiple of Q as a factor context tests it: the restriction
-    decides where it can, the division elsewhere.
+    decides where it can, the division elsewhere.  A nonzero constant meets
+    the conic nowhere, so its divisor has no multiple point.
     """
     b = _restriction_of(P, Q, tol_div)[1]
     max_c = float(np.max(np.abs(b.coeffs)))
@@ -833,8 +809,12 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     eps_mult = max(10.0 * eps_cluster, 1e-5)
     clusters = roots_projective(b, eps_cluster=eps_mult)
     multiple = any(c.multiplicity >= 2 for c in clusters)
-    bn = BinaryForm(b.degree, b.coeffs / max_c)
-    small = abs(binary_discriminant(bn)) <= TOL_DISC * discriminant_scale(bn)
-    if multiple and not small and b.degree <= 8:
-        raise SolveFailure("cluster and resultant discriminant signals disagree")
+    if multiple and b.degree <= 8:
+        # the resultant of the normalized restriction's partials, against
+        # the Hadamard bound of their Sylvester matrix S
+        S = _discriminant_matrix(BinaryForm(b.degree, b.coeffs / max_c))
+        rows = np.linalg.norm(S, axis=1)
+        scale = float(np.prod(np.where(rows == 0, 1.0, rows)))
+        if not abs(complex(np.linalg.det(S))) <= TOL_DISC * scale:
+            raise SolveFailure("cluster and resultant discriminant signals disagree")
     return multiple

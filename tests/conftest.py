@@ -44,6 +44,11 @@ def monomial_index(degree):
     return {m: i for i, m in enumerate(monomials(degree))}
 
 
+def eval_point(f, u):
+    """The binary form f at the ProjPoint1 u."""
+    return f.eval_uv(*u.coords)
+
+
 @pytest.fixture(scope="session")
 def sphere():
     return QuadForm(np.eye(3))

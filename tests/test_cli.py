@@ -159,6 +159,11 @@ class TestOtherCommands:
         assert parsed(run, ["discriminant", files["xy"]]) \
             == {"in_discriminant": False}
 
+    def test_discriminant_of_a_constant(self, run, files):
+        # exit 4 with ZeroForm before the resultant was built only where it decides
+        assert parsed(run, ["discriminant", files["const1"]]) \
+            == {"in_discriminant": False}
+
     def test_harmonic(self, run, files):
         obj = parsed(run, ["harmonic", files["xsq"]])
         comps = [qio.poly_from_json(c) for c in obj["components"]]
@@ -473,6 +478,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert "band 12 " in captured.err
+
+    def test_unwritable_output_is_an_input_error(self, files, capsys):
+        # a missing directory raised FileNotFoundError out of main (exit 1)
+        code = main(["counts", "--d", "3", "--output",
+                     str(files["tmp"] / "missing" / "out.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert "Traceback" not in captured.err
+
+    def test_deeply_nested_json_is_an_input_error(self, files, capsys):
+        # 100,000 nested lists raised RecursionError out of json (exit 1)
+        deep = "[" * 100000
+        path = files["tmp"] / "deep.json"
+        path.write_text(deep)
+        for argv in (["decompose", str(path)],
+                     ["maxwell", "--vectors", deep],
+                     ["planar-fiber", files["div2"], "--center", deep]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv[0]
+            assert "nested too deeply" in captured.err, argv[0]
+            assert "Traceback" not in captured.err
 
     def test_quadrature_too_low_is_an_input_error(self, capsys):
         code = main(["approx", "--function", "exp_x", "--d-max", "4",

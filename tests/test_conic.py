@@ -30,7 +30,7 @@ from quadpole.conic import (
     binary_discriminant,
 )
 
-from conftest import random_homog
+from conftest import eval_point, random_homog
 
 
 def form_from_roots(root_pairs, degree=None):
@@ -442,7 +442,7 @@ class TestBinaryForm:
     def test_eval_consistency(self):
         f = BinaryForm(2, [1, 2, 3])
         u = ProjPoint1([2, 1])
-        assert f.eval_point(u) == pytest.approx(
+        assert eval_point(f, u) == pytest.approx(
             f.eval_uv(*u.coords), rel=1e-12)
 
 
@@ -624,9 +624,9 @@ def _restrict_reference(p, param):
 
 
 def _point_reference(param, u):
-    """Test-local copy of the per-point path: each alpha by eval_point, then
+    """Test-local copy of the per-point path: each alpha at u, then
     the ProjPoint2 normalization."""
-    return ProjPoint2([a.eval_point(u) for a in param.alphas]).coords
+    return ProjPoint2([eval_point(a, u) for a in param.alphas]).coords
 
 
 def _bit_forms():

@@ -33,14 +33,15 @@ from quadpole import (
     real_factor,
     real_factorizations,
 )
-from quadpole import algebra, multipole_series, sylvester
+from quadpole import algebra, deconstruct, multipole_series, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim
 from quadpole.conic import BinaryForm, RootCluster, restrict_to_conic
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
                              QuadpoleError, SolveFailure, StrategyMismatch)
-from quadpole.sylvester import _FactorContext, _rows_or_raise
+from quadpole.sylvester import _FactorContext
 
-from conftest import compose_linear, monomial_index, q_orthogonal, random_homog, random_poly
+from conftest import (compose_linear, eval_point, monomial_index, q_orthogonal, random_homog,
+                      random_poly)
 
 
 def hp(degree, entries):
@@ -447,10 +448,10 @@ class TestEnumerationEngine:
             p = random_homog(4, rng)
             ctx = _FactorContext(p, Q)
             pars = enumerate_parcellings(ctx.multiplicities)
-            want = {par: _rows_or_raise(ctx._factor_rows([par]))[0] for par in pars}
+            want = {par: ctx._factor_rows([par])[0] for par in pars}
             shuffled = _FactorContext(p, Q)
             for k in rng.permutation(len(pars)):
-                got = _rows_or_raise(shuffled._factor_rows([pars[k]]))[0]
+                got = shuffled._factor_rows([pars[k]])[0]
                 ref = want[pars[k]]
                 assert got.lam == ref.lam
                 assert np.array_equal(got.remainder.coeffs, ref.remainder.coeffs)
@@ -496,8 +497,8 @@ class TestEnumerationEngine:
         calls.clear()
         ctx = _FactorContext(P, sphere)
         pars = enumerate_parcellings(ctx.multiplicities)
-        first = _rows_or_raise(ctx._factor_rows(pars))
-        again = _rows_or_raise(ctx._factor_rows(pars))
+        first = ctx._factor_rows(pars)
+        again = ctx._factor_rows(pars)
         assert calls == [28, 28]
         assert [np.complex128(f.lam).tobytes() for f in again] \
             == [np.complex128(f.lam).tobytes() for f in first]
@@ -727,13 +728,13 @@ class TestBatchedGates:
         original = _FactorContext._factor_rows
 
         def perturbed(self, parcellings):
-            facts, err = original(self, parcellings)
+            facts = original(self, parcellings)
             f = facts[late]
             e = rng.standard_normal(3)
             L = f.lines[0]
             f.lines = [HomogPoly(1, L.coeffs + 1e-7 * np.linalg.norm(L.coeffs)
                                  * e / np.linalg.norm(e))] + f.lines[1:]
-            return facts, err
+            return facts
 
         monkeypatch.setattr(_FactorContext, "_factor_rows", perturbed)
         with pytest.raises(SolveFailure, match="real factorization residual"):
@@ -742,47 +743,66 @@ class TestBatchedGates:
 
 class TestFirstFailingRow:
     """Rows that fail different checks: the error raised is the one the
-    first failing parcelling raises alone, and the rows before it are kept."""
+    first failing parcelling raises alone."""
 
     def test_error_of_first_failing_row(self, sphere, monkeypatch):
         P = random_homog(4, np.random.default_rng(57))
         ctx = _FactorContext(P, sphere)
         pars = enumerate_parcellings(ctx.multiplicities)
-        want = _rows_or_raise(ctx._factor_rows(pars))
-        # the line first used latest passes through the evaluation point q:
-        # q's pivot coordinate p is exactly 1 and |q_j| < 1, so the line with
-        # 1 at j and -q_j at p is its own normalization and is exactly 0 at q
-        piece, row = _late_piece(ctx)
-        q = ctx.param.point(ctx.evaluation_point()).coords
-        p = int(np.flatnonzero(q == 1.0)[0])
-        j = min((k for k in range(3) if k != p), key=lambda k: abs(q[k]))
-        assert abs(q[j]) < 1.0
-        through_q = np.zeros(3, dtype=complex)
-        through_q[j], through_q[p] = 1.0, -q[j]
-        ends = [ctx.points.coords[i].tobytes() for i in piece]
-        original = sylvester.line_through
-
-        def late_line_through_q(pa, pb, Q):
-            w = original(pa, pb, Q)
-            for k, (a, b) in enumerate(zip(pa.coords, pb.coords)):
-                if [a.tobytes(), b.tobytes()] == ends:
-                    w[k] = through_q
-            return w
-
-        monkeypatch.setattr(sylvester, "line_through", late_line_through_q)
+        ctx._factor_rows(pars)
+        row = _late_line_through_q(ctx, monkeypatch)
         wrong = GeneralizedParcelling(((0, 0), (1, 2), (3, 4), (5, 6)))
         with pytest.raises(NoEvaluationPoint):
-            _rows_or_raise(ctx._factor_rows(pars))
+            ctx._factor_rows(pars)
         # wrong misses the multiplicities, so its defect is not a multiple of Q
         with pytest.raises(SolveFailure, match="not a multiple of Q"):
-            _rows_or_raise(ctx._factor_rows(pars[:row] + [wrong] + pars[row:]))
+            ctx._factor_rows(pars[:row] + [wrong] + pars[row:])
         with pytest.raises(NoEvaluationPoint):
-            _rows_or_raise(ctx._factor_rows(pars[:row + 1] + [wrong]))
-        facts, err = ctx._factor_rows(pars)
-        assert isinstance(err, NoEvaluationPoint) and len(facts) == row
-        for f, g in zip(facts, want):
-            assert f.parcelling == g.parcelling and _rel(f.lam, g.lam) <= 1e-12
-            assert _rel(f.remainder.coeffs, g.remainder.coeffs) <= 1e-12
+            ctx._factor_rows(pars[:row + 1] + [wrong])
+
+    def test_enumerate_expands_no_row_of_a_failing_level(self, sphere, monkeypatch):
+        # the late top-level row fails, so full_decompose raises its error
+        # before any earlier row's remainder gets a context of its own
+        P = random_homog(4, np.random.default_rng(57))
+        assert _late_line_through_q(_FactorContext(P, sphere), monkeypatch) > 0
+        built = []
+
+        def counted(h, *args, **kwargs):
+            built.append(h.degree)
+            return _FactorContext(h, *args, **kwargs)
+
+        monkeypatch.setattr(deconstruct, "_FactorContext", counted)
+        with pytest.raises(NoEvaluationPoint):
+            full_decompose(P, sphere, strategy="enumerate")
+        assert built == [4]
+
+
+def _late_line_through_q(ctx, monkeypatch):
+    """Make line_through give, for the piece of ctx first used latest, a
+    line through the evaluation point q; returns that piece's first row.
+
+    q's pivot coordinate p is exactly 1 and |q_j| < 1, so the line with 1
+    at j and -q_j at p is its own normalization and is exactly 0 at q.
+    """
+    piece, row = _late_piece(ctx)
+    q = ctx.param.point(_evaluation_point(ctx)).coords
+    p = int(np.flatnonzero(q == 1.0)[0])
+    j = min((k for k in range(3) if k != p), key=lambda k: abs(q[k]))
+    assert abs(q[j]) < 1.0
+    through_q = np.zeros(3, dtype=complex)
+    through_q[j], through_q[p] = 1.0, -q[j]
+    ends = [ctx.points.coords[i].tobytes() for i in piece]
+    original = sylvester.line_through
+
+    def late_line_through_q(pa, pb, Q):
+        w = original(pa, pb, Q)
+        for k, (a, b) in enumerate(zip(pa.coords, pb.coords)):
+            if [a.tobytes(), b.tobytes()] == ends:
+                w[k] = through_q
+        return w
+
+    monkeypatch.setattr(sylvester, "line_through", late_line_through_q)
+    return row
 
 
 def _from_parts_reference(lam, line_polys):
@@ -991,8 +1011,8 @@ class TestAtScale:
             for a, b in zip(got.clusters, want.clusters):
                 assert np.array_equal(a.point.coords, b.point.coords)
             assert got.ill_conditioned == want.ill_conditioned
-            assert _outcome(lambda: _rows_or_raise(got.rows(strategy))[0]) \
-                == _outcome(lambda: _rows_or_raise(want.rows(strategy))[0])
+            assert _outcome(lambda: got.rows(strategy)[0]) \
+                == _outcome(lambda: want.rows(strategy)[0])
 
     def test_near_double(self, sphere, hyperboloid):
         rng = np.random.default_rng(49)
@@ -1055,6 +1075,11 @@ class TestDiscriminant:
     def test_divisible_rejected(self, sphere):
         with pytest.raises(DivisibleByQ):
             in_discriminant(sphere.poly(), sphere)
+
+    def test_constant_false(self, sphere):
+        # a nonzero constant meets the conic nowhere; the resultant, built
+        # for every input, raised ZeroForm here
+        assert not in_discriminant(HomogPoly(0, [2.0]), sphere)
 
     def test_random_generic_false(self, sphere):
         rng = np.random.default_rng(26)
@@ -1229,8 +1254,13 @@ def _outcome_of(fn):
         return type(exc).__name__, str(exc)
 
 
+def _evaluation_point(ctx):
+    """The trial point a context's _evaluation_index picks."""
+    return ProjPoint1._of(sylvester._TRIALS[ctx._evaluation_index()])
+
+
 def _evaluation_point_reference(ctx):
-    """_FactorContext.evaluation_point as a scalar loop, a test-local copy."""
+    """_evaluation_point as a scalar loop, a test-local copy."""
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     max_c = float(np.max(np.abs(ctx.b.coeffs)))
     power = 1.0
@@ -1239,7 +1269,7 @@ def _evaluation_point_reference(ctx):
         power *= float(golden)
         if any(chordal(u, c.point) <= 10 * ctx.eps_cluster for c in ctx.clusters):
             continue
-        if abs(ctx.b.eval_point(u)) <= 1e-4 * max_c:
+        if abs(eval_point(ctx.b, u)) <= 1e-4 * max_c:
             continue
         return u
     raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
@@ -1253,7 +1283,7 @@ def _point_outcome(fn):
 
 
 def _stub_context(params, b, eps_cluster):
-    """What evaluation_point reads of a context: clusters at the given
+    """What _evaluation_index reads of a context: clusters at the given
     parameters, the restriction b and the scale."""
     ctx = _FactorContext.__new__(_FactorContext)
     ctx.clusters = [RootCluster(ProjPoint1(p), 1) for p in params]
@@ -1263,7 +1293,7 @@ def _stub_context(params, b, eps_cluster):
 
 
 class TestEvaluationPoint:
-    """evaluation_point against a test-local copy of the scalar loop."""
+    """_evaluation_point against a test-local copy of the scalar loop."""
 
     def test_contexts(self, sphere, dense_complex):
         rng = np.random.default_rng(73)
@@ -1272,7 +1302,7 @@ class TestEvaluationPoint:
                 P = random_homog(d, rng)
                 for eps in (1e-6, 1e-3, 1e-2, 0.05, 0.0999, 0.1):
                     ctx = _FactorContext(P, Q, eps_cluster=eps)
-                    assert _point_outcome(ctx.evaluation_point) \
+                    assert _point_outcome(lambda: _evaluation_point(ctx)) \
                         == _point_outcome(lambda: _evaluation_point_reference(ctx))
 
     def test_clearance_ties(self):
@@ -1288,7 +1318,7 @@ class TestEvaluationPoint:
             dist = chordal(ProjPoint1(trials[t]), ProjPoint1(params[j]))
             for eps in (dist / 10, np.nextafter(dist, 0) / 10, np.nextafter(dist, 2) / 10):
                 ctx = _stub_context(params, b, eps)
-                assert _point_outcome(ctx.evaluation_point) \
+                assert _point_outcome(lambda: _evaluation_point(ctx)) \
                     == _point_outcome(lambda: _evaluation_point_reference(ctx))
 
     def test_distance_exactly_one(self):
@@ -1303,12 +1333,12 @@ class TestEvaluationPoint:
         for params in ([far], [far, [3.0, 1j]]):
             ctx = _stub_context(params, b, 0.1)
             with pytest.raises(NoEvaluationPoint):
-                ctx.evaluation_point()
+                _evaluation_point(ctx)
             with pytest.raises(NoEvaluationPoint):
                 _evaluation_point_reference(ctx)
         ctx = _stub_context([far], b, np.nextafter(0.1, 0))
         assert 10 * ctx.eps_cluster < 1.0
-        assert ctx.evaluation_point().coords.tobytes() \
+        assert _evaluation_point(ctx).coords.tobytes() \
             == _evaluation_point_reference(ctx).coords.tobytes() == second.tobytes()
 
     def test_trial_points(self):
@@ -1327,11 +1357,11 @@ class TestRowBits:
         for Q in (sphere, hyperboloid, dense_complex):
             for d in (1, 2, 3, 4):
                 ctx = _FactorContext(random_homog(d, rng), Q)
-                facts = _rows_or_raise(ctx.rows("enumerate"))
+                facts = ctx.rows("enumerate")
                 # a test-local reference: the evaluation point q, P(q), and
                 # each piece's line, built alone and scaled so its
                 # max-modulus coefficient is 1, with its value at q
-                q = ctx.param.point(ctx.evaluation_point()).coords
+                q = ctx.param.point(_evaluation_point(ctx)).coords
                 p_at_q = ctx.P(q)
                 lines = {}
                 for piece in {p for f in facts for p in f.parcelling.pieces}:
