@@ -160,7 +160,7 @@ class TestOtherCommands:
             == {"in_discriminant": False}
 
     def test_discriminant_of_a_constant(self, run, files):
-        # exit 4 with ZeroForm before the resultant was built only where it decides
+        # the resultant, built for every input, raised ZeroForm here (exit 4)
         assert parsed(run, ["discriminant", files["const1"]]) \
             == {"in_discriminant": False}
 

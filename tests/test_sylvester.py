@@ -749,7 +749,7 @@ class TestFirstFailingRow:
         P = random_homog(4, np.random.default_rng(57))
         ctx = _FactorContext(P, sphere)
         pars = enumerate_parcellings(ctx.multiplicities)
-        ctx._factor_rows(pars)
+        ctx._factor_rows(pars)  # every row passes before the patch
         row = _late_line_through_q(ctx, monkeypatch)
         wrong = GeneralizedParcelling(((0, 0), (1, 2), (3, 4), (5, 6)))
         with pytest.raises(NoEvaluationPoint):
