@@ -18,9 +18,24 @@ import numpy as np
 
 from .errors import Degenerate, InsufficientQuadrature, MixedParity, NotDivisible
 
-# Default tolerances; every operation that uses one takes it as a keyword.
+# Thresholds: TOL_DIV is every tol_div keyword's default, the others are fixed.
 TOL_DIV = 1e-9
 TOL_DET = 1e-12
+TOL_SYMMETRIC = 1e-12  # largest |B - B^T| of a form, relative to max|B|
+NORM_FLOOR = 1e-300  # least reference norm of a relative bound, which keeps it above 0
+TOL_PIVOT = 1e-13  # least pivot of quad_reduce and _sqrt_factor_2x2, relative to max entry
+SAMPLE_Q_FLOOR = 1e-9  # least |Q(u)|, or Q(u) when real, of a sample scaled onto {Q = 1}
+
+
+def _check_tol_div(tol_div: float) -> None:
+    """Raise ValueError unless tol_div lies in (0, 1): a least-squares
+    residual never exceeds ||P||, so a bound of 1 or more would take every P
+    for a multiple of Q, and a NaN one would pass every P.  The division
+    itself, divide_rows_by_quadric, takes any finite positive bound."""
+    if not 0 < tol_div < 1:
+        raise ValueError("tol_div must be finite and positive, and below 1, not %r"
+                         % (tol_div,))
+
 
 Monomial = Tuple[int, int, int]
 
@@ -118,8 +133,8 @@ class HomogPoly:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs), initial=0.0) <= tol)
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
     def __add__(self, other: "HomogPoly") -> "HomogPoly":
         if self.degree != other.degree:
@@ -277,8 +292,8 @@ class Poly:
     def norm(self) -> float:
         return float(math.sqrt(sum(p.norm() ** 2 for p in self.parts)))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(p.is_zero(tol) for p in self.parts)
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.parts)
 
     def _padded(self, other: "Poly"):
         top = max(self.degree, other.degree)
@@ -370,7 +385,7 @@ class QuadForm:
         if not np.all(np.isfinite(B)):
             raise ValueError("B must have finite entries")
         scale = float(np.max(np.abs(B)))
-        if scale > 0 and np.max(np.abs(B - B.T)) > 1e-12 * scale:
+        if scale > 0 and np.max(np.abs(B - B.T)) > TOL_SYMMETRIC * scale:
             raise ValueError("B must be symmetric")
         self.B = 0.5 * (B + B.T)
         if scale == 0.0 or abs(np.linalg.det(self.B)) <= TOL_DET * scale ** 3:
@@ -400,10 +415,6 @@ class QuadForm:
     @property
     def is_definite(self) -> bool:
         return self.is_real and self.signature in (-3, 3)
-
-    @property
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.B))
 
     @property
     def b_inv(self) -> np.ndarray:
@@ -443,11 +454,11 @@ def _sqrt_factor_2x2(T: np.ndarray) -> np.ndarray:
     """W with W @ W.T = T for symmetric complex 2x2 T."""
     t00, t01, t11 = T[0, 0], T[0, 1], T[1, 1]
     scale = max(abs(t00), abs(t01), abs(t11))
-    if abs(t00) > 1e-13 * scale:
+    if abs(t00) > TOL_PIVOT * scale:
         w1 = np.array([t00, t01], dtype=complex) / np.sqrt(t00)
         w2 = np.array([0.0, np.sqrt(t11 - w1[1] ** 2)], dtype=complex)
         return np.column_stack([w1, w2])
-    if abs(t11) > 1e-13 * scale:
+    if abs(t11) > TOL_PIVOT * scale:
         w1 = np.array([t01, t11], dtype=complex) / np.sqrt(t11)
         w2 = np.array([np.sqrt(t00 - w1[0] ** 2), 0.0], dtype=complex)
         return np.column_stack([w2, w1])
@@ -465,7 +476,7 @@ def quad_reduce(Q: QuadForm) -> np.ndarray:
     B = Q.B
     scale = float(np.max(np.abs(B)))
     M = B.copy()
-    piv_tol = 1e-13 * scale
+    piv_tol = TOL_PIVOT * scale
     cols = []
     while len(cols) < 3:
         dvals = np.abs(np.diag(M))
@@ -535,10 +546,10 @@ def divide_rows_by_quadric(rows: np.ndarray, degree: int, Q: QuadForm,
     by one product with the operator M^+ cached per (Q, degree).  A row is
     divisible when ||Q * R_i - p_i|| is at most tol_div * ref_i, where
     ref_norm is one number or one per row and defaults to ||p_i||.
-    Otherwise NotDivisible is raised for the first such row; its `row` is
-    that row's index and its `quotient` the quotients of the rows before it.
-    tol_div must be finite and positive: a NaN or infinite bound would pass
-    every row, so any input would count as a multiple of Q.
+    Otherwise NotDivisible is raised for the first such row.  tol_div must
+    be finite and positive: a NaN or infinite bound would pass every row.
+    Unlike _check_tol_div, this takes 1 and above: at tol_div = 1 any row
+    gets its least-squares quotient, as the tests' near-multiples need.
     """
     if degree < 2:
         raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")
@@ -549,11 +560,9 @@ def divide_rows_by_quadric(rows: np.ndarray, degree: int, Q: QuadForm,
     residual = np.linalg.norm(poly_mul_rows(Q.poly().coeffs[None, :], 2, quot, degree - 2)
                               - rows, axis=1)
     ref = np.linalg.norm(rows, axis=1) if ref_norm is None else ref_norm
-    bad = np.flatnonzero(residual > tol_div * np.maximum(ref, 1e-300))
+    bad = np.flatnonzero(residual > tol_div * np.maximum(ref, NORM_FLOOR))
     if bad.size:
-        k = int(bad[0])
-        raise NotDivisible("division residual %.3e exceeds tolerance" % residual[k],
-                           row=k, quotient=quot[:k])
+        raise NotDivisible("division residual %.3e exceeds tolerance" % residual[bad[0]])
     return quot
 
 
@@ -675,11 +684,11 @@ def surface_samples(Q: QuadForm, n: int, rng: np.random.Generator,
             u = u + 1j * rng.normal(size=3)
         qu = Q(u)
         if real:
-            if qu.real <= 1e-9:
+            if qu.real <= SAMPLE_Q_FLOOR:
                 continue
             pts[got] = u / math.sqrt(qu.real)
         else:
-            if abs(qu) <= 1e-9:
+            if abs(qu) <= SAMPLE_Q_FLOOR:
                 continue
             pts[got] = u * qu ** -0.5
         got += 1

@@ -24,6 +24,7 @@ from .algebra import (
     QuadratureRule,
     TOL_DIV,
     _UNIT,
+    _check_tol_div,
     _exponent_table,
     _lex_index,
     _monomial_values,
@@ -41,10 +42,13 @@ from .errors import (
     SolveFailure,
 )
 from .harmonic import delta_matrix
-from .maxwell import maxwell_fit, maxwell_poly
-from .sylvester import Multipole, _FactorContext, _auto_strategy, _check_tol_div
+from .maxwell import TOL_REPRODUCE, maxwell_fit, maxwell_poly
+from .sylvester import Multipole, _FactorContext, _auto_strategy
 
 TOL_ZERO_BAND = 1e-12
+TOL_BAND_FIT = 1e-12  # a band fit this close, relative, ends its escalation
+NOISE_ROOM = 1e3  # a band's least division tolerance, in units of its noise floor
+EPS_CLUSTER_MAX = 0.2  # the largest clustering scale the escalation reaches
 
 
 def _surface_nodes(Q: QuadForm, rule: QuadratureRule) -> np.ndarray:
@@ -247,26 +251,27 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     Real bands over a definite real form go through the unique real
     factorization; otherwise the deterministic greedy parcelling is used.
     Bands below TOL_ZERO_BAND * f_norm relative norm become the zero multipole.
-    Each nonzero multipole is checked to reproduce its band through the
-    potential-derivative construction before being returned.
+    Each nonzero multipole is checked to reproduce its band within
+    TOL_REPRODUCE relative, through the potential-derivative construction.
 
-    A band's division tolerance is tol_div raised to that band's noise
-    floor, so tol_div is checked at entry, as in every factor context: raised,
-    a zero or negative one would pass unnoticed.
+    A band's division tolerance is tol_div raised to NOISE_ROOM times that
+    band's noise floor, so tol_div is checked at entry, as in every factor
+    context: raised, a zero or negative one would pass unnoticed.
 
-    A band that does not reproduce within 1e-12 relative is factored again
-    with its roots merged at 10x the scale, from eps_cluster while the scale
-    is at most 0.2; so eps_cluster must lie in (0, 0.2].  A scale whose
-    roots merge into the same groups as a scale that was fit is skipped: its
-    clusters, parcelling and lines are that scale's, so it could only give
-    the same fit again.
+    A band that does not reproduce within TOL_BAND_FIT relative is factored
+    again with its roots merged at 10x the scale, from eps_cluster while the
+    scale is at most EPS_CLUSTER_MAX; so eps_cluster must lie in (0,
+    EPS_CLUSTER_MAX].  A scale whose roots merge into the same groups as a
+    scale that was fit is skipped: its clusters, parcelling and lines are
+    that scale's, so it could only give the same fit again.
 
     A harmonic band is never a multiple of Q, so a band that its division
     tolerance takes for one lies too near its noise floor to factor, and
     raises SolveFailure.
     """
-    if not 0.0 < eps_cluster <= 0.2:
-        raise ValueError("eps_cluster must lie in (0, 0.2], not %r" % (eps_cluster,))
+    if not 0.0 < eps_cluster <= EPS_CLUSTER_MAX:
+        raise ValueError("eps_cluster must lie in (0, %r], not %r"
+                         % (EPS_CLUSTER_MAX, eps_cluster))
     _check_tol_div(tol_div)
     scale_ref = max(decomp.f_norm, 1.0)
     strategy = _auto_strategy(decomp.bands, scale_ref, Q)
@@ -288,7 +293,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         # scale is escalated until the reproduction gate passes.  The band
         # is restricted and its roots found once; each scale re-merges them
         floor = np.finfo(float).eps * scale_ref / decomp.band_norms[k]
-        band_tol_div = max(tol_div, 1e3 * floor)
+        band_tol_div = max(tol_div, NOISE_ROOM * floor)
         w, c, best = None, 0j, np.inf
         last_err = None
         try:
@@ -298,7 +303,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                                % k) from exc
         fitted = None  # the last context whose candidate was fit
         eps = eps_cluster
-        while eps <= 0.2:
+        while eps <= EPS_CLUSTER_MAX:
             if eps != eps_cluster:
                 ctx = ctx.at_scale(eps)
             eps *= 10.0
@@ -310,14 +315,14 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
                 fitted = ctx
                 if defect < best:
                     w, c, best = cand, cc, defect
-                if defect <= 1e-12 * fk.norm():
+                if defect <= TOL_BAND_FIT * fk.norm():
                     break
             except (SolveFailure, ConjugationPairingFailure,
                     NoEvaluationPoint) as exc:
                 last_err = exc
         if w is None:
             raise last_err
-        if best > 1e-7 * fk.norm():
+        if best > TOL_REPRODUCE * fk.norm():
             raise SolveFailure("band %d multipole deviates by %.3e relative"
                                % (k, best / fk.norm()))
         terms[k] = w

@@ -66,6 +66,7 @@ def _resolve_quadric(name: str) -> QuadForm:
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 _TERM_FIELDS = [operator.itemgetter(key) for key in ("exp", "im", "re")]
+COUNTS_MAX_D = 74  # the largest --d whose bound prints under the 4,300-digit str limit
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,6 +284,8 @@ def _cmd_approx(args, Q: QuadForm) -> Any:
 
 
 def _cmd_counts(args, Q: QuadForm) -> Any:
+    if args.d > COUNTS_MAX_D:
+        raise InvalidInput("--d must be at most %d, not %d" % (COUNTS_MAX_D, args.d))
     return {"kappa": count_parcellings(args.d),
             "bound": representation_bound(args.d).bound}
 

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import HomogPoly, QuadForm, form_operator, monomials
+from .algebra import NORM_FLOOR, HomogPoly, QuadForm, form_operator, monomials
 from .errors import Degenerate, NotOnConic, ZeroForm
 
 EPS_CLUSTER = 1e-6
@@ -25,6 +25,8 @@ INF_COEFF_TOL = 1e-10
 TOL_ON_CONIC = 1e-9
 # Conic points closer than this chordal distance count as one point.
 TOL_SAME_POINT = 1e-9
+TOL_PARAM = 1e-10  # largest |Q(alpha(u))| coefficient of a parameterization, relative
+NEWTON_STEP_TOL = 1e-14  # a root whose Newton step is below this, relative, stops moving
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -236,8 +238,8 @@ def conic_param(Q: QuadForm) -> ConicParam:
     """Sphere-conic parameterization pushed through the reduction of Q.
 
     The component forms alpha_j satisfy Q(alpha(u)) = 0 identically; the
-    constructor verifies all five quartic coefficients vanish.  Built once
-    per form and shared, so the coefficient arrays are made read-only.
+    constructor verifies all five quartic coefficients vanish (TOL_PARAM).
+    Built once per form and shared, so the coefficient arrays are read-only.
     """
     a_inv = Q.a_inv
     alphas = []
@@ -253,7 +255,7 @@ def conic_param(Q: QuadForm) -> ConicParam:
             if B[i, j] != 0:
                 quartic += B[i, j] * np.convolve(alphas[i].coeffs, alphas[j].coeffs)
     scale = max(float(np.max(np.abs(B))), 1.0)
-    if np.max(np.abs(quartic)) > 1e-10 * scale:
+    if np.max(np.abs(quartic)) > TOL_PARAM * scale:
         raise Degenerate("parameterization does not satisfy Q(alpha(u)) = 0")
     return ConicParam(tuple(alphas), Q)
 
@@ -351,7 +353,7 @@ def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
         better = mag < best_val[live]
         best[live[better]] = cur[better]
         best_val[live[better]] = mag[better]
-        moving = np.abs(step) >= 1e-14 * (1 + np.abs(cur))
+        moving = np.abs(step) >= NEWTON_STEP_TOL * (1 + np.abs(cur))
         live, cur, val, dv = live[moving], cur[moving], val[moving], dv[moving]
         if live.size == 0:
             break
@@ -468,14 +470,14 @@ def _off_conic(pts: np.ndarray, Q: QuadForm) -> Tuple[np.ndarray, np.ndarray]:
     """Which rows of an (n, 3) stack of points lie off the conic, and their norms.
 
     A point p is off when |Q(p)| exceeds TOL_ON_CONIC * max|B| * |p|^2,
-    with max|B| floored at 1e-300.
+    with max|B| floored at NORM_FLOOR.
     """
     # squares summed in coordinate order, as Python complex arithmetic
     # sums them for chordal
     sq = pts.real * pts.real + pts.imag * pts.imag
     norms = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
     val = (pts[:, None] @ Q.B @ pts[:, :, None])[:, 0, 0]
-    scale = max(float(np.max(np.abs(Q.B))), 1e-300)
+    scale = max(float(np.max(np.abs(Q.B))), NORM_FLOOR)
     # np.hypot, not np.abs, gives abs(complex) of each value
     return np.hypot(val.real, val.imag) > TOL_ON_CONIC * scale * norms ** 2, norms
 

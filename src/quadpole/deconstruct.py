@@ -17,8 +17,10 @@ import numpy as np
 
 from .algebra import (
     HomogPoly,
+    NORM_FLOOR,
     Poly,
     QuadForm,
+    _check_tol_div,
     double_factorial,
     grade_split,
     homogenize_on_quadric,
@@ -31,7 +33,7 @@ from .errors import (
     InvalidPartition,
     StrategyMismatch,
 )
-from .sylvester import Multipole, _FactorContext, _check_tol_div, _is_real
+from .sylvester import TOL_REAL_RESULT, Multipole, _FactorContext, _is_real
 
 ENUMERATION_CAP = 10 ** 6
 
@@ -49,7 +51,7 @@ class MultipoleSequence:
     def degree(self) -> int:
         return max(self.terms, default=0)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
+    def is_real(self, tol: float = TOL_REAL_RESULT) -> bool:
         worst = abs(self.lam.imag)
         for mp in self.terms.values():
             worst = max(worst, abs(mp.scale.imag))
@@ -86,8 +88,6 @@ def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: floa
         try:
             return h, _FactorContext(h, Q, eps_cluster=eps_cluster, tol_div=tol_div)
         except DivisibleByQ as exc:
-            if exc.quotient is None:
-                raise
             h = exc.quotient
     return h, None
 
@@ -141,7 +141,7 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     if strategy == "real_unique":
         if not Q.is_definite:
             raise StrategyMismatch("real_unique needs a definite real form")
-        if not _is_real(P.parts, max(P.norm(), 1e-300)):
+        if not _is_real(P.parts, max(P.norm(), NORM_FLOOR)):
             raise StrategyMismatch("real_unique needs real coefficients")
     _check_tol_div(tol_div)
     _check_eps_cluster(eps_cluster)

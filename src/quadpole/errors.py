@@ -10,16 +10,7 @@ class MixedParity(QuadpoleError):
 
 
 class NotDivisible(QuadpoleError):
-    """Polynomial is not a multiple of the quadratic form (residual above tolerance).
-
-    For a stack of rows, row is the index of the first row that failed and
-    quotient holds the quotients of the rows before it.
-    """
-
-    def __init__(self, message: str = "", row: int = 0, quotient=None):
-        super().__init__(message)
-        self.row = row
-        self.quotient = quotient
+    """Polynomial is not a multiple of the quadratic form (residual above tolerance)."""
 
 
 class DivisibleByQ(QuadpoleError):

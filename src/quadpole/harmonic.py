@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     HomogPoly,
+    NORM_FLOOR,
     Poly,
     QuadForm,
     _exponent_table,
@@ -37,6 +38,8 @@ TOL_HARM = 1e-9
 # The least bound any residual gate applies: delta_Q of a computed harmonic
 # is round-off, not zero, so a bound of 0 would refuse every one of them.
 TOL_HARM_FLOOR = 1e-12
+TOL_DIRICHLET_DELTA = 1e-7  # dirichlet_solve's bound on delta_Q(P) - m, relative
+TOL_DIRICHLET_SURFACE = 1e-6  # dirichlet_solve's bound on P - n at surface samples
 
 
 def _harm_bound(tol_harm: float) -> float:
@@ -134,7 +137,7 @@ def is_harmonic(p: HomogPoly, Q: QuadForm, tol: float = TOL_HARM) -> bool:
         return True
     res = apply_delta_q(p, Q).norm()
     scale = max(1.0, p.degree ** 2 * float(np.max(np.abs(Q.b_inv))))
-    return res <= bound * scale * max(p.norm(), 1e-300)
+    return res <= bound * scale * max(p.norm(), NORM_FLOOR)
 
 
 def _closed_split(p: HomogPoly, Q: QuadForm) -> Tuple[HomogPoly, HomogPoly]:
@@ -169,7 +172,7 @@ def harmonic_project(p: HomogPoly, Q: QuadForm,
     H, R = _closed_split(p, Q)
     H, R2 = _closed_split(H, Q)
     residual = apply_delta_q(H, Q).norm()
-    if residual > bound * max(apply_delta_q(p, Q).norm(), p.norm(), 1e-300):
+    if residual > bound * max(apply_delta_q(p, Q).norm(), p.norm(), NORM_FLOOR):
         raise SolveFailure("projection residual %.3e too large" % residual)
     return H, R + R2
 
@@ -236,7 +239,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
             noise -= np.linalg.lstsq(dmat, dmat @ noise, rcond=None)[0]
             sol = sol + noise
         residual = float(np.linalg.norm(dmat @ sol - part.coeffs))
-        if residual > bound * max(part.norm(), 1e-300):
+        if residual > bound * max(part.norm(), NORM_FLOOR):
             raise SolveFailure("no grade-%d preimage under delta_Q" % (k + 2))
         t_grades[k + 2] = HomogPoly(k + 2, sol)
     T = Poly.from_grades(t_grades) if t_grades else Poly.zero()
@@ -258,11 +261,11 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
     for k in range(max(P.degree - 2, m.degree) + 1):
         lhs = apply_delta_q(P.part(k + 2), Q) if k + 2 <= P.degree else HomogPoly.zero(k)
         diff = lhs - m.part(k)
-        if diff.norm() > 1e-7 * max(m.norm(), P.norm(), 1.0):
+        if diff.norm() > TOL_DIRICHLET_DELTA * max(m.norm(), P.norm(), 1.0):
             raise SolveFailure("delta_Q(P) misses target at grade %d" % k)
     pts = surface_samples(Q, 200, np.random.default_rng(20200))
     gap = np.max(np.abs(P.eval_many(pts) - n.eval_many(pts)))
     scale = max(n.norm(), P.norm(), 1.0)
-    if gap > 1e-6 * scale:
+    if gap > TOL_DIRICHLET_SURFACE * scale:
         raise SolveFailure("surface values miss the target by %.3e" % gap)
     return P

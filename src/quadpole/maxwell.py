@@ -16,12 +16,14 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (HomogPoly, QuadForm, TOL_DIV, _UNIT, _exponent_table, _lex_index,
-                      grade_dim, monomials)
+from .algebra import (HomogPoly, QuadForm, TOL_DIV, _UNIT, _check_tol_div, _exponent_table,
+                      _lex_index, grade_dim, monomials)
 from .conic import EPS_CLUSTER, _check_eps_cluster
 from .errors import NotHarmonic, SolveFailure, ZeroVector
 from .harmonic import TOL_HARM, is_harmonic
-from .sylvester import _auto_strategy, _check_tol_div, factor
+from .sylvester import _auto_strategy, factor
+
+TOL_REPRODUCE = 1e-7  # largest defect, relative to ||P||, of a multipole's reproduction
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     (any parcelling gives a proportional result: the construction is
     harmonic with the same cone divisor as P, and harmonics embed injectively
     into binary forms on the cone).  tol_div and eps_cluster are checked as
-    in every factor context, whatever the degree of P.
+    in every factor context, whatever the degree of P.  The fit's defect
+    must be at most TOL_REPRODUCE * ||P||.
     """
     _check_tol_div(tol_div)
     _check_eps_cluster(eps_cluster)
@@ -152,7 +155,7 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     strategy = _auto_strategy([P], P.norm(), Q)
     fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div)
     vectors, scale, defect = maxwell_fit(P, Q, [L.coeffs for L in fact.lines])
-    if defect > 1e-7 * P.norm():
+    if defect > TOL_REPRODUCE * P.norm():
         raise SolveFailure("reconstruction deviates by %.3e relative" %
                            (defect / P.norm()))
     return vectors, scale

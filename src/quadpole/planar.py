@@ -31,6 +31,9 @@ from .conic import (
 )
 from .errors import Degenerate, DegenerateTangency, NotOnConic
 
+TOL_DIVISORS_CLOSE = 1e-8  # divisors_close's default chordal distance
+TOL_PENCIL_BASIS = 1e-8  # least |cross product| of two independent pencil basis lines
+
 
 @dataclass(frozen=True)
 class PencilCenter:
@@ -88,7 +91,7 @@ class PencilDivisor(_Divisor):
     """Effective divisor on the pencil's parameter line: (ProjPoint1, multiplicity) pairs."""
 
 
-def divisors_close(a, b, tol: float = 1e-8) -> bool:
+def divisors_close(a, b, tol: float = TOL_DIVISORS_CLOSE) -> bool:
     """Multiset match of two divisors up to chordal distance tol."""
     if a.degree != b.degree or len(a.points) != len(b.points):
         return False
@@ -137,7 +140,7 @@ class PencilFrame:
             if not cols:
                 cols.append(w)
                 continue
-            if np.linalg.norm(np.cross(cols[0], w)) > 1e-8:
+            if np.linalg.norm(np.cross(cols[0], w)) > TOL_PENCIL_BASIS:
                 cols.append(w)
                 break
         if len(cols) < 2:

@@ -23,7 +23,9 @@ import numpy as np
 
 from .algebra import (
     HomogPoly,
+    NORM_FLOOR,
     QuadForm,
+    _check_tol_div,
     divide_by_quadric,
     divide_rows_by_quadric,
     double_factorial,
@@ -69,6 +71,15 @@ TOL_FACT = 1e-8
 TOL_DISC = 1e-9
 # largest imaginary part, relative to a reference norm, of input taken as real
 TOL_REAL = 1e-12
+TOL_REAL_RESULT = 1e-9  # the same, relative to max(|lam|, 1), for is_real of a result
+CLEARANCE = 10  # clusters or points within CLEARANCE * eps_cluster are close
+RESTRICTION_ROOM = 10  # room for the round-off in b in _reject_multiple_of_q's test
+RESTRICTION_TOL_DIV_MIN = 1e-12  # least tol_div at which the restriction decides
+EVAL_FLOOR = 1e-4  # least |b| at the evaluation point, relative to max |b_k|
+TOL_DIV_ILL = 1e-4  # an ill-conditioned division's residual bound, relative to ||diff||
+TOL_DRIFT = 1e-6  # largest imaginary drift of a row that _realified makes real
+EPS_DISC_FLOOR = 1e-5  # in_discriminant's least clustering resolution
+TOL_ISCLOSE = 1e-8  # Multipole.isclose's default bound on scale and coefficients
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -225,7 +236,7 @@ class Multipole:
         lines[:, 0] = poly_mul_rows(np.array([[self.scale]]), 0, lines[:, 0], 1)
         return HomogPoly(self.degree, _line_products(lines)[0])
 
-    def isclose(self, other: "Multipole", tol: float = 1e-8) -> bool:
+    def isclose(self, other: "Multipole", tol: float = TOL_ISCLOSE) -> bool:
         if self.degree != other.degree:
             return False
         if abs(self.scale - other.scale) > tol * (1.0 + abs(self.scale)):
@@ -266,7 +277,7 @@ class MultipoleFactorization:
     def multipole(self) -> Multipole:
         return Multipole.from_parts(self.lam, self.lines)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
+    def is_real(self, tol: float = TOL_REAL_RESULT) -> bool:
         vals = [abs(self.lam.imag)]
         vals.extend(float(np.max(np.abs(L.coeffs.imag), initial=0.0)) for L in self.lines)
         vals.append(float(np.max(np.abs(self.remainder.coeffs.imag), initial=0.0)))
@@ -320,30 +331,21 @@ def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float,
     The division decides, unless b, P's restriction to the conic, shows
     without it that P is not a multiple.  Q vanishes on the conic, so
     ||b|| <= ||T||_2 * ||P - Q * R|| for every R, where T is
-    _restriction_matrix(Q, deg P); ||b|| > 10 * ||T||_2 * tol_div * ||P||
-    therefore puts the division's residual above its bound tol_div * ||P||,
-    and the factor 10 leaves room for the round-off in b.  Below
-    tol_div = 1e-12 that room is too small, and the division always runs.
+    _restriction_matrix(Q, deg P); ||b|| > RESTRICTION_ROOM * ||T||_2 *
+    tol_div * ||P|| therefore puts the division's residual above its bound
+    tol_div * ||P||, the factor leaving room for the round-off in b.  Below
+    RESTRICTION_TOL_DIV_MIN that room is too small, and the division runs.
     """
     if P.degree < 2:
         return
-    if b is not None and tol_div >= 1e-12 \
-            and b.norm() > 10 * _restriction_norm(Q, P.degree) * tol_div * P.norm():
+    if b is not None and tol_div >= RESTRICTION_TOL_DIV_MIN and b.norm() \
+            > RESTRICTION_ROOM * _restriction_norm(Q, P.degree) * tol_div * P.norm():
         return
     try:
         quotient = divide_by_quadric(P, Q, tol_div=tol_div)
     except NotDivisible:
         return
     raise DivisibleByQ("input is a multiple of the quadratic form", quotient)
-
-
-def _check_tol_div(tol_div: float) -> None:
-    """Raise ValueError unless tol_div lies in (0, 1): a least-squares
-    residual never exceeds ||P||, so a bound of 1 or more would take every P
-    for a multiple of Q, and a NaN one would pass every P."""
-    if not 0 < tol_div < 1:
-        raise ValueError("tol_div must be finite and positive, and below 1, not %r"
-                         % (tol_div,))
 
 
 def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
@@ -403,10 +405,10 @@ class _FactorContext:
     The divisibility test divides P by Q only when the restriction b cannot
     decide it: Q vanishes on the conic, so ||b|| <= ||T||_2 * ||P - Q * R||
     for the restriction matrix T of P's degree and every R, and
-    ||b|| > 10 * ||T||_2 * tol_div * ||P|| already shows that the division's
-    residual exceeds tol_div * ||P|| (_reject_multiple_of_q).  So a generic
-    P is not divided; a P within about 10 * tol_div of a multiple of Q is,
-    and so is every P when tol_div < 1e-12.
+    ||b|| > RESTRICTION_ROOM * ||T||_2 * tol_div * ||P|| already shows that
+    the division's residual exceeds tol_div * ||P|| (_reject_multiple_of_q).
+    So a generic P is not divided; a P near a multiple of Q is, and so is
+    every P when tol_div < RESTRICTION_TOL_DIV_MIN.
 
     _factor_rows takes a list of parcellings as one stack of rows, and
     finds for them the point q where lambda is fixed, P(q) and, by one
@@ -463,8 +465,8 @@ class _FactorContext:
 
     @property
     def ill_conditioned(self) -> bool:
-        """Whether two clusters lie within 10 * eps_cluster of each other."""
-        return bool(self._min_separation < 10 * self.eps_cluster)
+        """Whether two clusters lie within CLEARANCE * eps_cluster of each other."""
+        return bool(self._min_separation < CLEARANCE * self.eps_cluster)
 
     def at_scale(self, eps_cluster: float) -> "_FactorContext":
         """This P with its roots merged at eps_cluster instead.
@@ -485,11 +487,11 @@ class _FactorContext:
         the divisor with |b| not small.
 
         A trial point is clear when its chordal distance to every cluster
-        exceeds 10 * eps_cluster; |b| there must not be below
-        1e-4 * max |b_k|.  Each distance is chordal's, in its order of
+        exceeds CLEARANCE * eps_cluster; |b| there must not be below
+        EVAL_FLOOR * max |b_k|.  Each distance is chordal's, in its order of
         operations, with every cluster's coordinates and norm taken once.
         """
-        clear = 10 * self.eps_cluster
+        clear = CLEARANCE * self.eps_cluster
         max_c = float(np.max(np.abs(self.b.coeffs)))
         others = []
         for c in self.clusters:
@@ -498,7 +500,7 @@ class _FactorContext:
         for k, (u0, u1) in enumerate(_TRIAL_COORDS):
             nu = _TRIAL_NORMS[k]
             if all(abs(u0 * v1 - u1 * v0) / (nu * nv) > clear for v0, v1, nv in others) \
-                    and abs(self.b.eval_uv(*_TRIALS[k])) > 1e-4 * max_c:
+                    and abs(self.b.eval_uv(*_TRIALS[k])) > EVAL_FLOOR * max_c:
                 return k
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
@@ -514,7 +516,7 @@ class _FactorContext:
         The bound is relative to ||P|| because ||diff|| has lost digits to
         cancellation when lambda * prod(L) nearly equals P.  Close clusters
         (ill_conditioned) take R = 0 at tol_div * ||P|| and otherwise allow
-        a division residual of 1e-4 * ||diff||.  A linear P has no R: it
+        a division residual of TOL_DIV_ILL * ||diff||.  A linear P has no R: it
         must lie within TOL_FACT * ||P|| of lam * L.
 
         Each check runs on the rows before the first failure found so far,
@@ -571,7 +573,7 @@ class _FactorContext:
             tol = self.tol_div if self.ill_conditioned else min(self.tol_div, TOL_FACT)
             big = np.flatnonzero(norms > tol * self.pnorm)
             if big.size:
-                tol, ref = (1e-4, None) if self.ill_conditioned else (tol, self.pnorm)
+                tol, ref = (TOL_DIV_ILL, None) if self.ill_conditioned else (tol, self.pnorm)
                 try:
                     rem[big] = divide_rows_by_quadric(diff[big], self.P.degree, self.Q,
                                                       tol_div=tol, ref_norm=ref)
@@ -616,11 +618,11 @@ class _FactorContext:
 
         Conjugation acts on the surface points, not the parameter coordinates:
         the partner of a cluster is the one whose conic point is proportional
-        to the componentwise conjugate, within 10 * eps_cluster, but never
-        within less than TOL_SAME_POINT: conjugate points differ by round-off
-        even at eps_cluster = 0.
+        to the componentwise conjugate, within CLEARANCE * eps_cluster, but
+        never within less than TOL_SAME_POINT: conjugate points differ by
+        round-off even at eps_cluster = 0.
         """
-        tol = max(10 * self.eps_cluster, TOL_SAME_POINT)
+        tol = max(CLEARANCE * self.eps_cluster, TOL_SAME_POINT)
         pts = self.points.coords
         dists = _pairwise_chordal(pts.conj(), pts)
         sigma: List[int] = []
@@ -651,7 +653,7 @@ def _is_real(grades: Iterable[HomogPoly], ref_norm: float) -> bool:
 
 
 def _check_real_input(P: HomogPoly) -> None:
-    if not _is_real([P], max(P.norm(), 1e-300)):
+    if not _is_real([P], max(P.norm(), NORM_FLOOR)):
         raise NotReal("polynomial has non-real coefficients")
 
 
@@ -660,7 +662,7 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
     """Drop imaginary round-off from factorizations of P that must be real.
 
     The rows come from one context.  Each row must have an imaginary drift
-    of at most 1e-6 and, unless ill-conditioned, its real parts must rebuild
+    of at most TOL_DRIFT and, unless ill-conditioned, its real parts must rebuild
     P within TOL_FACT * ||P||.  Both gates run over all rows at once, the
     residual gate on the rows before the first drifting one, so the error
     raised is the one the first failing row raises alone.
@@ -675,7 +677,7 @@ def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadFor
         np.max(np.abs(lines.imag), axis=(1, 2), initial=0.0),
         np.max(np.abs(rem.imag), axis=1) / np.maximum(np.linalg.norm(rem, axis=1), 1.0)])
     n, late = len(facts), None
-    bad = np.flatnonzero(drift > 1e-6)
+    bad = np.flatnonzero(drift > TOL_DRIFT)
     if bad.size:
         n = int(bad[0])
         late = ConjugationPairingFailure(
@@ -791,22 +793,22 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
 
     The divisor has a multiple point exactly when the discriminant resultant
     of the conic restriction vanishes.  Numerically the decision is made by
-    root clustering at resolution max(10 * eps_cluster, 1e-5), which stays
-    reliable at every degree.  The normalized resultant magnitude
-    corroborates it at restriction degree <= 8, where its scale has not yet
-    collapsed: when the clusters see a multiple point there and the
-    resultant does not, SolveFailure is raised.  Every other disagreement,
-    and every one above degree 8, goes to the clusters.  P is tested for
-    being a multiple of Q as a factor context tests it: the restriction
-    decides where it can, the division elsewhere.  A nonzero constant meets
-    the conic nowhere, so its divisor has no multiple point.
+    root clustering at resolution max(CLEARANCE * eps_cluster,
+    EPS_DISC_FLOOR), which stays reliable at every degree.  The normalized
+    resultant magnitude corroborates it at restriction degree <= 8, where
+    its scale has not yet collapsed: when the clusters see a multiple point
+    there and the resultant does not, SolveFailure is raised.  Every other
+    disagreement, and every one above degree 8, goes to the clusters.  P is
+    tested for being a multiple of Q as a factor context tests it: the
+    restriction decides where it can, the division elsewhere.  A nonzero
+    constant meets the conic nowhere, so its divisor has no multiple point.
     """
     b = _restriction_of(P, Q, tol_div)[1]
     max_c = float(np.max(np.abs(b.coeffs)))
     if max_c == 0.0:
         raise DivisibleByQ("restriction to the conic vanishes identically")
     _check_eps_cluster(eps_cluster)
-    eps_mult = max(10.0 * eps_cluster, 1e-5)
+    eps_mult = max(CLEARANCE * eps_cluster, EPS_DISC_FLOOR)
     clusters = roots_projective(b, eps_cluster=eps_mult)
     multiple = any(c.multiplicity >= 2 for c in clusters)
     if multiple and b.degree <= 8:

@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,19 @@ class TestOtherCommands:
     def test_counts(self, run):
         assert parsed(run, ["counts", "--d", "3"]) \
             == {"bound": 45, "kappa": 15}
+
+    def test_counts_degree_cap(self, run, capsys):
+        # the bound at d = 74 has 4,235 digits and prints under the default
+        # int-to-str limit of 4,300; d = 75 (4,365 digits) is refused before
+        # anything is computed, and so is a d that would take minutes
+        assert cli.COUNTS_MAX_D == 74
+        assert len(str(parsed(run, ["counts", "--d", "74"])["bound"])) == 4235
+        for d in ("75", "3000"):
+            start = time.perf_counter()
+            assert main(["counts", "--d", d]) == 2
+            assert time.perf_counter() - start < 5.0
+            out, err = capsys.readouterr()
+            assert out == "" and "--d must be at most 74" in err
 
     def test_discriminant(self, run, files):
         assert parsed(run, ["discriminant", files["xsq"]]) \

@@ -1094,12 +1094,24 @@ class TestTolDivRefused:
     or inf every divisibility test passed, so xy was taken for a multiple
     of Q all the way down and decomposed to nothing."""
 
-    @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0, 1.0, 2.0])
     def test_every_entry_point(self, sphere, tol_div):
         xy = poly_mul(HomogPoly(1, [1, 0, 0]), HomogPoly(1, [0, 1, 0]))
-        for call in (full_decompose, factor, all_factorizations):
+        pairing = canonical_parcelling([1, 1, 1, 1])
+        for call in (full_decompose, factor, all_factorizations, real_factorizations,
+                     lambda P, Q, **kw: factor_on_quadric(P, Q, pairing, **kw),
+                     in_discriminant):
             with pytest.raises(ValueError, match="tol_div must be finite and positive"):
                 call(xy, sphere, tol_div=tol_div)
+
+    def test_division_rule(self, sphere):
+        # the division alone takes any finite positive bound, 1 included:
+        # tol_div = 1 gives the least-squares quotient of any input
+        xyz = HomogPoly(3, np.arange(1.0, 11.0))
+        assert algebra.divide_by_quadric(xyz, sphere, tol_div=1.0).degree == 1
+        for tol_div in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="tol_div must be finite and positive"):
+                algebra.divide_by_quadric(xyz, sphere, tol_div=tol_div)
 
     @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0])
     def test_multipole_series(self, sphere, tol_div):
