@@ -49,6 +49,7 @@ TOL_ZERO_BAND = 1e-12
 TOL_BAND_FIT = 1e-12  # a band fit this close, relative, ends its escalation
 NOISE_ROOM = 1e3  # a band's least division tolerance, in units of its noise floor
 EPS_CLUSTER_MAX = 0.2  # the largest clustering scale the escalation reaches
+ESCALATION = 10.0  # the factor from one clustering scale of the escalation to the next
 
 
 def _surface_nodes(Q: QuadForm, rule: QuadratureRule) -> np.ndarray:
@@ -259,11 +260,11 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     context: raised, a zero or negative one would pass unnoticed.
 
     A band that does not reproduce within TOL_BAND_FIT relative is factored
-    again with its roots merged at 10x the scale, from eps_cluster while the
-    scale is at most EPS_CLUSTER_MAX; so eps_cluster must lie in (0,
-    EPS_CLUSTER_MAX].  A scale whose roots merge into the same groups as a
-    scale that was fit is skipped: its clusters, parcelling and lines are
-    that scale's, so it could only give the same fit again.
+    again with its roots merged at ESCALATION times the scale, from
+    eps_cluster while the scale is at most EPS_CLUSTER_MAX; so eps_cluster
+    must lie in (0, EPS_CLUSTER_MAX].  A scale whose roots merge into the
+    same groups as a scale that was fit is skipped: its clusters, parcelling
+    and lines are that scale's, so it could only give the same fit again.
 
     A harmonic band is never a multiple of Q, so a band that its division
     tolerance takes for one lies too near its noise floor to factor, and
@@ -306,7 +307,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         while eps <= EPS_CLUSTER_MAX:
             if eps != eps_cluster:
                 ctx = ctx.at_scale(eps)
-            eps *= 10.0
+            eps *= ESCALATION
             if fitted is not None and ctx._groups == fitted._groups:
                 continue
             try:

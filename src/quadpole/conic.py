@@ -27,6 +27,7 @@ TOL_ON_CONIC = 1e-9
 TOL_SAME_POINT = 1e-9
 TOL_PARAM = 1e-10  # largest |Q(alpha(u))| coefficient of a parameterization, relative
 NEWTON_STEP_TOL = 1e-14  # a root whose Newton step is below this, relative, stops moving
+NEWTON_MAX_STEPS = 12  # the most Newton steps a root takes
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -341,7 +342,7 @@ def _newton_polish(coeffs_desc: np.ndarray, roots: np.ndarray,
     val, dv = horner(cur)
     best_val = np.abs(val)
     live = np.arange(cur.size)
-    for _ in range(12):
+    for _ in range(NEWTON_MAX_STEPS):
         moving = dv != 0
         live, cur, val, dv = live[moving], cur[moving], val[moving], dv[moving]
         if live.size == 0:

@@ -80,6 +80,8 @@ TOL_DIV_ILL = 1e-4  # an ill-conditioned division's residual bound, relative to 
 TOL_DRIFT = 1e-6  # largest imaginary drift of a row that _realified makes real
 EPS_DISC_FLOOR = 1e-5  # in_discriminant's least clustering resolution
 TOL_ISCLOSE = 1e-8  # Multipole.isclose's default bound on scale and coefficients
+LINE_KEY_DIGITS = 9  # the decimals of the rounded half of a line's sort key
+DISC_RESULTANT_MAX_DEGREE = 8  # the largest restriction degree the resultant checks
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -191,7 +193,7 @@ def _line_key(parts: List[float]) -> Tuple[float, ...]:
     arithmetic; compared exactly, round-off would decide their order.
     Python's round, not np.round, which can break ties the other way.
     """
-    return tuple([round(v, 9) for v in parts] + parts)
+    return tuple([round(v, LINE_KEY_DIGITS) for v in parts] + parts)
 
 
 @dataclass(frozen=True)
@@ -795,13 +797,14 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     of the conic restriction vanishes.  Numerically the decision is made by
     root clustering at resolution max(CLEARANCE * eps_cluster,
     EPS_DISC_FLOOR), which stays reliable at every degree.  The normalized
-    resultant magnitude corroborates it at restriction degree <= 8, where
-    its scale has not yet collapsed: when the clusters see a multiple point
-    there and the resultant does not, SolveFailure is raised.  Every other
-    disagreement, and every one above degree 8, goes to the clusters.  P is
-    tested for being a multiple of Q as a factor context tests it: the
-    restriction decides where it can, the division elsewhere.  A nonzero
-    constant meets the conic nowhere, so its divisor has no multiple point.
+    resultant magnitude corroborates it at restriction degree at most
+    DISC_RESULTANT_MAX_DEGREE, where its scale has not yet collapsed: when
+    the clusters see a multiple point there and the resultant does not,
+    SolveFailure is raised.  Every other disagreement, and every one above
+    that degree, goes to the clusters.  P is tested for being a multiple of
+    Q as a factor context tests it: the restriction decides where it can,
+    the division elsewhere.  A nonzero constant meets the conic nowhere, so
+    its divisor has no multiple point.
     """
     b = _restriction_of(P, Q, tol_div)[1]
     max_c = float(np.max(np.abs(b.coeffs)))
@@ -811,7 +814,7 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     eps_mult = max(CLEARANCE * eps_cluster, EPS_DISC_FLOOR)
     clusters = roots_projective(b, eps_cluster=eps_mult)
     multiple = any(c.multiplicity >= 2 for c in clusters)
-    if multiple and b.degree <= 8:
+    if multiple and b.degree <= DISC_RESULTANT_MAX_DEGREE:
         # the resultant of the normalized restriction's partials, against
         # the Hadamard bound of their Sylvester matrix S
         S = _discriminant_matrix(BinaryForm(b.degree, b.coeffs / max_c))
