@@ -16,19 +16,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "quadpole"
 NAMED = re.compile(r"[A-Z][A-Z0-9_]*\s*=")
 
 
-def exponent_numbers(text):
-    """(line number, token, physical line) of every exponent-form NUMBER token."""
+def bare_thresholds(text):
+    """(line number, token) of every exponent-form NUMBER token that is not
+    on a module-level named line."""
     out = []
     for tok in tokenize.generate_tokens(io.StringIO(text).readline):
         s = tok.string.lower()
-        if tok.type == tokenize.NUMBER and "e" in s and not s.startswith("0x"):
-            out.append((tok.start[0], tok.string, tok.line))
+        if tok.type == tokenize.NUMBER and "e" in s and not s.startswith("0x") \
+                and not NAMED.match(tok.line):
+            out.append((tok.start[0], tok.string))
     return out
-
-
-def bare_thresholds(text):
-    """The exponent-form numbers that are not on a module-level named line."""
-    return [(n, s) for n, s, line in exponent_numbers(text) if not NAMED.match(line)]
 
 
 def test_every_exponent_literal_is_named():
