@@ -77,7 +77,7 @@ RESTRICTION_ROOM = 10  # room for the round-off in b in _reject_multiple_of_q's 
 RESTRICTION_TOL_DIV_MIN = 1e-12  # least tol_div at which the restriction decides
 EVAL_FLOOR = 1e-4  # least |b| at the evaluation point, relative to max |b_k|
 TOL_DIV_ILL = 1e-4  # an ill-conditioned division's residual bound, relative to ||diff||
-TOL_DRIFT = 1e-6  # largest imaginary drift of a row that _realified makes real
+TOL_DRIFT = 1e-6  # largest imaginary drift of a row that _real_parts makes real
 EPS_DISC_FLOOR = 1e-5  # in_discriminant's least clustering resolution
 TOL_ISCLOSE = 1e-8  # Multipole.isclose's default bound on scale and coefficients
 LINE_KEY_DIGITS = 9  # the decimals of the rounded half of a line's sort key
@@ -307,25 +307,6 @@ def _line_products(lines: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _objects(items: Sequence) -> np.ndarray:
-    """The items as a 1-d object array, to be indexed or reshaped like any
-    array and turned into nested lists of the same objects by tolist."""
-    out = np.empty(len(items), dtype=object)
-    out[:] = items
-    return out
-
-
-def _factorization_rows(lams: Sequence[complex], lines: Sequence[List[HomogPoly]],
-                        deg_r: int, rem: np.ndarray,
-                        parcellings: Sequence[GeneralizedParcelling],
-                        ill_conditioned: bool) -> List[MultipoleFactorization]:
-    """One MultipoleFactorization per row; the remainders are the rows of
-    rem as they are, not copied."""
-    return list(map(MultipoleFactorization, lams, lines,
-                    map(HomogPoly._of, itertools.repeat(deg_r), rem),
-                    parcellings, itertools.repeat(ill_conditioned)))
-
-
 def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float,
                           b: Optional[BinaryForm] = None) -> None:
     """Raise DivisibleByQ, carrying the quotient P / Q, when P is a multiple of Q.
@@ -433,7 +414,9 @@ class _FactorContext:
 
     A context checks nothing of what a strategy asks of its input: the
     entry that takes the strategy does (factor, full_decompose,
-    multipole_series), and _realified's gates certify every real row.
+    multipole_series).  Rows that must be real are made real and gated in
+    the one _factor_rows pass (_real_parts), before any object is built,
+    and share the line table's objects as complex rows do.
     """
 
     def __init__(self, P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
@@ -506,10 +489,12 @@ class _FactorContext:
                 return k
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
-    def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling]
-                     ) -> List[MultipoleFactorization]:
+    def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling],
+                     real: bool = False) -> List[MultipoleFactorization]:
         """P = lam * prod(L) + Q * R over each parcelling, each certified once.
         Every parcelling must use each cluster its multiplicity times.
+        With real, the rows are made real by _real_parts once they have
+        passed every check below, a late NoEvaluationPoint included.
 
         The one check is on the defect diff = P - lam * prod(L).  In a
         well-conditioned context R is zero when ||diff|| is at most
@@ -529,6 +514,7 @@ class _FactorContext:
         array of columns into the call's lines, lambda's denominators Python
         complex products in piece order, taken one piece of every row at a
         time, and the rows' lines and remainders views, not validated copies.
+        Rows that use the same line share one HomogPoly of it.
         """
         n = len(parcellings)
         if n == 0:
@@ -584,9 +570,44 @@ class _FactorContext:
                         "factorization defect is not a multiple of Q: %s" % exc) from None
         if late is not None:
             raise late
-        lines_of = _objects(list(map(HomogPoly._of, itertools.repeat(1), w)))
-        return _factorization_rows(lams, lines_of[cols].tolist(), deg_r, rem,
-                                   parcellings, self.ill_conditioned)
+        if real:
+            lams, w, rem = self._real_parts(lams, w, cols, rem)
+        # one HomogPoly per line of the table, shared by the rows that use it
+        lines_of = np.empty(len(w), dtype=object)
+        lines_of[:] = list(map(HomogPoly._of, itertools.repeat(1), w))
+        return list(map(MultipoleFactorization, lams, lines_of[cols].tolist(),
+                        map(HomogPoly._of, itertools.repeat(deg_r), rem),
+                        parcellings, itertools.repeat(self.ill_conditioned)))
+
+    def _real_parts(self, lams: List[complex], w: np.ndarray, cols: np.ndarray,
+                    rem: np.ndarray) -> Tuple[List[complex], np.ndarray, np.ndarray]:
+        """The real parts, as complex, of the lambdas, the line table w (row
+        i of the stack takes lines cols[i]) and the remainders.  Each row's
+        imaginary drift must be at most TOL_DRIFT and, unless ill-conditioned,
+        the real parts of the rows before the first drifting one must
+        rebuild P within TOL_FACT * ||P||: the first failing row's error.
+        """
+        lam = np.array(lams)
+        drift = np.maximum.reduce([
+            np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0),
+            np.max(np.abs(w.imag), axis=1)[cols].max(axis=1),
+            np.max(np.abs(rem.imag), axis=1) / np.maximum(np.linalg.norm(rem, axis=1), 1.0)])
+        drifting = np.flatnonzero(drift > TOL_DRIFT)
+        n = int(drifting[0]) if drifting.size else len(lam)
+        w, rem = w.real.astype(complex), rem.real.astype(complex)
+        if n and not self.ill_conditioned:
+            recon = lam.real[:n, None] * _line_products(w[cols[:n]])
+            if self.P.degree >= 2:
+                recon = recon + poly_mul_rows(self.Q.poly().coeffs[None, :], 2, rem[:n],
+                                              self.P.degree - 2)
+            res = np.linalg.norm(recon - self.P.coeffs, axis=1)
+            bad = np.flatnonzero(res > TOL_FACT * self.pnorm)
+            if bad.size:
+                raise SolveFailure("real factorization residual %.3e too large" % res[bad[0]])
+        if drifting.size:
+            raise ConjugationPairingFailure(
+                "factorization expected to be real has imaginary drift %.3e" % drift[n])
+        return lam.real.astype(complex).tolist(), w, rem
 
     def parcelling_for(self, strategy: str) -> GeneralizedParcelling:
         """The parcelling a strategy picks.
@@ -607,13 +628,11 @@ class _FactorContext:
     def rows(self, strategy: str) -> List[MultipoleFactorization]:
         """The strategy's rows as _factor_rows gives them, or its error
         raised: every parcelling's for enumerate, else the one parcelling_for
-        picks, made real for real_unique."""
+        picks, made real in the same pass for real_unique."""
         if strategy == "enumerate":
             return self._factor_rows(enumerate_parcellings(self.multiplicities))
-        facts = self._factor_rows([self.parcelling_for(strategy)])
-        if strategy == "real_unique":
-            return _realified(facts, self.P, self.Q)
-        return facts
+        return self._factor_rows([self.parcelling_for(strategy)],
+                                 real=strategy == "real_unique")
 
     def conjugation(self, require_free: bool) -> List[int]:
         """Index map pairing each cluster with the conjugate conic point's cluster.
@@ -657,51 +676,6 @@ def _is_real(grades: Iterable[HomogPoly], ref_norm: float) -> bool:
 def _check_real_input(P: HomogPoly) -> None:
     if not _is_real([P], max(P.norm(), NORM_FLOOR)):
         raise NotReal("polynomial has non-real coefficients")
-
-
-def _realified(facts: Sequence[MultipoleFactorization], P: HomogPoly, Q: QuadForm
-               ) -> List[MultipoleFactorization]:
-    """Drop imaginary round-off from factorizations of P that must be real.
-
-    The rows come from one context.  Each row must have an imaginary drift
-    of at most TOL_DRIFT and, unless ill-conditioned, its real parts must rebuild
-    P within TOL_FACT * ||P||.  Both gates run over all rows at once, the
-    residual gate on the rows before the first drifting one, so the error
-    raised is the one the first failing row raises alone.
-    """
-    if not facts:
-        return []
-    lam = np.array([f.lam for f in facts])
-    lines = np.array([L.coeffs for f in facts for L in f.lines]).reshape(len(facts), -1, 3)
-    rem = np.array([f.remainder.coeffs for f in facts])
-    drift = np.maximum.reduce([
-        np.abs(lam.imag) / np.maximum(np.abs(lam), 1.0),
-        np.max(np.abs(lines.imag), axis=(1, 2), initial=0.0),
-        np.max(np.abs(rem.imag), axis=1) / np.maximum(np.linalg.norm(rem, axis=1), 1.0)])
-    n, late = len(facts), None
-    bad = np.flatnonzero(drift > TOL_DRIFT)
-    if bad.size:
-        n = int(bad[0])
-        late = ConjugationPairingFailure(
-            "factorization expected to be real has imaginary drift %.3e" % drift[n])
-    lam, lines, rem = lam.real[:n], lines.real[:n].astype(complex), rem.real[:n].astype(complex)
-    if n and not facts[0].ill_conditioned:
-        recon = lam[:, None] * _line_products(lines)
-        if P.degree >= 2:
-            recon = recon + poly_mul_rows(Q.poly().coeffs[None, :], 2, rem, P.degree - 2)
-        res = np.linalg.norm(recon - P.coeffs, axis=1)
-        bad = np.flatnonzero(res > TOL_FACT * P.norm())
-        if bad.size:
-            raise SolveFailure("real factorization residual %.3e too large" % res[bad[0]])
-    if late is not None:
-        raise late
-    lines_of = _objects(list(map(HomogPoly._of, itertools.repeat(1),
-                                 lines.reshape(-1, 3))))
-    return _factorization_rows(lam.astype(complex).tolist(),
-                               lines_of.reshape(lines.shape[:2]).tolist(),
-                               facts[0].remainder.degree, rem,
-                               list(map(operator.attrgetter("parcelling"), facts)),
-                               facts[0].ill_conditioned)
 
 
 def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelling,
@@ -776,14 +750,14 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
     sigma = ctx.conjugation(require_free=False)
     stable = [par for par in enumerate_parcellings(ctx.multiplicities)
               if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
-    return _realified(ctx._factor_rows(stable), P, Q)
+    return ctx._factor_rows(stable, real=True)
 
 
 def intersection_clusters(P: HomogPoly, Q: QuadForm,
                           eps_cluster: float = EPS_CLUSTER) -> List[RootCluster]:
-    """Clusters of the divisor P meets on {Q = 0}, in canonical order."""
-    param = conic_param(Q)
-    b = restrict_to_conic(P, param)
+    """Clusters of the divisor P meets on {Q = 0}, in canonical order; a
+    multiple of Q is refused as a factor context refuses it, at TOL_DIV."""
+    b = _restriction_of(P, Q, TOL_DIV)[1]
     if not np.any(b.coeffs):
         raise DivisibleByQ("restriction to the conic vanishes identically")
     return roots_projective(b, eps_cluster=eps_cluster)

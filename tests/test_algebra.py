@@ -307,9 +307,11 @@ class TestDivideByQuadric:
         stack = np.array([p.coeffs for p in rows])
         with pytest.raises(NotDivisible):
             divide_rows_by_quadric(stack, 4, sphere)
+        divide_rows_by_quadric(stack[:3], 4, sphere)
         # one reference norm for all rows: 1e4 lets row 3 pass, not row 5
         with pytest.raises(NotDivisible):
             divide_rows_by_quadric(stack, 4, sphere, ref_norm=1e4)
+        divide_rows_by_quadric(stack[:5], 4, sphere, ref_norm=1e4)
 
 
 class TestQuadReduce:

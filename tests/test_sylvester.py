@@ -249,6 +249,12 @@ class TestFactorOnQuadric:
             all_factorizations(p, sphere)
         with pytest.raises(DivisibleByQ):
             intersection_clusters(sphere.poly(), sphere)
+        # a complex Q * R, for which intersection_clusters returned 8
+        # clusters of round-off
+        qr = poly_mul(sphere.poly(), random_homog(2, np.random.default_rng(1)))
+        for call in (intersection_clusters, in_discriminant, all_factorizations):
+            with pytest.raises(DivisibleByQ):
+                call(qr, sphere)
 
     @pytest.mark.parametrize("pieces", [((0, 0), (1, 2)), ((0, 5), (1, 2)),
                                         ((0, -1), (1, 2))])
@@ -673,7 +679,7 @@ def _real_secants(rng, Q, d):
 
 class TestBatchedGates:
     """A line perturbed by 1e-7 in a late row of the stack is refused, not
-    only one in the first row."""
+    only one in the first row; so is a real row's perturbed remainder."""
 
     def _perturb_late_line(self, monkeypatch, P, Q, rng):
         ctx = _FactorContext(P, Q)
@@ -717,27 +723,40 @@ class TestBatchedGates:
             assert hits == [True]
             monkeypatch.undo()
 
+    def _perturb_remainder(self, monkeypatch, late, delta):
+        # delta(R) added to row late's remainder R at the real-parts step,
+        # after the complex checks; a perturbed line of the table would
+        # reach every row that shares it
+        original = _FactorContext._real_parts
+
+        def perturbed(self, lams, w, cols, rem):
+            rem = rem.copy()
+            rem[late] = rem[late] + delta(rem[late])
+            return original(self, lams, w, cols, rem)
+
+        monkeypatch.setattr(_FactorContext, "_real_parts", perturbed)
+
     @pytest.mark.parametrize("late", [1, 52, 104])
     def test_real_factorizations(self, hyperboloid, monkeypatch, late):
-        # a real perturbation of one line of one row, after the complex
-        # checks: the drift gate cannot see it, so the real-part residual
-        # gate must refuse it
+        # a real perturbation of one row's remainder: the drift gate cannot
+        # see it, so the real-part residual gate must refuse it
         rng = np.random.default_rng(54)
         P = _real_secants(rng, hyperboloid, 4)
         assert len(real_factorizations(P, hyperboloid)) == 105
-        original = _FactorContext._factor_rows
-
-        def perturbed(self, parcellings):
-            facts = original(self, parcellings)
-            f = facts[late]
-            e = rng.standard_normal(3)
-            L = f.lines[0]
-            f.lines = [HomogPoly(1, L.coeffs + 1e-7 * np.linalg.norm(L.coeffs)
-                                 * e / np.linalg.norm(e))] + f.lines[1:]
-            return facts
-
-        monkeypatch.setattr(_FactorContext, "_factor_rows", perturbed)
+        e = rng.standard_normal(grade_dim(2))
+        self._perturb_remainder(monkeypatch, late,
+                                lambda R: 1e-7 * P.norm() * e / np.linalg.norm(e))
         with pytest.raises(SolveFailure, match="real factorization residual"):
+            real_factorizations(P, hyperboloid)
+
+    @pytest.mark.parametrize("late", [1, 52, 104])
+    def test_real_factorizations_drift(self, hyperboloid, monkeypatch, late):
+        # an imaginary perturbation of one row's remainder, ten times
+        # TOL_DRIFT relative to max(||R||, 1): the drift gate must refuse it
+        P = _real_secants(np.random.default_rng(54), hyperboloid, 4)
+        self._perturb_remainder(monkeypatch, late, lambda R: 10j * sylvester.TOL_DRIFT
+                                * max(np.linalg.norm(R), 1.0))
+        with pytest.raises(ConjugationPairingFailure, match="imaginary drift"):
             real_factorizations(P, hyperboloid)
 
 
@@ -1388,6 +1407,38 @@ class TestRowBits:
                     assert np.complex128(f.lam).tobytes() == np.complex128(want).tobytes()
                     assert [L.coeffs.tobytes() for L in f.lines] \
                         == [lines[p][0].coeffs.tobytes() for p in f.parcelling.pieces]
+
+    def test_real_rows_are_real_parts(self, sphere, hyperboloid):
+        # a real row has the bits of the real parts, stored as complex, of
+        # factor_on_quadric's row of the same parcelling; its remainder
+        # those of the complex row in a stack of the same rows, since a
+        # remainder's last bits depend on how many rows share the division
+        def real_parts(poly):
+            return poly.coeffs.real.astype(complex).tobytes()
+
+        def check(P, Q, rows, stacked):
+            assert [row.parcelling for row in stacked] == [row.parcelling for row in rows]
+            for row, same_stack in zip(rows, stacked):
+                ref = factor_on_quadric(P, Q, row.parcelling)
+                assert type(row.lam) is complex
+                assert np.complex128(row.lam).tobytes() == np.complex128(ref.lam.real).tobytes()
+                assert len(row.lines) == len(ref.lines)
+                for got, want in zip(row.lines, ref.lines):
+                    assert got.coeffs.tobytes() == real_parts(want)
+                assert row.remainder.coeffs.tobytes() == real_parts(same_stack.remainder)
+
+        rng = np.random.default_rng(78)
+        for Q in (sphere, QuadForm(np.diag([1.0, 2.0, 0.5]))):
+            for d in (1, 2, 3, 4):
+                P = random_homog(d, rng, real=True)
+                row = factor(P, Q, "real_unique")
+                check(P, Q, [row], [factor_on_quadric(P, Q, row.parcelling)])
+        # random inputs, with few real points, and products of real secants
+        for P in [random_homog(d, rng, real=True) for d in (2, 3, 4)] \
+                + [_real_secants(rng, hyperboloid, d) for d in (2, 3, 4)]:
+            rows = real_factorizations(P, hyperboloid)
+            check(P, hyperboloid, rows, _FactorContext(P, hyperboloid)._factor_rows(
+                [row.parcelling for row in rows]))
 
 
 class TestTrialTables:
