@@ -199,19 +199,6 @@ _UNIT = np.eye(3, dtype=np.intp)
 
 
 @lru_cache(maxsize=None)
-def deriv_map(degree: int, axis: int) -> Tuple[np.ndarray, np.ndarray]:
-    """d/dx_axis on grade `degree` as (target, factor) per monomial.
-
-    Monomial i maps to monomial target[i] of grade degree - 1 with the
-    integer factor[i]; factor[i] is 0 where the monomial lacks the axis.
-    """
-    exps = _exponent_table(degree)
-    factor = exps[axis]
-    a, _, c = exps - _UNIT[axis][:, None]
-    return np.where(factor > 0, _lex_index(a, c, degree - 1), 0), factor
-
-
-@lru_cache(maxsize=None)
 def _mul_table_re_im(d1: int, d2: int) -> np.ndarray:
     """_mul_table for the products read as (re, im) float pairs."""
     table = 2 * _mul_table(d1, d2)

@@ -23,7 +23,6 @@ from .algebra import (
     QuadForm,
     _exponent_table,
     _lex_index,
-    deriv_map,
     form_operator,
     grade_dim,
     grade_split,
@@ -51,31 +50,6 @@ def _harm_bound(tol_harm: float) -> float:
     if not 0 <= tol_harm < math.inf:
         raise ValueError("tol_harm must be finite and non-negative, not %r" % (tol_harm,))
     return max(tol_harm, TOL_HARM_FLOOR)
-
-
-@form_operator
-def delta_matrix(Q: QuadForm, degree: int) -> np.ndarray:
-    """Dense matrix of delta_Q from grade `degree` down to `degree - 2`.
-
-    Built from the sparse first-derivative maps: the entry for d_j d_k of
-    monomial i is (b_inv[j, k] * f_j) * f_k at the twice-lowered monomial.
-    apply_delta_q does not use it; it serves the solvers that need the
-    matrix itself.
-    """
-    if degree < 2:
-        return np.zeros((0, grade_dim(degree)), dtype=complex)
-    m = np.zeros((grade_dim(degree - 2), grade_dim(degree)), dtype=complex)
-    cols = np.arange(grade_dim(degree))
-    for j in range(3):
-        t_j, f_j = deriv_map(degree, j)
-        for k in range(3):
-            c = Q.b_inv[j, k]
-            if c == 0:
-                continue
-            t_k, f_k = (a[t_j] for a in deriv_map(degree - 1, k))
-            hit = (f_j > 0) & (f_k > 0)
-            m[t_k[hit], cols[hit]] += c * f_j[hit] * f_k[hit]
-    return m
 
 
 # delta_Q has one term d_j d_k per pair j <= k, taken in the order of
@@ -120,6 +94,24 @@ def _delta(coeffs: np.ndarray, degree: int, weights: np.ndarray) -> np.ndarray:
     coefficient through _delta_table, contracted with the weights."""
     source, factor = _delta_table(degree)
     return weights @ (factor * coeffs[source])
+
+
+@form_operator
+def delta_matrix(Q: QuadForm, degree: int) -> np.ndarray:
+    """Dense matrix of delta_Q from grade `degree` down to `degree - 2`.
+
+    Row i holds the numbers _delta contracts for output monomial i: term t
+    puts weight[t] * factor[t, i] at column source[t, i].  The six columns
+    of a row are distinct, so each entry is added to zero once, which also
+    turns a -0 part of a weight into +0.  apply_delta_q does not use it; it
+    serves the solvers that need the matrix itself.
+    """
+    if degree < 2:
+        return np.zeros((0, grade_dim(degree)), dtype=complex)
+    source, factor = _delta_table(degree)
+    m = np.zeros((grade_dim(degree - 2), grade_dim(degree)), dtype=complex)
+    m[np.arange(source.shape[1]), source] += _delta_weights(Q)[:, None] * factor
+    return m
 
 
 def apply_delta_q(p: HomogPoly, Q: QuadForm) -> HomogPoly:

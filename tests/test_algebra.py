@@ -26,8 +26,8 @@ from quadpole import (
 )
 from quadpole import algebra
 from quadpole.algebra import (_lex_index, _monomial_values, _mul_table, _quotient_matrix,
-                              deriv_map, divide_rows_by_quadric, grade_dim,
-                              monomials, mul_q_matrix, poly_mul_rows)
+                              divide_rows_by_quadric, grade_dim, monomials, mul_q_matrix,
+                              poly_mul_rows)
 
 from conftest import monomial_index, random_homog, random_poly
 
@@ -166,21 +166,6 @@ def _mul_table_reference(d1, d2):
                     dtype=np.intp)
 
 
-def _deriv_map_reference(degree, axis):
-    """(target, factor) by the dict lookup, one monomial at a time; 0 and 0
-    where the monomial lacks the axis."""
-    idx = monomial_index(degree - 1)
-    target = np.zeros(grade_dim(degree), dtype=np.intp)
-    factor = np.zeros(grade_dim(degree), dtype=np.intp)
-    for i, m in enumerate(monomials(degree)):
-        if m[axis]:
-            low = list(m)
-            low[axis] -= 1
-            target[i] = idx[tuple(low)]
-            factor[i] = m[axis]
-    return target, factor
-
-
 class TestMonomialIndex:
     def test_lex_index_matches_dict(self):
         for d in range(41):
@@ -194,12 +179,6 @@ class TestMonomialIndex:
             for d2 in range(13):
                 got, want = _mul_table(d1, d2), _mul_table_reference(d1, d2)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-    def test_deriv_map_matches_dict_loop(self):
-        for d in range(1, 21):
-            for axis in range(3):
-                for got, want in zip(deriv_map(d, axis), _deriv_map_reference(d, axis)):
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestGradeSplit:

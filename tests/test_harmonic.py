@@ -129,7 +129,8 @@ def _sparse_homog(d, rng, terms=8):
 
 
 class TestDeltaGather:
-    """apply_delta_q's six-term gather against the dense matrix and sympy."""
+    """apply_delta_q's six-term gather and the dense matrix against each
+    other and against sympy."""
 
     @pytest.mark.parametrize("form", ["sphere", "hyperboloid", "dense_indef",
                                       "dense_complex"])
@@ -149,6 +150,10 @@ class TestDeltaGather:
             got = apply_delta_q(sparse, Q).coeffs
             terms = sympy_delta_q_terms(sparse, Q)
             want = np.array([terms.get(m, 0) for m in monomials(d - 2)])
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+            # the matrix is assembled from the gather's own tables, so it
+            # also meets sympy, which shares no stencil with either
+            got = delta_matrix.__wrapped__(Q, d) @ sparse.coeffs
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_split_builds_no_matrix(self):

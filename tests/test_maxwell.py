@@ -18,7 +18,7 @@ from quadpole import (
     maxwell_poly,
     poly_mul,
 )
-from quadpole.algebra import deriv_map, double_factorial, grade_dim
+from quadpole.algebra import double_factorial, grade_dim
 
 from conftest import monomial_index, random_homog
 
@@ -112,14 +112,18 @@ class TestRecurrence:
 
 
 def deriv(p, axis):
-    """d/dx_axis of a HomogPoly, placed through deriv_map."""
+    """d/dx_axis of a HomogPoly, one monomial at a time through the tests'
+    dict index."""
     if p.degree == 0:
         return HomogPoly.zero(0)
-    target, factor = deriv_map(p.degree, axis)
-    keep = factor > 0
-    out = HomogPoly.zero(p.degree - 1)
-    out.coeffs[target[keep]] = factor[keep] * p.coeffs[keep]
-    return out
+    low = monomial_index(p.degree - 1)
+    c = np.zeros(len(low), dtype=complex)
+    for mono, i in monomial_index(p.degree).items():
+        if mono[axis]:
+            e = list(mono)
+            e[axis] -= 1
+            c[low[tuple(e)]] = mono[axis] * p.coeffs[i]
+    return HomogPoly(p.degree - 1, c)
 
 
 def _step_reference(N, m, u, Q):
