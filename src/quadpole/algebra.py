@@ -18,23 +18,12 @@ import numpy as np
 
 from .errors import Degenerate, InsufficientQuadrature, MixedParity, NotDivisible
 
-# Thresholds: TOL_DIV is every tol_div keyword's default, the others are fixed.
-TOL_DIV = 1e-9
+TOL_DIV = 1e-9  # the factor path's division residual bound, relative to ||P||
 TOL_DET = 1e-12
 TOL_SYMMETRIC = 1e-12  # largest |B - B^T| of a form, relative to max|B|
 NORM_FLOOR = 1e-300  # least reference norm of a relative bound, which keeps it above 0
 TOL_PIVOT = 1e-13  # least pivot of quad_reduce and _sqrt_factor_2x2, relative to max entry
 SAMPLE_Q_FLOOR = 1e-9  # least |Q(u)|, or Q(u) when real, of a sample scaled onto {Q = 1}
-
-
-def _check_tol_div(tol_div: float) -> None:
-    """Raise ValueError unless tol_div lies in (0, 1): a least-squares
-    residual never exceeds ||P||, so a bound of 1 or more would take every P
-    for a multiple of Q, and a NaN one would pass every P.  The division
-    itself, divide_rows_by_quadric, takes any finite positive bound."""
-    if not 0 < tol_div < 1:
-        raise ValueError("tol_div must be finite and positive, and below 1, not %r"
-                         % (tol_div,))
 
 
 Monomial = Tuple[int, int, int]
@@ -535,8 +524,8 @@ def divide_rows_by_quadric(rows: np.ndarray, degree: int, Q: QuadForm,
     ref_norm is one number or one per row and defaults to ||p_i||.
     Otherwise NotDivisible is raised for the first such row.  tol_div must
     be finite and positive: a NaN or infinite bound would pass every row.
-    Unlike _check_tol_div, this takes 1 and above: at tol_div = 1 any row
-    gets its least-squares quotient, as the tests' near-multiples need.
+    1 and above are taken: at tol_div = 1 any row gets its least-squares
+    quotient, as the tests' near-multiples need.
     """
     if degree < 2:
         raise ValueError("cannot divide a polynomial of degree < 2 by a quadric")

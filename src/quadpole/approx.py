@@ -24,7 +24,6 @@ from .algebra import (
     QuadratureRule,
     TOL_DIV,
     _UNIT,
-    _check_tol_div,
     _exponent_table,
     _lex_index,
     _monomial_values,
@@ -245,8 +244,7 @@ class SeriesMultipoles:
 
 
 def multipole_series(decomp: BandDecomposition, Q: QuadForm,
-                     eps_cluster: float = EPS_CLUSTER,
-                     tol_div: float = TOL_DIV) -> SeriesMultipoles:
+                     eps_cluster: float = EPS_CLUSTER) -> SeriesMultipoles:
     """Factor every band of a decomposition into one multipole.
 
     Real bands over a definite real form go through the unique real
@@ -255,9 +253,8 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     Each nonzero multipole is checked to reproduce its band within
     TOL_REPRODUCE relative, through the potential-derivative construction.
 
-    A band's division tolerance is tol_div raised to NOISE_ROOM times that
-    band's noise floor, so tol_div is checked at entry, as in every factor
-    context: raised, a zero or negative one would pass unnoticed.
+    A band's division tolerance is TOL_DIV raised to NOISE_ROOM times that
+    band's noise floor.
 
     A band that does not reproduce within TOL_BAND_FIT relative is factored
     again with its roots merged at ESCALATION times the scale, from
@@ -273,7 +270,6 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
     if not 0.0 < eps_cluster <= EPS_CLUSTER_MAX:
         raise ValueError("eps_cluster must lie in (0, %r], not %r"
                          % (EPS_CLUSTER_MAX, eps_cluster))
-    _check_tol_div(tol_div)
     scale_ref = max(decomp.f_norm, 1.0)
     strategy = _auto_strategy(decomp.bands, scale_ref, Q)
     lam = complex(decomp.bands[0].coeffs[0])
@@ -294,7 +290,7 @@ def multipole_series(decomp: BandDecomposition, Q: QuadForm,
         # scale is escalated until the reproduction gate passes.  The band
         # is restricted and its roots found once; each scale re-merges them
         floor = np.finfo(float).eps * scale_ref / decomp.band_norms[k]
-        band_tol_div = max(tol_div, NOISE_ROOM * floor)
+        band_tol_div = max(TOL_DIV, NOISE_ROOM * floor)
         w, c, best = None, 0j, np.inf
         last_err = None
         try:

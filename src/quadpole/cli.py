@@ -22,11 +22,11 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import io as qio
-from .algebra import QuadForm, QuadratureRule, TOL_DIV
+from .algebra import QuadForm, QuadratureRule
 from .conic import EPS_CLUSTER
 from .deconstruct import full_decompose, representation_bound
 from .errors import DivisibleByQ, InsufficientQuadrature, InvalidInput, QuadpoleError
-from .harmonic import TOL_HARM, harmonic_decompose
+from .harmonic import harmonic_decompose
 from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
 from .sylvester import (
@@ -171,18 +171,15 @@ def _cmd_decompose(args, Q: QuadForm) -> Any:
     if args.cone:
         P = qio.homog_from_json(data)
         if strategy == "enumerate":
-            facts = all_factorizations(P, Q, eps_cluster=args.eps_cluster,
-                                       tol_div=args.tol_div)
+            facts = all_factorizations(P, Q, eps_cluster=args.eps_cluster)
             return {"count": len(facts),
                     "factorizations": [qio.factorization_to_json(f)
                                        for f in facts]}
         return qio.factorization_to_json(factor(
-            P, Q, strategy, eps_cluster=args.eps_cluster,
-            tol_div=args.tol_div))
+            P, Q, strategy, eps_cluster=args.eps_cluster))
     P = qio.poly_from_json(data)
     result = full_decompose(P, Q, strategy=strategy,
-                            eps_cluster=args.eps_cluster,
-                            tol_div=args.tol_div)
+                            eps_cluster=args.eps_cluster)
     if strategy == "enumerate":
         return {"count": len(result),
                 "sequences": [qio.sequence_to_json(s) for s in result]}
@@ -191,7 +188,7 @@ def _cmd_decompose(args, Q: QuadForm) -> Any:
 
 def _cmd_harmonic(args, Q: QuadForm) -> Any:
     P = qio.homog_from_json(_load_json(args.poly))
-    dec = harmonic_decompose(P, Q, tol_harm=args.tol_harm)
+    dec = harmonic_decompose(P, Q)
     return {"components": [qio.poly_to_json(h) for h in dec.components]}
 
 
@@ -211,9 +208,7 @@ def _parse_vectors(text: str) -> List[np.ndarray]:
 def _cmd_maxwell(args, Q: QuadForm) -> Any:
     if args.invert is not None:
         P = qio.homog_from_json(_load_json(args.invert))
-        vectors, scale = maxwell_decompose(P, Q, tol_harm=args.tol_harm,
-                                           eps_cluster=args.eps_cluster,
-                                           tol_div=args.tol_div)
+        vectors, scale = maxwell_decompose(P, Q, eps_cluster=args.eps_cluster)
         return {"vectors": [[qio._cnum(x) for x in v] for v in vectors],
                 "scale": qio._cnum(scale)}
     if args.vectors is None:
@@ -225,8 +220,7 @@ def _cmd_fibers(args, Q: QuadForm) -> Any:
     P = qio.homog_from_json(_load_json(args.poly))
     # one context gives both the clusters and the factorizations, so the
     # restriction and the roots are computed once
-    ctx = _FactorContext(P, Q, eps_cluster=args.eps_cluster,
-                         tol_div=args.tol_div)
+    ctx = _FactorContext(P, Q, eps_cluster=args.eps_cluster)
     facts = ctx.rows("enumerate")
     return {"clusters": [qio.cluster_to_json(c) for c in ctx.clusters],
             "count": len(facts),
@@ -236,7 +230,7 @@ def _cmd_fibers(args, Q: QuadForm) -> Any:
 def _cmd_discriminant(args, Q: QuadForm) -> Any:
     P = qio.homog_from_json(_load_json(args.poly))
     return {"in_discriminant": bool(in_discriminant(
-        P, Q, eps_cluster=args.eps_cluster, tol_div=args.tol_div))}
+        P, Q, eps_cluster=args.eps_cluster))}
 
 
 def _cmd_planar_fiber(args, Q: QuadForm) -> Any:
@@ -267,8 +261,7 @@ def _cmd_approx(args, Q: QuadForm) -> Any:
         else 2 * args.d_max
     rule = QuadratureRule(exact)
     dec = l2_project(f, Q, args.d_max, rule)
-    series = multipole_series(dec, Q, eps_cluster=args.eps_cluster,
-                              tol_div=args.tol_div)
+    series = multipole_series(dec, Q, eps_cluster=args.eps_cluster)
     gap = parseval_gap(f, dec)
     bands: Dict[str, Any] = {}
     for k in range(1, dec.d_max + 1):
@@ -297,17 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
                     " surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tolerances = {"tol_div": TOL_DIV, "tol_harm": TOL_HARM,
-                  "eps_cluster": EPS_CLUSTER}
-    factoring = ("tol_div", "eps_cluster")
-
-    def common(p, *read):
-        """--quadric, --output, and the tolerance flags the handler reads."""
+    def common(p, clustered=True):
+        """--quadric, --output, and --eps-cluster when the handler clusters
+        roots; every other tolerance is a constant."""
         p.add_argument("--quadric", default="sphere",
                        help="sphere, hyperboloid, or a quadric JSON file")
-        for dest in read:
-            p.add_argument("--" + dest.replace("_", "-"), type=float,
-                           default=tolerances[dest], dest=dest)
+        if clustered:
+            p.add_argument("--eps-cluster", type=float, default=EPS_CLUSTER,
+                           dest="eps_cluster")
         p.add_argument("--output", default=None,
                        help="write JSON here instead of stdout")
 
@@ -323,13 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("canonical", "enumerate", "real_unique"))
     p.add_argument("--all", action="store_true",
                    help="shorthand for --strategy enumerate")
-    common(p, *factoring)
+    common(p)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("harmonic", help="split a homogeneous polynomial into"
                                         " harmonic components")
     p.add_argument("poly")
-    common(p, "tol_harm")
+    common(p, clustered=False)
     p.set_defaults(func=_cmd_harmonic)
 
     p = sub.add_parser("maxwell", help="potential-derivative polynomial from"
@@ -339,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
                         " \"[0,0,1],[0,0,1]\"")
     p.add_argument("--invert", default=None, metavar="POLY",
                    help="harmonic polynomial JSON to decompose into vectors")
-    common(p, "tol_harm", *factoring)
+    common(p)
     p.set_defaults(func=_cmd_maxwell)
 
     p = sub.add_parser("fibers", help="all cone factorizations of a"
                                       " homogeneous polynomial")
     p.add_argument("poly")
-    common(p, *factoring)
+    common(p)
     p.set_defaults(func=_cmd_fibers)
 
     p = sub.add_parser("discriminant", help="test for a degenerate"
                                             " intersection divisor")
     p.add_argument("poly")
-    common(p, "tol_div", "eps_cluster")
+    common(p)
     p.set_defaults(func=_cmd_discriminant)
 
     p = sub.add_parser("planar-fiber", help="conic divisors over a pencil"
@@ -359,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("divisor", help="pencil divisor JSON file")
     p.add_argument("--center", required=True,
                    help="pencil center coordinates, e.g. \"[0,0,1]\"")
-    common(p, "eps_cluster")
+    common(p)
     p.set_defaults(func=_cmd_planar_fiber)
 
     p = sub.add_parser("approx", help="harmonic band approximation of a"
@@ -370,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-degree", type=int, default=None,
                    dest="exact_degree",
                    help="quadrature exactness (default 2 * d_max)")
-    common(p, *factoring)
+    common(p)
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("counts", help="parcelling count and representation"
                                       " bound for a degree")
     p.add_argument("--d", type=int, required=True)
-    common(p)
+    common(p, clustered=False)
     p.set_defaults(func=_cmd_counts)
 
     return parser

@@ -20,11 +20,9 @@ from .algebra import (
     NORM_FLOOR,
     Poly,
     QuadForm,
-    _check_tol_div,
     double_factorial,
     grade_split,
     homogenize_on_quadric,
-    TOL_DIV,
 )
 from .conic import EPS_CLUSTER, _check_eps_cluster
 from .errors import (
@@ -76,7 +74,7 @@ def representation_bound(d: int) -> RepresentationCount:
     return RepresentationCount(d, bound)
 
 
-def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: float
+def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float
                     ) -> Tuple[HomogPoly, Optional[_FactorContext]]:
     """The first h / Q^k that is not a multiple of Q, with its factor context.
 
@@ -86,20 +84,19 @@ def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float, tol_div: floa
     """
     while h.degree > 1 and not h.is_zero():
         try:
-            return h, _FactorContext(h, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+            return h, _FactorContext(h, Q, eps_cluster=eps_cluster)
         except DivisibleByQ as exc:
             h = exc.quotient
     return h, None
 
 
 def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
-           tol_div: float, budget: List[int]
-           ) -> List[Tuple[complex, Dict[int, Multipole]]]:
+           budget: List[int]) -> List[Tuple[complex, Dict[int, Multipole]]]:
     """The constant and terms of every decomposition of h the strategy
     gives: each level keeps its context's rows(strategy), and each row's
     remainder recurses.  full_decompose has checked the input for the
     strategy; each level's rows certify themselves."""
-    cur, ctx = _strip_q_powers(h, Q, eps_cluster, tol_div)
+    cur, ctx = _strip_q_powers(h, Q, eps_cluster)
     if ctx is not None:
         rows = [(f.multipole(), f.remainder) for f in ctx.rows(strategy)]
     else:
@@ -110,8 +107,7 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
         rows = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))]
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
     for mp, remainder in rows:
-        for lam, terms in _chain(remainder, Q, strategy, eps_cluster, tol_div,
-                                 budget):
+        for lam, terms in _chain(remainder, Q, strategy, eps_cluster, budget):
             out.append((lam, {mp.degree: mp, **terms}))
             budget[0] -= 1
             if budget[0] < 0:
@@ -122,7 +118,7 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
 
 def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
                    strategy: str = "canonical",
-                   eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV
+                   eps_cluster: float = EPS_CLUSTER
                    ) -> Union[MultipoleSequence, List[MultipoleSequence]]:
     """Decompose a polynomial function on {Q = 1} into multipole terms.
 
@@ -131,8 +127,8 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     every level and returns the full list, and real_unique forces the
     conjugation-stable choice, which exists and is unique for real input over
     a definite real form.  All three run one recursion, and differ only in
-    the rows each level keeps.  tol_div and eps_cluster are checked as in
-    every factor context, whatever the degrees of P.
+    the rows each level keeps.  eps_cluster is checked as in every factor
+    context, whatever the degrees of P.
     """
     if isinstance(P, HomogPoly):
         P = Poly.from_homog(P)
@@ -143,13 +139,12 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
             raise StrategyMismatch("real_unique needs a definite real form")
         if not _is_real(P.parts, max(P.norm(), NORM_FLOOR)):
             raise StrategyMismatch("real_unique needs real coefficients")
-    _check_tol_div(tol_div)
     _check_eps_cluster(eps_cluster)
     parts = [None if g.is_zero() else homogenize_on_quadric(g, Q)
              for g in grade_split(P)]
     budget = [ENUMERATION_CAP]
     chains = [[(0j, {})] if h is None else
-              _chain(h, Q, strategy, eps_cluster, tol_div, budget)
+              _chain(h, Q, strategy, eps_cluster, budget)
               for h in parts]
     if len(chains[0]) * len(chains[1]) > ENUMERATION_CAP:
         raise EnumerationLimit("more than %d sequences" % ENUMERATION_CAP)

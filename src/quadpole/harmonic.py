@@ -9,7 +9,6 @@ harmonic_project), so no linear system is solved for it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -33,23 +32,9 @@ from .algebra import (
 )
 from .errors import SolveFailure
 
-TOL_HARM = 1e-9
-# The least bound any residual gate applies: delta_Q of a computed harmonic
-# is round-off, not zero, so a bound of 0 would refuse every one of them.
-TOL_HARM_FLOOR = 1e-12
+TOL_HARM = 1e-9  # every delta_Q residual gate's bound, relative
 TOL_DIRICHLET_DELTA = 1e-7  # dirichlet_solve's bound on delta_Q(P) - m, relative
 TOL_DIRICHLET_SURFACE = 1e-6  # dirichlet_solve's bound on P - n at surface samples
-
-
-def _harm_bound(tol_harm: float) -> float:
-    """tol_harm as the residual gates apply it, raised to TOL_HARM_FLOOR.
-
-    Raises ValueError unless tol_harm is finite and non-negative: with a NaN
-    or infinite bound the residual comparisons decide nothing.
-    """
-    if not 0 <= tol_harm < math.inf:
-        raise ValueError("tol_harm must be finite and non-negative, not %r" % (tol_harm,))
-    return max(tol_harm, TOL_HARM_FLOOR)
 
 
 # delta_Q has one term d_j d_k per pair j <= k, taken in the order of
@@ -121,15 +106,14 @@ def apply_delta_q(p: HomogPoly, Q: QuadForm) -> HomogPoly:
     return HomogPoly._of(p.degree - 2, _delta(p.coeffs, p.degree, _delta_weights(Q)))
 
 
-def is_harmonic(p: HomogPoly, Q: QuadForm, tol: float = TOL_HARM) -> bool:
-    """Whether ||delta_Q(p)|| is within tol of ||p||, scaled by the size of
-    delta_Q on the grade; tol is raised to TOL_HARM_FLOOR as in every gate."""
-    bound = _harm_bound(tol)
+def is_harmonic(p: HomogPoly, Q: QuadForm) -> bool:
+    """Whether ||delta_Q(p)|| is within TOL_HARM of ||p||, scaled by the
+    size of delta_Q on the grade."""
     if p.degree < 2:
         return True
     res = apply_delta_q(p, Q).norm()
     scale = max(1.0, p.degree ** 2 * float(np.max(np.abs(Q.b_inv))))
-    return res <= bound * scale * max(p.norm(), NORM_FLOOR)
+    return res <= TOL_HARM * scale * max(p.norm(), NORM_FLOOR)
 
 
 def _closed_split(p: HomogPoly, Q: QuadForm) -> Tuple[HomogPoly, HomogPoly]:
@@ -149,22 +133,21 @@ def _closed_split(p: HomogPoly, Q: QuadForm) -> Tuple[HomogPoly, HomogPoly]:
             HomogPoly._of(deg, R))
 
 
-def harmonic_project(p: HomogPoly, Q: QuadForm,
-                     tol_harm: float = TOL_HARM) -> Tuple[HomogPoly, HomogPoly]:
+def harmonic_project(p: HomogPoly, Q: QuadForm) -> Tuple[HomogPoly, HomogPoly]:
     """Split p = H + Q*R with delta_Q(H) = 0; returns (H, R).
 
     For p of degree m, H = sum_j c_j Q^j delta_Q^j p and R = (p - H) / Q with
     c_0 = 1, c_j = -c_(j-1) / (2j(2m - 2j + 1)): Axler, Bourdon & Ramey,
     Harmonic Function Theory, ch. 5, valid for Q as delta_Q Q = 6.  A second
-    pass on H lowers its round-off in delta_Q(H), which must stay small.
+    pass on H lowers its round-off in delta_Q(H), which must stay within
+    TOL_HARM.
     """
-    bound = _harm_bound(tol_harm)
     if p.degree < 2:
         return p.copy(), HomogPoly.zero(0)
     H, R = _closed_split(p, Q)
     H, R2 = _closed_split(H, Q)
     residual = apply_delta_q(H, Q).norm()
-    if residual > bound * max(apply_delta_q(p, Q).norm(), p.norm(), NORM_FLOOR):
+    if residual > TOL_HARM * max(apply_delta_q(p, Q).norm(), p.norm(), NORM_FLOOR):
         raise SolveFailure("projection residual %.3e too large" % residual)
     return H, R + R2
 
@@ -186,28 +169,25 @@ class HarmonicDecomp:
         return out
 
 
-def harmonic_decompose(p: HomogPoly, Q: QuadForm,
-                       tol_harm: float = TOL_HARM) -> HarmonicDecomp:
+def harmonic_decompose(p: HomogPoly, Q: QuadForm) -> HarmonicDecomp:
     """Full splitting P = sum_k Q^k H_k by repeated projection.
 
     Grades 0 and 1 are harmonic as they stand, so the component list always
-    has floor(degree/2) + 1 entries, indexed by the power of Q.  tol_harm
-    is checked here too, since a p of degree below 2 runs no projection.
+    has floor(degree/2) + 1 entries, indexed by the power of Q.
     """
-    _harm_bound(tol_harm)
     comps: List[HomogPoly] = []
     cur = p.copy()
     while True:
         if cur.degree < 2:
             comps.append(cur)
             break
-        H, R = harmonic_project(cur, Q, tol_harm=tol_harm)
+        H, R = harmonic_project(cur, Q)
         comps.append(H)
         cur = R
     return HarmonicDecomp(p.degree, comps)
 
 
-def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
+def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm,
                     perturb_seed: Optional[int] = None) -> Poly:
     """The unique polynomial P with delta_Q(P) = m and P = n on {Q = 1}.
 
@@ -215,9 +195,9 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
     delta_Q; stage two replaces the surface defect n - T by the harmonic
     polynomial with the same restriction to {Q = 1}.  With perturb_seed set,
     a random kernel element is added to T first; the output must not change,
-    which makes the uniqueness statement directly testable.
+    which makes the uniqueness statement directly testable.  Each grade's
+    preimage must solve its equation within TOL_HARM, relative.
     """
-    bound = _harm_bound(tol_harm)
     rng = np.random.default_rng(perturb_seed) if perturb_seed is not None else None
     t_grades: Dict[int, HomogPoly] = {}
     for k in range(m.degree + 1):
@@ -231,7 +211,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
             noise -= np.linalg.lstsq(dmat, dmat @ noise, rcond=None)[0]
             sol = sol + noise
         residual = float(np.linalg.norm(dmat @ sol - part.coeffs))
-        if residual > bound * max(part.norm(), NORM_FLOOR):
+        if residual > TOL_HARM * max(part.norm(), NORM_FLOOR):
             raise SolveFailure("no grade-%d preimage under delta_Q" % (k + 2))
         t_grades[k + 2] = HomogPoly(k + 2, sol)
     T = Poly.from_grades(t_grades) if t_grades else Poly.zero()
@@ -241,7 +221,7 @@ def dirichlet_solve(m: Poly, n: Poly, Q: QuadForm, tol_harm: float = TOL_HARM,
         if parity_part.is_zero():
             continue
         hom = homogenize_on_quadric(parity_part, Q)
-        decomp = harmonic_decompose(hom, Q, tol_harm=tol_harm)
+        decomp = harmonic_decompose(hom, Q)
         grades: Dict[int, HomogPoly] = {}
         for k, comp in enumerate(decomp.components):
             if not comp.is_zero():

@@ -199,14 +199,15 @@ def poly_from_json(obj: Any) -> Poly:
 
 
 def homog_from_json(obj: Any) -> HomogPoly:
-    """Parse a polynomial required to be homogeneous of its stated degree."""
+    """Parse a polynomial required to be homogeneous of its stated degree;
+    one with no nonzero term is the zero grade of that degree."""
     p = poly_from_json(obj)
-    top = len(p.parts) - 1
-    for part in p.parts[:-1]:
-        if not part.is_zero():
+    d = obj["degree"]
+    for part in p.parts:
+        if part.degree != d and not part.is_zero():
             raise InvalidInput("polynomial: expected homogeneous of degree %d"
-                               " but grade %d is present" % (top, part.degree))
-    return p.parts[top]
+                               " but grade %d is present" % (d, part.degree))
+    return p.part(d)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,10 @@ def quadform_from_json(obj: Any) -> QuadForm:
         raise InvalidInput("quadric: B must be a 3x3 matrix")
     M = np.array([[_parse_cnum(b[i][j], "quadric B[%d][%d]" % (i, j))
                    for j in range(3)] for i in range(3)])
-    if obj.get("real", False):
+    real = obj.get("real", False)
+    if not isinstance(real, bool):
+        raise InvalidInput("quadric: real must be true or false")
+    if real:
         if np.max(np.abs(M.imag)) != 0.0:
             raise InvalidInput("quadric: marked real but B has imaginary"
                                " entries")

@@ -16,11 +16,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (HomogPoly, QuadForm, TOL_DIV, _UNIT, _check_tol_div, _exponent_table,
-                      _lex_index, grade_dim, monomials)
+from .algebra import (HomogPoly, QuadForm, _UNIT, _exponent_table, _lex_index, grade_dim,
+                      monomials)
 from .conic import EPS_CLUSTER, _check_eps_cluster
 from .errors import NotHarmonic, SolveFailure, ZeroVector
-from .harmonic import TOL_HARM, is_harmonic
+from .harmonic import is_harmonic
 from .sylvester import _auto_strategy, factor
 
 TOL_REPRODUCE = 1e-7  # largest defect, relative to ||P||, of a multipole's reproduction
@@ -131,8 +131,7 @@ def maxwell_fit(P: HomogPoly, Q: QuadForm, lines: Sequence[Sequence[complex]]
     return list(U), scale, float(np.linalg.norm(P.coeffs - scale * model))
 
 
-def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
-                      eps_cluster: float = EPS_CLUSTER, tol_div: float = TOL_DIV
+def maxwell_decompose(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER
                       ) -> Tuple[List[np.ndarray], complex]:
     """Direction vectors and scale c with P = c * maxwell_poly(Q, vectors).
 
@@ -140,20 +139,19 @@ def maxwell_decompose(P: HomogPoly, Q: QuadForm, tol_harm: float = TOL_HARM,
     so the vectors come out real; otherwise the canonical parcelling is used
     (any parcelling gives a proportional result: the construction is
     harmonic with the same cone divisor as P, and harmonics embed injectively
-    into binary forms on the cone).  tol_div and eps_cluster are checked as
-    in every factor context, whatever the degree of P.  The fit's defect
-    must be at most TOL_REPRODUCE * ||P||.
+    into binary forms on the cone).  eps_cluster is checked as in every
+    factor context, whatever the degree of P.  The fit's defect must be at
+    most TOL_REPRODUCE * ||P||.
     """
-    _check_tol_div(tol_div)
     _check_eps_cluster(eps_cluster)
     if P.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    if not is_harmonic(P, Q, tol=tol_harm):
+    if not is_harmonic(P, Q):
         raise NotHarmonic("input is not annihilated by the quadric Laplacian")
     if P.degree == 0:
         return [], complex(P.coeffs[0])
     strategy = _auto_strategy([P], P.norm(), Q)
-    fact = factor(P, Q, strategy, eps_cluster=eps_cluster, tol_div=tol_div)
+    fact = factor(P, Q, strategy, eps_cluster=eps_cluster)
     vectors, scale, defect = maxwell_fit(P, Q, [L.coeffs for L in fact.lines])
     if defect > TOL_REPRODUCE * P.norm():
         raise SolveFailure("reconstruction deviates by %.3e relative" %

@@ -25,7 +25,6 @@ from .algebra import (
     HomogPoly,
     NORM_FLOOR,
     QuadForm,
-    _check_tol_div,
     divide_by_quadric,
     divide_rows_by_quadric,
     double_factorial,
@@ -334,10 +333,7 @@ def _reject_multiple_of_q(P: HomogPoly, Q: QuadForm, tol_div: float,
 def _restriction_of(P: HomogPoly, Q: QuadForm, tol_div: float
                     ) -> Tuple[ConicParam, BinaryForm]:
     """The conic's parameterization and P's restriction to it, once
-    _reject_multiple_of_q, given the restriction, has let P pass.
-    tol_div must pass _check_tol_div.
-    """
-    _check_tol_div(tol_div)
+    _reject_multiple_of_q, given the restriction, has let P pass."""
     param = conic_param(Q)
     b = restrict_to_conic(P, param)
     _reject_multiple_of_q(P, Q, tol_div, b)
@@ -391,7 +387,8 @@ class _FactorContext:
     ||b|| > RESTRICTION_ROOM * ||T||_2 * tol_div * ||P|| already shows that
     the division's residual exceeds tol_div * ||P|| (_reject_multiple_of_q).
     So a generic P is not divided; a P near a multiple of Q is, and so is
-    every P when tol_div < RESTRICTION_TOL_DIV_MIN.
+    every P when tol_div < RESTRICTION_TOL_DIV_MIN.  tol_div is TOL_DIV
+    but for multipole_series, which raises it to each band's noise floor.
 
     _factor_rows takes a list of parcellings as one stack of rows, and
     finds for them the point q where lambda is fixed, P(q) and, by one
@@ -679,10 +676,9 @@ def _check_real_input(P: HomogPoly) -> None:
 
 
 def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelling,
-                      eps_cluster: float = EPS_CLUSTER,
-                      tol_div: float = TOL_DIV) -> MultipoleFactorization:
+                      eps_cluster: float = EPS_CLUSTER) -> MultipoleFactorization:
     """Factor P as lambda * prod(lines) + Q * R for one chosen parcelling."""
-    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster)
     n = len(ctx.clusters)
     if not all(0 <= i < n for piece in parcelling.pieces for i in piece) \
             or parcelling.multiplicity_use(n) != ctx.multiplicities:
@@ -690,22 +686,22 @@ def factor_on_quadric(P: HomogPoly, Q: QuadForm, parcelling: GeneralizedParcelli
     return ctx._factor_rows([parcelling])[0]
 
 
-def all_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                       tol_div: float = TOL_DIV) -> List[MultipoleFactorization]:
+def all_factorizations(P: HomogPoly, Q: QuadForm,
+                       eps_cluster: float = EPS_CLUSTER) -> List[MultipoleFactorization]:
     """Factorizations for every parcelling, in enumeration order."""
-    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster)
     return ctx.rows("enumerate")
 
 
-def real_factor(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                tol_div: float = TOL_DIV) -> MultipoleFactorization:
+def real_factor(P: HomogPoly, Q: QuadForm,
+                eps_cluster: float = EPS_CLUSTER) -> MultipoleFactorization:
     """The unique real factorization of real P over a definite real Q.
 
     The conic of a definite form has no real points, so conjugation acts
     freely on the intersection divisor and pairing every cluster with its
     conjugate is the only conjugation-stable parcelling.
     """
-    return factor(P, Q, "real_unique", eps_cluster=eps_cluster, tol_div=tol_div)
+    return factor(P, Q, "real_unique", eps_cluster=eps_cluster)
 
 
 def _auto_strategy(grades: Iterable[HomogPoly], ref_norm: float, Q: QuadForm) -> str:
@@ -717,8 +713,7 @@ def _auto_strategy(grades: Iterable[HomogPoly], ref_norm: float, Q: QuadForm) ->
 
 
 def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
-           eps_cluster: float = EPS_CLUSTER,
-           tol_div: float = TOL_DIV) -> MultipoleFactorization:
+           eps_cluster: float = EPS_CLUSTER) -> MultipoleFactorization:
     """One factorization of P on the cone of Q, chosen by strategy.
 
     canonical takes canonical_parcelling of the root clusters; real_unique
@@ -731,12 +726,12 @@ def factor(P: HomogPoly, Q: QuadForm, strategy: str = "canonical",
         _check_real_input(P)
         if not Q.is_definite:
             raise NotDefinite("real factorization needs a definite real form")
-    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster)
     return ctx.rows(strategy)[0]
 
 
-def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                        tol_div: float = TOL_DIV) -> List[MultipoleFactorization]:
+def real_factorizations(P: HomogPoly, Q: QuadForm,
+                        eps_cluster: float = EPS_CLUSTER) -> List[MultipoleFactorization]:
     """All factorizations with real lines: one per conjugation-stable parcelling.
 
     Conjugate cluster pairs are forced together; only the clusters at real
@@ -746,7 +741,7 @@ def real_factorizations(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUS
     _check_real_input(P)
     if not Q.is_real:
         raise NotReal("quadratic form must be real")
-    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster, tol_div=tol_div)
+    ctx = _FactorContext(P, Q, eps_cluster=eps_cluster)
     sigma = ctx.conjugation(require_free=False)
     stable = [par for par in enumerate_parcellings(ctx.multiplicities)
               if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
@@ -763,8 +758,8 @@ def intersection_clusters(P: HomogPoly, Q: QuadForm,
     return roots_projective(b, eps_cluster=eps_cluster)
 
 
-def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
-                    tol_div: float = TOL_DIV) -> bool:
+def in_discriminant(P: HomogPoly, Q: QuadForm,
+                    eps_cluster: float = EPS_CLUSTER) -> bool:
     """Whether the intersection divisor of P on {Q = 0} has a multiple point.
 
     The divisor has a multiple point exactly when the discriminant resultant
@@ -776,11 +771,11 @@ def in_discriminant(P: HomogPoly, Q: QuadForm, eps_cluster: float = EPS_CLUSTER,
     the clusters see a multiple point there and the resultant does not,
     SolveFailure is raised.  Every other disagreement, and every one above
     that degree, goes to the clusters.  P is tested for being a multiple of
-    Q as a factor context tests it: the restriction decides where it can,
-    the division elsewhere.  A nonzero constant meets the conic nowhere, so
+    Q as a factor context tests it, at TOL_DIV: the restriction decides
+    where it can, the division elsewhere.  A nonzero constant meets the conic nowhere, so
     its divisor has no multiple point.
     """
-    b = _restriction_of(P, Q, tol_div)[1]
+    b = _restriction_of(P, Q, TOL_DIV)[1]
     max_c = float(np.max(np.abs(b.coeffs)))
     if max_c == 0.0:
         raise DivisibleByQ("restriction to the conic vanishes identically")

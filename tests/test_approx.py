@@ -314,10 +314,11 @@ class TestMultipoleSeries:
 
 def _reference_series(decomp, Q, tol_zero=1e-12, eps_cluster=1e-6,
                       tol_div=1e-9):
-    """Reference for multipole_series: the public factor afresh at each
-    scale of the schedule, and no scale skipped."""
-    from quadpole import Multipole, factor
+    """Reference for multipole_series: a fresh factor context at each scale
+    of the schedule, and no scale skipped."""
+    from quadpole import Multipole
     from quadpole.approx import SeriesMultipoles
+    from quadpole.sylvester import _FactorContext
     from quadpole.maxwell import maxwell_fit
     from quadpole.errors import (ConjugationPairingFailure,
                                  NoEvaluationPoint, SolveFailure)
@@ -340,8 +341,8 @@ def _reference_series(decomp, Q, tol_zero=1e-12, eps_cluster=1e-6,
         eps = eps_cluster
         while eps <= 0.2:
             try:
-                cand = factor(fk, Q, strategy, eps_cluster=eps,
-                              tol_div=band_tol_div).multipole()
+                cand = _FactorContext(fk, Q, eps_cluster=eps, tol_div=band_tol_div
+                                      ).rows(strategy)[0].multipole()
                 _, cc, defect = maxwell_fit(fk, Q, cand.lines)
                 if defect < best:
                     w, c, best = cand, cc, defect

@@ -291,21 +291,29 @@ class TestExitCodes:
             assert code == 2, argv
 
     def test_unread_tolerance_flags_rejected(self, files, capsys):
-        # a subcommand takes only the tolerance flags its handler reads
-        for argv in (["harmonic", files["xsq"], "--tol-div", "1e-9"],
-                     ["counts", "--d", "3", "--eps-cluster", "1e-6"],
-                     ["planar-fiber", files["div2"], "--center", "[0,0,2]",
-                      "--tol-fact", "1e-6"],
-                     ["decompose", files["xy"], "--tol-fact", "1e-6"],
-                     ["fibers", files["xy"], "--tol-fact", "1e-6"],
-                     ["approx", "--function", "exp_x", "--d-max", "2",
-                      "--tol-fact", "1e-6"],
-                     ["maxwell", "--invert", files["xsq"], "--tol-fact",
-                      "1e-6"]):
+        # --eps-cluster is the one tolerance flag, on the subcommands that
+        # cluster roots; the division, harmonic and factoring bounds are
+        # constants, and no subcommand takes a flag for them
+        commands = (["decompose", files["xy"]],
+                    ["decompose", files["xy"], "--cone"],
+                    ["harmonic", files["xsq"]],
+                    ["maxwell", "--invert", files["xsq"]],
+                    ["fibers", files["xy"]],
+                    ["discriminant", files["xsq"]],
+                    ["planar-fiber", files["div2"], "--center", "[0,0,2]"],
+                    ["approx", "--function", "exp_x", "--d-max", "2"],
+                    ["counts", "--d", "3"])
+        cases = [[*argv, flag, "1e-6"] for argv in commands
+                 for flag in ("--tol-div", "--tol-harm", "--tol-fact")]
+        cases += [["harmonic", files["xsq"], "--eps-cluster", "1e-6"],
+                  ["counts", "--d", "3", "--eps-cluster", "1e-6"]]
+        for argv in cases:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
-            assert "unrecognized arguments" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert "unrecognized arguments" in captured.err, argv
 
     def test_all_with_real_unique_rejected(self, files, capsys):
         # --all asks for every factorization, real_unique for the one real
@@ -316,23 +324,6 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert "--all" in captured.err and "real_unique" in captured.err
-
-    def test_non_finite_tol_div(self, run, files):
-        # a NaN bound passed every divisibility test, so decompose printed
-        # an empty answer and exited 0; approx raised a zero or negative
-        # bound to each band's noise floor and exited 0
-        for argv in (["decompose", files["xy"], "--tol-div", "nan"],
-                     ["decompose", files["xy"], "--tol-div", "1e300"],
-                     ["decompose", files["xy"], "--tol-div", "2"],
-                     ["fibers", files["xy"], "--tol-div", "nan"],
-                     ["approx", "--function", "exp_x", "--d-max", "2",
-                      "--tol-div", "nan"],
-                     ["approx", "--function", "exp_x", "--d-max", "3",
-                      "--tol-div", "-1"],
-                     ["approx", "--function", "exp_x", "--d-max", "3",
-                      "--tol-div", "0"]):
-            code, out = run(argv)
-            assert code == 2 and out == "", argv
 
     def test_non_finite_input_refused(self, run, files):
         # a NaN coefficient printed NaN answers with exit 0 (decompose,
@@ -351,6 +342,38 @@ class TestExitCodes:
                          ["maxwell", "--vectors", "[%s,0,1]" % value]):
                 code, out = run(argv)
                 assert code == 2 and out == "", argv
+
+    def test_non_boolean_real_refused(self, files, capsys):
+        # "real" took any JSON value: "no" with a complex B exited 2 calling
+        # the form marked real, and [0] was taken for false (exit 0)
+        B = [[[1, 1], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+        quadric = files["tmp"] / "quadric.json"
+        for real in ("no", [0]):
+            quadric.write_text(json.dumps({"B": B, "real": real}))
+            code = main(["decompose", files["xy"], "--quadric", str(quadric)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", real
+            assert "quadric: real must be true or false" in captured.err, real
+
+    def test_stated_degree_kept(self, files, capsys):
+        # {"degree": 3, "terms": [x]} parsed as the degree-1 x: harmonic
+        # printed one degree-1 component and decompose --cone factored a
+        # line, both exiting 0
+        path = files["tmp"] / "cubic.json"
+        path.write_text(json.dumps({"degree": 3, "terms": [{"exp": [1, 0, 0], "re": 1.0}]}))
+        for argv in (["harmonic", str(path)], ["decompose", "--cone", str(path)],
+                     ["fibers", str(path)], ["discriminant", str(path)],
+                     ["maxwell", "--invert", str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            assert "expected homogeneous of degree 3 but grade 1 is present" \
+                in captured.err, argv
+        # with no nonzero term it is the zero cubic: two zero components
+        path.write_text(json.dumps({"degree": 3, "terms": []}))
+        assert main(["harmonic", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"components": [
+            {"degree": 0, "terms": []}, {"degree": 0, "terms": []}]}
 
     def test_huge_integer_refused(self, run, files):
         # an integer literal beyond the double range passed the finite
@@ -374,25 +397,6 @@ class TestExitCodes:
             for argv in (["decompose", str(path)], ["harmonic", str(path)]):
                 code, out = run(argv)
                 assert code == 2 and out == "", argv
-
-    def test_tol_div_refused_at_every_degree(self, run, files):
-        # a surface input of degree <= 1 builds no factor context, the one
-        # place that checked the bound, so it took any --tol-div
-        lin = files["tmp"] / "lin.json"
-        lin.write_text(json.dumps(qio.poly_to_json(X)))
-        for value in ("2", "nan"):
-            for mode in ([], ["--cone"]):
-                code, out = run(["decompose", str(lin), *mode, "--tol-div", value])
-                assert code == 2 and out == "", (value, mode)
-
-    def test_tol_div_refused_without_a_factor_context(self, run, files):
-        # a constant input reaches no factor context, the one place that
-        # checked the bound, in maxwell --invert and in approx
-        for value in ("2", "nan"):
-            for argv in (["maxwell", "--invert", files["const1"]],
-                         ["approx", "--function", files["const1"], "--d-max", "2"]):
-                code, out = run([*argv, "--tol-div", value])
-                assert code == 2 and out == "", (argv, value)
 
     def test_eps_cluster_refused(self, run, files):
         # a NaN scale merged no roots: discriminant printed false for x^2,
@@ -430,18 +434,6 @@ class TestExitCodes:
                      ["counts", "--d", "3"]):
             code, out = run([*argv, "--quadric", str(quadric)])
             assert code == 4 and out == "", argv
-
-    def test_tol_harm_refused(self, run, files):
-        # nothing checked tol_harm: a NaN or infinite bound turned off the
-        # residual gates, and maxwell --invert --tol-harm nan called a
-        # harmonic input not annihilated (exit 4)
-        for value in ("nan", "inf", "-1"):
-            for argv in (["harmonic", files["xsq"]],
-                         ["harmonic", files["const1"]],
-                         ["maxwell", "--invert", files["zon2"]],
-                         ["maxwell", "--invert", files["const1"]]):
-                code, out = run([*argv, "--tol-harm", value])
-                assert code == 2 and out == "", (argv, value)
 
     def test_real_unique_at_zero_eps_cluster(self, run, files):
         # conjugate cluster points differ by round-off, so pairing them

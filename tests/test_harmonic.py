@@ -428,33 +428,3 @@ def _assert_poly_close(a, b, tol):
         ca = ha.coeffs if ha is not None else 0.0
         cb = hb.coeffs if hb is not None else 0.0
         assert np.max(np.abs(np.atleast_1d(ca - cb))) < tol * scale
-
-
-class TestTolHarmZero:
-    """tol_harm = 0 means the floor TOL_HARM_FLOOR in every gate: is_harmonic
-    once refused a component that harmonic_decompose returned under it."""
-
-    def test_components_accepted(self, dense_complex):
-        rng = np.random.default_rng(0)
-        P = HomogPoly(4, rng.standard_normal(grade_dim(4)))
-        dec = harmonic_decompose(P, dense_complex, tol_harm=0)
-        assert apply_delta_q(dec.components[0], dense_complex).norm() > 0
-        assert all(is_harmonic(h, dense_complex, tol=0) for h in dec.components)
-
-
-class TestTolHarmRefused:
-    """A NaN, infinite or negative tol_harm raises ValueError at every entry:
-    a NaN or infinite bound turned off the residual gates, and a NaN one
-    called every harmonic input of degree 2 or more not harmonic."""
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
-    def test_every_entry_point(self, sphere, tol):
-        zonal = hp(2, {(2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): 2.0})
-        for p in (zonal, hp(0, {(0, 0, 0): 1.0})):
-            with pytest.raises(ValueError, match="tol_harm must be finite"):
-                is_harmonic(p, sphere, tol=tol)
-            for call in (harmonic_project, harmonic_decompose):
-                with pytest.raises(ValueError, match="tol_harm must be finite"):
-                    call(p, sphere, tol_harm=tol)
-        with pytest.raises(ValueError, match="tol_harm must be finite"):
-            dirichlet_solve(Poly.constant(0.0), Poly.constant(1.0), sphere, tol_harm=tol)

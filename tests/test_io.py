@@ -169,6 +169,22 @@ class TestPoly:
         with pytest.raises(InvalidInput):
             qio.homog_from_json(qio.poly_to_json(p))
 
+    def test_homog_keeps_the_stated_degree(self):
+        # a stated degree above every nonzero grade was dropped: degree 3
+        # with the one term x parsed as the degree-1 x
+        x = {"exp": [1, 0, 0], "re": 1.0}
+        with pytest.raises(InvalidInput, match="expected homogeneous of degree 3"
+                                               " but grade 1 is present"):
+            qio.homog_from_json({"degree": 3, "terms": [x]})
+        # with no nonzero term it is the zero grade of the stated degree
+        for obj in ({"degree": 0, "terms": []}, {"degree": 3, "terms": []},
+                    {"degree": 3, "terms": [{"exp": [1, 0, 0], "re": 0.0}]}):
+            zero = qio.homog_from_json(obj)
+            assert zero.degree == obj["degree"] and zero.is_zero()
+        cube = qio.homog_from_json({"degree": 3, "terms": [
+            {"exp": [0, 0, 0], "re": 0.0}, {"exp": [0, 0, 3], "re": 2.0}]})
+        assert cube.degree == 3 and cube.coeffs[-1] == 2.0
+
     def test_serializer_matches_term_loop(self):
         # repr tells -0.0 from 0.0, nan from a number and np.float64 from
         # float; -0.0+0j equals 0 and is omitted, nan and inf are kept
@@ -337,6 +353,19 @@ class TestQuadForm:
                      [[0, 0], [0, 0], [1, 0]]], "real": True}
         with pytest.raises(InvalidInput):
             qio.quadform_from_json(obj)
+
+    def test_real_must_be_boolean(self):
+        # "real" took any JSON value: "no" with a complex B was refused as
+        # marked real, and [0] was taken for false
+        complex_b = [[[1, 1], [0, 0], [0, 0]],
+                     [[0, 0], [1, 0], [0, 0]],
+                     [[0, 0], [0, 0], [1, 0]]]
+        for B in (complex_b, np.eye(3).tolist()):
+            for real in ("no", [0], 0, 1, None, {}):
+                with pytest.raises(InvalidInput, match="quadric: real must be true or false"):
+                    qio.quadform_from_json({"B": B, "real": real})
+        assert not qio.quadform_from_json({"B": complex_b, "real": False}).is_real
+        assert qio.quadform_from_json({"B": np.eye(3).tolist(), "real": True}).is_real
 
     def test_shape_rejections(self):
         for obj in [{"B": [[1, 0, 0], [0, 1, 0]]}, {"B": 3},

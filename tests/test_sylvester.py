@@ -33,7 +33,7 @@ from quadpole import (
     real_factor,
     real_factorizations,
 )
-from quadpole import algebra, deconstruct, multipole_series, sylvester
+from quadpole import algebra, deconstruct, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim
 from quadpole.conic import BinaryForm, RootCluster, restrict_to_conic
 from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
@@ -612,13 +612,14 @@ class TestDivisionScale:
 
     def test_small_multiple_of_q_divided(self, sphere):
         # P = lam * prod(L) + Q * R with ||Q * R|| = 1e-7 ||P||: under
-        # tol_div = 1e-6 that defect is still divided, not taken for R = 0
-        # and then refused at TOL_FACT
+        # tol_div = 1e-6, as multipole_series passes for small bands, that
+        # defect is still divided, not taken for R = 0 and then refused at
+        # TOL_FACT
         rng = np.random.default_rng(47)
         base = all_factorizations(random_homog(4, rng), sphere)[0].product()
         QS = poly_mul(sphere.poly(), random_homog(2, rng))
         P = base + HomogPoly(4, 1e-7 * base.norm() / QS.norm() * QS.coeffs)
-        facts = all_factorizations(P, sphere, tol_div=1e-6)
+        facts = _FactorContext(P, sphere, tol_div=1e-6).rows("enumerate")
         assert len(facts) == 105
         for f in facts:
             assert (f.reconstruct(sphere) - P).norm() <= 1e-8 * P.norm()
@@ -653,7 +654,7 @@ class TestDivisionScale:
                 for k in rng.choice(len(pars), size=4, replace=False):
                     first.clear()
                     with pytest.raises(SolveFailure):
-                        factor_on_quadric(p, Q, pars[k], tol_div=tol_div)
+                        _FactorContext(p, Q, tol_div=tol_div)._factor_rows([pars[k]])
 
 
 def _late_piece(ctx):
@@ -1109,19 +1110,8 @@ class TestDiscriminant:
 
 
 class TestTolDivRefused:
-    """A tol_div that is not finite and positive raises ValueError: with NaN
-    or inf every divisibility test passed, so xy was taken for a multiple
-    of Q all the way down and decomposed to nothing."""
-
-    @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0, 1.0, 2.0])
-    def test_every_entry_point(self, sphere, tol_div):
-        xy = poly_mul(HomogPoly(1, [1, 0, 0]), HomogPoly(1, [0, 1, 0]))
-        pairing = canonical_parcelling([1, 1, 1, 1])
-        for call in (full_decompose, factor, all_factorizations, real_factorizations,
-                     lambda P, Q, **kw: factor_on_quadric(P, Q, pairing, **kw),
-                     in_discriminant):
-            with pytest.raises(ValueError, match="tol_div must be finite and positive"):
-                call(xy, sphere, tol_div=tol_div)
+    """The division takes any finite positive tol_div, and refuses the rest:
+    with NaN or inf every divisibility test would pass."""
 
     def test_division_rule(self, sphere):
         # the division alone takes any finite positive bound, 1 included:
@@ -1131,14 +1121,6 @@ class TestTolDivRefused:
         for tol_div in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
             with pytest.raises(ValueError, match="tol_div must be finite and positive"):
                 algebra.divide_by_quadric(xyz, sphere, tol_div=tol_div)
-
-    @pytest.mark.parametrize("tol_div", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_multipole_series(self, sphere, tol_div):
-        # raised to a band's noise floor, a zero or negative tol_div passed
-        from quadpole import QuadratureRule, l2_project
-        dec = l2_project(lambda p: np.exp(p[:, 0]), sphere, 3, QuadratureRule(6))
-        with pytest.raises(ValueError, match="tol_div must be finite and positive"):
-            multipole_series(dec, sphere, tol_div=tol_div)
 
 
 class TestEpsClusterRefused:
@@ -1265,12 +1247,18 @@ class TestDivisibilityFromRestriction:
                   for Q in (sphere, dense_complex) for d in (2, 3, 4)
                   for tol in self.TOLS for s in (0.0, 0.5, 2.0, 20.0, 1e4)]
         inputs += [(Q, poly_mul(X, X), TOL_DIV) for Q in (sphere, dense_complex)]
-        got = [_outcome_of(lambda: in_discriminant(P, Q, tol_div=tol))
-               for Q, P, tol in inputs]
+        restriction_of = sylvester._restriction_of
+
+        def outcome(P, Q, tol):
+            # in_discriminant with its divisibility test at tol, not TOL_DIV
+            monkeypatch.setattr(sylvester, "_restriction_of",
+                                lambda P, Q, _: restriction_of(P, Q, tol))
+            return _outcome_of(lambda: in_discriminant(P, Q))
+
+        got = [outcome(P, Q, tol) for Q, P, tol in inputs]
         divided = len(divisions)
         monkeypatch.setattr(sylvester, "_restriction_norm", lambda Q, d: np.inf)
-        assert got == [_outcome_of(lambda: in_discriminant(P, Q, tol_div=tol))
-                       for Q, P, tol in inputs]
+        assert got == [outcome(P, Q, tol) for Q, P, tol in inputs]
         assert len(divisions) == divided + len(inputs)
         # the restriction decided for x * x and at least every s = 1e4 input
         # with tol_div >= 1e-12
