@@ -190,7 +190,9 @@ class TestHarmonicity:
 
 
 class TestDecompose:
-    @pytest.mark.parametrize("kwargs", [{"eps_cluster": float("nan")},
+    @pytest.mark.parametrize("kwargs", [{"eps_cluster": float("inf")},
+                                        {"eps_cluster": float("-inf")},
+                                        {"eps_cluster": float("nan")},
                                         {"eps_cluster": -1e-6}])
     def test_bounds_refused_at_degree_zero(self, sphere, kwargs):
         # a constant returns before any factor context, which checked these
