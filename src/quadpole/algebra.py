@@ -11,6 +11,7 @@ throughout, and exactness is always checked by residuals, never assumed.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import lru_cache, wraps
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
@@ -316,16 +317,25 @@ def grade_split(p: Poly) -> Tuple[Poly, Poly]:
     return Poly(even), Poly(odd)
 
 
+FORM_CACHE_FORMS = 8  # forms whose operators form_operator keeps
+
 _OPERATORS: Dict[tuple, object] = {}
+# Q.key -> the keys of that form's entries in _OPERATORS, least recently used form first
+_FORM_KEYS: "OrderedDict[bytes, list]" = OrderedDict()
 
 
 def form_operator(build: Callable) -> Callable:
-    """Cache build(Q, *args) under (its name, Q.key, *args), for every form.
+    """Cache build(Q, *args) under (its name, Q.key, *args), for the forms
+    used last.
 
     The key is the value of B, not the QuadForm object: forms built afresh
     from equal matrices (the CLI builds one per call) share their operators.
-    The arguments after Q are positional and hashable; entries are never
-    evicted.  The builders that hold per-form entries are mul_q_matrix and
+    The arguments after Q are positional and hashable.  The cache holds the
+    entries of at most FORM_CACHE_FORMS forms: a call on a form not held
+    evicts every entry of the least recently used form once that many are
+    held, and any call, hit or build, makes its form the most recently used.
+    An evicted entry is built again, with the same bits, when it is next
+    asked for.  The builders that hold per-form entries are mul_q_matrix and
     _quotient_matrix here; delta_matrix and _delta_weights in harmonic;
     conic_param, _restriction_matrix and _restriction_norm in conic;
     _trial_conic_points and _trial_monomials in sylvester; _pullback_matrix
@@ -337,10 +347,20 @@ def form_operator(build: Callable) -> Callable:
 
     @wraps(build)
     def cached(Q: "QuadForm", *args):
-        key = (name, Q.key) + args
+        qkey = Q.key
+        key = (name, qkey) + args
+        keys = _FORM_KEYS.get(qkey)
+        if keys is None:
+            if len(_FORM_KEYS) >= FORM_CACHE_FORMS:
+                for old in _FORM_KEYS.popitem(last=False)[1]:
+                    del _OPERATORS[old]
+            keys = _FORM_KEYS[qkey] = []
+        else:
+            _FORM_KEYS.move_to_end(qkey)
         op = _OPERATORS.get(key)
         if op is None:
             op = _OPERATORS[key] = build(Q, *args)
+            keys.append(key)
         return op
 
     return cached
@@ -496,8 +516,15 @@ def _quotient_matrix(Q: QuadForm, degree_r: int) -> np.ndarray:
     M has full column rank, so the least-squares solution of M X = I is its
     pseudo-inverse.  M is built here and dropped, so the cache holds this
     operator in place of M rather than both, which would double its size.
+    A real form has a real M and so a real M^+: it is solved in real
+    arithmetic, 4-6 times faster than the complex solve at degree_r = 38,
+    and stored complex, so the division is the same product for every form.
+    The solve stays np.linalg.lstsq: perfbench's tracer counts the calls to
+    it from this module as algebra.lstsq.calls.
     """
     M = _mul_matrix(Q.poly(), degree_r)
+    if Q.is_real:
+        return np.linalg.lstsq(M.real, np.eye(M.shape[0]), rcond=None)[0].astype(complex)
     return np.linalg.lstsq(M, np.eye(M.shape[0]), rcond=None)[0]
 
 

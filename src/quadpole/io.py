@@ -62,8 +62,9 @@ def _check_keys(obj: Dict[str, Any], allowed: Iterable[str], where: str) -> None
 # polynomials: {"degree": d, "terms": [{"exp": [a,b,c], "re": r, "im": s}]}
 
 def poly_to_json(p) -> Dict[str, Any]:
-    """Serialize a Poly or HomogPoly; zero coefficients are omitted."""
-    parts = p.parts if isinstance(p, Poly) else Poly.from_homog(p).parts
+    """Serialize a Poly or HomogPoly; zero coefficients are omitted.  A
+    HomogPoly is written at its own degree, the zero grade included."""
+    parts = p.parts if isinstance(p, Poly) else (p,)
     terms = []
     for part in parts:
         monos = monomials(part.degree)
@@ -71,7 +72,7 @@ def poly_to_json(p) -> Dict[str, Any]:
         c = part.coeffs[nz]
         for i, re, im in zip(nz.tolist(), c.real.tolist(), c.imag.tolist()):
             terms.append({"exp": list(monos[i]), "re": re, "im": im})
-    return {"degree": len(parts) - 1, "terms": terms}
+    return {"degree": parts[-1].degree, "terms": terms}
 
 
 _TERM_KEYS = frozenset(("exp", "re", "im"))

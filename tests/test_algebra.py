@@ -293,6 +293,101 @@ class TestDivideByQuadric:
         divide_rows_by_quadric(stack[:5], 4, sphere, ref_norm=1e4)
 
 
+def _rotated_ellipsoid(rng):
+    """A real definite form with three distinct axes in a random frame."""
+    R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    B = R @ np.diag(rng.uniform(0.6, 1.8, size=3)) @ R.T
+    return QuadForm(0.5 * (B + B.T))
+
+
+def _complex_quotient(Q, degree_r):
+    """M^+ by the complex least-squares solve, for any form."""
+    M = algebra._mul_matrix(Q.poly(), degree_r)
+    return np.linalg.lstsq(M, np.eye(M.shape[0]), rcond=None)[0]
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """The list that every np.linalg.lstsq call appends to."""
+    calls = []
+    original = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return calls
+
+
+class TestQuotientOperator:
+    def test_real_form_is_solved_real(self, sphere, hyperboloid):
+        rng = np.random.default_rng(11)
+        for Q in (sphere, hyperboloid, _rotated_ellipsoid(rng)):
+            assert Q.is_real
+            for d in range(13):
+                op = _quotient_matrix(Q, d)
+                assert op.dtype == complex and not op.imag.any()
+                want = _complex_quotient(Q, d)
+                assert np.linalg.norm(op - want) <= 1e-14 * np.linalg.norm(want)
+                r = random_homog(d, rng)
+                back = op @ poly_mul(Q.poly(), r).coeffs
+                assert np.linalg.norm(back - r.coeffs) <= 1e-13 * r.norm()
+
+    def test_complex_form_keeps_its_bits(self, dense_complex):
+        for d in range(9):
+            assert _quotient_matrix(dense_complex, d).tobytes() \
+                == _complex_quotient(dense_complex, d).tobytes()
+
+
+class TestFormCache:
+    """form_operator keeps the operators of FORM_CACHE_FORMS forms.  The
+    forms here are diagonal with a last entry no other test uses."""
+
+    @staticmethod
+    def fresh(k):
+        return QuadForm(np.diag([1.0, 2.0, 7.0 + k / 64]))
+
+    @staticmethod
+    def held_forms():
+        return {key[1] for key in algebra._OPERATORS}
+
+    def test_at_most_cap_forms_held(self):
+        cap = algebra.FORM_CACHE_FORMS
+        for k in range(cap + 3):
+            divide_by_quadric(poly_mul(self.fresh(k).poly(), X), self.fresh(k))
+        assert len(algebra._FORM_KEYS) == cap
+        assert len(self.held_forms()) <= cap
+        assert {self.fresh(k).key for k in range(3, cap + 3)} <= self.held_forms()
+        assert not {self.fresh(k).key for k in range(3)} & self.held_forms()
+
+    def test_most_recently_used_not_rebuilt(self, lstsq_calls):
+        cap = algebra.FORM_CACHE_FORMS
+        kept = self.fresh(100)
+        first = _quotient_matrix(kept, 3)
+        for k in range(101, 101 + cap + 3):
+            _quotient_matrix(self.fresh(k), 3)
+            assert _quotient_matrix(kept, 3) is first
+        assert len(lstsq_calls) == 1 + cap + 3
+
+    def test_equal_b_shares_entries(self, lstsq_calls):
+        B = np.diag([1.0, 2.0, 7.0 + 200 / 64])
+        a, b = QuadForm(B), QuadForm(B.copy())
+        assert a is not b and a.key == b.key
+        assert _quotient_matrix(a, 4) is _quotient_matrix(b, 4)
+        assert mul_q_matrix(a, 4) is mul_q_matrix(b, 4)
+        assert len(lstsq_calls) == 1
+
+    def test_evicted_form_rebuilds_same_bits(self, lstsq_calls):
+        Q = self.fresh(300)
+        before = {d: _quotient_matrix(Q, d).tobytes() for d in (2, 5)}
+        for k in range(301, 301 + algebra.FORM_CACHE_FORMS):
+            mul_q_matrix(self.fresh(k), 1)
+        assert Q.key not in self.held_forms()
+        assert {d: _quotient_matrix(Q, d).tobytes() for d in (2, 5)} == before
+        assert len(lstsq_calls) == 4
+
+
 class TestQuadReduce:
     def test_sphere_identity(self, sphere):
         assert np.allclose(quad_reduce(sphere), np.eye(3))

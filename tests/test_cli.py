@@ -369,11 +369,12 @@ class TestExitCodes:
             assert code == 2 and captured.out == "", argv
             assert "expected homogeneous of degree 3 but grade 1 is present" \
                 in captured.err, argv
-        # with no nonzero term it is the zero cubic: two zero components
+        # with no nonzero term it is the zero cubic: two zero components,
+        # each printed at its own degree
         path.write_text(json.dumps({"degree": 3, "terms": []}))
         assert main(["harmonic", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"components": [
-            {"degree": 0, "terms": []}, {"degree": 0, "terms": []}]}
+            {"degree": 3, "terms": []}, {"degree": 1, "terms": []}]}
 
     def test_huge_integer_refused(self, run, files):
         # an integer literal beyond the double range passed the finite

@@ -48,8 +48,9 @@ def dumps(obj):
 
 
 def poly_to_json_loop(p):
-    """poly_to_json as one complex() per coefficient, the reference."""
-    parts = p.parts if isinstance(p, Poly) else Poly.from_homog(p).parts
+    """poly_to_json as one complex() per coefficient, the reference; a
+    HomogPoly at its own degree."""
+    parts = p.parts if isinstance(p, Poly) else (p,)
     terms = []
     for part in parts:
         for mono, c in zip(monomials(part.degree), part.coeffs):
@@ -58,7 +59,7 @@ def poly_to_json_loop(p):
                 continue
             terms.append({"exp": list(mono), "re": float(c.real),
                           "im": float(c.imag)})
-    return {"degree": len(parts) - 1, "terms": terms}
+    return {"degree": parts[-1].degree, "terms": terms}
 
 
 def poly_from_json_loop(obj):
@@ -184,6 +185,15 @@ class TestPoly:
         cube = qio.homog_from_json({"degree": 3, "terms": [
             {"exp": [0, 0, 0], "re": 0.0}, {"exp": [0, 0, 3], "re": 2.0}]})
         assert cube.degree == 3 and cube.coeffs[-1] == 2.0
+
+    def test_zero_grade_round_trips_at_its_degree(self):
+        # the zero grade of degree d was written at degree 0 and read back
+        # as the zero constant
+        for d in range(7):
+            obj = qio.poly_to_json(HomogPoly.zero(d))
+            assert obj == {"degree": d, "terms": []}
+            back = qio.homog_from_json(obj)
+            assert back.degree == d and back.is_zero()
 
     def test_serializer_matches_term_loop(self):
         # repr tells -0.0 from 0.0, nan from a number and np.float64 from
