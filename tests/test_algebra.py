@@ -296,8 +296,7 @@ class TestDivideByQuadric:
 def _rotated_ellipsoid(rng):
     """A real definite form with three distinct axes in a random frame."""
     R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    B = R @ np.diag(rng.uniform(0.6, 1.8, size=3)) @ R.T
-    return QuadForm(0.5 * (B + B.T))
+    return QuadForm(R @ np.diag(rng.uniform(0.6, 1.8, size=3)) @ R.T)
 
 
 def _complex_quotient(Q, degree_r):
@@ -313,7 +312,7 @@ def lstsq_calls(monkeypatch):
     original = np.linalg.lstsq
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append("lstsq")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counted)
