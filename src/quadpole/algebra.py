@@ -335,7 +335,7 @@ def form_operator(build: Callable) -> Callable:
     evicts every entry of the least recently used form once that many are
     held, and any call, hit or build, makes its form the most recently used.
     An evicted entry is built again, with the same bits, when it is next
-    asked for.  The builders that hold per-form entries are mul_q_matrix and
+    asked for.  The functions that hold per-form entries are mul_q_matrix and
     _quotient_matrix here; delta_matrix and _delta_weights in harmonic;
     conic_param, _restriction_matrix and _restriction_norm in conic;
     _trial_conic_points and _trial_monomials in sylvester; _pullback_matrix
