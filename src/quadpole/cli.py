@@ -13,16 +13,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import operator
 import sys
-from itertools import chain
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import io as qio
-from .algebra import QuadForm, QuadratureRule
+from .algebra import HomogPoly, QuadForm, QuadratureRule, _exponent_table
 from .conic import EPS_CLUSTER
 from .deconstruct import full_decompose, representation_bound
 from .errors import DivisibleByQ, InsufficientQuadrature, InvalidInput, QuadpoleError
@@ -65,49 +62,71 @@ def _resolve_quadric(name: str) -> QuadForm:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _INF = float("inf")
-_TERM_FIELDS = [operator.itemgetter(key) for key in ("exp", "im", "re")]
 COUNTS_MAX_D = 74  # the largest --d whose bound prints under the 4,300-digit str limit
 
 
 @functools.lru_cache(maxsize=None)
-def _term_template(newline: str) -> str:
-    """One polynomial term's text, for % with its three exponents and its
-    im and re, in a list whose items sit at the line break newline."""
-    key = newline + "  "
+def _grade_template(newline: str) -> Tuple[str, str, str]:
+    """A grade's text at the line break newline, for % with its degree and
+    then each term's three exponents, im and re: the head with the first
+    term, each further term with its separator, and the tail."""
+    inner = newline + "  "
+    item = inner + "  "
+    key = item + "  "
     exp = key + "  "
-    return ('{%s"exp": [%s%%d,%s%%d,%s%%d%s],%s"im": %%r,%s"re": %%r%s}'
-            % (key, exp, exp, exp, key, key, key, newline))
+    term = ('{%s"exp": [%s%%d,%s%%d,%s%%d%s],%s"im": %%r,%s"re": %%r%s}'
+            % (key, exp, exp, exp, key, key, key, item))
+    return ('{%s"degree": %%d,%s"terms": [%s%s' % (inner, inner, item, term),
+            "," + item + term, "%s]%s}" % (inner, newline))
 
 
-def _terms_text(items, newline: str) -> Optional[str]:
-    """The items of a list of polynomial terms joined at the line break
-    newline, or None if they are not all terms.
+def _grade_text(p: HomogPoly, newline: str) -> str:
+    """The text of io.poly_to_json(p) at the line break newline.
 
-    A term is a dict with exactly the keys exp, im and re, exp a list of
-    three ints and im and re finite floats.  The whole list is checked at
-    once, and written with one % of the template of its line break,
-    repeated once per term, over every term's numbers in turn.
+    The nonzero terms' exponents come from the grade's exponent table and
+    their im and re from its coefficients' tolist(), all written with one %
+    of the template of the line break, repeated once per term.  A grade
+    with a NaN or infinite coefficient is poly_to_json's own object.
     """
-    if set(map(type, items)) != {dict} or set(map(len, items)) != {3}:
-        return None
-    try:
-        exps, ims, res = [list(map(get, items)) for get in _TERM_FIELDS]
-    except KeyError:
-        return None
-    if set(map(type, exps)) != {list} or set(map(len, exps)) != {3}:
-        return None
-    ints = list(chain.from_iterable(exps))
-    values = ims + res
-    if (set(map(type, ints)) != {int} or set(map(type, values)) != {float}
-            or not all(map(math.isfinite, values))):
-        return None
-    n = len(items)
-    numbers = [None] * (5 * n)
-    for i in range(3):
-        numbers[i::5] = ints[i::3]
-    numbers[3::5] = ims
-    numbers[4::5] = res
-    return ("," + newline).join([_term_template(newline)] * n) % tuple(numbers)
+    nz = np.flatnonzero(p.coeffs)
+    c = p.coeffs[nz]
+    if not np.isfinite(c).all():
+        return _json_text(qio.poly_to_json(p), newline)
+    inner = newline + "  "
+    n = len(nz)
+    if not n:
+        return '{%s"degree": %d,%s"terms": []%s}' % (inner, p.degree, inner, newline)
+    numbers = [p.degree] + [None] * (5 * n)
+    numbers[1::5], numbers[2::5], numbers[3::5] = _exponent_table(p.degree)[:, nz].tolist()
+    numbers[4::5] = c.imag.tolist()
+    numbers[5::5] = c.real.tolist()
+    head, more, tail = _grade_template(newline)
+    return (head + more * (n - 1) + tail) % tuple(numbers)
+
+
+@functools.lru_cache(maxsize=None)
+def _line_template(newline: str) -> str:
+    """One line's text, for % with its three coefficients' re and im in
+    turn, in a list whose items sit at the line break newline."""
+    coeff = newline + "  "
+    part = coeff + "  "
+    pair = "[%s%%r,%s%%r%s]" % (part, part, coeff)
+    return "[%s%s%s]" % (coeff, ("," + coeff).join([pair] * 3), newline)
+
+
+def _lines_text(lines: np.ndarray, newline: str) -> str:
+    """The text of io._lines_to_json(lines), lines an (n, 3) complex array,
+    at the line break newline: every coefficient's re and im, in the
+    array's order, in one % of the line template repeated once per line.
+    Lines with a NaN or infinite coefficient are _lines_to_json's own."""
+    if not np.isfinite(lines).all():
+        return _json_text(qio._lines_to_json(lines), newline)
+    if not len(lines):
+        return "[]"
+    inner = newline + "  "
+    line = _line_template(inner)
+    text = "[" + inner + line + ("," + inner + line) * (len(lines) - 1) + newline + "]"
+    return text % tuple(np.ascontiguousarray(lines, dtype=complex).view(float).ravel().tolist())
 
 
 def _json_text(obj: Any, newline: str = "\n") -> str:
@@ -116,26 +135,25 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
     The standard library runs its pure-Python encoder whenever indent is
     set.  This one writes what the commands emit itself, with one join per
     container: lists, tuples and dicts whose keys are all str, with finite
-    float and int children inline.  A list of polynomial terms, the bulk of
-    every answer, is written by _terms_text with one % per list.  Every other
-    value, a dict with a non-str key among them (its sort or key encoding
-    raises TypeError), is json.dumps' own text with each of its line breaks
-    indented to this level; json escapes the line breaks inside strings,
-    and an unsupported type raises its TypeError.  newline is the line
-    break and indentation of obj's own level.
+    float and int children inline.  The commands' grades and line stacks,
+    the bulk of every answer, come as a HomogPoly and an (n, 3) complex
+    array, written as io.poly_to_json and io._lines_to_json would write
+    them by _grade_text and _lines_text.  Every other value, a dict with a
+    non-str key among them (its sort or key encoding raises TypeError), is
+    json.dumps' own text with each of its line breaks indented to this
+    level; json escapes the line breaks inside strings, and an unsupported
+    type raises its TypeError.  newline is the line break and indentation
+    of obj's own level.
     """
     cls = type(obj)
     inner = newline + "  "
     if cls is list or cls is tuple:
         if not obj:
             return "[]"
-        text = _terms_text(obj, inner) if type(obj[0]) is dict else None
-        if text is None:
-            text = ("," + inner).join(
-                [float.__repr__(v) if type(v) is float and -_INF < v < _INF else
-                 int.__repr__(v) if type(v) is int else _json_text(v, inner)
-                 for v in obj])
-        return "[%s%s%s]" % (inner, text, newline)
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [float.__repr__(v) if type(v) is float and -_INF < v < _INF else
+             int.__repr__(v) if type(v) is int else _json_text(v, inner)
+             for v in obj]), newline)
     if cls is dict and obj:
         try:
             return "{%s%s%s}" % (inner, ("," + inner).join(
@@ -145,6 +163,10 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
                  for k, v in sorted(obj.items())]), newline)
         except TypeError:
             pass
+    if cls is HomogPoly:
+        return _grade_text(obj, newline)
+    if cls is np.ndarray:
+        return _lines_text(obj, newline)
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
@@ -160,6 +182,27 @@ def _emit(obj: Any, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _multipole_arrays(m) -> Dict[str, Any]:
+    """io.multipole_to_json's object, its lines an (n, 3) complex array."""
+    return {"lines": np.array(m.lines, dtype=complex).reshape(-1, 3),
+            "scale": qio._cnum(m.scale)}
+
+
+def _factorization_arrays(f) -> Dict[str, Any]:
+    """io.factorization_to_json's object, its lines an (n, 3) complex array
+    and its remainder the grade itself."""
+    return {"lambda": qio._cnum(f.lam),
+            "lines": np.array([L.coeffs for L in f.lines], dtype=complex).reshape(-1, 3),
+            "parcelling": [list(piece) for piece in f.parcelling.pieces],
+            "remainder": f.remainder}
+
+
+def _sequence_arrays(s) -> Dict[str, Any]:
+    """io.sequence_to_json's object, each multipole's lines an array."""
+    return {"lambda": qio._cnum(s.lam),
+            "terms": {str(k): _multipole_arrays(m) for k, m in s.terms.items()}}
+
+
 def _cmd_decompose(args, Q: QuadForm) -> Any:
     data = _load_json(args.poly)
     strategy = args.strategy
@@ -173,23 +216,22 @@ def _cmd_decompose(args, Q: QuadForm) -> Any:
         if strategy == "enumerate":
             facts = all_factorizations(P, Q, eps_cluster=args.eps_cluster)
             return {"count": len(facts),
-                    "factorizations": [qio.factorization_to_json(f)
-                                       for f in facts]}
-        return qio.factorization_to_json(factor(
+                    "factorizations": [_factorization_arrays(f) for f in facts]}
+        return _factorization_arrays(factor(
             P, Q, strategy, eps_cluster=args.eps_cluster))
     P = qio.poly_from_json(data)
     result = full_decompose(P, Q, strategy=strategy,
                             eps_cluster=args.eps_cluster)
     if strategy == "enumerate":
         return {"count": len(result),
-                "sequences": [qio.sequence_to_json(s) for s in result]}
-    return qio.sequence_to_json(result)
+                "sequences": [_sequence_arrays(s) for s in result]}
+    return _sequence_arrays(result)
 
 
 def _cmd_harmonic(args, Q: QuadForm) -> Any:
     P = qio.homog_from_json(_load_json(args.poly))
     dec = harmonic_decompose(P, Q)
-    return {"components": [qio.poly_to_json(h) for h in dec.components]}
+    return {"components": dec.components}
 
 
 def _parse_vectors(text: str) -> List[np.ndarray]:
@@ -209,11 +251,11 @@ def _cmd_maxwell(args, Q: QuadForm) -> Any:
     if args.invert is not None:
         P = qio.homog_from_json(_load_json(args.invert))
         vectors, scale = maxwell_decompose(P, Q, eps_cluster=args.eps_cluster)
-        return {"vectors": [[qio._cnum(x) for x in v] for v in vectors],
+        return {"vectors": np.array(vectors, dtype=complex).reshape(-1, 3),
                 "scale": qio._cnum(scale)}
     if args.vectors is None:
         raise InvalidInput("maxwell needs --vectors or --invert")
-    return qio.poly_to_json(maxwell_poly(Q, _parse_vectors(args.vectors)))
+    return maxwell_poly(Q, _parse_vectors(args.vectors))
 
 
 def _cmd_fibers(args, Q: QuadForm) -> Any:
@@ -224,7 +266,7 @@ def _cmd_fibers(args, Q: QuadForm) -> Any:
     facts = ctx.rows("enumerate")
     return {"clusters": [qio.cluster_to_json(c) for c in ctx.clusters],
             "count": len(facts),
-            "factorizations": [qio.factorization_to_json(f) for f in facts]}
+            "factorizations": [_factorization_arrays(f) for f in facts]}
 
 
 def _cmd_discriminant(args, Q: QuadForm) -> Any:
@@ -265,7 +307,7 @@ def _cmd_approx(args, Q: QuadForm) -> Any:
     gap = parseval_gap(f, dec)
     bands: Dict[str, Any] = {}
     for k in range(1, dec.d_max + 1):
-        bands[str(k)] = {"multipole": qio.multipole_to_json(series.terms[k]),
+        bands[str(k)] = {"multipole": _multipole_arrays(series.terms[k]),
                          "scale": qio._cnum(series.scales[k]),
                          "norm": float(series.norms[k])}
     return {"d_max": dec.d_max,

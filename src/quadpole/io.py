@@ -6,9 +6,10 @@ infinite numbers with InvalidInput so the CLI can map schema problems to its
 parse-error exit code.
 Serializers emit canonical, deterministically ordered structures: the same
 object always produces the same bytes through json.dumps(sort_keys=True).
-The CLI prints them as exactly json.dumps(obj, indent=2, sort_keys=True)
-plus a newline, through its own printer, and reuses one argument parser for
-every main call in a process.
+The CLI prints its answers as exactly json.dumps(obj, indent=2,
+sort_keys=True) of these structures plus a newline, through its own
+printer, which writes grades and line stacks from the package's arrays
+without building them.
 """
 
 from __future__ import annotations

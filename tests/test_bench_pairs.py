@@ -70,3 +70,35 @@ def test_missing_side_refused():
 def test_parent_first_on_even_seeds():
     assert bench_pairs.run_order(4) == ("parent", "change")
     assert bench_pairs.run_order(5) == ("change", "parent")
+
+
+def test_verdicts_of_fixed_lines():
+    runs = []
+    for k, seed in enumerate(range(4, 14)):
+        runs.append(_line("parent", seed, 1.0 + 0.01 * k, 10.0 + 0.1 * k))
+        # setup_s: better in every pair, but by less than the parent's IQR;
+        # ops_per_s: far better in all pairs but one
+        runs.append(_line("change", seed, 0.995 + 0.01 * k, 10.0 if k == 3 else 12.0 + 0.1 * k))
+    summary = bench_pairs.summarize(runs, METRICS)
+    got = bench_pairs.verdicts(summary)["w"]
+    assert got == {
+        "setup_s": {"wins": 10, "pairs": 10, "wins_enough": True, "beyond_parent_iqr": False},
+        "ops_per_s": {"wins": 9, "pairs": 10, "wins_enough": True, "beyond_parent_iqr": True}}
+    # one more lost pair is too few wins; a change that reads worse is never beyond
+    runs[-1] = _line("change", 13, 1.2, 10.0)
+    got = bench_pairs.verdicts(bench_pairs.summarize(runs, METRICS))["w"]
+    assert got["ops_per_s"]["wins"] == 8 and not got["ops_per_s"]["wins_enough"]
+    worse = [dict(r, metrics={"setup_s": {"value": 5.0, "unit": "s"},
+                              "ops_per_s": {"value": 1.0, "unit": "1/s"}})
+             if r["side"] == "change" else r for r in runs]
+    got = bench_pairs.verdicts(bench_pairs.summarize(worse, METRICS))["w"]
+    assert got["setup_s"] == {"wins": 0, "pairs": 10, "wins_enough": False,
+                              "beyond_parent_iqr": False}
+    assert not got["ops_per_s"]["beyond_parent_iqr"]
+
+
+def test_verdicts_of_a_recorded_summary():
+    # BENCH_28.json's claimed decompose gain: 10 of 10 pairs, beyond the parent's IQR
+    recorded = json.loads((ROOT / "BENCH_28.json").read_text())
+    got = bench_pairs.verdicts(recorded["summary"])["decompose"]["ops_per_s"]
+    assert got["wins_enough"] and got["beyond_parent_iqr"] and got["wins"] == 10

@@ -59,3 +59,24 @@ def test_op_kind_is_the_command_and_its_flags():
     assert boundary_split.op_kind({"argv": ["decompose", "@in", "--strategy", "real_unique"]}) \
         == "decompose --strategy real_unique"
     assert boundary_split.op_kind({"argv": ["maxwell", "--invert", "@in"]}) == "maxwell --invert"
+
+
+def test_install_times_the_array_step_as_serialize():
+    import types
+    cli, io = types.ModuleType("fake_cli"), types.ModuleType("fake_io")
+    for name in ("_load_json", "_parse_fragment", "_parse_vectors", "_emit",
+                 "_grade_arrays", "_other"):
+        setattr(cli, name, lambda *args: None)
+
+    def poly_to_json(p):
+        return p
+
+    poly_to_json.__module__ = io.__name__
+    io.poly_to_json = poly_to_json
+    timers = boundary_split.Timers()
+    timers.install(cli, io)
+    cli._grade_arrays()
+    io.poly_to_json(1)
+    cli._emit()
+    cli._other()
+    assert set(timers.ms) == {"serialize", "print"}

@@ -670,12 +670,104 @@ class TestPrinterProperties:
                 continue
             assert _json_text(obj) == want
 
-    @given(st.lists(_GOOD_TERMS, min_size=1, max_size=5))
-    def test_terms_take_the_template(self, terms):
-        # a list of terms is one % per term, not the item-by-item path
-        assert cli._terms_text(terms, "\n  ") \
-            == ",\n  ".join(json.dumps(t, indent=2, sort_keys=True).replace("\n", "\n  ")
-                            for t in terms)
+
+# grades and line stacks as the commands hand them to the printer, with the
+# io writer whose json.dumps text the printer must give for each
+_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def _coeffs(draw, size, edges):
+    """size complex numbers: a random share of nonzero parts of random
+    magnitude, then up to eight parts set to one of edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    parts = rng.standard_normal((size, 2)) * 10.0 ** rng.integers(-300, 300, (size, 2))
+    parts[rng.random((size, 2)) >= share] = 0.0
+    for i, part, v in draw(st.lists(st.tuples(st.integers(0, max(size - 1, 0)),
+                                              st.integers(0, 1), st.sampled_from(edges)),
+                                    max_size=8 if size else 0)):
+        parts[i, part] = v
+    return parts.view(complex).ravel()
+
+
+@st.composite
+def _grade(draw, edges=_EDGES):
+    d = draw(st.integers(0, 24))
+    return HomogPoly(d, _coeffs(draw, grade_dim(d), edges)), qio.poly_to_json
+
+
+@st.composite
+def _line_stack(draw, edges=_EDGES):
+    n = draw(st.integers(0, 30))
+    return _coeffs(draw, 3 * n, edges).reshape(n, 3), qio._lines_to_json
+
+
+@st.composite
+def _nested(draw, values):
+    """(obj, want): a drawn value at the top level or 2 to 4 containers
+    down, and the same containers around its writer's object."""
+    value, writer = draw(values)
+    obj, want = value, writer(value)
+    for kind in draw(st.one_of(st.just([]), st.lists(
+            st.sampled_from(["list", "tuple", "dict"]), min_size=2, max_size=4))):
+        if kind == "dict":
+            obj, want = {"a": 1.5, "k": obj, "z": []}, {"a": 1.5, "k": want, "z": []}
+        else:
+            obj, want = [0, obj, "s"], [0, want, "s"]
+            if kind == "tuple":
+                obj = tuple(obj)
+    return obj, want
+
+
+class TestArrayPrinter:
+    """Grades (HomogPoly) and line stacks ((n, 3) complex arrays) print as
+    json.dumps(indent=2, sort_keys=True) prints io's writers' objects."""
+
+    @given(_nested(st.one_of(_grade(), _line_stack())))
+    def test_same_bytes_as_the_writers(self, case):
+        obj, want = case
+        assert _json_text(obj) == json.dumps(want, indent=2, sort_keys=True)
+
+    @given(_nested(st.one_of(_grade(_EDGES + _NON_FINITE),
+                             _line_stack(_EDGES + _NON_FINITE))))
+    def test_non_finite_as_json_writes_it(self, case):
+        obj, want = case
+        assert _json_text(obj) == json.dumps(want, indent=2, sort_keys=True)
+
+    def test_non_finite_prints_nan_and_infinity(self):
+        grade = HomogPoly(1, [1.0, complex(float("nan"), 0.0), 0.0])
+        lines = np.array([[1.0, -float("inf"), 0.0]], dtype=complex)
+        text = _json_text({"g": grade, "l": lines})
+        assert text == json.dumps({"g": qio.poly_to_json(grade), "l": qio._lines_to_json(lines)},
+                                  indent=2, sort_keys=True)
+        assert "NaN" in text and "-Infinity" in text
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_zero_grade_at_its_degree(self, degree):
+        zero = HomogPoly.zero(degree)
+        for obj, want in ((zero, qio.poly_to_json(zero)),
+                          ({"c": [zero]}, {"c": [qio.poly_to_json(zero)]})):
+            assert _json_text(obj) == json.dumps(want, indent=2, sort_keys=True)
+        assert json.loads(_json_text(zero)) == {"degree": degree, "terms": []}
+
+    def test_commands_call_no_writer(self, run, files, monkeypatch):
+        # every grade and line stack reaches the printer as arrays: no
+        # command builds io's dict of a polynomial, its lines, a
+        # factorization, a multipole or a sequence
+        def refuse(*args):
+            raise AssertionError("io writer called")
+
+        for name in ("poly_to_json", "_lines_to_json", "factorization_to_json",
+                     "multipole_to_json", "sequence_to_json"):
+            monkeypatch.setattr(qio, name, refuse)
+        for argv in (["decompose", files["mixed"]], ["decompose", "--cone", files["xy"]],
+                     ["decompose", "--cone", "--all", files["xy"]],
+                     ["decompose", "--strategy", "enumerate", files["mixed"]],
+                     ["harmonic", files["xsq"]], ["maxwell", "--vectors", "[0,0,1],[1,0,0]"],
+                     ["maxwell", "--invert", files["zon2"]], ["fibers", files["xy"]],
+                     ["approx", "--function", "exp_x", "--d-max", "3"]):
+            assert run(argv)[0] == 0, argv
 
 
 class TestSubprocess:

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import quadpole
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,3 +47,12 @@ def test_forms_are_fresh_and_seeded():
     again, _ = cold_start.fresh_case(quadpole, 4, 0, 1)
     assert again.key == cases[1][0].key
     assert cold_start.fresh_case(quadpole, 4, 1, 1)[0].key != again.key
+
+
+@pytest.mark.xfail(raises=quadpole.ConjugationPairingFailure, strict=True,
+                   reason="ROADMAP item 10: real_unique pairs no conjugate partner for"
+                          " cluster 2 of form 3 of the seed-0 series at d = 32")
+def test_real_unique_on_a_fresh_ellipsoid_at_d32():
+    Q, P = cold_start.fresh_case(quadpole, 32, 0, 2)
+    seq = quadpole.full_decompose(P, Q, strategy="real_unique")
+    assert seq.is_real()

@@ -18,7 +18,10 @@ each end-to-end metric of <change>/BENCHMARK.json its "better" direction,
 each side's median and linear-interpolated quartiles, change_relative_gain
 (the medians' relative difference, positive when the change reads better)
 and change_wins (the pairs in which the change reads strictly better).
-Progress goes to standard error.
+Beside it, "verdicts" gives per workload and metric whether a claimed gain
+would hold: "wins_enough", the change won at least 9 of every 10 pairs, and
+"beyond_parent_iqr", its median reads better than the parent's by more than
+the parent's interquartile range.  Progress goes to standard error.
 """
 
 import argparse
@@ -95,6 +98,26 @@ def summarize(runs, metrics) -> dict:
     return out
 
 
+def verdicts(summary) -> dict:
+    """{W: {metric: {"wins", "pairs", "wins_enough", "beyond_parent_iqr"}}}
+    of a summary, for each metric entry of each workload block."""
+    out = {}
+    for workload, block in summary.items():
+        out[workload] = {}
+        for name, entry in block.items():
+            if not isinstance(entry, dict) or "better" not in entry:
+                continue
+            q1, q3 = entry["parent_q1_q3"]
+            diff = entry["change_median"] - entry["parent_median"]
+            if entry["better"] == "lower":
+                diff = -diff
+            wins, pairs = entry["change_wins"], block["pairs"]
+            out[workload][name] = {"wins": wins, "pairs": pairs,
+                                   "wins_enough": 10 * wins >= 9 * pairs,
+                                   "beyond_parent_iqr": diff > q3 - q1}
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -118,6 +141,7 @@ def main() -> int:
     result = {"runs": runs}
     if err is None:
         result["summary"] = summarize(runs, bench["end_to_end"])
+        result["verdicts"] = verdicts(result["summary"])
     print(json.dumps(result))
     return 0 if err is None else 1
 

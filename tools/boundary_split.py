@@ -15,10 +15,16 @@ quadpole.io split each op's wall time into five stages:
     parse      io's *_from_json, quadform_preset and _parse_cnum, and
                cli._parse_vectors: JSON data to the package's objects
     compute    the rest of the op
-    serialize  io's *_to_json and _cnum: the package's objects to JSON data
+    serialize  io's *_to_json and _cnum, and cli's *_arrays: the package's
+               objects to the answer the printer takes
     print      cli._emit: the JSON text and its write
 
-A timed call inside another timed call counts to the outer one.  One line
+Where the CLI hands the printer the package's arrays (a grade as its
+HomogPoly, lines as an (n, 3) complex array), serialize only builds the
+dicts around them, and the text of each grade and line stack, written from
+the arrays, counts to print; where it hands the printer io's JSON data,
+building that data is serialize.  Compare serialize plus print across such
+checkouts.  A timed call inside another timed call counts to the outer one.  One line
 per op kind (the command and its flags, as in the op's argv) gives the op
 count, the total ms, each stage's ms and share of the total, and the parse
 time per input term; a total line closes the table.
@@ -110,6 +116,9 @@ class Timers:
             self.wrap(cli, name, "load")
         self.wrap(cli, "_parse_vectors", "parse")
         self.wrap(cli, "_emit", "print")
+        for name in sorted(vars(cli)):
+            if name.endswith("_arrays") and callable(getattr(cli, name)):
+                self.wrap(cli, name, "serialize")
         for name in sorted(vars(io)):
             if callable(getattr(io, name)) and getattr(io, name).__module__ == io.__name__:
                 if name.endswith("_from_json") or name in ("quadform_preset", "_parse_cnum"):
