@@ -731,7 +731,7 @@ class TestArrayPrinter:
 
     @given(_nested(st.one_of(_grade(_EDGES + _NON_FINITE),
                              _line_stack(_EDGES + _NON_FINITE))))
-    def test_non_finite_as_json_writes_it(self, case):
+    def test_non_finite_same_bytes_as_the_writers(self, case):
         obj, want = case
         assert _json_text(obj) == json.dumps(want, indent=2, sort_keys=True)
 

@@ -24,10 +24,10 @@ HomogPoly, lines as an (n, 3) complex array), serialize only builds the
 dicts around them, and the text of each grade and line stack, written from
 the arrays, counts to print; where it hands the printer io's JSON data,
 building that data is serialize.  Compare serialize plus print across such
-checkouts.  A timed call inside another timed call counts to the outer one.  One line
-per op kind (the command and its flags, as in the op's argv) gives the op
-count, the total ms, each stage's ms and share of the total, and the parse
-time per input term; a total line closes the table.
+checkouts.  A timed call inside another timed call counts to the outer one.
+One line per op kind (the command and its flags, as in the op's argv)
+gives the op count, the total ms, each stage's ms and share of the total,
+and the parse time per input term; a total line closes the table.
 """
 
 import argparse
