@@ -183,14 +183,14 @@ def _emit(obj: Any, output: Optional[str]) -> None:
 
 
 def _multipole_arrays(m) -> Dict[str, Any]:
-    """io.multipole_to_json's object, its lines an (n, 3) complex array."""
+    """A multipole's answer: its scale and its lines, an (n, 3) complex array."""
     return {"lines": np.array(m.lines, dtype=complex).reshape(-1, 3),
             "scale": qio._cnum(m.scale)}
 
 
 def _factorization_arrays(f) -> Dict[str, Any]:
-    """io.factorization_to_json's object, its lines an (n, 3) complex array
-    and its remainder the grade itself."""
+    """A factorization's answer: lambda, its lines as an (n, 3) complex
+    array, its parcelling's pieces and its remainder, the grade itself."""
     return {"lambda": qio._cnum(f.lam),
             "lines": np.array([L.coeffs for L in f.lines], dtype=complex).reshape(-1, 3),
             "parcelling": [list(piece) for piece in f.parcelling.pieces],
@@ -198,7 +198,8 @@ def _factorization_arrays(f) -> Dict[str, Any]:
 
 
 def _sequence_arrays(s) -> Dict[str, Any]:
-    """io.sequence_to_json's object, each multipole's lines an array."""
+    """A sequence's answer: lambda and each degree's multipole, keyed by
+    the degree as a str."""
     return {"lambda": qio._cnum(s.lam),
             "terms": {str(k): _multipole_arrays(m) for k, m in s.terms.items()}}
 

@@ -31,9 +31,7 @@ from .errors import (
     InvalidPartition,
     StrategyMismatch,
 )
-from .sylvester import TOL_REAL_RESULT, Multipole, _FactorContext, _is_real
-
-ENUMERATION_CAP = 10 ** 6
+from .sylvester import ENUMERATION_CAP, TOL_REAL_RESULT, Multipole, _FactorContext, _is_real
 
 Strategy = ("canonical", "enumerate", "real_unique")
 

@@ -1,31 +1,29 @@
-"""JSON serialization for the package's domain objects.
+"""JSON for what the CLI reads and writes.
 
 Complex numbers travel as [re, im] pairs (a bare number is accepted on input
-as a real).  Parsers validate shapes and reject unknown keys and NaN or
-infinite numbers with InvalidInput so the CLI can map schema problems to its
-parse-error exit code.
-Serializers emit canonical, deterministically ordered structures: the same
-object always produces the same bytes through json.dumps(sort_keys=True).
-The CLI prints its answers as exactly json.dumps(obj, indent=2,
-sort_keys=True) of these structures plus a newline, through its own
-printer, which writes grades and line stacks from the package's arrays
-without building them.
+as a real).  The parsers read the commands' inputs: polynomials, quadrics
+and pencil divisors.  They validate shapes and reject unknown keys and NaN
+or infinite numbers with InvalidInput so the CLI can map schema problems to
+its parse-error exit code.  The writers give the objects of the parts of an
+answer that the CLI's printer does not write from arrays itself: root
+clusters, conic divisors, and a grade or line stack with a NaN or infinite
+coefficient.  The CLI builds its answers (cli._factorization_arrays,
+_multipole_arrays, _sequence_arrays) and prints them as exactly
+json.dumps(obj, indent=2, sort_keys=True) plus a newline.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, repeat
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
 from .algebra import HomogPoly, Poly, QuadForm, _lex_index, grade_dim, monomials
-from .conic import BinaryForm, ProjPoint1, ProjPoint2, RootCluster
-from .deconstruct import MultipoleSequence
+from .conic import ProjPoint1, RootCluster
 from .errors import InvalidInput
 from .planar import ConicDivisor, PencilDivisor
-from .sylvester import GeneralizedParcelling, Multipole, MultipoleFactorization
 
 
 def _cnum(z: complex) -> List[float]:
@@ -218,11 +216,6 @@ def homog_from_json(obj: Any) -> HomogPoly:
 QUADRIC_PRESETS = ("sphere", "hyperboloid")
 
 
-def quadform_to_json(Q: QuadForm) -> Dict[str, Any]:
-    return {"B": [[_cnum(Q.B[i, j]) for j in range(3)] for i in range(3)],
-            "real": bool(Q.is_real)}
-
-
 def quadform_from_json(obj: Any) -> QuadForm:
     _check_keys(obj, ("B", "real"), "quadric")
     if "B" not in obj:
@@ -253,26 +246,6 @@ def quadform_preset(name: str) -> QuadForm:
 
 
 # ---------------------------------------------------------------------------
-# binary forms: {"degree": d, "coeffs": [[re,im] x (d+1)]}
-
-def binary_to_json(f: BinaryForm) -> Dict[str, Any]:
-    return {"degree": f.degree, "coeffs": [_cnum(c) for c in f.coeffs]}
-
-
-def binary_from_json(obj: Any) -> BinaryForm:
-    _check_keys(obj, ("degree", "coeffs"), "binary form")
-    d = obj.get("degree")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise InvalidInput("binary form: degree must be a non-negative"
-                           " integer")
-    cs = obj.get("coeffs")
-    if not isinstance(cs, list) or len(cs) != d + 1:
-        raise InvalidInput("binary form: needs degree + 1 coefficients")
-    return BinaryForm(d, [_parse_cnum(c, "binary coeff %d" % i)
-                          for i, c in enumerate(cs)])
-
-
-# ---------------------------------------------------------------------------
 # root clusters: {"u": [[re,im],[re,im]], "mult": m}
 
 def cluster_to_json(c: RootCluster) -> Dict[str, Any]:
@@ -292,136 +265,21 @@ def cluster_from_json(obj: Any) -> RootCluster:
 
 
 # ---------------------------------------------------------------------------
-# factorizations, multipoles, sequences
+# line stacks: [[[re,im] x 3] per line], from an (n, 3) complex array
 
-def _lines_to_json(lines) -> List[List[List[float]]]:
-    out = []
-    for L in lines:
-        w = L.coeffs if isinstance(L, HomogPoly) else np.asarray(L)
-        out.append([_cnum(v) for v in w])
-    return out
-
-
-def _lines_from_json(v: Any, where: str) -> List[HomogPoly]:
-    if not isinstance(v, list):
-        raise InvalidInput("%s: lines must be a list" % where)
-    lines = []
-    for entry in v:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise InvalidInput("%s: each line needs three coefficients"
-                               % where)
-        lines.append(HomogPoly(1, [_parse_cnum(c, where) for c in entry]))
-    return lines
-
-
-def factorization_to_json(f: MultipoleFactorization) -> Dict[str, Any]:
-    return {
-        "lambda": _cnum(f.lam),
-        "lines": _lines_to_json(f.lines),
-        "remainder": poly_to_json(f.remainder),
-        "parcelling": [list(piece) for piece in f.parcelling.pieces],
-    }
-
-
-def factorization_from_json(obj: Any) -> MultipoleFactorization:
-    _check_keys(obj, ("lambda", "lines", "remainder", "parcelling"),
-                "factorization")
-    for key in ("lambda", "lines", "remainder", "parcelling"):
-        if key not in obj:
-            raise InvalidInput("factorization: missing %r" % key)
-    pieces = obj["parcelling"]
-    if not isinstance(pieces, list) or any(
-            not isinstance(p, list) or len(p) != 2
-            or any(not isinstance(i, int) or isinstance(i, bool) or i < 0
-                   for i in p) for p in pieces):
-        raise InvalidInput("factorization: parcelling must be a list of"
-                           " index pairs")
-    return MultipoleFactorization(
-        _parse_cnum(obj["lambda"], "factorization lambda"),
-        _lines_from_json(obj["lines"], "factorization"),
-        homog_from_json(obj["remainder"]),
-        GeneralizedParcelling(tuple(tuple(p) for p in pieces)),
-    )
-
-
-def multipole_to_json(m: Multipole) -> Dict[str, Any]:
-    return {"scale": _cnum(m.scale), "lines": _lines_to_json(m.lines)}
-
-
-def multipole_from_json(obj: Any) -> Multipole:
-    _check_keys(obj, ("scale", "lines"), "multipole")
-    if "scale" not in obj or "lines" not in obj:
-        raise InvalidInput("multipole: needs 'scale' and 'lines'")
-    lines = _lines_from_json(obj["lines"], "multipole")
-    return Multipole(_parse_cnum(obj["scale"], "multipole scale"),
-                     tuple(tuple(complex(v) for v in L.coeffs)
-                           for L in lines))
-
-
-def sequence_to_json(s: MultipoleSequence) -> Dict[str, Any]:
-    return {"lambda": _cnum(s.lam),
-            "terms": {str(k): multipole_to_json(s.terms[k])
-                      for k in sorted(s.terms)}}
-
-
-def sequence_from_json(obj: Any) -> MultipoleSequence:
-    _check_keys(obj, ("lambda", "terms"), "sequence")
-    if "lambda" not in obj:
-        raise InvalidInput("sequence: needs 'lambda'")
-    terms_obj = obj.get("terms", {})
-    if not isinstance(terms_obj, dict):
-        raise InvalidInput("sequence: terms must be an object")
-    terms = {}
-    for key, val in terms_obj.items():
-        try:
-            k = int(key)
-        except ValueError:
-            raise InvalidInput("sequence: term key %r is not an integer"
-                               % key) from None
-        if k < 1:
-            raise InvalidInput("sequence: term degrees start at 1")
-        terms[k] = multipole_from_json(val)
-    return MultipoleSequence(_parse_cnum(obj["lambda"], "sequence lambda"),
-                             terms)
+def _lines_to_json(lines: np.ndarray) -> List[List[List[float]]]:
+    return [[_cnum(v) for v in row] for row in lines]
 
 
 # ---------------------------------------------------------------------------
 # planar divisors
 
-def pencil_divisor_to_json(d: PencilDivisor) -> List[Dict[str, Any]]:
-    return [{"u": [_cnum(v) for v in pt.coords], "mult": int(m)}
-            for pt, m in d.points]
-
-
 def pencil_divisor_from_json(v: Any) -> PencilDivisor:
     if not isinstance(v, list) or not v:
         raise InvalidInput("pencil divisor: expected a non-empty list")
-    entries: List[Tuple[ProjPoint1, int]] = []
-    for obj in v:
-        c = cluster_from_json(obj)
-        entries.append((c.point, c.multiplicity))
-    return PencilDivisor(entries)
+    return PencilDivisor([(c.point, c.multiplicity) for c in map(cluster_from_json, v)])
 
 
 def conic_divisor_to_json(d: ConicDivisor) -> List[Dict[str, Any]]:
     return [{"point": [_cnum(v) for v in pt.coords], "mult": int(m)}
             for pt, m in d.points]
-
-
-def conic_divisor_from_json(v: Any) -> ConicDivisor:
-    if not isinstance(v, list) or not v:
-        raise InvalidInput("conic divisor: expected a non-empty list")
-    entries: List[Tuple[ProjPoint2, int]] = []
-    for obj in v:
-        _check_keys(obj, ("point", "mult"), "conic divisor entry")
-        pt = obj.get("point")
-        if not isinstance(pt, list) or len(pt) != 3:
-            raise InvalidInput("conic divisor entry: point must have three"
-                               " coordinates")
-        m = obj.get("mult")
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise InvalidInput("conic divisor entry: mult must be a positive"
-                               " integer")
-        entries.append((ProjPoint2([_parse_cnum(x, "divisor point")
-                                    for x in pt]), m))
-    return ConicDivisor(entries)

@@ -11,6 +11,7 @@ identifies pencil divisors with binary forms via their root sets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
@@ -29,7 +30,8 @@ from .conic import (
     restrict_to_conic,
     roots_projective,
 )
-from .errors import Degenerate, DegenerateTangency, NotOnConic
+from .errors import Degenerate, DegenerateTangency, EnumerationLimit, NotOnConic
+from .sylvester import ENUMERATION_CAP
 
 TOL_DIVISORS_CLOSE = 1e-8  # divisors_close's default chordal distance
 TOL_PENCIL_BASIS = 1e-8  # least |cross product| of two independent pencil basis lines
@@ -202,30 +204,27 @@ def fiber_enumerate(E: PencilDivisor, p: PencilCenter, Q: QuadForm,
 
     A pencil point of multiplicity m contributes the m+1 splittings
     j q + (m-j) q* of its line's two conic points, or the single option
-    m t when the line is tangent at t.
+    m t when the line is tangent at t.  More than ENUMERATION_CAP fibers
+    raise EnumerationLimit before any option is listed.
     """
     frame = PencilFrame(p, Q)
-    options: List[List[Tuple[Tuple[ProjPoint2, int], ...]]] = []
+    # each pencil point's conic points, one when its line is tangent
+    meets: List[Tuple[List[ProjPoint2], int]] = []
     for e, m in E.points:
         w = frame.line_vector(e)
         clusters = roots_projective(restrict_to_conic(HomogPoly(1, w),
                                                       frame.param),
                                     eps_cluster=eps_cluster)
-        pts = [ProjPoint2._of(row) for row in
-               frame.param.points(np.array([c.point.coords for c in clusters]))]
-        if len(clusters) == 1:
-            options.append([((pts[0], m),)])
-        else:
-            q, qstar = pts
-            opts = []
-            for j in range(m + 1):
-                entry = []
-                if j:
-                    entry.append((q, j))
-                if m - j:
-                    entry.append((qstar, m - j))
-                opts.append(tuple(entry))
-            options.append(opts)
+        meets.append(([ProjPoint2._of(row) for row in
+                       frame.param.points(np.array([c.point.coords for c in clusters]))], m))
+    if math.prod(m + 1 if len(pts) == 2 else 1 for pts, m in meets) > ENUMERATION_CAP:
+        raise EnumerationLimit("more than %d fibers" % ENUMERATION_CAP)
+    # a tangent point's one option, or j q + (m-j) q* for j = 0..m, each
+    # without its zero-multiplicity point
+    options = [[((pts[0], m),)] if len(pts) == 1 else
+               [tuple((pt, k) for pt, k in ((pts[0], j), (pts[1], m - j)) if k)
+                for j in range(m + 1)]
+               for pts, m in meets]
     # the last pencil point's option varies fastest
     return [ConicDivisor([entry for choice in combo for entry in choice])
             for combo in itertools.product(*options)]

@@ -58,6 +58,7 @@ from .conic import (
 from .errors import (
     ConjugationPairingFailure,
     DivisibleByQ,
+    EnumerationLimit,
     NoEvaluationPoint,
     NotDefinite,
     NotDivisible,
@@ -81,6 +82,7 @@ EPS_DISC_FLOOR = 1e-5  # in_discriminant's least clustering resolution
 TOL_ISCLOSE = 1e-8  # Multipole.isclose's default bound on scale and coefficients
 LINE_KEY_DIGITS = 9  # the decimals of the rounded half of a line's sort key
 DISC_RESULTANT_MAX_DEGREE = 8  # the largest restriction degree the resultant checks
+ENUMERATION_CAP = 10 ** 6  # the most parcellings, sequences or fibers an enumeration lists
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -115,16 +117,51 @@ def enumerate_parcellings(multiplicities: Sequence[int]) -> List[GeneralizedParc
 
     Pieces are generated as a nondecreasing sequence of index pairs, so every
     multiset appears exactly once.  Raises OddTotal when the multiplicities
-    sum to an odd number.  The parcellings of the last 128 multiplicity
-    vectors are kept and shared (they are frozen); the list is new at every
-    call.
+    sum to an odd number, and EnumerationLimit, before listing any, when
+    there are more than ENUMERATION_CAP.  The parcellings of the last 128
+    multiplicity vectors are kept and shared (they are frozen); the list is
+    new at every call.
     """
     mults = tuple(int(m) for m in multiplicities)
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
     if sum(mults) % 2:
         raise OddTotal("multiplicities sum to %d" % sum(mults))
+    if _parcelling_count(tuple(sorted(m for m in mults if m))) > ENUMERATION_CAP:
+        raise EnumerationLimit("more than %d parcellings" % ENUMERATION_CAP)
     return list(_parcellings(mults))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parcelling_count(mults: Tuple[int, ...]) -> int:
+    """len(_parcellings(mults)) for sorted positive mults, or a number above
+    ENUMERATION_CAP when that is larger, counted without listing them.
+
+    The first cluster is doubled a times and paired with the others in
+    every way that uses it up; the count of what is left depends only on
+    its sorted multiplicities.  The sum stops once it passes the cap.
+    """
+    if not mults:
+        return 1
+    total = 0
+    for a in range(mults[0] // 2 + 1):
+        for left in _take(mults[0] - 2 * a, mults[1:]):
+            total += _parcelling_count(tuple(sorted(m for m in left if m)))
+            if total > ENUMERATION_CAP:
+                return total
+    return total
+
+
+def _take(r: int, mults: Tuple[int, ...]):
+    """What is left of mults after each way of taking r from them in all,
+    at most mults[j] from each j."""
+    if not mults:
+        if r == 0:
+            yield ()
+        return
+    for t in range(min(r, mults[0]) + 1):
+        for rest in _take(r - t, mults[1:]):
+            yield (mults[0] - t,) + rest
 
 
 @functools.lru_cache(maxsize=128)

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from quadpole import HomogPoly, Poly, QuadForm, poly_mul
+from quadpole import (
+    GeneralizedParcelling,
+    HomogPoly,
+    Multipole,
+    MultipoleFactorization,
+    MultipoleSequence,
+    Poly,
+    QuadForm,
+    poly_mul,
+)
 from quadpole.algebra import grade_dim, monomials
 
 # The property tests draw the same examples on every run and keep no
@@ -42,6 +51,48 @@ def monomial_index(degree):
     """Each monomial's position in monomials(degree), as a dict: the tests'
     reference index."""
     return {m: i for i, m in enumerate(monomials(degree))}
+
+
+# decoders of the CLI's answers, parsed by json.loads, into the package's
+# objects: each checks an object's exact key set and places every number as
+# written, with no other validation
+
+def _complex(pair):
+    re, im = pair
+    return complex(re, im)
+
+
+def decode_grade(obj):
+    """The HomogPoly a grade's {"degree", "terms"} object writes, each term's
+    coefficient placed as complex(re, im) and every other coefficient 0."""
+    assert set(obj) == {"degree", "terms"}
+    coeffs = np.zeros(grade_dim(obj["degree"]), dtype=complex)
+    for term in obj["terms"]:
+        assert set(term) == {"exp", "im", "re"}
+        coeffs[monomial_index(obj["degree"])[tuple(term["exp"])]] = complex(term["re"], term["im"])
+    return HomogPoly(obj["degree"], coeffs)
+
+
+def decode_factorization(obj):
+    assert set(obj) == {"lambda", "lines", "parcelling", "remainder"}
+    return MultipoleFactorization(
+        _complex(obj["lambda"]),
+        [HomogPoly(1, [_complex(c) for c in line]) for line in obj["lines"]],
+        decode_grade(obj["remainder"]),
+        GeneralizedParcelling(tuple(tuple(piece) for piece in obj["parcelling"])))
+
+
+def decode_multipole(obj):
+    assert set(obj) == {"lines", "scale"}
+    return Multipole(_complex(obj["scale"]),
+                     tuple(tuple(_complex(c) for c in line) for line in obj["lines"]))
+
+
+def decode_sequence(obj):
+    """The MultipoleSequence of a sequence object, its terms in degree order."""
+    assert set(obj) == {"lambda", "terms"}
+    return MultipoleSequence(_complex(obj["lambda"]), {
+        int(k): decode_multipole(obj["terms"][k]) for k in sorted(obj["terms"], key=int)})
 
 
 def eval_point(f, u):

@@ -1,5 +1,5 @@
 """Command-line behavior: output schemas, determinism, exit codes, and
-round trips of emitted JSON back through the parsers."""
+emitted JSON read back through the tests' decoders of the answers."""
 
 import json
 import shlex
@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadpole import (
+    ConicDivisor,
     HomogPoly,
     PencilCenter,
     Poly,
+    ProjPoint2,
+    divisors_close,
     fiber_enumerate,
     poly_mul,
 )
@@ -24,7 +27,13 @@ from quadpole.algebra import grade_dim
 from quadpole import cli
 from quadpole.cli import _json_text, main
 
-from conftest import monomial_index, subprocess_env
+from conftest import (
+    decode_factorization,
+    decode_multipole,
+    decode_sequence,
+    monomial_index,
+    subprocess_env,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 # each README demo's argv, exit code and parsed output
@@ -101,18 +110,18 @@ class TestDecompose:
         assert obj["count"] == 3
         assert len(obj["factorizations"]) == 3
         for f in obj["factorizations"]:
-            fact = qio.factorization_from_json(f)
+            fact = decode_factorization(f)
             assert fact.degree == 2
 
     def test_cone_canonical(self, run, files):
         obj = parsed(run, ["decompose", files["xsq"], "--cone"])
-        fact = qio.factorization_from_json(obj)
+        fact = decode_factorization(obj)
         assert len(fact.lines) == 2
 
     def test_cone_real_unique(self, run, files):
         obj = parsed(run, ["decompose", files["xy"], "--cone",
                            "--strategy", "real_unique"])
-        fact = qio.factorization_from_json(obj)
+        fact = decode_factorization(obj)
         assert fact.is_real()
         assert fact.remainder.norm() < 1e-9
 
@@ -126,19 +135,19 @@ class TestDecompose:
 
     def test_surface_mixed(self, run, files):
         obj = parsed(run, ["decompose", files["mixed"]])
-        seq = qio.sequence_from_json(obj)
+        seq = decode_sequence(obj)
         assert sorted(seq.terms) == [1, 2]
 
     def test_surface_enumerate(self, run, files):
         obj = parsed(run, ["decompose", files["mixed"], "--all"])
         assert obj["count"] == len(obj["sequences"]) == 2
         for s in obj["sequences"]:
-            qio.sequence_from_json(s)
+            decode_sequence(s)
 
     def test_hyperboloid_quadric(self, run, files):
         obj = parsed(run, ["decompose", files["xy"], "--cone",
                            "--quadric", "hyperboloid"])
-        qio.factorization_from_json(obj)
+        decode_factorization(obj)
 
     def test_quadric_file(self, run, files, tmp_path):
         qpath = tmp_path / "quad.json"
@@ -146,7 +155,7 @@ class TestDecompose:
             {"B": [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "real": True}))
         obj = parsed(run, ["decompose", files["xy"], "--cone",
                            "--quadric", str(qpath)])
-        qio.factorization_from_json(obj)
+        decode_factorization(obj)
 
 
 class TestOtherCommands:
@@ -204,7 +213,7 @@ class TestOtherCommands:
         assert sum(qio.cluster_from_json(c).multiplicity
                    for c in obj["clusters"]) == 4
         for f in obj["factorizations"]:
-            qio.factorization_from_json(f)
+            decode_factorization(f)
 
     def test_fibers_restricts_and_roots_once(self, run, files, monkeypatch):
         from quadpole import sylvester
@@ -229,8 +238,38 @@ class TestOtherCommands:
         center = PencilCenter.from_coords([0, 0, 2], sphere)
         want = fiber_enumerate(divisor, center, sphere)
         assert obj["count"] == len(want) == 4
-        for d in obj["fibers"]:
-            assert qio.conic_divisor_from_json(d).degree == 2
+        for d, w in zip(obj["fibers"], want):
+            got = ConicDivisor([(ProjPoint2([complex(*v) for v in e["point"]]), e["mult"])
+                                for e in d])
+            assert got.degree == 2 and divisors_close(got, w, tol=1e-12)
+
+    def test_planar_fiber_above_the_cap(self, run, files, capsys):
+        # two pencil points of multiplicity 100000 ask for 100001**2 fibers:
+        # the command ran without bound, printing nothing; now the count is
+        # refused before any option is listed
+        path = files["tmp"] / "div_huge.json"
+        path.write_text(json.dumps([{"u": [[1, 0], [0, 0]], "mult": 100000},
+                                    {"u": [[0, 0], [1, 0]], "mult": 100000}]))
+        start = time.perf_counter()
+        assert main(["planar-fiber", str(path), "--center", "[0,0,2]"]) == 4
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 1000000 fibers" in err
+
+    def test_cone_enumeration_above_the_cap(self, files, capsys):
+        # a generic degree-9 grade has 17!! = 34,459,425 parcellings: each
+        # command listed them and exited 1 (MemoryError) or 120 after about a
+        # minute; now the count is refused before any row is factored
+        rng = np.random.default_rng(9)
+        path = files["tmp"] / "deg9.json"
+        path.write_text(json.dumps(qio.poly_to_json(
+            HomogPoly(9, rng.standard_normal(grade_dim(9))))))
+        for argv in (["decompose", "--cone", "--all"], ["fibers"], ["decompose", "--all"]):
+            start = time.perf_counter()
+            assert main(argv + [str(path)]) == 4, argv
+            assert time.perf_counter() - start < 10.0, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "more than 1000000 parcellings" in err, argv
 
     def test_approx_exp(self, run):
         obj = parsed(run, ["approx", "--function", "exp_x", "--d-max", "4"])
@@ -239,7 +278,7 @@ class TestOtherCommands:
         assert obj["parseval_gap"] >= -1e-10
         assert set(obj["bands"]) == {"1", "2", "3", "4"}
         for band in obj["bands"].values():
-            qio.multipole_from_json(band["multipole"])
+            decode_multipole(band["multipole"])
             assert band["norm"] >= 0.0
 
     def test_approx_poly_file(self, run, files):
@@ -753,13 +792,11 @@ class TestArrayPrinter:
 
     def test_commands_call_no_writer(self, run, files, monkeypatch):
         # every grade and line stack reaches the printer as arrays: no
-        # command builds io's dict of a polynomial, its lines, a
-        # factorization, a multipole or a sequence
+        # command builds io's dict of a polynomial or of its lines
         def refuse(*args):
             raise AssertionError("io writer called")
 
-        for name in ("poly_to_json", "_lines_to_json", "factorization_to_json",
-                     "multipole_to_json", "sequence_to_json"):
+        for name in ("poly_to_json", "_lines_to_json"):
             monkeypatch.setattr(qio, name, refuse)
         for argv in (["decompose", files["mixed"]], ["decompose", "--cone", files["xy"]],
                      ["decompose", "--cone", "--all", files["xy"]],

@@ -1,34 +1,53 @@
-"""JSON round trips for every serialized object family, schema validation,
-and byte-level determinism of the emitted structures."""
+"""The JSON the CLI reads and writes: the input parsers' round trips and
+schema validation, the CLI's answers through its one writer and back bit
+for bit, and byte-level determinism of the emitted structures."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quadpole import (
-    BinaryForm,
     ConicDivisor,
+    GeneralizedParcelling,
     HomogPoly,
     InvalidInput,
-    Multipole,
+    MultipoleFactorization,
+    MultipoleSequence,
     PencilDivisor,
     Poly,
     ProjPoint1,
-    ProjPoint2,
     QuadForm,
+    QuadratureRule,
     RootCluster,
     all_factorizations,
     divisors_close,
+    factor,
     full_decompose,
+    l2_project,
+    multipole_series,
     poly_mul,
 )
+from quadpole import cli
 from quadpole import io as qio
 from quadpole.algebra import grade_dim, monomials
+from quadpole.cli import _json_text
 
-from conftest import monomial_index, random_poly
+from conftest import (
+    decode_factorization,
+    decode_multipole,
+    decode_sequence,
+    monomial_index,
+    random_homog,
+    random_poly,
+)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "quadpole"
 
 
 def hp(degree, entries):
@@ -98,6 +117,12 @@ def poly_from_json_loop(obj):
                 raise InvalidInput("polynomial term: %s must be finite" % name)
         coeffs[k][monomial_index(k)[tuple(e)]] += complex(re, im)
     return Poly([HomogPoly(k, coeffs[k]) for k in range(d + 1)])
+
+
+def quadform_obj(Q):
+    """A quadric file's object for Q: B as [re, im] pairs and its real flag."""
+    return {"B": [[[v.real, v.imag] for v in row] for row in Q.B.tolist()],
+            "real": Q.is_real}
 
 
 def _parse_outcome(parse, obj):
@@ -341,12 +366,12 @@ class TestQuadForm:
         rng = np.random.default_rng(92)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         Q = QuadForm(m + m.T)
-        back = qio.quadform_from_json(qio.quadform_to_json(Q))
+        back = qio.quadform_from_json(quadform_obj(Q))
         assert np.array_equal(back.B, Q.B)
         assert back.is_real == Q.is_real
 
     def test_round_trip_real(self, hyperboloid):
-        back = qio.quadform_from_json(qio.quadform_to_json(hyperboloid))
+        back = qio.quadform_from_json(quadform_obj(hyperboloid))
         assert back.is_real
         assert np.array_equal(back.B, hyperboloid.B)
 
@@ -390,27 +415,6 @@ class TestQuadForm:
         assert Q.is_real and Q.signature == 1
 
 
-class TestBinaryForm:
-    def test_round_trip(self):
-        rng = np.random.default_rng(93)
-        f = BinaryForm(4, rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        back = qio.binary_from_json(qio.binary_to_json(f))
-        assert back.degree == 4
-        assert np.array_equal(back.coeffs, f.coeffs)
-
-    def test_bare_reals(self):
-        f = qio.binary_from_json({"degree": 1, "coeffs": [1, 2.5]})
-        assert f.coeffs[1] == 2.5 + 0j
-
-    def test_rejections(self):
-        for obj in [{"degree": 2, "coeffs": [1, 2]},
-                    {"degree": -1, "coeffs": []},
-                    {"degree": 1, "coeffs": [1, 2], "x": 0},
-                    {"coeffs": [1]}]:
-            with pytest.raises(InvalidInput):
-                qio.binary_from_json(obj)
-
-
 class TestCluster:
     def test_round_trip(self):
         c = RootCluster(ProjPoint1([0.5 + 0.25j, 1.0]), 3)
@@ -427,95 +431,120 @@ class TestCluster:
                 qio.cluster_from_json(obj)
 
 
-class TestFactorization:
-    def test_round_trip(self, sphere):
-        for f in all_factorizations(poly_mul(X, Y), sphere):
-            back = qio.factorization_from_json(qio.factorization_to_json(f))
-            assert back.lam == pytest.approx(f.lam)
-            assert back.parcelling.pieces == f.parcelling.pieces
-            for a, b in zip(back.lines, f.lines):
-                assert np.allclose(a.coeffs, b.coeffs)
-            assert np.allclose(back.remainder.coeffs, f.remainder.coeffs)
+# The CLI's answers through its one writer and back: cli's *_arrays build
+# each answer, _json_text prints it, and the tests' decoders read it back.
 
-    def test_rejections(self):
-        ok = {"lambda": [1, 0], "lines": [[[1, 0], [0, 0], [0, 0]]],
-              "remainder": {"degree": 0, "terms": []},
-              "parcelling": [[0, 1]]}
-        for key in ("lambda", "lines", "remainder", "parcelling"):
-            bad = dict(ok)
-            del bad[key]
-            with pytest.raises(InvalidInput):
-                qio.factorization_from_json(bad)
-        bad = dict(ok, parcelling=[[0]])
-        with pytest.raises(InvalidInput):
-            qio.factorization_from_json(bad)
-        bad = dict(ok, lines=[[[1, 0], [0, 0]]])
-        with pytest.raises(InvalidInput):
-            qio.factorization_from_json(bad)
+def answer_round_trip(arrays, decode, x):
+    """x decoded from the CLI's printed answer, once printing the decoded
+    object again has given the same bytes."""
+    text = _json_text(arrays(x))
+    back = decode(json.loads(text))
+    assert _json_text(arrays(back)) == text
+    return back
+
+
+def grade_bits(p):
+    """A grade's degree and the places and bits of its nonzero
+    coefficients: its answer omits the zeros."""
+    nz = np.flatnonzero(p.coeffs)
+    return p.degree, nz.tobytes(), p.coeffs[nz].tobytes()
+
+
+def factorization_bits(f):
+    return (np.complex128(f.lam).tobytes(),
+            np.array([L.coeffs for L in f.lines], dtype=complex).tobytes(),
+            grade_bits(f.remainder), f.parcelling)
+
+
+def multipole_bits(m):
+    return np.complex128(m.scale).tobytes(), np.array(m.lines, dtype=complex).tobytes()
+
+
+def sequence_bits(s):
+    return (np.complex128(s.lam).tobytes(),
+            {k: multipole_bits(m) for k, m in s.terms.items()})
+
+
+def _sample(rows, most=40):
+    """At most `most` rows, evenly strided, the first and last among them."""
+    step = max(1, -(-len(rows) // most))
+    return rows[::step] + rows[-1:]
+
+
+class TestFactorization:
+    def test_round_trip(self, sphere, dense_complex):
+        # factor's rows under both strategies and all_factorizations' rows
+        # give back lambda, every line, every nonzero remainder coefficient
+        # and the parcelling bit for bit
+        rng = np.random.default_rng(96)
+        for Q in (sphere, dense_complex):
+            for d in range(1, 6):
+                P = random_homog(d, rng)
+                rows = [factor(P, Q)] + _sample(all_factorizations(P, Q))
+                if Q is sphere:
+                    rows.append(factor(random_homog(d, rng, real=True), Q, "real_unique"))
+                for f in rows:
+                    back = answer_round_trip(cli._factorization_arrays,
+                                             decode_factorization, f)
+                    assert factorization_bits(back) == factorization_bits(f)
 
 
 class TestMultipole:
-    def test_round_trip(self):
-        m = Multipole.from_parts(2.0 - 1.0j, [X + Y * 2.0, Y])
-        back = qio.multipole_from_json(qio.multipole_to_json(m))
-        assert back.isclose(m, tol=1e-12)
-
-    def test_rejections(self):
-        for obj in [{"scale": [1, 0]}, {"lines": []},
-                    {"scale": [1, 0], "lines": [[[1, 0], [0, 0]]]},
-                    {"scale": [1, 0], "lines": [], "w": 1}]:
-            with pytest.raises(InvalidInput):
-                qio.multipole_from_json(obj)
+    def test_round_trip(self, sphere, dense_complex):
+        # multipole_series' bands, the approx command's multipoles, the
+        # zero band's empty multipole among them
+        funcs = [lambda pts: np.exp(pts[:, 0]),
+                 lambda pts: np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2)),
+                 lambda pts: pts[:, 0] * pts[:, 2] ** 2]
+        for Q in (sphere, dense_complex):
+            for f in funcs:
+                dec = l2_project(f, Q, 5, QuadratureRule(10))
+                for m in multipole_series(dec, Q).terms.values():
+                    back = answer_round_trip(cli._multipole_arrays, decode_multipole, m)
+                    assert multipole_bits(back) == multipole_bits(m)
 
 
 class TestSequence:
-    def test_round_trip(self, sphere):
+    def test_round_trip(self, sphere, dense_complex):
+        # full_decompose under canonical, real_unique and enumerate
         rng = np.random.default_rng(94)
-        seq = full_decompose(random_poly(3, rng), sphere)
-        back = qio.sequence_from_json(qio.sequence_to_json(seq))
-        assert back.lam == pytest.approx(seq.lam)
-        assert sorted(back.terms) == sorted(seq.terms)
-        for k in seq.terms:
-            assert back.terms[k].isclose(seq.terms[k], tol=1e-12)
-
-    def test_rejections(self):
-        for obj in [{"terms": {}},
-                    {"lambda": [0, 0], "terms": {"0": {"scale": [1, 0],
-                                                       "lines": []}}},
-                    {"lambda": [0, 0], "terms": {"two": {"scale": [1, 0],
-                                                         "lines": []}}},
-                    {"lambda": [0, 0], "terms": [], },
-                    {"lambda": [0, 0], "terms": {}, "zz": 1}]:
-            with pytest.raises(InvalidInput):
-                qio.sequence_from_json(obj)
+        for Q in (sphere, dense_complex):
+            for d in range(6):
+                seqs = [full_decompose(random_poly(d, rng), Q)]
+                if Q is sphere:
+                    seqs.append(full_decompose(random_poly(d, rng, real=True), Q,
+                                               strategy="real_unique"))
+                if d <= 4:
+                    seqs += _sample(full_decompose(random_poly(d, rng), Q,
+                                                   strategy="enumerate"))
+                for seq in seqs:
+                    back = answer_round_trip(cli._sequence_arrays, decode_sequence, seq)
+                    assert sequence_bits(back) == sequence_bits(seq)
 
 
 class TestDivisors:
     def test_pencil_round_trip(self):
         d = PencilDivisor([(ProjPoint1([1.0, 2.0 + 1j]), 2),
                            (ProjPoint1([0.0, 1.0]), 1)])
-        back = qio.pencil_divisor_from_json(qio.pencil_divisor_to_json(d))
+        back = qio.pencil_divisor_from_json([qio.cluster_to_json(RootCluster(pt, m))
+                                             for pt, m in d.points])
         assert divisors_close(back, d, tol=1e-12)
 
     def test_conic_round_trip(self, sphere):
+        # the writer's points read back as the divisor, bit for bit
         from quadpole import conic_param
         param = conic_param(sphere)
         d = ConicDivisor([(param.point(ProjPoint1([1.0, 0.5j])), 1),
                           (param.point(ProjPoint1([2.0, 1.0])), 3)])
-        back = qio.conic_divisor_from_json(qio.conic_divisor_to_json(d))
-        assert divisors_close(back, d, tol=1e-12)
+        obj = json.loads(json.dumps(qio.conic_divisor_to_json(d)))
+        assert [(np.array([complex(*v) for v in e["point"]]).tobytes(), e["mult"])
+                for e in obj] == [(pt.coords.tobytes(), m) for pt, m in d.points]
 
     def test_rejections(self):
         with pytest.raises(InvalidInput):
             qio.pencil_divisor_from_json([])
         with pytest.raises(InvalidInput):
             qio.pencil_divisor_from_json({"u": [[1, 0], [0, 0]], "mult": 1})
-        with pytest.raises(InvalidInput):
-            qio.conic_divisor_from_json([{"point": [[1, 0], [0, 0]],
-                                          "mult": 1}])
-        with pytest.raises(InvalidInput):
-            qio.conic_divisor_from_json([{"point": [[1, 0], [0, 0], [0, 0]],
-                                          "mult": 0}])
 
 
 class TestDeterminism:
@@ -524,12 +553,47 @@ class TestDeterminism:
         rng2 = np.random.default_rng(95)
         a = full_decompose(random_poly(3, rng1), sphere)
         b = full_decompose(random_poly(3, rng2), sphere)
-        assert dumps(qio.sequence_to_json(a)) == dumps(qio.sequence_to_json(b))
+        assert _json_text(cli._sequence_arrays(a)) == _json_text(cli._sequence_arrays(b))
         p1, p2 = random_poly(4, rng1), random_poly(4, rng2)
         assert dumps(qio.poly_to_json(p1)) == dumps(qio.poly_to_json(p2))
 
-    def test_parse_serialize_parse_fixed_point(self, sphere):
-        f = all_factorizations(poly_mul(X, Y), sphere)[0]
-        j1 = qio.factorization_to_json(f)
-        j2 = qio.factorization_to_json(qio.factorization_from_json(j1))
-        assert dumps(j1) == dumps(j2)
+    def test_parse_serialize_parse_fixed_point(self):
+        # signed zeros, an empty line stack and zero remainders of degree 0
+        # and 3 print the same bytes once decoded
+        edge = HomogPoly(3, [complex(-0.0, 2.0), complex(0.0, -0.0), complex(1.0, -0.0)]
+                         + [0.0] * 7)
+        lines = [HomogPoly(1, [complex(-0.0, -0.0), 1.0, complex(0.5, -0.0)]), X]
+        for lam, ls, rem in ((complex(-0.0, 1.0), lines, edge),
+                             (1.0, [], HomogPoly.zero(0)),
+                             (complex(2.0, -0.0), lines, HomogPoly.zero(3))):
+            f = MultipoleFactorization(lam, ls, rem, GeneralizedParcelling(((0, 1),) * len(ls)))
+            back = answer_round_trip(cli._factorization_arrays, decode_factorization, f)
+            assert factorization_bits(back) == factorization_bits(f)
+            m = f.multipole()
+            assert multipole_bits(answer_round_trip(
+                cli._multipole_arrays, decode_multipole, m)) == multipole_bits(m)
+            s = MultipoleSequence(lam, {len(ls): m} if ls else {})
+            assert sequence_bits(answer_round_trip(
+                cli._sequence_arrays, decode_sequence, s)) == sequence_bits(s)
+
+
+def test_every_io_function_serves_the_package():
+    # every function io defines is reached from another module of the
+    # package, directly or through io functions so reached: readers and
+    # writers that only the tests use belong in the tests
+    tree = ast.parse((SRC / "io.py").read_text())
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    todo = set().union(*(names(ast.parse(f.read_text())) for f in SRC.glob("*.py")
+                         if f.name != "io.py"))
+    reached = set()
+    while todo & set(bodies):
+        name = (todo & set(bodies)).pop()
+        todo.discard(name)
+        reached.add(name)
+        todo |= names(bodies[name]) - reached
+    assert sorted(set(bodies) - reached) == []

@@ -11,6 +11,7 @@ from quadpole import (
     ConicDivisor,
     Degenerate,
     DegenerateTangency,
+    EnumerationLimit,
     NotOnConic,
     PencilCenter,
     PencilDivisor,
@@ -235,6 +236,21 @@ class TestFibers:
         ((pt, m),) = fiber[0].points
         assert m == 2
         assert chordal(pt, t1) < 1e-6
+
+    def test_count_capped_with_tangents_as_one(self, sphere, monkeypatch):
+        # the fibers are counted before any is listed, a tangent point as
+        # one option whatever its multiplicity
+        from quadpole import planar
+        p = center([0, 0, 2], sphere)
+        frame = PencilFrame(p, sphere)
+        t1, _ = tangent_lines_from(p, sphere)
+        tangent = (frame.param_of_point(t1), 10 ** 7)
+        assert len(fiber_enumerate(PencilDivisor([tangent]), p, sphere)) == 1
+        monkeypatch.setattr(planar, "ENUMERATION_CAP", 9)
+        other = frame.param_of_line([1, 0, 0])
+        assert len(fiber_enumerate(PencilDivisor([tangent, (other, 8)]), p, sphere)) == 9
+        with pytest.raises(EnumerationLimit, match="more than 9 fibers"):
+            fiber_enumerate(PencilDivisor([tangent, (other, 9)]), p, sphere)
 
     def test_deterministic_order(self, hyperboloid):
         rng1 = np.random.default_rng(50)

@@ -9,6 +9,7 @@ import pytest
 
 from quadpole import (
     DivisibleByQ,
+    EnumerationLimit,
     GeneralizedParcelling,
     HomogPoly,
     Multipole,
@@ -116,6 +117,33 @@ class TestParcellingCombinatorics:
     def test_odd_total_rejected(self):
         with pytest.raises(OddTotal):
             enumerate_parcellings([1, 1, 1])
+
+    def test_counted_before_listing(self, monkeypatch):
+        # the count that decides EnumerationLimit is the list's length, and
+        # more than ENUMERATION_CAP are refused before any is listed
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            mults = rng.integers(0, 5, rng.integers(0, 7)).tolist()
+            if sum(mults) % 2 == 0:
+                assert sylvester._parcelling_count(tuple(sorted(m for m in mults if m))) \
+                    == len(enumerate_parcellings(mults))
+
+        def refuse(mults):
+            raise AssertionError("listed")
+
+        monkeypatch.setattr(sylvester, "_parcellings", refuse)
+        with pytest.raises(EnumerationLimit, match="more than 1000000 parcellings"):
+            enumerate_parcellings([1] * 16)  # 15!! = 2,027,025
+        monkeypatch.undo()
+        # the cap itself is listed; the saturated counts are cached per cap
+        monkeypatch.setattr(sylvester, "ENUMERATION_CAP", 105)
+        sylvester._parcelling_count.cache_clear()
+        try:
+            assert len(enumerate_parcellings([1] * 8)) == 105
+            with pytest.raises(EnumerationLimit, match="more than 105 parcellings"):
+                enumerate_parcellings([2, 1, 1, 1, 1, 1, 1, 1, 1])
+        finally:
+            sylvester._parcelling_count.cache_clear()
 
     def test_repeated_calls_share_parcellings_not_lists(self):
         # the same multiplicities, as a list, a tuple or numpy integers,
@@ -1151,7 +1179,6 @@ class TestEpsClusterRefused:
         # conjugate cluster points differ by round-off, so pairing them within
         # 10 * eps_cluster = 0 raised ConjugationPairingFailure for generic
         # real inputs; at 0 they now factor with the bits of the default scale
-        from quadpole import io as qio
         rng = np.random.default_rng(76)
         for Q in (sphere, QuadForm(np.diag([1.0, 2.0, 0.5]))):
             for d in range(2, 7):
@@ -1162,8 +1189,8 @@ class TestEpsClusterRefused:
                     == [L.coeffs.tobytes() for L in f6.lines]
                 assert f0.remainder.coeffs.tobytes() == f6.remainder.coeffs.tobytes()
                 P = random_poly(d, rng, real=True)
-                s0, s6 = (repr(qio.sequence_to_json(full_decompose(
-                    P, Q, strategy="real_unique", eps_cluster=eps))) for eps in (0.0, 1e-6))
+                s0, s6 = (repr(full_decompose(P, Q, strategy="real_unique", eps_cluster=eps))
+                          for eps in (0.0, 1e-6))
                 assert s0 == s6
 
 
