@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 unreadable or schema-violating input or an option
 out of range (a quadrature rule too low for --d-max among them), 3 input that
 is a multiple of the form where that is rejected, 4 numerical failure inside
-an operation.  Output is deterministic: identical inputs and options produce
-byte-identical JSON, exactly json.dumps(obj, indent=2, sort_keys=True) and a
+an operation, an answer with a NaN or infinite number among them.  Output is
+deterministic: identical inputs and options produce byte-identical JSON,
+exactly json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) and a
 newline.  main builds its argument parser once per process and reuses it.
 """
 
@@ -22,7 +23,7 @@ from . import io as qio
 from .algebra import HomogPoly, QuadForm, QuadratureRule, _exponent_table
 from .conic import EPS_CLUSTER
 from .deconstruct import full_decompose, representation_bound
-from .errors import DivisibleByQ, InsufficientQuadrature, InvalidInput, QuadpoleError
+from .errors import DivisibleByQ, InsufficientQuadrature, InvalidInput, QuadpoleError, SolveFailure
 from .harmonic import harmonic_decompose
 from .maxwell import maxwell_decompose, maxwell_poly
 from .planar import PencilCenter, fiber_enumerate
@@ -81,17 +82,18 @@ def _grade_template(newline: str) -> Tuple[str, str, str]:
 
 
 def _grade_text(p: HomogPoly, newline: str) -> str:
-    """The text of io.poly_to_json(p) at the line break newline.
+    """The text of a grade's {"degree", "terms"} at the line break newline.
 
     The nonzero terms' exponents come from the grade's exponent table and
     their im and re from its coefficients' tolist(), all written with one %
-    of the template of the line break, repeated once per term.  A grade
-    with a NaN or infinite coefficient is poly_to_json's own object.
+    of the template of the line break, repeated once per term.  A NaN or
+    infinite coefficient raises ValueError, as json.dumps does with
+    allow_nan=False.
     """
     nz = np.flatnonzero(p.coeffs)
     c = p.coeffs[nz]
     if not np.isfinite(c).all():
-        return _json_text(qio.poly_to_json(p), newline)
+        raise ValueError("NaN or infinite coefficient")
     inner = newline + "  "
     n = len(nz)
     if not n:
@@ -115,12 +117,12 @@ def _line_template(newline: str) -> str:
 
 
 def _lines_text(lines: np.ndarray, newline: str) -> str:
-    """The text of io._lines_to_json(lines), lines an (n, 3) complex array,
-    at the line break newline: every coefficient's re and im, in the
-    array's order, in one % of the line template repeated once per line.
-    Lines with a NaN or infinite coefficient are _lines_to_json's own."""
+    """The text of lines, an (n, 3) complex array, as a list of lines of
+    [re, im] pairs at the line break newline: every coefficient's re and
+    im, in the array's order, in one % of the line template repeated once
+    per line.  A NaN or infinite coefficient raises ValueError."""
     if not np.isfinite(lines).all():
-        return _json_text(qio._lines_to_json(lines), newline)
+        raise ValueError("NaN or infinite coefficient")
     if not len(lines):
         return "[]"
     inner = newline + "  "
@@ -130,20 +132,20 @@ def _lines_text(lines: np.ndarray, newline: str) -> str:
 
 
 def _json_text(obj: Any, newline: str = "\n") -> str:
-    """The bytes of json.dumps(obj, indent=2, sort_keys=True).
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False), or its ValueError for a NaN or infinite number.
 
     The standard library runs its pure-Python encoder whenever indent is
     set.  This one writes what the commands emit itself, with one join per
     container: lists, tuples and dicts whose keys are all str, with finite
     float and int children inline.  The commands' grades and line stacks,
     the bulk of every answer, come as a HomogPoly and an (n, 3) complex
-    array, written as io.poly_to_json and io._lines_to_json would write
-    them by _grade_text and _lines_text.  Every other value, a dict with a
-    non-str key among them (its sort or key encoding raises TypeError), is
-    json.dumps' own text with each of its line breaks indented to this
-    level; json escapes the line breaks inside strings, and an unsupported
-    type raises its TypeError.  newline is the line break and indentation
-    of obj's own level.
+    array, written by _grade_text and _lines_text.  Every other value, a
+    dict with a non-str key among them (its sort or key encoding raises
+    TypeError), is json.dumps' own text with each of its line breaks
+    indented to this level; json escapes the line breaks inside strings,
+    and an unsupported type raises its TypeError.  newline is the line
+    break and indentation of obj's own level.
     """
     cls = type(obj)
     inner = newline + "  "
@@ -167,11 +169,16 @@ def _json_text(obj: Any, newline: str = "\n") -> str:
         return _grade_text(obj, newline)
     if cls is np.ndarray:
         return _lines_text(obj, newline)
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
 
 
 def _emit(obj: Any, output: Optional[str]) -> None:
-    text = _json_text(obj) + "\n"
+    """Print obj, or write it to output; a NaN or infinite number in it,
+    which JSON cannot hold, is a SolveFailure, and nothing is written."""
+    try:
+        text = _json_text(obj) + "\n"
+    except ValueError as exc:
+        raise SolveFailure("the answer is not JSON: %s" % exc) from None
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
@@ -207,11 +214,6 @@ def _sequence_arrays(s) -> Dict[str, Any]:
 def _cmd_decompose(args, Q: QuadForm) -> Any:
     data = _load_json(args.poly)
     strategy = args.strategy
-    if args.all:
-        if strategy == "real_unique":
-            raise InvalidInput("--all cannot be combined with"
-                               " --strategy real_unique")
-        strategy = "enumerate"
     if args.cone:
         P = qio.homog_from_json(data)
         if strategy == "enumerate":
@@ -254,8 +256,6 @@ def _cmd_maxwell(args, Q: QuadForm) -> Any:
         vectors, scale = maxwell_decompose(P, Q, eps_cluster=args.eps_cluster)
         return {"vectors": np.array(vectors, dtype=complex).reshape(-1, 3),
                 "scale": qio._cnum(scale)}
-    if args.vectors is None:
-        raise InvalidInput("maxwell needs --vectors or --invert")
     return maxwell_poly(Q, _parse_vectors(args.vectors))
 
 
@@ -319,7 +319,7 @@ def _cmd_approx(args, Q: QuadForm) -> Any:
             "bands": bands}
 
 
-def _cmd_counts(args, Q: QuadForm) -> Any:
+def _cmd_counts(args, Q: None) -> Any:
     if args.d > COUNTS_MAX_D:
         raise InvalidInput("--d must be at most %d, not %d" % (COUNTS_MAX_D, args.d))
     return {"kappa": count_parcellings(args.d),
@@ -333,11 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
                     " surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, clustered=True):
-        """--quadric, --output, and --eps-cluster when the handler clusters
-        roots; every other tolerance is a constant."""
-        p.add_argument("--quadric", default="sphere",
-                       help="sphere, hyperboloid, or a quadric JSON file")
+    def common(p, clustered=True, form=True):
+        """--output, --quadric when the handler takes a form, and --eps-cluster
+        when it clusters roots; every other tolerance is a constant."""
+        if form:
+            p.add_argument("--quadric", default="sphere",
+                           help="sphere, hyperboloid, or a quadric JSON file")
         if clustered:
             p.add_argument("--eps-cluster", type=float, default=EPS_CLUSTER,
                            dest="eps_cluster")
@@ -347,15 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="multipole decomposition of a"
                                          " polynomial")
     p.add_argument("poly", help="polynomial JSON file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--surface", action="store_true",
-                      help="decompose on {Q = 1} (default)")
-    mode.add_argument("--cone", action="store_true",
-                      help="factor a homogeneous input on {Q = 0}")
+    p.add_argument("--cone", action="store_true",
+                   help="factor a homogeneous input on {Q = 0}")
     p.add_argument("--strategy", default="canonical",
                    choices=("canonical", "enumerate", "real_unique"))
-    p.add_argument("--all", action="store_true",
-                   help="shorthand for --strategy enumerate")
     common(p)
     p.set_defaults(func=_cmd_decompose)
 
@@ -367,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxwell", help="potential-derivative polynomial from"
                                        " vectors, or its inverse")
-    p.add_argument("--vectors", default=None,
-                   help="comma-separated vector list, e.g."
-                        " \"[0,0,1],[0,0,1]\"")
-    p.add_argument("--invert", default=None, metavar="POLY",
-                   help="harmonic polynomial JSON to decompose into vectors")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--vectors",
+                        help="comma-separated vector list, e.g. \"[0,0,1],[0,0,1]\"")
+    source.add_argument("--invert", metavar="POLY",
+                        help="harmonic polynomial JSON to decompose into vectors")
     common(p)
     p.set_defaults(func=_cmd_maxwell)
 
@@ -409,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counts", help="parcelling count and representation"
                                       " bound for a degree")
     p.add_argument("--d", type=int, required=True)
-    common(p, clustered=False)
+    common(p, clustered=False, form=False)
     p.set_defaults(func=_cmd_counts)
 
     return parser
@@ -423,7 +419,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        Q = _resolve_quadric(args.quadric)
+        # counts holds on every nondegenerate quadric and takes none
+        Q = _resolve_quadric(args.quadric) if "quadric" in args else None
         result = args.func(args, Q)
         _emit(result, args.output)
     except (InvalidInput, InsufficientQuadrature, ValueError) as exc:

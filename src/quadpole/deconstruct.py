@@ -89,11 +89,12 @@ def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float
 
 
 def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
-           budget: List[int]) -> List[Tuple[complex, Dict[int, Multipole]]]:
+           limit: int) -> List[Tuple[complex, Dict[int, Multipole]]]:
     """The constant and terms of every decomposition of h the strategy
     gives: each level keeps its context's rows(strategy), and each row's
-    remainder recurses.  full_decompose has checked the input for the
-    strategy; each level's rows certify themselves."""
+    remainder recurses with what is left of the limit.  More than limit
+    decompositions raise EnumerationLimit.  full_decompose has checked the
+    input for the strategy; each level's rows certify themselves."""
     cur, ctx = _strip_q_powers(h, Q, eps_cluster)
     if ctx is not None:
         rows = [(f.multipole(), f.remainder) for f in ctx.rows(strategy)]
@@ -105,12 +106,10 @@ def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
         rows = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))]
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
     for mp, remainder in rows:
-        for lam, terms in _chain(remainder, Q, strategy, eps_cluster, budget):
+        for lam, terms in _chain(remainder, Q, strategy, eps_cluster, limit - len(out)):
             out.append((lam, {mp.degree: mp, **terms}))
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise EnumerationLimit("more than %d sequences" %
-                                       ENUMERATION_CAP)
+            if len(out) > limit:
+                raise EnumerationLimit("more than %d sequences" % ENUMERATION_CAP)
     return out
 
 
@@ -140,12 +139,14 @@ def full_decompose(P: Union[Poly, HomogPoly], Q: QuadForm,
     _check_eps_cluster(eps_cluster)
     parts = [None if g.is_zero() else homogenize_on_quadric(g, Q)
              for g in grade_split(P)]
-    budget = [ENUMERATION_CAP]
-    chains = [[(0j, {})] if h is None else
-              _chain(h, Q, strategy, eps_cluster, budget)
-              for h in parts]
-    if len(chains[0]) * len(chains[1]) > ENUMERATION_CAP:
-        raise EnumerationLimit("more than %d sequences" % ENUMERATION_CAP)
+    # the parity of lower top degree first, so that the other's chain stops
+    # as soon as the product of their counts passes the cap
+    chains = [[(0j, {})], [(0j, {})]]
+    limit = ENUMERATION_CAP
+    for i in sorted((0, 1), key=lambda i: -1 if parts[i] is None else parts[i].degree):
+        if parts[i] is not None:
+            chains[i] = _chain(parts[i], Q, strategy, eps_cluster, limit)
+            limit //= len(chains[i])
     out = [MultipoleSequence(lam_e + lam_o, {**terms_e, **terms_o})
            for lam_e, terms_e in chains[0] for lam_o, terms_o in chains[1]]
     return out if strategy == "enumerate" else out[0]

@@ -6,10 +6,10 @@ and pencil divisors.  They validate shapes and reject unknown keys and NaN
 or infinite numbers with InvalidInput so the CLI can map schema problems to
 its parse-error exit code.  The writers give the objects of the parts of an
 answer that the CLI's printer does not write from arrays itself: root
-clusters, conic divisors, and a grade or line stack with a NaN or infinite
-coefficient.  The CLI builds its answers (cli._factorization_arrays,
-_multipole_arrays, _sequence_arrays) and prints them as exactly
-json.dumps(obj, indent=2, sort_keys=True) plus a newline.
+clusters and conic divisors.  The CLI builds its answers
+(cli._factorization_arrays, _multipole_arrays, _sequence_arrays) and prints
+them as exactly json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+plus a newline.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
-from .algebra import HomogPoly, Poly, QuadForm, _lex_index, grade_dim, monomials
+from .algebra import HomogPoly, Poly, QuadForm, _lex_index, grade_dim
 from .conic import ProjPoint1, RootCluster
 from .errors import InvalidInput
 from .planar import ConicDivisor, PencilDivisor
@@ -59,20 +59,6 @@ def _check_keys(obj: Dict[str, Any], allowed: Iterable[str], where: str) -> None
 
 # ---------------------------------------------------------------------------
 # polynomials: {"degree": d, "terms": [{"exp": [a,b,c], "re": r, "im": s}]}
-
-def poly_to_json(p) -> Dict[str, Any]:
-    """Serialize a Poly or HomogPoly; zero coefficients are omitted.  A
-    HomogPoly is written at its own degree, the zero grade included."""
-    parts = p.parts if isinstance(p, Poly) else (p,)
-    terms = []
-    for part in parts:
-        monos = monomials(part.degree)
-        nz = np.flatnonzero(part.coeffs != 0)
-        c = part.coeffs[nz]
-        for i, re, im in zip(nz.tolist(), c.real.tolist(), c.imag.tolist()):
-            terms.append({"exp": list(monos[i]), "re": re, "im": im})
-    return {"degree": parts[-1].degree, "terms": terms}
-
 
 _TERM_KEYS = frozenset(("exp", "re", "im"))
 # the largest exponent whose sum with two others stays an intp
@@ -262,13 +248,6 @@ def cluster_from_json(obj: Any) -> RootCluster:
         raise InvalidInput("root cluster: mult must be a positive integer")
     return RootCluster(ProjPoint1([_parse_cnum(v, "root coordinate")
                                    for v in u]), m)
-
-
-# ---------------------------------------------------------------------------
-# line stacks: [[[re,im] x 3] per line], from an (n, 3) complex array
-
-def _lines_to_json(lines: np.ndarray) -> List[List[List[float]]]:
-    return [[_cnum(v) for v in row] for row in lines]
 
 
 # ---------------------------------------------------------------------------

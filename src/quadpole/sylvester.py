@@ -83,6 +83,7 @@ TOL_ISCLOSE = 1e-8  # Multipole.isclose's default bound on scale and coefficient
 LINE_KEY_DIGITS = 9  # the decimals of the rounded half of a line's sort key
 DISC_RESULTANT_MAX_DEGREE = 8  # the largest restriction degree the resultant checks
 ENUMERATION_CAP = 10 ** 6  # the most parcellings, sequences or fibers an enumeration lists
+PARCELLING_CACHE_MAX = 10395  # the most parcellings of one vector kept, a generic degree 6's
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -119,17 +120,19 @@ def enumerate_parcellings(multiplicities: Sequence[int]) -> List[GeneralizedParc
     multiset appears exactly once.  Raises OddTotal when the multiplicities
     sum to an odd number, and EnumerationLimit, before listing any, when
     there are more than ENUMERATION_CAP.  The parcellings of the last 128
-    multiplicity vectors are kept and shared (they are frozen); the list is
-    new at every call.
+    multiplicity vectors with at most PARCELLING_CACHE_MAX of them are kept
+    and shared (they are frozen); the list is new at every call.
     """
     mults = tuple(int(m) for m in multiplicities)
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
     if sum(mults) % 2:
         raise OddTotal("multiplicities sum to %d" % sum(mults))
-    if _parcelling_count(tuple(sorted(m for m in mults if m))) > ENUMERATION_CAP:
+    count = _parcelling_count(tuple(sorted(m for m in mults if m)))
+    if count > ENUMERATION_CAP:
         raise EnumerationLimit("more than %d parcellings" % ENUMERATION_CAP)
-    return list(_parcellings(mults))
+    listing = _parcellings if count <= PARCELLING_CACHE_MAX else _parcellings.__wrapped__
+    return list(listing(mults))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -1,5 +1,6 @@
 """Shared fixtures and numeric helpers for the test suite."""
 
+import json
 import os
 import tempfile
 from functools import lru_cache
@@ -21,6 +22,7 @@ from quadpole import (
     poly_mul,
 )
 from quadpole.algebra import grade_dim, monomials
+from quadpole.cli import _json_text
 
 # The property tests draw the same examples on every run and keep no
 # example database, so the suite stays deterministic.
@@ -51,6 +53,42 @@ def monomial_index(degree):
     """Each monomial's position in monomials(degree), as a dict: the tests'
     reference index."""
     return {m: i for i, m in enumerate(monomials(degree))}
+
+
+# the JSON objects of the CLI's polynomial inputs and of the grades and line
+# stacks of its answers, one complex() per coefficient
+
+def poly_obj(p):
+    """The {"degree", "terms"} object of a Poly or HomogPoly, its nonzero
+    coefficients in the order of the monomials; a HomogPoly at its own
+    degree, the zero grade included."""
+    parts = p.parts if isinstance(p, Poly) else (p,)
+    terms = []
+    for part in parts:
+        for mono, c in zip(monomials(part.degree), part.coeffs):
+            c = complex(c)
+            if c != 0:
+                terms.append({"exp": list(mono), "re": c.real, "im": c.imag})
+    return {"degree": parts[-1].degree, "terms": terms}
+
+
+def lines_obj(lines):
+    """The [[re, im] x 3] list of each row of an (n, 3) complex array."""
+    return [[[complex(c).real, complex(c).imag] for c in row] for row in lines]
+
+
+def assert_prints_as_json(obj, want=None):
+    """_json_text(obj) is json.dumps(want, indent=2, sort_keys=True,
+    allow_nan=False), want obj unless given, or raises the same
+    TypeError or ValueError."""
+    try:
+        text = json.dumps(obj if want is None else want, indent=2, sort_keys=True,
+                          allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _json_text(obj)
+        return
+    assert _json_text(obj) == text
 
 
 # decoders of the CLI's answers, parsed by json.loads, into the package's

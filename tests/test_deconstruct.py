@@ -2,6 +2,7 @@
 constant-plus-multipole sequences, and the dimension-count inequalities."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -219,6 +220,27 @@ class TestEnumerate:
         with pytest.raises(EnumerationLimit):
             full_decompose(random_poly(3, rng), sphere,
                            strategy="enumerate")
+
+    def test_enumeration_cap_counts_finished_sequences(self, sphere, monkeypatch):
+        # every level's sequences counted against one budget, so a cubic
+        # with 15 sequences was refused at every cap from 15 to 29
+        import quadpole.deconstruct as dec
+        P = random_homog(3, np.random.default_rng(70))
+        monkeypatch.setattr(dec, "ENUMERATION_CAP", 15)
+        assert len(full_decompose(P, sphere, strategy="enumerate")) == 15
+        monkeypatch.setattr(dec, "ENUMERATION_CAP", 14)
+        with pytest.raises(EnumerationLimit, match="more than 14 sequences"):
+            full_decompose(P, sphere, strategy="enumerate")
+
+    def test_enumeration_cap_refuses_early(self, sphere):
+        # a generic degree 6 has 10395 * 315 even sequences and 945 * 15 odd
+        # ones: the even chain was listed to the cap first, for 84 s near
+        # 990 MB; the odd one first leaves the even chain 70
+        start = time.perf_counter()
+        with pytest.raises(EnumerationLimit, match="more than 1000000 sequences"):
+            full_decompose(random_poly(6, np.random.default_rng(1)), sphere,
+                           strategy="enumerate")
+        assert time.perf_counter() - start < 10.0
 
 
 class TestLinearLevel:

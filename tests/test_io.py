@@ -2,6 +2,7 @@
 schema validation, the CLI's answers through its one writer and back bit
 for bit, and byte-level determinism of the emitted structures."""
 
+import argparse
 import ast
 import json
 import math
@@ -34,14 +35,16 @@ from quadpole import (
 )
 from quadpole import cli
 from quadpole import io as qio
-from quadpole.algebra import grade_dim, monomials
+from quadpole.algebra import grade_dim
 from quadpole.cli import _json_text
 
 from conftest import (
+    assert_prints_as_json,
     decode_factorization,
     decode_multipole,
     decode_sequence,
     monomial_index,
+    poly_obj,
     random_homog,
     random_poly,
 )
@@ -60,25 +63,6 @@ def hp(degree, entries):
 
 X = hp(1, {(1, 0, 0): 1})
 Y = hp(1, {(0, 1, 0): 1})
-
-
-def dumps(obj):
-    return json.dumps(obj, sort_keys=True)
-
-
-def poly_to_json_loop(p):
-    """poly_to_json as one complex() per coefficient, the reference; a
-    HomogPoly at its own degree."""
-    parts = p.parts if isinstance(p, Poly) else (p,)
-    terms = []
-    for part in parts:
-        for mono, c in zip(monomials(part.degree), part.coeffs):
-            c = complex(c)
-            if c == 0:
-                continue
-            terms.append({"exp": list(mono), "re": float(c.real),
-                          "im": float(c.imag)})
-    return {"degree": parts[-1].degree, "terms": terms}
 
 
 def poly_from_json_loop(obj):
@@ -178,7 +162,7 @@ class TestPoly:
         rng = np.random.default_rng(90)
         for d in (0, 1, 3, 5):
             p = random_poly(d, rng)
-            q = qio.poly_from_json(qio.poly_to_json(p))
+            q = qio.poly_from_json(poly_obj(p))
             assert len(q.parts) == len(p.parts)
             for a, b in zip(p.parts, q.parts):
                 assert np.array_equal(a.coeffs, b.coeffs)
@@ -186,14 +170,14 @@ class TestPoly:
     def test_homog_round_trip(self):
         rng = np.random.default_rng(91)
         h = random_poly(4, rng).part(4)
-        back = qio.homog_from_json(qio.poly_to_json(h))
+        back = qio.homog_from_json(poly_obj(h))
         assert back.degree == 4
         assert np.array_equal(back.coeffs, h.coeffs)
 
     def test_homog_rejects_mixed(self):
         p = Poly.from_grades({0: HomogPoly(0, [1.0]), 2: poly_mul(X, X)})
         with pytest.raises(InvalidInput):
-            qio.homog_from_json(qio.poly_to_json(p))
+            qio.homog_from_json(poly_obj(p))
 
     def test_homog_keeps_the_stated_degree(self):
         # a stated degree above every nonzero grade was dropped: degree 3
@@ -215,14 +199,15 @@ class TestPoly:
         # the zero grade of degree d was written at degree 0 and read back
         # as the zero constant
         for d in range(7):
-            obj = qio.poly_to_json(HomogPoly.zero(d))
+            obj = poly_obj(HomogPoly.zero(d))
             assert obj == {"degree": d, "terms": []}
             back = qio.homog_from_json(obj)
             assert back.degree == d and back.is_zero()
 
     def test_serializer_matches_term_loop(self):
-        # repr tells -0.0 from 0.0, nan from a number and np.float64 from
-        # float; -0.0+0j equals 0 and is omitted, nan and inf are kept
+        # the printer writes each grade as json.dumps writes the term loop's
+        # object: -0.0 apart from 0.0, -0.0+0j omitted as 0; a nan or inf
+        # coefficient raises json.dumps' ValueError
         nan, inf = float("nan"), float("inf")
         odd = HomogPoly(3, [complex(-0.0, 0.0), complex(0.0, -0.0),
                             complex(-0.0, -0.0), complex(1.0, -0.0),
@@ -240,7 +225,8 @@ class TestPoly:
             random_poly(5, rng),
         ]
         for p in cases:
-            assert repr(qio.poly_to_json(p)) == repr(poly_to_json_loop(p))
+            for grade in (p.parts if isinstance(p, Poly) else (p,)):
+                assert_prints_as_json(grade, poly_obj(grade))
 
     def test_duplicate_terms_accumulate(self):
         obj = {"degree": 1, "terms": [{"exp": [1, 0, 0], "re": 1.0},
@@ -555,7 +541,7 @@ class TestDeterminism:
         b = full_decompose(random_poly(3, rng2), sphere)
         assert _json_text(cli._sequence_arrays(a)) == _json_text(cli._sequence_arrays(b))
         p1, p2 = random_poly(4, rng1), random_poly(4, rng2)
-        assert dumps(qio.poly_to_json(p1)) == dumps(qio.poly_to_json(p2))
+        assert [_json_text(g) for g in p1.parts] == [_json_text(g) for g in p2.parts]
 
     def test_parse_serialize_parse_fixed_point(self):
         # signed zeros, an empty line stack and zero remainders of degree 0
@@ -597,3 +583,39 @@ def test_every_io_function_serves_the_package():
         reached.add(name)
         todo |= names(bodies[name]) - reached
     assert sorted(set(bodies) - reached) == []
+
+
+def test_every_cli_option_is_read():
+    # each option of each subcommand is read on that subcommand's path: as
+    # args.<dest> in its handler or a cli function it calls, --output by
+    # main for _emit, and --quadric only where the handler uses the form
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name):
+        """The args attributes that the named function and the cli
+        functions it calls, transitively, read."""
+        todo, seen, read = [name], set(), set()
+        while todo:
+            node = bodies[todo.pop()]
+            seen.add(node.name)
+            for n in ast.walk(node):
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                        and n.value.id == "args":
+                    read.add(n.attr)
+                elif isinstance(n, ast.Name) and n.id in bodies and n.id not in seen:
+                    todo.append(n.id)
+        return read
+
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    unread = []
+    for command, parser in subcommands.items():
+        handler = bodies[parser.get_default("func").__name__]
+        read = reads(handler.name) | (reads("main") & {"output"})
+        form = handler.args.args[1].arg
+        if any(isinstance(n, ast.Name) and n.id == form for n in ast.walk(handler)):
+            read.add("quadric")
+        unread += [(command, a.dest) for a in parser._actions
+                   if a.dest not in read | {"help"}]
+    assert unread == []

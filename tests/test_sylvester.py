@@ -160,6 +160,19 @@ class TestParcellingCombinatorics:
         with pytest.raises(ValueError):
             enumerate_parcellings([2, -1, 1])
 
+    def test_large_listings_not_cached(self):
+        # a generic degree 7's 135,135 parcellings stayed in the cache,
+        # 43.7 MB after the caller let them go; above PARCELLING_CACHE_MAX,
+        # a generic degree 6's count, a listing is built anew and not kept
+        assert sylvester.PARCELLING_CACHE_MAX == count_parcellings(6)
+        sylvester._parcellings.cache_clear()
+        assert len(enumerate_parcellings([1] * 14)) == count_parcellings(7)
+        assert sylvester._parcellings.cache_info().currsize == 0
+        for d in (4, 6):
+            a, b = enumerate_parcellings([1] * (2 * d)), enumerate_parcellings([1] * (2 * d))
+            assert len(a) == count_parcellings(d) and all(x is y for x, y in zip(a, b))
+        assert sylvester._parcellings.cache_info().currsize == 2
+
     def test_merge_never_increases_count(self):
         # merging two clusters can only lower (or keep) the parcelling count;
         # merging two simple clusters of an all-simple pattern lowers it
