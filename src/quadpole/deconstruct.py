@@ -88,25 +88,39 @@ def _strip_q_powers(h: HomogPoly, Q: QuadForm, eps_cluster: float
     return h, None
 
 
+def _leaves(hs: Sequence[HomogPoly]) -> List[List[Tuple[complex, Dict[int, Multipole]]]]:
+    """The one decomposition of each h of degree at most 1: its constant,
+    or, for a nonzero line, the line as its own one-line multipole (a line
+    is the secant of its two conic points, so scale * line = h exactly).
+    The lines' multipoles come from one line table."""
+    lines = [h.degree == 1 and not h.is_zero() for h in hs]
+    w = np.array([h.coeffs for h, line in zip(hs, lines) if line], dtype=complex).reshape(-1, 3)
+    mps = iter(Multipole._table([1.0] * len(w), w, np.arange(len(w))[:, None]))
+    return [[(0j, {1: next(mps)})] if line
+             else [(complex(h.coeffs[0]) if h.degree == 0 else 0j, {})]
+            for h, line in zip(hs, lines)]
+
+
 def _chain(h: HomogPoly, Q: QuadForm, strategy: str, eps_cluster: float,
            limit: int) -> List[Tuple[complex, Dict[int, Multipole]]]:
     """The constant and terms of every decomposition of h the strategy
-    gives: each level keeps its context's rows(strategy), and each row's
-    remainder recurses with what is left of the limit.  More than limit
-    decompositions raise EnumerationLimit.  full_decompose has checked the
-    input for the strategy; each level's rows certify themselves."""
+    gives: each level keeps its context's rows(strategy) with their
+    multipoles, and each row's remainder recurses with what is left of the
+    limit; remainders of degree at most 1 end the chain together
+    (_leaves).  More than limit decompositions raise EnumerationLimit.
+    full_decompose has checked the input for the strategy; each level's
+    rows certify themselves."""
     cur, ctx = _strip_q_powers(h, Q, eps_cluster)
-    if ctx is not None:
-        rows = [(f.multipole(), f.remainder) for f in ctx.rows(strategy)]
-    else:
-        if cur.degree != 1 or cur.is_zero():
-            return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
-        # a line is the secant of its two conic points, so a nonzero linear
-        # level is its own one-line multipole: scale * line = h exactly
-        rows = [(Multipole.from_parts(1.0, [cur]), HomogPoly.zero(0))]
+    if ctx is None:
+        return _leaves([cur])[0]
+    rows = ctx.rows(strategy)
+    tails = _leaves([f.remainder for f in rows]) if cur.degree <= 3 else None
     out: List[Tuple[complex, Dict[int, Multipole]]] = []
-    for mp, remainder in rows:
-        for lam, terms in _chain(remainder, Q, strategy, eps_cluster, limit - len(out)):
+    for k, f in enumerate(rows):
+        mp = f.multipole()
+        chains = tails[k] if tails is not None else \
+            _chain(f.remainder, Q, strategy, eps_cluster, limit - len(out))
+        for lam, terms in chains:
             out.append((lam, {mp.degree: mp, **terms}))
             if len(out) > limit:
                 raise EnumerationLimit("more than %d sequences" % ENUMERATION_CAP)

@@ -110,7 +110,8 @@ def maxwell_poly(Q: QuadForm, vectors: Sequence[Sequence[complex]]) -> HomogPoly
     """Numerator left by applying every vector's derivative to Q^{-1/2}.
 
     The result is Q-harmonic of degree len(vectors) and linear in each slot;
-    for degenerate vector lists it can vanish identically, which is an error.
+    for degenerate vector lists it can vanish identically, and for huge or
+    tiny vectors overflow to non-finite coefficients; both are errors.
     Step i starts from the half exponent 2i + 1.
     """
     U = _directions(vectors)
@@ -118,6 +119,8 @@ def maxwell_poly(Q: QuadForm, vectors: Sequence[Sequence[complex]]) -> HomogPoly
                _step_weights(Q, U, np.arange(1.0, 2 * len(U), 2.0)))
     if np.linalg.norm(N) == 0.0:
         raise SolveFailure("vector configuration produced the zero polynomial")
+    if not np.isfinite(N).all():
+        raise SolveFailure("vector configuration produced non-finite coefficients")
     return HomogPoly._of(len(U), N)
 
 

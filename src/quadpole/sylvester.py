@@ -16,8 +16,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,8 +121,38 @@ def enumerate_parcellings(multiplicities: Sequence[int]) -> List[GeneralizedParc
     sum to an odd number, and EnumerationLimit, before listing any, when
     there are more than ENUMERATION_CAP.  The parcellings of the last 128
     multiplicity vectors with at most PARCELLING_CACHE_MAX of them are kept
-    and shared (they are frozen); the list is new at every call.
+    with their layout and shared (they are frozen); the list is new at every
+    call.
     """
+    return list(_listing(multiplicities).parcellings)
+
+
+class _Listing(NamedTuple):
+    """Parcellings and their layout as _factor_table reads it: the distinct
+    pieces in order of first use, the column of each piece of every row in
+    turn among them (flat), and the same map as a read-only (n, d) array."""
+
+    parcellings: Tuple[GeneralizedParcelling, ...]
+    distinct: Tuple[Tuple[int, int], ...]
+    flat: Tuple[int, ...]
+    cols: np.ndarray
+
+
+def _layout(parcellings: Iterable[GeneralizedParcelling]) -> _Listing:
+    """The listing of one or more parcellings of equal degree."""
+    parcellings = tuple(parcellings)
+    pieces = list(itertools.chain.from_iterable(
+        map(operator.attrgetter("pieces"), parcellings)))
+    distinct = tuple(dict.fromkeys(pieces))
+    flat = tuple(map(dict(zip(distinct, itertools.count())).__getitem__, pieces))
+    cols = np.array(flat, dtype=np.intp).reshape(len(parcellings), -1)
+    cols.flags.writeable = False
+    return _Listing(parcellings, distinct, flat, cols)
+
+
+def _listing(multiplicities: Sequence[int]) -> _Listing:
+    """enumerate_parcellings' listing with its layout, from _parcellings'
+    cache when it has at most PARCELLING_CACHE_MAX parcellings."""
     mults = tuple(int(m) for m in multiplicities)
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be non-negative")
@@ -132,7 +162,7 @@ def enumerate_parcellings(multiplicities: Sequence[int]) -> List[GeneralizedParc
     if count > ENUMERATION_CAP:
         raise EnumerationLimit("more than %d parcellings" % ENUMERATION_CAP)
     listing = _parcellings if count <= PARCELLING_CACHE_MAX else _parcellings.__wrapped__
-    return list(listing(mults))
+    return listing(mults)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -168,7 +198,7 @@ def _take(r: int, mults: Tuple[int, ...]):
 
 
 @functools.lru_cache(maxsize=128)
-def _parcellings(multiplicities: Tuple[int, ...]) -> Tuple[GeneralizedParcelling, ...]:
+def _parcellings(multiplicities: Tuple[int, ...]) -> _Listing:
     mults = list(multiplicities)
     out: List[GeneralizedParcelling] = []
     pieces: List[Tuple[int, int]] = []
@@ -196,7 +226,7 @@ def _parcellings(multiplicities: Tuple[int, ...]) -> Tuple[GeneralizedParcelling
             mults[piece[1]] += 1
 
     rec((-1, -1))
-    return tuple(out)
+    return _layout(out)
 
 
 def canonical_parcelling(multiplicities: Sequence[int]) -> GeneralizedParcelling:
@@ -249,21 +279,41 @@ class Multipole:
 
     @classmethod
     def from_parts(cls, lam: complex, line_polys: Sequence[HomogPoly]) -> "Multipole":
-        scale = complex(lam)
-        if not line_polys:
-            return cls(scale, ())
+        """lam * prod(line_polys) as a Multipole: the one-row case of _table."""
         w = np.array([L.coeffs for L in line_polys], dtype=complex)
+        return cls._table([lam], w, np.arange(len(w))[None])[0]
+
+    @classmethod
+    def _table(cls, lams: Sequence[complex], w: np.ndarray, cols: np.ndarray
+               ) -> List["Multipole"]:
+        """The multipole of lams[i] * prod(w[cols[i]]) for each row i of a
+        line table w, its lines in the order cols[i] gives.
+
+        Each line of w is normalized once: divided by its first coefficient
+        of largest modulus (its pivot), the pivot then set to exactly 1, and
+        keyed once by _line_key.  A row's scale is complex(lams[i]) times
+        its lines' pivots, as numpy scalars, one piece at a time; its lines
+        are sorted by their keys, which are exact, so equal keys are equal
+        lines.
+        """
+        d = cols.shape[1]
+        if d == 0:
+            return [cls(complex(lam), ()) for lam in lams]
         at = (np.arange(len(w)), np.argmax(np.abs(w), axis=1))
         pivots = w[at]
-        for p in pivots:
-            scale *= p
         v = w / pivots[:, None]
         v[at] = 1.0
         vecs = list(map(tuple, v.tolist()))
-        if len(vecs) > 1:
-            parts = v.view(np.float64).tolist()
-            vecs = [vecs[i] for i in sorted(range(len(vecs)), key=lambda i: _line_key(parts[i]))]
-        return cls(scale, tuple(vecs))
+        pivots = list(pivots)
+        rows = cols.tolist()
+        flat = list(itertools.chain.from_iterable(rows))
+        scales = list(map(complex, lams))
+        for k in range(d):
+            scales = list(map(operator.mul, scales, map(pivots.__getitem__, flat[k::d])))
+        if d > 1:
+            keys = list(map(_line_key, v.view(np.float64).tolist()))
+            rows = [sorted(row, key=keys.__getitem__) for row in rows]
+        return [cls(scale, tuple(map(vecs.__getitem__, row))) for scale, row in zip(scales, rows)]
 
     @property
     def degree(self) -> int:
@@ -297,6 +347,9 @@ class MultipoleFactorization:
     remainder: HomogPoly
     parcelling: GeneralizedParcelling
     ill_conditioned: bool = False
+    # the multipole the factor context's line table gave this row, if any
+    _multipole: Optional[Multipole] = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def degree(self) -> int:
@@ -316,6 +369,10 @@ class MultipoleFactorization:
         return self.product() + poly_mul(Q.poly(), self.remainder)
 
     def multipole(self) -> Multipole:
+        """The Multipole of lam * prod(lines): the one its line table gave a
+        row of _FactorContext.rows, else Multipole.from_parts'."""
+        if self._multipole is not None:
+            return self._multipole
         return Multipole.from_parts(self.lam, self.lines)
 
     def is_real(self, tol: float = TOL_REAL_RESULT) -> bool:
@@ -430,10 +487,13 @@ class _FactorContext:
     every P when tol_div < RESTRICTION_TOL_DIV_MIN.  tol_div is TOL_DIV
     but for multipole_series, which raises it to each band's noise floor.
 
-    _factor_rows takes a list of parcellings as one stack of rows, and
-    finds for them the point q where lambda is fixed, P(q) and, by one
-    line_through call, the lines of their distinct pieces.  It gives every
-    row's factorization, or raises the error of the first failing row.  q
+    _factor_table takes a listing of parcellings, with its layout, as one
+    stack of rows, and finds for them the point q where lambda is fixed,
+    P(q) and, by one line_through call, the lines of their distinct pieces.
+    It gives every row's lambda, lines and remainder, or raises the error of
+    the first failing row; _factor_rows, and so rows(strategy), gives each
+    factorization with the multipole the same line table gives it, and
+    all_factorizations and real_factorizations build no multipole.  q
     is the conic point of the trial parameter _evaluation_index picks, read
     from a table cached per form (_trial_conic_points), and P(q) is the
     product of P's coefficients with that point's monomial row, cached per
@@ -452,7 +512,7 @@ class _FactorContext:
     A context checks nothing of what a strategy asks of its input: the
     entry that takes the strategy does (factor, full_decompose,
     multipole_series).  Rows that must be real are made real and gated in
-    the one _factor_rows pass (_real_parts), before any object is built,
+    the one _factor_table pass (_real_parts), before any object is built,
     and share the line table's objects as complex rows do.
     """
 
@@ -526,9 +586,40 @@ class _FactorContext:
                 return k
         raise NoEvaluationPoint("no conic evaluation point cleared the thresholds")
 
-    def _factor_rows(self, parcellings: Sequence[GeneralizedParcelling],
+    def _factor_rows(self, parcellings: Union[_Listing, Sequence[GeneralizedParcelling]],
                      real: bool = False) -> List[MultipoleFactorization]:
-        """P = lam * prod(L) + Q * R over each parcelling, each certified once.
+        """The factorizations of _factor_table's rows, each with the
+        multipole the same line table gives it (Multipole._table), or
+        _factor_table's error raised.  A _Listing brings its layout; a
+        sequence of parcellings is laid out here (_layout)."""
+        if isinstance(parcellings, _Listing):
+            listing = parcellings
+        elif parcellings:
+            listing = _layout(parcellings)
+        else:
+            return []
+        lams, w, rem = self._factor_table(listing, real)
+        rows = self._factorizations(listing, lams, w, rem)
+        for row, mp in zip(rows, Multipole._table(lams, w, listing.cols)):
+            row._multipole = mp
+        return rows
+
+    def _factorizations(self, listing: _Listing, lams: List[complex], w: np.ndarray,
+                        rem: np.ndarray) -> List[MultipoleFactorization]:
+        """A factor table's rows as factorizations, their lines and
+        remainders views, not validated copies; rows that use the same line
+        share one HomogPoly of it."""
+        lines_of = np.empty(len(w), dtype=object)
+        lines_of[:] = list(map(HomogPoly._of, itertools.repeat(1), w))
+        return list(map(MultipoleFactorization, lams, lines_of[listing.cols].tolist(),
+                        map(HomogPoly._of, itertools.repeat(max(self.P.degree - 2, 0)), rem),
+                        listing.parcellings, itertools.repeat(self.ill_conditioned)))
+
+    def _factor_table(self, listing: _Listing, real: bool
+                      ) -> Tuple[List[complex], np.ndarray, np.ndarray]:
+        """P = lam * prod(L) + Q * R over each parcelling of the listing,
+        each certified once: every row's lam, the line table w (row i takes
+        the lines w[cols[i]]) and the (n, grade_dim(deg P - 2)) remainders.
         Every parcelling must use each cluster its multiplicity times.
         With real, the rows are made real by _real_parts once they have
         passed every check below, a late NoEvaluationPoint included.
@@ -547,21 +638,16 @@ class _FactorContext:
         in the order a single row meets them, so the error raised is the one
         the first failing parcelling raises alone.
 
-        No Python loop or generator runs per row: the pieces are one (n, d)
-        array of columns into the call's lines, lambda's denominators Python
-        complex products in piece order, taken one piece of every row at a
-        time, and the rows' lines and remainders views, not validated copies.
-        Rows that use the same line share one HomogPoly of it.
+        No Python loop or generator runs per row: the pieces are the
+        layout's (n, d) array of columns into the call's lines, and lambda's
+        denominators Python complex products in piece order, taken one piece
+        of every row at a time.
         """
-        n = len(parcellings)
-        if n == 0:
-            return []
         # every row's d = deg P pieces in turn, and the distinct pieces in
         # order of first use; every row uses every cluster, so a point off
         # the conic, like a failed search for the evaluation point, fails row 0
-        pieces = list(itertools.chain.from_iterable(
-            map(operator.attrgetter("pieces"), parcellings)))
-        distinct = list(dict.fromkeys(pieces))
+        distinct, flat, cols = listing.distinct, listing.flat, listing.cols
+        n = len(cols)
         k = self._evaluation_index()
         q = _trial_conic_points(self.Q)[k]
         p_at_q = complex((_trial_monomials(self.Q, self.P.degree, k) @ self.P.coeffs)[0])
@@ -573,8 +659,6 @@ class _FactorContext:
         w = w / w[np.arange(len(w)), np.argmax(np.abs(w), axis=1)][:, None]
         values = (_monomial_values(1, q.reshape(1, 3)) @ w[:, :, None])[:, 0, 0].tolist()
         d, late = self.P.degree, None
-        flat = list(map(dict(zip(distinct, itertools.count())).__getitem__, pieces))
-        cols = np.array(flat, dtype=np.intp).reshape(-1, d)
         # lambda's denominator as a Python complex, 1 times each line's
         # value at q in piece order, one piece of every row at a time
         denoms = [1.0 + 0.0j] * n
@@ -609,12 +693,7 @@ class _FactorContext:
             raise late
         if real:
             lams, w, rem = self._real_parts(lams, w, cols, rem)
-        # one HomogPoly per line of the table, shared by the rows that use it
-        lines_of = np.empty(len(w), dtype=object)
-        lines_of[:] = list(map(HomogPoly._of, itertools.repeat(1), w))
-        return list(map(MultipoleFactorization, lams, lines_of[cols].tolist(),
-                        map(HomogPoly._of, itertools.repeat(deg_r), rem),
-                        parcellings, itertools.repeat(self.ill_conditioned)))
+        return lams, w, rem
 
     def _real_parts(self, lams: List[complex], w: np.ndarray, cols: np.ndarray,
                     rem: np.ndarray) -> Tuple[List[complex], np.ndarray, np.ndarray]:
@@ -667,7 +746,7 @@ class _FactorContext:
         raised: every parcelling's for enumerate, else the one parcelling_for
         picks, made real in the same pass for real_unique."""
         if strategy == "enumerate":
-            return self._factor_rows(enumerate_parcellings(self.multiplicities))
+            return self._factor_rows(_listing(self.multiplicities))
         return self._factor_rows([self.parcelling_for(strategy)],
                                  real=strategy == "real_unique")
 
@@ -730,7 +809,8 @@ def all_factorizations(P: HomogPoly, Q: QuadForm,
                        eps_cluster: float = EPS_CLUSTER) -> List[MultipoleFactorization]:
     """Factorizations for every parcelling, in enumeration order."""
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster)
-    return ctx.rows("enumerate")
+    listing = _listing(ctx.multiplicities)
+    return ctx._factorizations(listing, *ctx._factor_table(listing, real=False))
 
 
 def real_factor(P: HomogPoly, Q: QuadForm,
@@ -783,9 +863,14 @@ def real_factorizations(P: HomogPoly, Q: QuadForm,
         raise NotReal("quadratic form must be real")
     ctx = _FactorContext(P, Q, eps_cluster=eps_cluster)
     sigma = ctx.conjugation(require_free=False)
-    stable = [par for par in enumerate_parcellings(ctx.multiplicities)
-              if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in par.pieces)]
-    return ctx._factor_rows(stable, real=True)
+    listing = _listing(ctx.multiplicities)
+    # a parcelling is stable when each of its pieces is; pairing every
+    # conjugate pair with itself leaves the real clusters an even weight,
+    # so some parcelling is
+    ok = np.array([tuple(sorted((sigma[i], sigma[j]))) == (i, j) for i, j in listing.distinct])
+    stable = _layout(itertools.compress(listing.parcellings,
+                                        ok[listing.cols].all(axis=1).tolist()))
+    return ctx._factorizations(stable, *ctx._factor_table(stable, real=True))
 
 
 def intersection_clusters(P: HomogPoly, Q: QuadForm,

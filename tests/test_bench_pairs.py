@@ -1,7 +1,9 @@
-"""The summary of tools/bench_pairs.py, on fixed result lines; no benchmark runs."""
+"""The summary of tools/bench_pairs.py, on fixed result lines, and its series
+with subprocess.run replaced; no benchmark runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,32 @@ def test_verdicts_of_a_recorded_summary():
     recorded = json.loads((ROOT / "BENCH_28.json").read_text())
     got = bench_pairs.verdicts(recorded["summary"])["decompose"]["ops_per_s"]
     assert got["wins_enough"] and got["beyond_parent_iqr"] and got["wins"] == 10
+
+
+def test_each_side_keeps_its_own_bytecode_prefix(monkeypatch, tmp_path):
+    # a __pycache__ left in one checkout biased that side's setup_s; each
+    # side now compiles under its own prefix, the same at every seed, in a
+    # directory made for the series and removed after it
+    calls = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.parent.is_dir()
+        calls.append((Path(cwd).name, int(argv[argv.index("--seed") + 1]), prefix))
+        line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    roots = {side: tmp_path / side for side in bench_pairs.SIDES}
+    runs, err = bench_pairs.run_series(roots, "w", [4, 5, 6], 1)
+    assert err is None
+    assert [(r["side"], r["seed"]) for r in runs] == [
+        ("parent", 4), ("change", 4), ("change", 5), ("parent", 5),
+        ("parent", 6), ("change", 6)]
+    prefixes = {}
+    for side, seed, prefix in calls:
+        prefixes.setdefault(side, set()).add(prefix)
+    assert {side: len(p) for side, p in prefixes.items()} == {"parent": 1, "change": 1}
+    (parent,), (change,) = prefixes["parent"], prefixes["change"]
+    assert parent != change
+    assert not parent.parent.exists() and not change.parent.exists()

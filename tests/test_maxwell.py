@@ -8,6 +8,7 @@ from quadpole import (
     HomogPoly,
     NotHarmonic,
     PotentialTerm,
+    SolveFailure,
     ZeroVector,
     apply_delta_q,
     directional_derivative_potential,
@@ -94,6 +95,15 @@ class TestRecurrence:
     def test_zero_vector_rejected(self, sphere):
         with pytest.raises(ZeroVector):
             maxwell_poly(sphere, [(0, 0, 0)])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_refused(self, sphere, dense_complex):
+        # two derivatives along 1e200 * x overflow to a NaN grade, which was
+        # returned; 1e150 stays finite
+        for Q in (sphere, dense_complex):
+            with pytest.raises(SolveFailure, match="non-finite"):
+                maxwell_poly(Q, [[1e200, 0, 0]] * 2)
+            assert np.isfinite(maxwell_poly(Q, [[1e150, 0, 0]] * 2).coeffs).all()
 
     def test_step_at_any_half_exponent(self, sphere, hyperboloid, dense_complex):
         # a term's step uses its own half exponent, not the 2k + 1 that

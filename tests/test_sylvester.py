@@ -1,8 +1,10 @@
 """Parcelling combinatorics, cone factorization, real uniqueness,
 and discriminant membership."""
 
+import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from quadpole import (
     GeneralizedParcelling,
     HomogPoly,
     Multipole,
+    MultipoleFactorization,
     NotDefinite,
     NotReal,
     OddTotal,
@@ -36,8 +39,8 @@ from quadpole import (
 )
 from quadpole import algebra, deconstruct, sylvester
 from quadpole.algebra import TOL_DIV, grade_dim
-from quadpole.conic import BinaryForm, RootCluster, restrict_to_conic
-from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint,
+from quadpole.conic import BinaryForm, ProjPoint2, RootCluster, restrict_to_conic
+from quadpole.errors import (ConjugationPairingFailure, NoEvaluationPoint, NotOnConic,
                              QuadpoleError, SolveFailure, StrategyMismatch)
 from quadpole.sylvester import _FactorContext
 
@@ -171,6 +174,12 @@ class TestParcellingCombinatorics:
         for d in (4, 6):
             a, b = enumerate_parcellings([1] * (2 * d)), enumerate_parcellings([1] * (2 * d))
             assert len(a) == count_parcellings(d) and all(x is y for x, y in zip(a, b))
+        assert sylvester._parcellings.cache_info().currsize == 2
+        # the layout _factor_rows reads is kept with the listing, and only
+        # with a kept listing
+        big = sylvester._listing([1] * 14)
+        assert big.cols.shape == (count_parcellings(7), 7) and not big.cols.flags.writeable
+        assert sylvester._listing([1] * 12) is sylvester._listing([1] * 12)
         assert sylvester._parcellings.cache_info().currsize == 2
 
     def test_merge_never_increases_count(self):
@@ -821,6 +830,34 @@ class TestFirstFailingRow:
         with pytest.raises(NoEvaluationPoint):
             ctx._factor_rows(pars[:row + 1] + [wrong])
 
+    def test_listing_rows_fail_as_a_list_of_rows(self, sphere, monkeypatch):
+        # the rows of a cached listing fail as the same parcellings given as
+        # a list: a point off the conic is named by line_through in the
+        # order of first use of the pieces (pa[0], pb[0], pa[1], ...), and
+        # a late row on a line through q fails after the division
+        P = random_homog(4, np.random.default_rng(58))
+        ctx = _FactorContext(P, sphere)
+        pars = enumerate_parcellings(ctx.multiplicities)
+        first_use = [i for piece in dict.fromkeys(itertools.chain.from_iterable(
+            par.pieces for par in pars)) for i in piece]
+        coords = ctx.points.coords.copy()
+        moved = [5, 2]
+        for c in moved:
+            coords[c] = coords[c] * np.array([1.0, 1.0, 1.5])
+        named = ProjPoint2._of(coords[min(moved, key=first_use.index)])
+        off = copy.copy(ctx)
+        off.points = ProjPoint2._of(coords)
+        message = re.escape("point %r is off the conic" % named)
+        for call in (lambda: off.rows("enumerate"), lambda: off._factor_rows(pars),
+                     lambda: off._factor_rows(sylvester._listing(off.multiplicities))):
+            with pytest.raises(NotOnConic, match=message):
+                call()
+        _late_line_through_q(ctx, monkeypatch)
+        for call in (lambda: ctx.rows("enumerate"), lambda: ctx._factor_rows(pars),
+                     lambda: all_factorizations(P, sphere)):
+            with pytest.raises(NoEvaluationPoint, match="evaluation point lies on a factor line"):
+                call()
+
     def test_enumerate_expands_no_row_of_a_failing_level(self, sphere, monkeypatch):
         # the late top-level row fails, so full_decompose raises its error
         # before any earlier row's remainder gets a context of its own
@@ -922,6 +959,89 @@ class TestMultipoleFromParts:
                 == _bits(_from_parts_reference(2.5, lines))
 
 
+def _doubled_divisor():
+    """(x + 2y)^2 (z - x/2): two conic points of multiplicity 2, so some
+    parcellings double a point (pieces (i, i), the tangent lines)."""
+    return poly_mul(poly_mul(X + 2 * Y, X + 2 * Y), Z - 0.5 * X)
+
+
+def _reference_chain(h, Q):
+    """Every (lam, terms) decomposition of h by enumeration, with each
+    level's multipoles from _from_parts_reference of its rows' lambda and
+    lines: a test-local copy of deconstruct's recursion."""
+    cur, ctx = deconstruct._strip_q_powers(h, Q, sylvester.EPS_CLUSTER)
+    if ctx is None:
+        if cur.degree == 1 and not cur.is_zero():
+            return [(0j, {1: _from_parts_reference(1.0, [cur])})]
+        return [(complex(cur.coeffs[0]) if cur.degree == 0 else 0j, {})]
+    out = []
+    for f in ctx._factor_rows(enumerate_parcellings(ctx.multiplicities)):
+        mp = _from_parts_reference(f.lam, f.lines)
+        out.extend((lam, {mp.degree: mp, **terms})
+                   for lam, terms in _reference_chain(f.remainder, Q))
+    return out
+
+
+class TestMultipoleTable:
+    """The multipoles a line table gives, each distinct line normalized and
+    keyed once, have the bits of the line-by-line normalization of each
+    row's lambda and lines."""
+
+    def _check(self, facts, carried):
+        assert facts
+        for f in facts:
+            assert (f._multipole is not None) == carried
+            assert _bits(f.multipole()) == _bits(_from_parts_reference(f.lam, f.lines))
+
+    def test_rows_of_every_entry(self, sphere, hyperboloid, dense_complex):
+        rng = np.random.default_rng(90)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for P in [random_homog(d, rng) for d in (1, 2, 3, 4)] + [_doubled_divisor()]:
+                self._check(_FactorContext(P, Q).rows("enumerate"), True)
+                self._check(all_factorizations(P, Q), False)
+                self._check([factor(P, Q)], True)
+        facts = _FactorContext(_doubled_divisor(), sphere).rows("enumerate")
+        assert any(i == j for f in facts for i, j in f.parcelling.pieces)
+        # a factorization built by hand carries none, and gets from_parts'
+        hand = [MultipoleFactorization(f.lam, f.lines, f.remainder, f.parcelling) for f in facts]
+        self._check(hand, False)
+        assert [_bits(f.multipole()) for f in hand] == [_bits(f.multipole()) for f in facts]
+
+    def test_real_rows(self, sphere, hyperboloid):
+        rng = np.random.default_rng(91)
+        for d in (1, 2, 3, 4):
+            P = random_homog(d, rng, real=True)
+            self._check([factor(P, sphere, "real_unique")], True)
+            self._check(real_factorizations(P, sphere), False)
+            self._check(real_factorizations(P, hyperboloid), False)
+            self._check(real_factorizations(_real_secants(rng, hyperboloid, d), hyperboloid),
+                        False)
+            self._check(_FactorContext(P, sphere).rows("real_unique"), True)
+
+    def test_full_decompose_enumerate(self, sphere, hyperboloid, dense_complex):
+        # inhomogeneous inputs of degree 1 to 4: the linear levels come as
+        # one stack per level of remainders, or alone for a linear part
+        from quadpole.algebra import grade_split, homogenize_on_quadric
+        rng = np.random.default_rng(92)
+        for Q in (sphere, hyperboloid, dense_complex):
+            for d in (1, 2, 3, 4):
+                P = random_poly(d, rng)
+                chains = [_reference_chain(homogenize_on_quadric(g, Q), Q)
+                          if not g.is_zero() else [(0j, {})] for g in grade_split(P)]
+                want = [(lam_e + lam_o, {**terms_e, **terms_o})
+                        for lam_e, terms_e in chains[0] for lam_o, terms_o in chains[1]]
+                got = full_decompose(P, Q, strategy="enumerate")
+                assert len(got) == len(want)
+                for seq, (lam, terms) in zip(got, want):
+                    assert seq.lam == lam and sorted(seq.terms) == sorted(terms)
+                    assert all(_bits(seq.terms[k]) == _bits(terms[k]) for k in terms)
+            P = _doubled_divisor()
+            got = full_decompose(P, Q, strategy="enumerate")
+            want = _reference_chain(P, Q)
+            assert [{k: _bits(m) for k, m in seq.terms.items()} for seq in got] \
+                == [{k: _bits(m) for k, m in terms.items()} for _, terms in want]
+
+
 class TestLineProducts:
     """MultipoleFactorization.product and Multipole.product_poly against
     lam * prod(L(x)), evaluated point by point."""
@@ -959,6 +1079,28 @@ class TestRealFactorizations:
         facts = real_factorizations(p, hyperboloid)
         assert len(facts) == 1
         assert facts[0].is_real()
+
+    def test_same_parcellings_as_the_piecewise_filter(self, hyperboloid):
+        # stability is decided once per distinct piece of the listing; the
+        # rows are those of the filter that tested every piece of every
+        # parcelling, a test-local copy, in the same order
+        def stable_reference(P, Q):
+            ctx = _FactorContext(P, Q)
+            sigma = ctx.conjugation(require_free=False)
+            return [par for par in enumerate_parcellings(ctx.multiplicities)
+                    if all(tuple(sorted((sigma[i], sigma[j]))) == (i, j)
+                           for i, j in par.pieces)]
+
+        rng = np.random.default_rng(93)
+        counts = []
+        for d in (2, 3, 4):
+            for P in [_real_secants(rng, hyperboloid, d)] \
+                    + [random_homog(d, rng, real=True) for _ in range(3)]:
+                want = stable_reference(P, hyperboloid)
+                assert [f.parcelling for f in real_factorizations(P, hyperboloid)] == want
+                counts.append(len(want))
+        # all-real points list every parcelling, others fewer
+        assert max(counts) == count_parcellings(4) and min(counts) < count_parcellings(2)
 
     def test_count_matches_stable_parcellings(self, hyperboloid):
         param = conic_param(hyperboloid)

@@ -5,7 +5,10 @@
 
 For each seed, <checkout>/perfbench/run.py --trace 0 runs once in each
 checkout for <change>/BENCHMARK.json's run_seconds, one run at a time: the
-parent first on even seeds, the change first on odd seeds.  Each run's
+parent first on even seeds, the change first on odd seeds.  Each side runs
+with its own PYTHONPYCACHEPREFIX, a directory made in a temporary directory
+when the series starts and removed when it ends, so that neither side reads
+byte-compiled files left in its checkout and both compile alike.  Each run's
 result line (the last line of its standard output) is kept with "side",
 "seed" and "workload" added.  A run that exits non-zero or prints no
 result line stops the series; the lines kept so far are printed with the
@@ -26,8 +29,10 @@ the parent's interquartile range.  Progress goes to standard error.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +49,36 @@ def run_order(seed: int):
     return SIDES if seed % 2 == 0 else SIDES[::-1]
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One perfbench/run.py --trace 0 run in the checkout, as its result line."""
+def run_once(root: Path, workload: str, seed: int, seconds: int, pycache: Path) -> dict:
+    """One perfbench/run.py --trace 0 run in the checkout, with its byte-compiled
+    files under pycache, as its result line."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=root, capture_output=True, text=True)
+                          cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("%s seed %d exited %d: %s" % (root, seed, proc.returncode,
                                                          proc.stderr.strip()[-2000:]))
     return json.loads(lines[-1])
+
+
+def run_series(roots: dict, workload: str, seeds, seconds: int):
+    """The result lines of the alternating runs, tagged with side, seed and
+    workload, and the error that stopped the series (None when none did)."""
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        pycache = {side: Path(tmp, side) for side in SIDES}
+        try:
+            for seed in seeds:
+                for side in run_order(seed):
+                    print("%s seed %d: %s" % (workload, seed, side), file=sys.stderr,
+                          flush=True)
+                    line = run_once(roots[side], workload, seed, seconds, pycache[side])
+                    runs.append(dict(line, side=side, seed=seed, workload=workload))
+        except RuntimeError as exc:
+            return runs, str(exc)
+    return runs, None
 
 
 def _gain(parent: float, change: float, better: str) -> float:
@@ -127,16 +152,8 @@ def main() -> int:
     args = ap.parse_args()
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    runs, err = [], None
-    try:
-        for seed in parse_seeds(args.seeds):
-            for side in run_order(seed):
-                print("%s seed %d: %s" % (args.workload, seed, side), file=sys.stderr,
-                      flush=True)
-                line = run_once(roots[side], args.workload, seed, bench["run_seconds"])
-                runs.append(dict(line, side=side, seed=seed, workload=args.workload))
-    except RuntimeError as exc:
-        err = str(exc)
+    runs, err = run_series(roots, args.workload, parse_seeds(args.seeds), bench["run_seconds"])
+    if err is not None:
         print("error: %s" % err, file=sys.stderr)
     result = {"runs": runs}
     if err is None:
